@@ -78,17 +78,17 @@ func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []a
 	}
 	// Last arriver: compute, reset comm state for the next collective,
 	// release everyone at the common time.
+	entry := c.p.Now()
 	if finish != nil {
 		st.result, st.release = finish(st.contribs, st.maxT)
 	} else {
 		st.result = userFinish(st.contribs)
-		st.release = c.treeCost(st.maxT, bytes)
+		st.release = c.TreeCost(st.maxT, bytes)
 	}
 	if st.release < st.maxT {
 		st.release = st.maxT
 	}
 	s.coll = nil
-	entry := c.p.Now()
 	c.p.Engine().UnparkBatch(st.waiters, st.release)
 	c.p.HoldUntil(st.release)
 	c.p.TraceSpan("mpi", kind, entry, c.p.Now(), 0)
@@ -139,16 +139,35 @@ func (s *commShared) recycleColl(st *collState) {
 // constant strings, so matching compares interned pointers — no per-call
 // allocation, unlike the prefix concatenation this replaces.
 func (c *Comm) Collective(kind string, contrib any, bytes int64, finish func(contribs []any) any) any {
-	if len(kind) >= 4 && kind[:4] == "mpi:" {
-		panic(fmt.Sprintf("mpi: user collective kind %q uses the reserved mpi: prefix", kind))
-	}
+	checkUserKind(kind)
 	return c.collectiveImpl(kind, contrib, nil, finish, bytes)
 }
 
-// treeCost is the LogP-style analytic cost of a tree collective moving
-// bytes per rank: ⌈log₂P⌉ rounds of per-round latency plus the bandwidth
-// term on the injection rate.
-func (c *Comm) treeCost(maxT int64, bytes int64) int64 {
+// CollectivePriced is Collective with the release time priced by the
+// caller: finish runs once, on the last-arriving rank, over the
+// contributions and the latest arrival time, and returns the shared result
+// and the time every rank resumes at (never earlier than the latest
+// arrival). finish may advance the calling proc's clock — e.g. HoldUntil the
+// instant it books shared resources at — since every other member is parked
+// until the release. This lets a library run a synchronization on a small
+// sub-communicator while charging what a world-wide one would cost (see
+// TreeCost).
+func (c *Comm) CollectivePriced(kind string, contrib any, finish func(contribs []any, maxT int64) (any, int64)) any {
+	checkUserKind(kind)
+	return c.collectiveImpl(kind, contrib, finish, nil, 0)
+}
+
+func checkUserKind(kind string) {
+	if len(kind) >= 4 && kind[:4] == "mpi:" {
+		panic(fmt.Sprintf("mpi: user collective kind %q uses the reserved mpi: prefix", kind))
+	}
+}
+
+// TreeCost is the release time of a tree collective over this comm whose
+// last rank arrives at maxT, moving bytes per rank: the LogP-style ⌈log₂P⌉
+// rounds of per-round latency plus the bandwidth term on the injection rate.
+// Barrier is TreeCost with zero bytes.
+func (c *Comm) TreeCost(maxT int64, bytes int64) int64 {
 	rounds := logRounds(c.Size())
 	inject := c.s.w.fabric.Config().InjectRate
 	return maxT + rounds*c.alpha() + rounds*sim.TransferTime(bytes, inject)
@@ -160,7 +179,7 @@ func (c *Comm) treeCost(maxT int64, bytes int64) int64 {
 func (c *Comm) Barrier() {
 	if c.barrierFn == nil {
 		c.barrierFn = func(_ []any, maxT int64) (any, int64) {
-			return nil, c.treeCost(maxT, 0)
+			return nil, c.TreeCost(maxT, 0)
 		}
 	}
 	c.collective("mpi:barrier", nil, c.barrierFn)
@@ -198,7 +217,7 @@ func (c *Comm) Bcast(root int, bytes int64, payload any) any {
 		contrib = payload
 	}
 	return c.collective("mpi:bcast", contrib, func(contribs []any, maxT int64) (any, int64) {
-		return contribs[root], c.treeCost(maxT, bytes)
+		return contribs[root], c.TreeCost(maxT, bytes)
 	})
 }
 
@@ -238,7 +257,7 @@ func (c *Comm) AllreduceF64(op Op, v float64) float64 {
 		for i, x := range contribs {
 			vals[i] = x.(float64)
 		}
-		return applyOpF64(op, vals), c.treeCost(maxT, 8)
+		return applyOpF64(op, vals), c.TreeCost(maxT, 8)
 	})
 	return res.(float64)
 }
@@ -262,7 +281,7 @@ func (c *Comm) AllreduceI64(op Op, v int64) int64 {
 				}
 			}
 		}
-		return acc, c.treeCost(maxT, 8)
+		return acc, c.TreeCost(maxT, 8)
 	})
 	return res.(int64)
 }
@@ -285,7 +304,7 @@ func (c *Comm) AllreduceMinLoc(v float64, loc int) (float64, int) {
 				best = m
 			}
 		}
-		return best, c.treeCost(maxT, 16)
+		return best, c.TreeCost(maxT, 16)
 	})
 	m := res.(minloc)
 	return m.val, m.loc
@@ -301,7 +320,7 @@ func (c *Comm) AllreduceMaxLoc(v float64, loc int) (float64, int) {
 				best = m
 			}
 		}
-		return best, c.treeCost(maxT, 16)
+		return best, c.TreeCost(maxT, 16)
 	})
 	m := res.(minloc)
 	return m.val, m.loc
@@ -419,12 +438,41 @@ func (c *Comm) Split(color, key int) *Comm {
 			}
 			i = j
 		}
-		return handles, c.treeCost(maxT, 8)
+		return handles, c.TreeCost(maxT, 8)
 	})
 	h := res.([]*Comm)[c.rank]
 	if h != nil {
 		h.p = c.p
 	}
+	return h
+}
+
+// Carve builds a communicator over the listed ranks of c (new rank i is
+// ranks[i]) and returns its handles, indexed like ranks. Unlike Split it is
+// not collective and costs no virtual time: one rank builds it and hands
+// the handles to the members inside a payload they exchange anyway, such as
+// a Bcast the caller already pays for. Each member binds its handle with
+// Adopt before using it.
+func (c *Comm) Carve(ranks []int) []*Comm {
+	world := make([]int, len(ranks))
+	for i, r := range ranks {
+		world[i] = c.s.ranks[r]
+	}
+	ns := c.s.w.newCommShared(world)
+	handles := make([]*Comm, len(ranks))
+	for i := range handles {
+		handles[i] = ns.handle(i)
+	}
+	return handles
+}
+
+// Adopt binds a carved handle to the calling rank's proc and returns it.
+// The handle must be the caller's own.
+func (c *Comm) Adopt(h *Comm) *Comm {
+	if h.WorldRank() != c.WorldRank() {
+		panic(fmt.Sprintf("mpi: world rank %d adopting the handle of world rank %d", c.WorldRank(), h.WorldRank()))
+	}
+	h.p = c.p
 	return h
 }
 

@@ -171,6 +171,29 @@ type commShared struct {
 	coll     *collState
 	collFree *collState // recycled state for the next collective
 	member   []*Comm    // comm rank → handle
+
+	// Node membership, computed on first use (see membership).
+	nodePeers []int32 // comm rank → ranks of this comm on its node
+	nodes     int     // distinct nodes hosting this comm's ranks
+}
+
+// membership fills the node-membership cache: one pass over the ranks
+// instead of the O(P) scan per rank that per-rank node queries would cost.
+func (s *commShared) membership() {
+	if s.nodePeers != nil {
+		return
+	}
+	perNode := make([]int32, s.w.fabric.Topology().Nodes())
+	for _, wr := range s.ranks {
+		if perNode[s.w.nodeOf[wr]] == 0 {
+			s.nodes++
+		}
+		perNode[s.w.nodeOf[wr]]++
+	}
+	s.nodePeers = make([]int32, len(s.ranks))
+	for r, wr := range s.ranks {
+		s.nodePeers[r] = perNode[s.w.nodeOf[wr]]
+	}
 }
 
 func (w *World) newCommShared(worldRanks []int) *commShared {
@@ -232,6 +255,20 @@ func (c *Comm) Node() int { return c.s.w.nodeOf[c.WorldRank()] }
 
 // NodeOfRank returns the compute node hosting another rank of this comm.
 func (c *Comm) NodeOfRank(r int) int { return c.s.w.nodeOf[c.s.ranks[r]] }
+
+// NodePeers returns how many ranks of this comm share rank r's compute node,
+// r included. Membership is computed once per communicator.
+func (c *Comm) NodePeers(r int) int {
+	c.s.membership()
+	return int(c.s.nodePeers[r])
+}
+
+// Nodes returns the number of distinct compute nodes hosting this comm's
+// ranks.
+func (c *Comm) Nodes() int {
+	c.s.membership()
+	return c.s.nodes
+}
 
 // Proc returns the caller's sim proc.
 func (c *Comm) Proc() *sim.Proc { return c.p }

@@ -355,6 +355,92 @@ func TestSplitKeyOrdersRanks(t *testing.T) {
 	}
 }
 
+// TestCarveCostsNothing checks a carved communicator works for collectives,
+// that building and handing it over inside an existing Bcast adds no
+// virtual time, and that CollectivePriced releases at the caller's price.
+func TestCarveCostsNothing(t *testing.T) {
+	const n = 8
+	members := []int{6, 1, 3}
+	bcastEnd := func(carve bool) int64 {
+		var end int64
+		_, err := Run(testConfig(n, 2), func(c *Comm) {
+			var payload any
+			if c.Rank() == 0 {
+				payload = []*Comm{}
+				if carve {
+					payload = c.Carve(members)
+				}
+			}
+			hs := c.Bcast(0, 24, payload).([]*Comm)
+			if c.Rank() == 0 {
+				end = c.Now()
+			}
+			if !carve {
+				return
+			}
+			for i, r := range members {
+				if r != c.Rank() {
+					continue
+				}
+				sub := c.Adopt(hs[i])
+				if sub.Rank() != i || sub.Size() != 3 || sub.WorldRank() != r {
+					t.Errorf("rank %d: carved rank %d/%d world %d", r, sub.Rank(), sub.Size(), sub.WorldRank())
+				}
+				if sum := sub.AllreduceI64(OpSum, int64(r)); sum != 10 {
+					t.Errorf("carved allreduce = %d, want 10", sum)
+				}
+				at := c.Now()
+				got := sub.CollectivePriced("test-priced", int64(r), func(contribs []any, maxT int64) (any, int64) {
+					return contribs[0].(int64) + contribs[1].(int64) + contribs[2].(int64), c.TreeCost(maxT, 0) + 5
+				})
+				if got.(int64) != 10 {
+					t.Errorf("priced collective result = %v, want 10", got)
+				}
+				if want := c.TreeCost(at, 0) + 5; c.Now() != want {
+					t.Errorf("priced release at %d, want %d (world-priced barrier + 5)", c.Now(), want)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return end
+	}
+	if plain, carved := bcastEnd(false), bcastEnd(true); carved != plain {
+		t.Fatalf("Bcast carrying a carved comm released at %d, plain at %d", carved, plain)
+	}
+}
+
+// TestNodeMembership checks the cached node-peer counts and node count on
+// the world and on a split communicator with uneven node occupancy.
+func TestNodeMembership(t *testing.T) {
+	const n = 8
+	_, err := Run(testConfig(n, 3), func(c *Comm) { // nodes hold 3, 3, 2 ranks
+		if got := c.Nodes(); got != 3 {
+			t.Errorf("world nodes = %d, want 3", got)
+		}
+		want := 3
+		if c.Node() == 2 {
+			want = 2
+		}
+		if got := c.NodePeers(c.Rank()); got != want {
+			t.Errorf("rank %d node peers = %d, want %d", c.Rank(), got, want)
+		}
+		odd := c.Split(c.Rank()%2, c.Rank()) // odd ranks 1,3,5,7 → nodes 0,1,1,2
+		if c.Rank()%2 == 1 {
+			if got := odd.Nodes(); got != 3 {
+				t.Errorf("odd comm nodes = %d, want 3", got)
+			}
+			if got := odd.NodePeers(1); got != 2 {
+				t.Errorf("odd comm rank 1 (world 3) node peers = %d, want 2", got)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDup(t *testing.T) {
 	_, err := Run(testConfig(4, 1), func(c *Comm) {
 		d := c.Dup()

@@ -62,7 +62,7 @@ func (c *Comm) WinCreate(size int64) *Win {
 			writes:   make([][]WinSpan, c.Size()),
 			mem:      make([][]byte, c.Size()),
 		}
-		return s, c.treeCost(maxT, 0)
+		return s, c.TreeCost(maxT, 0)
 	})
 	return &Win{s: res.(*winShared), c: c}
 }
@@ -250,7 +250,7 @@ func (w *Win) LocalData() []byte { return w.s.memOf(w.c.rank) }
 func (w *Win) Fence() int64 {
 	if w.fenceFn == nil {
 		w.fenceFn = func(_ []any, maxT int64) (any, int64) {
-			release := w.c.treeCost(maxT, 0)
+			release := w.c.TreeCost(maxT, 0)
 			if w.s.epochArrival > release {
 				release = w.s.epochArrival
 			}

@@ -85,7 +85,7 @@ func TestCollectiveDataRoundTrip(t *testing.T) {
 
 // TestCollectiveStagingRoundTrip drives the exchange phase with
 // Hints.IntraNodeStaging on: members' pieces for remote-node aggregators
-// become intra-node staging deposits and the horizon combiner books one
+// become intra-node staging deposits and the round exchange books one
 // coalesced fabric message per (node, aggregator) group. The round trip must
 // stay byte-identical to the flat hints, the staged run must book strictly
 // fewer fabric messages, and (payload moving on the plane-sharing
@@ -222,7 +222,7 @@ func openOn(c *mpi.Comm, sys storage.System, f *storage.File, hints Hints) *File
 
 // TestCollectiveTreePlanRoundTrip drives the exchange with Hints.TreePlan:
 // the coalesced node messages route through the shape's interior relays in
-// the horizon combiner. The round trip must stay byte-correct, the tree must
+// the round exchange. The round trip must stay byte-correct, the tree must
 // book exactly as many fabric messages as plain staging (every staged node
 // still sends once per round — only the hops change), the degenerate
 // "staged" plan must reproduce the plain staged schedule identically, and an

@@ -132,11 +132,7 @@ func (h *Hints) setDefaults(c *mpi.Comm) {
 		h.CopyRate = 0.8e9
 	}
 	if h.CBNodes <= 0 {
-		nodes := map[int]bool{}
-		for r := 0; r < c.Size(); r++ {
-			nodes[c.NodeOfRank(r)] = true
-		}
-		h.CBNodes = len(nodes)
+		h.CBNodes = c.Nodes()
 	}
 	if h.CBNodes > c.Size() {
 		h.CBNodes = c.Size()
@@ -156,13 +152,11 @@ type File struct {
 	myAgg  int   // index in aggrs if this rank is an aggregator, else -1
 	closed bool  // set by Close; later I/O calls error instead of running
 
-	xc         exchangeContrib          // reused per-round exchange contribution (horizons + staged deposits)
-	xcBox      any                      // &xc boxed once: no per-round interface alloc
-	horizonFn  func(contribs []any) any // per-handle combiner, built once in Open
-	extScratch []storage.Extent         // reused per-round batched store extents
-	nodePeers  int                      // comm ranks on this rank's node (staging needs ≥ 2)
-	treeShape  *tree.Shape              // parsed Hints.TreePlan when non-degenerate
-	treeErr    error                    // deferred Hints.TreePlan parse error
+	ac         *mpi.Comm        // aggregators' sub-communicator; nil on non-aggregators
+	order      []int            // booking order of comm ranks (nil: comm-rank order)
+	extScratch []storage.Extent // reused per-round batched store extents
+	treeShape  *tree.Shape      // parsed Hints.TreePlan when non-degenerate
+	treeErr    error            // deferred Hints.TreePlan parse error
 
 	// degraded, once set, replaces sys for round I/O: the fallback tier the
 	// handle switches to when a fault plan takes the primary down (recover.go).
@@ -197,95 +191,22 @@ func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions,
 		return f
 	}())
 	f := res.(*storage.File)
-	aggrs := chooseAggregators(c, hints, sys)
-	myAgg := -1
-	for i, a := range aggrs {
+	set := chooseAggregators(c, hints, sys)
+	fh := &File{c: c, sys: sys, f: f, hints: hints, aggrs: set.ranks, myAgg: -1,
+		order: set.order, treeShape: treeShape, treeErr: treeErr}
+	for i, a := range set.ranks {
 		if a == c.Rank() {
-			myAgg = i
+			fh.myAgg = i
+			fh.ac = c.Adopt(set.comms[i])
 		}
 	}
-	fh := &File{c: c, sys: sys, f: f, hints: hints, aggrs: aggrs, myAgg: myAgg,
-		treeShape: treeShape, treeErr: treeErr}
-	for r := 0; r < c.Size(); r++ {
-		if c.NodeOfRank(r) == c.Node() {
-			fh.nodePeers++
-		}
-	}
-	fh.xcBox = &fh.xc
-	fh.horizonFn = fh.combineHorizons
 	return fh
-}
-
-// stageGroup is one coalesced (node, aggregator) message in the making: the
-// slowest member deposit and the node's total payload for that aggregator.
-type stageGroup struct{ at, bytes int64 }
-
-// combineHorizons folds every rank's per-round exchange contribution into the
-// per-aggregator arrival horizons. Flat pieces carry their fabric arrival
-// directly. Staged deposits (Hints.IntraNodeStaging) are grouped by
-// (node, aggregator): the group's coalesced fabric message is booked here, on
-// behalf of the node leader, starting once the slowest member's deposit has
-// landed — the combiner runs while every rank is parked in the collective, so
-// the bookings are race-free and (keys sorted) deterministic. With a tree
-// plan, the coalesced messages route hop-by-hop through the shape's interior
-// relays instead of straight to the aggregator node.
-func (fh *File) combineHorizons(contribs []any) any {
-	h := make([]int64, len(fh.aggrs))
-	var groups map[[2]int]*stageGroup
-	for _, x := range contribs {
-		xc := x.(*exchangeContrib)
-		for _, aa := range xc.arr {
-			if aa.at > h[aa.agg] {
-				h[aa.agg] = aa.at
-			}
-		}
-		for _, se := range xc.staged {
-			if groups == nil {
-				groups = map[[2]int]*stageGroup{}
-			}
-			k := [2]int{se.node, se.agg}
-			g := groups[k]
-			if g == nil {
-				g = &stageGroup{}
-				groups[k] = g
-			}
-			if se.at > g.at {
-				g.at = se.at
-			}
-			g.bytes += se.bytes
-		}
-	}
-	if groups != nil {
-		fab := fh.c.World().Fabric()
-		keys := make([][2]int, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i][0] != keys[j][0] {
-				return keys[i][0] < keys[j][0]
-			}
-			return keys[i][1] < keys[j][1]
-		})
-		if fh.treeShape != nil {
-			fh.treeHorizons(fab, groups, keys, h)
-			return h
-		}
-		for _, k := range keys {
-			g := groups[k]
-			_, arr := fab.Reserve(g.at, k[0], fh.c.NodeOfRank(fh.aggrs[k[1]]), g.bytes)
-			if arr > h[k[1]] {
-				h[k[1]] = arr
-			}
-		}
-	}
-	return h
 }
 
 // treeHorizons books the staged node messages along the tree plan's relay
 // hops instead of straight to each aggregator. Per aggregator, the staged
 // nodes (node-sorted, with a zero-byte leader standing in for the aggregator
-// node as root) form one reduction tree; the combiner walks it deepest level
+// node as root) form one reduction tree; the exchange walks it deepest level
 // first, each vertex forwarding its whole subtree's bytes to its parent once
 // its own deposit and every child's forward have landed. Message count per
 // round is unchanged — every staged node still sends exactly once — only the
@@ -352,28 +273,63 @@ func (fh *File) Storage() *storage.File { return fh.f }
 // aggregators.
 func (fh *File) Aggregators() []int { return append([]int(nil), fh.aggrs...) }
 
+// aggSet is what Open learns from rank 0: the collective-buffering
+// aggregators, the handles of their sub-communicator (one per aggregator,
+// in aggregator order), and the round driver's booking order.
+type aggSet struct {
+	ranks []int
+	comms []*mpi.Comm
+	order []int
+}
+
 // chooseAggregators picks the collective-buffering aggregator set. Every
 // strategy — the classic ROMIO heuristics (cost.SetStrategy) and the
 // cost-model elections alike — is deterministic and communicator-wide, so
 // rank 0 computes the set once and broadcasts it: recomputing the O(P)
 // selection on all P ranks would cost O(P²) work per open, and the Bcast's
 // virtual time lands at open, outside every experiment's timed phase (real
-// ROMIO likewise exchanges hints collectively at open).
-func chooseAggregators(c *mpi.Comm, h Hints, sys storage.System) []int {
+// ROMIO likewise exchanges hints collectively at open). The aggregators'
+// sub-communicator rides in the same payload, so it costs no extra
+// collective.
+func chooseAggregators(c *mpi.Comm, h Hints, sys storage.System) *aggSet {
 	res := c.Bcast(0, int64(8*h.CBNodes), func() any {
 		if c.Rank() != 0 {
 			return nil
 		}
+		set := &aggSet{order: bookingOrder(c)}
 		if ss, ok := h.Strategy.(cost.SetStrategy); ok {
-			return ss.SelectSet(&cost.SetElection{
+			set.ranks = ss.SelectSet(&cost.SetElection{
 				Nodes:  rankNodes(c),
 				Want:   h.CBNodes,
 				Bridge: bridgeFn(c),
 			})
+		} else {
+			set.ranks = electAggregators(c, h, sys)
 		}
-		return electAggregators(c, h, sys)
+		set.comms = c.Carve(set.ranks)
+		return set
 	}())
-	return res.([]int)
+	return res.(*aggSet)
+}
+
+// bookingOrder returns the comm ranks in ascending world rank — the order
+// rank procs run in at a shared instant, since they are spawned in world
+// rank order — or nil when that is comm-rank order already (the world comm,
+// and every Split keyed by rank).
+func bookingOrder(c *mpi.Comm) []int {
+	sorted := true
+	for r := 1; r < c.Size() && sorted; r++ {
+		sorted = c.WorldRankOf(r) > c.WorldRankOf(r-1)
+	}
+	if sorted {
+		return nil
+	}
+	order := make([]int, c.Size())
+	for r := range order {
+		order[r] = r
+	}
+	sort.Slice(order, func(i, j int) bool { return c.WorldRankOf(order[i]) < c.WorldRankOf(order[j]) })
+	return order
 }
 
 // rankNodes maps each comm rank to its compute node.

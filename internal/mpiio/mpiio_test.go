@@ -97,7 +97,7 @@ func TestBuildScheduleEmpty(t *testing.T) {
 
 func TestChooseAggregatorsNodeSpread(t *testing.T) {
 	runFlat(t, 8, 2, func(c *mpi.Comm, sys storage.System) {
-		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrNodeSpread}, sys)
+		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrNodeSpread}, sys).ranks
 		want := []int{0, 2, 4, 6} // first rank of each node
 		for i, a := range aggrs {
 			if a != want[i] {
@@ -110,7 +110,7 @@ func TestChooseAggregatorsNodeSpread(t *testing.T) {
 
 func TestChooseAggregatorsRankOrder(t *testing.T) {
 	runFlat(t, 8, 2, func(c *mpi.Comm, sys storage.System) {
-		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrRankOrder}, sys)
+		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrRankOrder}, sys).ranks
 		for i, a := range aggrs {
 			if a != i {
 				t.Errorf("aggrs = %v, want 0..3", aggrs)
@@ -125,7 +125,7 @@ func TestChooseAggregatorsBridgeFirstOnTorus(t *testing.T) {
 	fab := netsim.New(topo, netsim.Config{})
 	sys := storage.NewNullFS()
 	_, err := mpi.Run(mpi.Config{Ranks: 512, RanksPerNode: 2, Fabric: fab}, func(c *mpi.Comm) {
-		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrBridgeFirst}, sys)
+		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrBridgeFirst}, sys).ranks
 		tor := topo
 		for _, a := range aggrs {
 			node := c.NodeOfRank(a)
@@ -151,7 +151,7 @@ func TestChooseAggregatorsTopologyAware(t *testing.T) {
 	for trial := 0; trial < 2; trial++ {
 		var got []int
 		_, err := mpi.Run(mpi.Config{Ranks: 256, RanksPerNode: 2, Fabric: fab}, func(c *mpi.Comm) {
-			aggrs := chooseAggregators(c, Hints{CBNodes: 8, Strategy: AggrTopologyAware}, sys)
+			aggrs := chooseAggregators(c, Hints{CBNodes: 8, Strategy: AggrTopologyAware}, sys).ranks
 			if c.Rank() == 0 {
 				got = aggrs
 			} else if len(aggrs) != 8 {
@@ -341,6 +341,37 @@ func TestWriteAtAllUnevenSizes(t *testing.T) {
 	}
 	if file.BytesWritten() != total {
 		t.Fatalf("bytes = %d, want %d", file.BytesWritten(), total)
+	}
+}
+
+// TestParksScaleWithAggregatorRounds pins who waits in a two-phase call:
+// a non-aggregator parks a fixed number of times per collective call (the
+// plan exchange and the closing barrier) however many rounds the call runs,
+// so the engine's park count grows only with aggregators × rounds — one
+// sub-communicator sync per round, plus the final round barrier on writes.
+func TestParksScaleWithAggregatorRounds(t *testing.T) {
+	const ranks, rpn, nAggr = 16, 4, 4
+	const chunk = 64 << 10 // 1 MiB file over 4 aggregators: 256 KiB domains
+	parks := func(bufSize int64) int64 {
+		eng := runFlat(t, ranks, rpn, func(c *mpi.Comm, sys storage.System) {
+			fh := Open(c, sys, "parks", storage.FileOptions{}, Hints{CBNodes: nAggr, CBBufferSize: bufSize})
+			segs := []storage.Seg{storage.Contig(int64(c.Rank())*chunk, chunk)}
+			fh.WriteAtAll(segs)
+			fh.ReadAtAll(segs)
+			fh.Close()
+		})
+		return eng.Parks()
+	}
+	// Every collective parks all members but the last to arrive: the world
+	// collectives — Open's two Bcasts, each call's plan and closing barrier,
+	// Close's barrier — cost ranks-1 parks whatever the round count.
+	world := int64(2+2+2+1) * (ranks - 1)
+	for _, rounds := range []int64{1, 4, 16} {
+		got := parks(256 << 10 / rounds)
+		want := world + (nAggr-1)*(rounds+1) + (nAggr-1)*rounds
+		if got != want {
+			t.Errorf("%d rounds: %d parks, want %d (%d world + %d aggregator)", rounds, got, want, world, want-world)
+		}
 	}
 }
 

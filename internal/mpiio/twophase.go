@@ -2,6 +2,8 @@ package mpiio
 
 import (
 	"fmt"
+	"iter"
+	"sort"
 
 	"tapioca/internal/dataplane"
 	"tapioca/internal/sim"
@@ -16,11 +18,55 @@ type schedule struct {
 	domains [][2]int64 // per aggregator: file domain [lo, hi)
 
 	// sendPieces[rank] lists what each rank contributes, per (agg, round),
-	// sorted by round (stable, preserving build order within a round) so a
-	// rank walks its pieces with a single forward cursor across rounds.
+	// sorted by round (stable, preserving build order within a round) so the
+	// round driver walks each rank's pieces with a forward cursor (cur).
 	sendPieces [][]sendPiece
+	cur        []int32
 	// aggRounds[agg][round] aggregates all contributions for one flush.
 	aggRounds [][]roundData
+
+	// errs holds each rank's first data-plane error of the call. Only the
+	// aggregators touch the store, partly on other ranks' behalf (read-back
+	// scatter), so errors are kept per rank in the shared plan.
+	errs map[int]error
+}
+
+// roundSends yields round k's pieces in booking order: rank by rank — in
+// order, or comm-rank order when order is nil — each rank's pieces in build
+// order. That is the order the ranks themselves would book them in at the
+// round's start instant. Rounds must be walked in ascending order, each
+// exactly once and to the end.
+func (s *schedule) roundSends(k int, order []int) iter.Seq2[int, sendPiece] {
+	return func(yield func(int, sendPiece) bool) {
+		if s.cur == nil {
+			s.cur = make([]int32, len(s.sendPieces))
+		}
+		for i := range s.sendPieces {
+			r := i
+			if order != nil {
+				r = order[i]
+			}
+			ps := s.sendPieces[r]
+			for ; int(s.cur[r]) < len(ps) && ps[s.cur[r]].round == k; s.cur[r]++ {
+				if !yield(r, ps[s.cur[r]]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// fail records rank's data-plane error unless it already has one.
+func (s *schedule) fail(rank int, err error) {
+	if err == nil {
+		return
+	}
+	if s.errs == nil {
+		s.errs = map[int]error{}
+	}
+	if s.errs[rank] == nil {
+		s.errs[rank] = err
+	}
 }
 
 // sortPieces orders every rank's pieces by round. The sort is stable: within
@@ -307,163 +353,171 @@ func (fh *File) collectiveIO(segs []storage.Seg, data []byte, read bool) error {
 			return ps
 		}).([]*dataplane.Plane)
 	}
-	if plan.rounds == 0 || plan.hi == plan.lo {
-		c.Barrier()
-		return nil
+	if plan.rounds > 0 && plan.hi > plan.lo && fh.ac != nil {
+		fh.runRounds(plan, planes, read)
 	}
-	// This rank's pieces, round-sorted: each round consumes one contiguous
-	// run, so the whole exchange is a single forward walk instead of a full
-	// rescan per round.
-	var my []sendPiece
-	if c.Rank() < len(plan.sendPieces) {
-		my = plan.sendPieces[c.Rank()]
-	}
-	cur := 0
-	var dataErr error
-	p := c.Proc()
-	for round := 0; round < plan.rounds; round++ {
-		end := cur
-		for end < len(my) && my[end].round == round {
-			end++
-		}
-		roundStart := p.Now()
-		var err error
-		if read {
-			err = fh.readRound(plan, round, my[cur:end], pl)
-		} else {
-			err = fh.writeRound(plan, round, my[cur:end], planes)
-		}
-		if err != nil && dataErr == nil {
-			dataErr = err
-		}
-		if p.Traced() {
-			var bytes int64
-			for _, piece := range my[cur:end] {
-				bytes += piece.bytes
-			}
-			p.TraceSpan("mpiio", "round", roundStart, p.Now(), bytes)
-		}
-		cur = end
-	}
+	// Non-aggregators wait out every round here, in a single park.
 	c.Barrier()
-	return dataErr
+	return plan.errs[c.Rank()]
 }
 
-// aggArrival is one rank's arrival horizon at one aggregator this round.
-type aggArrival struct {
-	agg int
-	at  int64
-}
-
-// stageEntry is one staged piece: a deposit into this rank's node leader,
-// waiting for the combiner to coalesce it with its node-mates into one fabric
-// message per (node, aggregator).
-type stageEntry struct {
-	agg   int
-	node  int
-	at    int64 // deposit arrival in the leader's staging buffer
-	bytes int64
-}
-
-// exchangeContrib is one rank's contribution to the round's horizon
-// collective: flat arrival horizons plus staged deposits to coalesce.
-type exchangeContrib struct {
-	arr    []aggArrival
-	staged []stageEntry
-}
-
-// writeRound: all ranks push their round pieces to the owning aggregators
-// (the alltoallv), aggregators flush their buffers, then the round barrier.
-// With the data plane on, the aggregator lands each contributing rank's
-// payload bytes for its round window into the file's backing store.
-func (fh *File) writeRound(plan *schedule, round int, pieces []sendPiece, planes []*dataplane.Plane) error {
-	c := fh.c
-	p := c.Proc()
-	fab := c.World().Fabric()
-
-	// Aggregation phase: book the incast transfers to each aggregator. The
-	// per-aggregator arrival horizons accumulate in a reused sparse list —
-	// its backing is safe to recycle next round because this rank only
-	// resumes after the horizon collective has consumed every contribution.
-	// With intra-node staging on, a piece bound for a remote-node aggregator
-	// becomes a memory-bandwidth deposit into this node's leader instead; the
-	// horizon combiner coalesces the node's deposits into one fabric message
-	// per (node, aggregator). Nodes hosting a single rank have nothing to
-	// coalesce and stay flat, as does traffic to an aggregator on this node.
-	arrivals := fh.xc.arr[:0]
-	staged := fh.xc.staged[:0]
-	stage := fh.hints.IntraNodeStaging && fh.nodePeers > 1
-	senderFree := p.Now()
-	for _, piece := range pieces {
-		if stage && c.NodeOfRank(fh.aggrs[piece.agg]) != c.Node() {
-			sf, arr := fab.ReserveLocal(p.Now(), c.Node(), piece.bytes)
-			if sf > senderFree {
-				senderFree = sf
+// runRounds drives the call's rounds on the aggregators; non-aggregators go
+// straight from the plan to the call's closing barrier. The aggregators sync
+// once per round on their own sub-communicator, and the last one to arrive
+// books every rank's round traffic on the ranks' behalf. The virtual
+// schedule is exactly that of ROMIO's structure, in which all P ranks join an
+// exchange collective and a barrier every round:
+//
+//   - the engine runs procs in (virtual time, proc id) order, and every rank
+//     would enter a round at the same instant (the previous barrier's
+//     release), so booking all ranks' traffic in ascending world rank at
+//     that instant issues the same fabric calls in the same order;
+//   - non-aggregators do nothing else between the plan and the final
+//     barrier, so their absence changes no shared state;
+//   - each sync's release is priced with the file communicator's size P, so
+//     the aggregators resume exactly when the P-rank collectives it replaces
+//     would have released them.
+//
+// Writes: sync k books round k's exchange at the round start, then releases
+// the aggregators at the arrival-horizon exchange's end; after the flushes a
+// last sync stands in for the final round barrier. Reads: aggregators read
+// round k first, then sync k prices the data-ready exchange, books the
+// scatter back to every rank (filling payload buffers on the data plane)
+// and releases at the round barrier's end.
+func (fh *File) runRounds(plan *schedule, planes []*dataplane.Plane, read bool) {
+	c, p := fh.c, fh.c.Proc()
+	for round := 0; round < plan.rounds; round++ {
+		roundStart := p.Now()
+		rd := plan.aggRounds[fh.myAgg][round]
+		if read {
+			if rd.bytes > 0 {
+				lo, hi := storage.SpanAll(rd.segs)
+				fh.guarded(true, []storage.Seg{storage.Contig(lo, hi-lo)})
 			}
-			staged = append(staged, stageEntry{agg: piece.agg, node: c.Node(), at: arr, bytes: piece.bytes})
+			fh.ac.CollectivePriced("mpiio-round", nil, func(_ []any, maxT int64) (any, int64) {
+				ready := c.TreeCost(maxT, 16)
+				p.HoldUntil(ready)
+				return nil, c.TreeCost(fh.scatter(plan, round, planes), 0)
+			})
+		} else {
+			horizon := fh.ac.CollectivePriced("mpiio-round", nil, func(_ []any, maxT int64) (any, int64) {
+				start := maxT // round 0 starts as the plan collective releases
+				if round > 0 {
+					start = c.TreeCost(maxT, 0) // the previous round's barrier
+				}
+				p.HoldUntil(start)
+				h, sent := fh.exchange(plan, round)
+				return h, c.TreeCost(sent, 16)
+			}).([]int64)
+			fh.aggregate(plan, rd, horizon[fh.myAgg], planes)
+		}
+		p.TraceSpan("mpiio", "round", roundStart, p.Now(), rd.bytes)
+	}
+	if !read {
+		fh.ac.CollectivePriced("mpiio-round", nil, func(_ []any, maxT int64) (any, int64) {
+			return nil, c.TreeCost(maxT, 0) // the last round's barrier
+		})
+	}
+}
+
+// stageGroup is one coalesced (node, aggregator) message in the making: the
+// slowest member deposit and the node's total payload for that aggregator.
+type stageGroup struct{ at, bytes int64 }
+
+// exchange books one write round's aggregation traffic for every rank, at
+// the calling proc's current time (the round start), and returns the
+// per-aggregator arrival horizons plus the latest time any sender finished
+// injecting. Pieces go in booking order; with intra-node staging on, a piece
+// bound for a remote-node aggregator becomes a memory-bandwidth deposit into
+// the node leader instead (nodes hosting a single rank stay flat, as does
+// traffic to an aggregator on the sender's node), and once every rank's
+// pieces are booked each (node, aggregator) group sends one coalesced fabric
+// message, in sorted key order, starting when its slowest deposit has
+// landed. With a tree plan the coalesced messages route hop by hop through
+// the shape's interior relays instead of straight to the aggregator node.
+func (fh *File) exchange(plan *schedule, round int) (horizon []int64, sent int64) {
+	c := fh.c
+	fab := c.World().Fabric()
+	now := c.Now()
+	stage := fh.hints.IntraNodeStaging
+	h := make([]int64, len(fh.aggrs))
+	sent = now
+	var groups map[[2]int]*stageGroup
+	for r, pc := range plan.roundSends(round, fh.order) {
+		node := c.NodeOfRank(r)
+		aggNode := c.NodeOfRank(fh.aggrs[pc.agg])
+		if stage && aggNode != node && c.NodePeers(r) > 1 {
+			sf, arr := fab.ReserveLocal(now, node, pc.bytes)
+			sent = max(sent, sf)
+			if groups == nil {
+				groups = map[[2]int]*stageGroup{}
+			}
+			k := [2]int{node, pc.agg}
+			g := groups[k]
+			if g == nil {
+				g = &stageGroup{}
+				groups[k] = g
+			}
+			g.at = max(g.at, arr)
+			g.bytes += pc.bytes
 			continue
 		}
-		sf, arr := fab.Reserve(p.Now(), c.Node(), c.NodeOfRank(fh.aggrs[piece.agg]), piece.bytes)
-		if sf > senderFree {
-			senderFree = sf
-		}
-		known := false
-		for i := range arrivals {
-			if arrivals[i].agg == piece.agg {
-				if arr > arrivals[i].at {
-					arrivals[i].at = arr
-				}
-				known = true
-				break
-			}
-		}
-		if !known {
-			arrivals = append(arrivals, aggArrival{agg: piece.agg, at: arr})
-		}
+		sf, arr := fab.Reserve(now, node, aggNode, pc.bytes)
+		sent = max(sent, sf)
+		h[pc.agg] = max(h[pc.agg], arr)
 	}
-	fh.xc.arr, fh.xc.staged = arrivals, staged
-	// The injection hold rides into the horizon collective's park (JumpTo
-	// contract: the collective's entry bookkeeping is commutative and books
-	// nothing), saving a context switch per rank per round.
-	p.JumpTo(senderFree)
-
-	// Exchange arrival horizons (the synchronization the alltoallv implies).
-	// Both the combiner closure and the contribution's interface box are
-	// built once per file handle, not per rank per round.
-	horizon := c.Collective("mpiio-horizon", fh.xcBox, 16, fh.horizonFn).([]int64)
-
-	// I/O phase: aggregators process the received pieces (two-sided
-	// matching and staging-buffer assembly — CPU work TAPIOCA's one-sided
-	// puts avoid), then flush.
-	var dataErr error
-	if fh.myAgg >= 0 {
-		rd := plan.aggRounds[fh.myAgg][round]
-		if rd.bytes > 0 {
-			p.HoldUntil(horizon[fh.myAgg])
-			p.Hold(int64(rd.pieces)*fh.hints.RecvOverhead + sim.TransferTime(rd.bytes, fh.hints.CopyRate))
-			if planes != nil {
-				// Land the received payload: every contributing rank's bytes
-				// within this round's window, batched into one store call so
-				// lock-and-chunk overhead is paid per round, not per run.
-				exts := fh.extScratch[:0]
-				for _, rp := range planes {
-					if rp == nil {
-						continue
-					}
-					rp.Each(rd.wlo, rd.whi, func(off int64, chunk []byte) {
-						exts = append(exts, storage.Extent{Off: off, P: chunk})
-					})
-				}
-				if err := fh.f.StoreWriteExtents(exts); err != nil && dataErr == nil {
-					dataErr = err
-				}
-				fh.extScratch = exts
-			}
-			fh.flush(rd)
-		}
+	if groups == nil {
+		return h, sent
 	}
-	c.Barrier()
-	return dataErr
+	keys := make([][2]int, 0, len(groups))
+	for k := range groups {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	if fh.treeShape != nil {
+		fh.treeHorizons(fab, groups, keys, h)
+		return h, sent
+	}
+	for _, k := range keys {
+		g := groups[k]
+		_, arr := fab.Reserve(g.at, k[0], c.NodeOfRank(fh.aggrs[k[1]]), g.bytes)
+		h[k[1]] = max(h[k[1]], arr)
+	}
+	return h, sent
+}
+
+// aggregate is one aggregator's write-round I/O phase: once every piece has
+// arrived (horizon) it processes them — two-sided matching and
+// staging-buffer assembly, CPU work TAPIOCA's one-sided puts avoid — and
+// flushes. With the data plane on it first lands every contributing rank's
+// payload within the round window, batched into one store call so
+// lock-and-chunk overhead is paid per round, not per run.
+func (fh *File) aggregate(plan *schedule, rd roundData, horizon int64, planes []*dataplane.Plane) {
+	if rd.bytes == 0 {
+		return
+	}
+	p := fh.c.Proc()
+	p.HoldUntil(horizon)
+	p.Hold(int64(rd.pieces)*fh.hints.RecvOverhead + sim.TransferTime(rd.bytes, fh.hints.CopyRate))
+	if planes != nil {
+		exts := fh.extScratch[:0]
+		for _, rp := range planes {
+			if rp == nil {
+				continue
+			}
+			rp.Each(rd.wlo, rd.whi, func(off int64, chunk []byte) {
+				exts = append(exts, storage.Extent{Off: off, P: chunk})
+			})
+		}
+		plan.fail(fh.c.Rank(), fh.f.StoreWriteExtents(exts))
+		fh.extScratch = exts
+	}
+	fh.flush(rd)
 }
 
 // flush writes one aggregation-buffer round. Dense rounds coalesce into a
@@ -486,71 +540,28 @@ func (fh *File) flush(rd roundData) {
 	fh.guarded(false, rd.segs)
 }
 
-// readRound: aggregators read their round span, then scatter pieces back to
-// the requesting ranks. With the data plane on, each rank fills its payload
-// buffers from the backing store as its pieces arrive.
-func (fh *File) readRound(plan *schedule, round int, pieces []sendPiece, pl *dataplane.Plane) error {
+// scatter books one read round's scatter for every rank, at the calling
+// proc's current time (the data-ready exchange's end, by which every
+// aggregator's data is ready), and returns when the last piece lands. With
+// the data plane on, each rank's payload buffers are filled from the backing
+// store as its pieces arrive.
+func (fh *File) scatter(plan *schedule, round int, planes []*dataplane.Plane) int64 {
 	c := fh.c
-	p := c.Proc()
 	fab := c.World().Fabric()
-
-	// Aggregators read their (span-sieved) round.
-	if fh.myAgg >= 0 {
-		rd := plan.aggRounds[fh.myAgg][round]
-		if rd.bytes > 0 {
-			lo, hi := storage.SpanAll(rd.segs)
-			fh.guarded(true, []storage.Seg{storage.Contig(lo, hi-lo)})
-		}
-	}
-	// Share each aggregator's data-ready time.
-	nAggr := len(fh.aggrs)
-	var myReady int64
-	if fh.myAgg >= 0 {
-		myReady = p.Now()
-	}
-	type aggReady struct {
-		agg int
-		at  int64
-	}
-	contrib := aggReady{agg: fh.myAgg, at: myReady}
-	ready := c.Collective("mpiio-ready", contrib, 16, func(contribs []any) any {
-		r := make([]int64, nAggr)
-		for _, x := range contribs {
-			ar := x.(aggReady)
-			if ar.agg >= 0 {
-				r[ar.agg] = ar.at
-			}
-		}
-		return r
-	}).([]int64)
-
-	// Scatter phase: each rank receives its pieces from the aggregators;
-	// transfers start when the owning aggregator's data is ready.
-	latest := p.Now()
-	var dataErr error
-	for _, piece := range pieces {
-		aggRank := fh.aggrs[piece.agg]
-		t0 := ready[piece.agg]
-		if t0 < p.Now() {
-			t0 = p.Now()
-		}
-		_, arr := fab.Reserve(t0, c.NodeOfRank(aggRank), c.Node(), piece.bytes)
-		if arr > latest {
-			latest = arr
-		}
-		if pl != nil {
-			rd := &plan.aggRounds[piece.agg][piece.round]
+	now := c.Now()
+	end := now
+	for r, pc := range plan.roundSends(round, fh.order) {
+		_, arr := fab.Reserve(now, c.NodeOfRank(fh.aggrs[pc.agg]), c.NodeOfRank(r), pc.bytes)
+		end = max(end, arr)
+		if planes != nil {
+			rd := &plan.aggRounds[pc.agg][round]
 			exts := fh.extScratch[:0]
-			pl.Each(rd.wlo, rd.whi, func(off int64, chunk []byte) {
+			planes[r].Each(rd.wlo, rd.whi, func(off int64, chunk []byte) {
 				exts = append(exts, storage.Extent{Off: off, P: chunk})
 			})
-			if err := fh.f.StoreReadExtents(exts); err != nil && dataErr == nil {
-				dataErr = err
-			}
+			plan.fail(r, fh.f.StoreReadExtents(exts))
 			fh.extScratch = exts
 		}
 	}
-	p.JumpTo(latest) // the barrier's park supplies the ordered yield
-	c.Barrier()
-	return dataErr
+	return end
 }

@@ -126,8 +126,11 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 // TestMergeFromCommutative checks cell merge order cannot change a snapshot
-// (the property parallel grid execution relies on).
+// (the property parallel grid execution relies on). The "frac" samples make
+// plain float summation order-dependent: (0.1+0.2)+0.3 and (0.3+0.2)+0.1
+// differ in the last bit.
 func TestMergeFromCommutative(t *testing.T) {
+	frac := map[int64]float64{1: 0.1, 7: 0.2, 100: 0.3}
 	mk := func(scale int64) *Registry {
 		reg := NewRegistry()
 		reg.Add("bytes", scale<<20)
@@ -135,6 +138,7 @@ func TestMergeFromCommutative(t *testing.T) {
 		for i := int64(1); i <= 10; i++ {
 			reg.Observe("lat", float64(i*scale))
 		}
+		reg.Observe("frac", frac[scale])
 		return reg
 	}
 	a, b, c := mk(1), mk(7), mk(100)
@@ -159,6 +163,20 @@ func TestMergeFromCommutative(t *testing.T) {
 	}
 	if got := s.Histograms["lat"].Count; got != 30 {
 		t.Errorf("merged histogram count = %d, want 30", got)
+	}
+	// The exact sum of the three doubles rounds to the double nearest 0.6.
+	if got := s.Histograms["frac"].Sum; got != 0.6 {
+		t.Errorf("merged frac sum = %v, want 0.6 (the correctly rounded sum)", got)
+	}
+	// Merging already-merged registries (a tree of merges) agrees too.
+	ab2 := NewRegistry()
+	ab2.MergeFrom(a)
+	rest := NewRegistry()
+	rest.MergeFrom(c)
+	rest.MergeFrom(b)
+	ab2.MergeFrom(rest)
+	if s2 := ab2.Snapshot(); !reflect.DeepEqual(s, s2) {
+		t.Fatalf("merge not associative:\nflat: %+v\ntree: %+v", s, s2)
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/big"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -92,10 +93,55 @@ const (
 type Histogram struct {
 	mu      sync.Mutex
 	count   int64
-	sum     float64
+	sum     float64 // this histogram's own observations, in order
 	min     float64
 	max     float64
 	buckets [histBuckets]int64
+
+	// Sums merged in from other histograms. Float addition is not
+	// associative, so merged sums accumulate exactly — finite values in a
+	// big.Float wide enough for any float64 sum, infinities and NaNs (whose
+	// float sum is order-independent) apart — and round once, on read.
+	merged  *big.Float
+	special float64
+}
+
+// exactPrec covers the whole float64 exponent range (2^-1074 … 2^1024) plus
+// carry headroom, so adding float64 values at this precision never rounds.
+const exactPrec = 2200
+
+func finite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
+
+// absorb adds src's sum to h's merged sum exactly. Callers hold both locks.
+func (h *Histogram) absorb(src *Histogram) {
+	if h.merged == nil {
+		h.merged = new(big.Float).SetPrec(exactPrec)
+	}
+	if finite(src.sum) {
+		h.merged.Add(h.merged, new(big.Float).SetFloat64(src.sum))
+	} else {
+		h.special += src.sum
+	}
+	if src.merged != nil {
+		h.merged.Add(h.merged, src.merged)
+	}
+	h.special += src.special
+}
+
+// total returns the histogram's sum — own observations plus merged sums —
+// rounded once. Callers hold h.mu.
+func (h *Histogram) total() float64 {
+	if h.merged == nil {
+		return h.sum + h.special
+	}
+	t := new(big.Float).SetPrec(exactPrec).Set(h.merged)
+	own := h.sum
+	if finite(own) {
+		t.Add(t, new(big.Float).SetFloat64(own))
+		own = 0
+	}
+	f, _ := t.Float64()
+	return f + own + h.special
 }
 
 func histBucketOf(v float64) int {
@@ -218,8 +264,9 @@ func (r *Registry) SetMax(name string, v float64) { r.Gauge(name).Set(v) }
 func (r *Registry) Observe(name string, v float64) { r.Histogram(name).Observe(v) }
 
 // MergeFrom folds another registry into this one: counters sum, gauges take
-// the maximum, histogram buckets add. The merge is commutative and
-// associative, so any cell completion order produces the same state.
+// the maximum, histogram buckets add and histogram sums add exactly (see
+// Histogram). The merge is commutative and associative, so any cell
+// completion order produces the same snapshot.
 func (r *Registry) MergeFrom(src *Registry) {
 	if r == nil || src == nil {
 		return
@@ -248,7 +295,7 @@ func (r *Registry) MergeFrom(src *Registry) {
 				dst.max = h.max
 			}
 			dst.count += h.count
-			dst.sum += h.sum
+			dst.absorb(h)
 			for i, n := range h.buckets {
 				dst.buckets[i] += n
 			}
@@ -304,9 +351,9 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = make(map[string]HistStat, len(r.hists))
 		for name, h := range r.hists {
 			h.mu.Lock()
-			st := HistStat{Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
+			st := HistStat{Count: h.count, Sum: h.total(), Min: h.min, Max: h.max}
 			if h.count > 0 {
-				st.Mean = h.sum / float64(h.count)
+				st.Mean = st.Sum / float64(h.count)
 			}
 			st.P50 = h.quantile(0.50)
 			st.P99 = h.quantile(0.99)

@@ -212,7 +212,14 @@ type Engine struct {
 	// past this time aborts the run with a *BudgetError instead of letting a
 	// livelocked simulation spin forever.
 	budget int64
+
+	parks int64 // Park calls (work counter; the Hold fast path is not counted)
 }
+
+// Parks returns how many times procs have parked: a deterministic work
+// counter (each park is a blocking wait and usually a context switch) that
+// compares across machines where wall-clock cannot.
+func (e *Engine) Parks() int64 { return e.parks }
 
 // SetBudget arms the virtual-time watchdog: the run terminates with a
 // *BudgetError as soon as the clock would pass limit (ns). Zero disables.
@@ -588,6 +595,7 @@ func (p *Proc) TraceSpan(cat, name string, start, end, bytes int64) {
 // string appears in deadlock diagnostics. The proc resumes with its clock
 // advanced to at least the unparker-provided wake time.
 func (p *Proc) Park(reason string) {
+	p.eng.parks++
 	if p.traceOn {
 		p.parkTraced(reason)
 		return

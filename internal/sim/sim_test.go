@@ -109,6 +109,9 @@ func TestParkUnpark(t *testing.T) {
 	if wakeTime != 500 {
 		t.Fatalf("wakeTime = %d, want 500", wakeTime)
 	}
+	if got := e.Parks(); got != 1 {
+		t.Fatalf("Parks = %d, want 1 (Holds are not parks)", got)
+	}
 }
 
 func TestUnparkNeverRewindsClock(t *testing.T) {
