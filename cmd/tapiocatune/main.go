@@ -102,12 +102,12 @@ func main() {
 
 	fmt.Printf("Autotuned %s on %s (%d ranks, %d/node, %.2f MB/rank)\n\n",
 		w.Name, m.Name(), ranks, *rpn, float64(w.TotalBytes())/float64(ranks)/(1<<20))
-	fmt.Printf("  Config       Aggregators=%d BufferSize=%dMB Placement=%s SingleBuffer=%v IntraNodeStaging=%v\n",
-		cfg.Aggregators, cfg.BufferSize>>20, cfg.Placement.Name(), cfg.SingleBuffer, cfg.IntraNodeStaging)
+	fmt.Printf("  Config       Aggregators=%d BufferSize=%dMB Placement=%s SingleBuffer=%v Shape=%s\n",
+		cfg.Aggregators, cfg.BufferSize>>20, cfg.Placement.Name(), cfg.SingleBuffer, cfg.Shape())
 	fmt.Printf("  FileOptions  StripeCount=%d StripeSize=%dMB\n",
 		fopt.StripeCount, fopt.StripeSize>>20)
-	fmt.Printf("  Hints        CBNodes=%d CBBufferSize=%dMB Strategy=%s AlignDomains=%v CyclicDomains=%v\n",
-		hints.CBNodes, hints.CBBufferSize>>20, hints.Strategy.Name(), hints.AlignDomains, hints.CyclicDomains)
+	fmt.Printf("  Hints        CBNodes=%d CBBufferSize=%dMB Strategy=%s AlignDomains=%v CyclicDomains=%v TreePlan=%q\n",
+		hints.CBNodes, hints.CBBufferSize>>20, hints.Strategy.Name(), hints.AlignDomains, hints.CyclicDomains, hints.TreePlan)
 
 	if !*verify {
 		return

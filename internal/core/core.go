@@ -78,26 +78,20 @@ type Config struct {
 	// SingleBuffer disables double-buffering (ablation): the aggregator
 	// blocks on each flush before the next round's fence.
 	SingleBuffer bool
-	// IntraNodeStaging enables intra-node pre-aggregation on the write
-	// pipeline: ranks co-located on a node deposit their round payloads into
-	// the node leader's staging buffer (a shared-memory copy at memory
-	// bandwidth — never a fabric message), and the leader issues a single
-	// coalesced inter-node RMA per (node, aggregator, round) instead of one
-	// put per rank. Cuts fabric message count ~ranks-per-node-fold when
-	// aggregators are remote; a node already hosting its aggregator, and any
-	// node with a single partition member (ranks-per-node = 1), takes the
-	// flat path unchanged — staging there would be a wasted copy. Default
-	// off: the flat path is byte-identical with the knob down.
+	// IntraNodeStaging selects the node-staged shape when Tree names none:
+	// ranks co-located on a node deposit their round payloads into the node
+	// leader's window (a shared-memory copy at memory bandwidth — never a
+	// fabric message), and the leader issues a single coalesced inter-node
+	// put per (node, aggregator, round) instead of one put per rank. It is
+	// the same as Tree set to the staged shape; Shape resolves the two.
 	IntraNodeStaging bool
-	// Tree selects a synthesized aggregation-tree shape for the write
-	// pipeline (see internal/tree and treeplan.go): node-group leaders are
-	// arranged into interior reduction levels — fan-in-k relays, one relay
-	// per topology group, dimension-ordered chains — each forwarding its
-	// subtree as a single coalesced put per round. Tree shapes imply
-	// IntraNodeStaging (interior relays only pay off over node-coalesced
-	// traffic); the degenerate shapes run today's paths verbatim: flat is
-	// exactly the default pipeline, staged exactly IntraNodeStaging. Nil
-	// (the default) disables the machinery entirely.
+	// Tree selects the aggregation shape of the write pipeline (see
+	// internal/tree and treeplan.go): flat, node-staged, or a synthesized
+	// tree whose node-group leaders form interior reduction levels — fan-in-k
+	// relays, one relay per topology group, dimension-ordered chains — each
+	// forwarding its subtree as a single coalesced put per round. Every
+	// shape but flat rides on the node-staged base level. Nil, or the flat
+	// shape, defers to IntraNodeStaging.
 	Tree *tree.Shape
 	// ElectionOverhead is the local cost-model computation time charged per
 	// rank during Init, in nanoseconds. Zero selects the 50 µs default;
@@ -149,10 +143,19 @@ func (c *Config) ApplyDefaults(ranks int) {
 	if c.Placement == nil {
 		c.Placement = PlacementTopologyAware
 	}
-	if c.Tree != nil && c.Tree.Staged() {
-		// Tree shapes ride on the intra-node staging base level.
-		c.IntraNodeStaging = true
+}
+
+// Shape resolves the aggregation shape the write pipeline runs: Tree when it
+// names a shape other than flat, otherwise node-staged when IntraNodeStaging
+// is set, otherwise flat.
+func (c *Config) Shape() tree.Shape {
+	if c.Tree != nil && c.Tree.Kind != tree.Flat {
+		return *c.Tree
 	}
+	if c.IntraNodeStaging {
+		return tree.Shape{Kind: tree.NodeStaged}
+	}
+	return tree.Shape{Kind: tree.Flat}
 }
 
 func (c *Config) setDefaults(comm *mpi.Comm) {
@@ -183,14 +186,9 @@ type Writer struct {
 	// payload buffers. Phantom sessions (Init) leave it nil and move only
 	// virtual byte counts.
 	pl *dataplane.Plane
-	// stage is the rank's intra-node staging schedule: non-nil only when
-	// Config.IntraNodeStaging is set and this rank's node group actually
-	// coalesces (see staging.go). The flat pipeline never looks at it.
-	stage *stagePlan
-	// tp is the rank's aggregation-tree role: non-nil only when Config.Tree
-	// names a non-degenerate shape and the synthesized tree has interior
-	// levels somewhere (see treeplan.go). Degenerate shapes never allocate
-	// it, keeping their pipelines byte-identical to the flat/staged paths.
+	// tp is the rank's role under a staged shape (see treeplan.go): nil for
+	// flat sessions and for ranks that put directly every round in a
+	// partition without interior tree levels.
 	tp *treeRole
 	// Codec scratch, reused across rounds. Only the pipeline's single
 	// in-flight store job touches these (jobs are joined before the next
@@ -372,14 +370,11 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 
 	// Two pipelined buffers, exposed as one window of 2×BufferSize.
 	w.win = w.pc.WinCreate(2 * w.cfg.BufferSize)
-	if w.cfg.IntraNodeStaging {
-		w.stage = w.setupStaging()
-	}
-	if w.cfg.Tree != nil && !w.cfg.Tree.Degenerate() {
-		w.tp = w.setupTree(*w.cfg.Tree)
-		if w.tp != nil {
-			w.stats.TreeLevels = w.tp.t.Levels
-			w.stats.TreeFanIn = w.tp.t.MaxFanIn
+	if sh := w.cfg.Shape(); sh.Staged() {
+		w.tp = w.setupTree(sh)
+		if t := w.interiorTree(); t != nil {
+			w.stats.TreeLevels = t.Levels
+			w.stats.TreeFanIn = t.MaxFanIn
 		}
 	}
 	return modeErr

@@ -183,96 +183,38 @@ func (w *Writer) runWrite() error {
 		// The round's puts: the plan coalesces each rank's contribution to
 		// one piece per round in the common case, and the last put's
 		// injection hold is deferred into the fence (FenceAfter) — one
-		// context switch per rank per round instead of two.
+		// context switch per rank per round instead of two. Under a staged
+		// shape the rank's role for the round decides where its pieces go:
+		// the aggregator, the node leader, or its own coalesced span put.
 		var deferredFree int64
-		var sr *stageRound
-		if w.stage != nil && w.stage.rounds[r].staged {
-			sr = &w.stage.rounds[r]
+		var st roundStep
+		if w.tp != nil {
+			st = w.tp.step(r, w.aggLocal)
 		}
 		ownStart := idx
 		for idx < len(myPieces) && myPieces[idx].round == r {
 			pc := myPieces[idx]
-			if (sr != nil && w.stage.leader) || w.tp.active(r) {
-				// Leader: own pieces ride in the coalesced put below — the
-				// staged inline put, or (diverted tree vertices) the interior
-				// forward of the whole subtree span.
-				w.stats.BytesPut += pc.bytes
-				idx++
+			idx++
+			w.stats.BytesPut += pc.bytes
+			if st.role == putVertex {
 				continue
 			}
 			if deferredFree > 0 {
 				p.HoldUntil(deferredFree) // yield before booking another put
 			}
-			if sr != nil {
-				// Staged member: deposit into the leader's staging buffer —
-				// a shared-memory copy at memory bandwidth, not a fabric
-				// message. The leader's coalesced put carries it onward.
-				var fill func(dst []byte)
-				if w.pl != nil {
-					lo, hi := storage.SpanAll(pp.flush[r].segs)
-					round := r
-					fill = func(dst []byte) {
-						if n := w.pl.Gather(dst, lo, hi); n != int64(len(dst)) && dataErr == nil {
-							dataErr = fmt.Errorf("core: round %d staged gather produced %d bytes, plan expects %d", round, n, len(dst))
-						}
-					}
-				}
-				deferredFree, _ = w.win.StagePut(w.stage.leaderLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, fill)
-				w.stats.BytesPut += pc.bytes
-				idx++
-				continue
-			}
-			if w.pl != nil {
-				lo, hi := storage.SpanAll(pp.flush[r].segs)
-				round := r
-				deferredFree = w.win.PutGather(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, func(dst []byte) {
-					if n := w.pl.Gather(dst, lo, hi); n != int64(len(dst)) && dataErr == nil {
-						dataErr = fmt.Errorf("core: round %d gather produced %d bytes, plan expects %d", round, n, len(dst))
-					}
-				})
-			} else {
-				deferredFree = w.win.PutAsync(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, nil)
-			}
-			w.stats.BytesPut += pc.bytes
-			idx++
+			deferredFree = w.put(r, bufID, pc, st.role == putDeposit, &dataErr)
 		}
-		if sr != nil {
+		own := myPieces[ownStart:idx]
+		if st.rendezvous {
 			// Node rendezvous: members contribute their deposit-completion
 			// times to the shared-memory fence (the leader, with no deposit,
 			// contributes zero), so the leader reads the staged region only
-			// after every deposit has landed — then issues the group's single
-			// coalesced inter-node put for the round.
-			w.stage.nodeComm.FenceLocal(deferredFree)
+			// after every deposit has landed.
+			w.tp.nodeComm.FenceLocal(deferredFree)
 			deferredFree = 0
-			if w.stage.leader && !w.tp.active(r) {
-				var fill func(dst []byte)
-				if w.pl != nil {
-					base := bufID * w.cfg.BufferSize
-					staged := w.win.LocalData()[base+sr.lo : base+sr.hi]
-					lo, hi := storage.SpanAll(pp.flush[r].segs)
-					own := myPieces[ownStart:idx]
-					groupLo := sr.lo
-					round := r
-					fill = func(dst []byte) {
-						// Members' deposits first (the leader's own subranges
-						// hold garbage there), then the leader's bytes over
-						// their slots — dst leaves here fully populated.
-						copy(dst, staged)
-						for _, opc := range own {
-							sub := dst[opc.bufOff-groupLo:][:opc.bytes]
-							if n := w.pl.Gather(sub, lo, hi); n != opc.bytes && dataErr == nil {
-								dataErr = fmt.Errorf("core: round %d leader gather produced %d bytes, plan expects %d", round, n, opc.bytes)
-							}
-						}
-					}
-				}
-				deferredFree = w.win.PutGather(w.aggLocal, bufID*w.cfg.BufferSize+sr.lo, sr.hi-sr.lo, fill)
-				if w.tp != nil && !w.tp.collapsed && w.tp.engaged[r] {
-					// Childless depth-1 vertex under an engaged tree: its
-					// inline put IS its level-1 send.
-					w.tp.msgs[1]++
-				}
-			}
+		}
+		if st.role == putVertex && st.level == 0 {
+			deferredFree, _ = w.spanPut(r, bufID, st, own, &dataErr)
 		}
 		if rec != nil {
 			// Aggregation phase: the puts loop plus the deferred injection
@@ -291,13 +233,12 @@ func (w *Writer) runWrite() error {
 			// the partition's frozen budget — every member fences every
 			// level every round, engaged, collapsed, or idle (fences are
 			// partition collectives). Depth-1 relays forward last, riding
-			// the round's main fence exactly like the staged leader's put.
-			own := myPieces[ownStart:idx]
+			// the round's main fence exactly like an inline span put.
 			for d := w.tp.fences + 1; d >= 2; d-- {
 				levelStart := p.Now()
 				var sent int64
-				if w.tp.active(r) && w.tp.depth == d {
-					deferredFree, sent = w.treeForward(r, bufID, own, &dataErr)
+				if st.role == putVertex && st.level == d {
+					deferredFree, sent = w.spanPut(r, bufID, st, own, &dataErr)
 				}
 				w.win.FenceAfter(deferredFree)
 				deferredFree = 0
@@ -306,8 +247,8 @@ func (w *Writer) runWrite() error {
 					p.TraceSpan("tapioca", fmt.Sprintf("tree-level-%d", d), levelStart, p.Now(), sent)
 				}
 			}
-			if w.tp.active(r) && w.tp.depth == 1 {
-				deferredFree, _ = w.treeForward(r, bufID, own, &dataErr)
+			if st.role == putVertex && st.level == 1 {
+				deferredFree, _ = w.spanPut(r, bufID, st, own, &dataErr)
 			}
 		}
 		// Join the store job still reading the other buffer: the fence we
@@ -434,7 +375,7 @@ func (w *Writer) runWrite() error {
 	join(1)
 	barStart := p.Now()
 	w.pc.Barrier()
-	if w.tp != nil {
+	if w.interiorTree() != nil {
 		w.stats.TreeLevelMessages = w.tp.msgs
 	}
 	if rec != nil {
@@ -451,9 +392,9 @@ func (w *Writer) runWrite() error {
 func (w *Writer) sessionMetrics(rec *obs.Recorder) {
 	reg := rec.Registry()
 	reg.Add("tapioca.bytes_put", w.stats.BytesPut)
-	if w.tp != nil {
-		reg.SetMax("tapioca.tree.levels", float64(w.tp.t.Levels))
-		reg.SetMax("tapioca.tree.fanin", float64(w.tp.t.MaxFanIn))
+	if t := w.interiorTree(); t != nil {
+		reg.SetMax("tapioca.tree.levels", float64(t.Levels))
+		reg.SetMax("tapioca.tree.fanin", float64(t.MaxFanIn))
 		for d := 1; d < len(w.tp.msgs); d++ {
 			if w.tp.msgs[d] > 0 {
 				reg.Add(fmt.Sprintf("tapioca.tree.level.%d.messages", d), w.tp.msgs[d])

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"tapioca/internal/cost"
 	"tapioca/internal/fault"
@@ -295,16 +294,7 @@ func (w *Writer) replayRound(p *sim.Proc, q int, dataErr *error) {
 		if deferredFree > 0 {
 			p.HoldUntil(deferredFree)
 		}
-		if w.pl != nil {
-			lo, hi := storage.SpanAll(fl.segs)
-			deferredFree = w.win.PutGather(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, func(dst []byte) {
-				if n := w.pl.Gather(dst, lo, hi); n != int64(len(dst)) && *dataErr == nil {
-					*dataErr = fmt.Errorf("core: replay of round %d gathered %d bytes, plan expects %d", q, n, len(dst))
-				}
-			})
-		} else {
-			deferredFree = w.win.PutAsync(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, nil)
-		}
+		deferredFree = w.put(q, bufID, pc, false, dataErr)
 	}
 	w.win.FenceAfter(deferredFree)
 	if !w.isAgg || fl.bytes == 0 {

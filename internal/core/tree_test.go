@@ -28,7 +28,7 @@ import (
 // quietly falling back to the staged path.
 func interiorCounter(interior, engaged *int64) func(rank int, w *Writer) {
 	return func(rank int, w *Writer) {
-		if w.tp == nil {
+		if w.interiorTree() == nil {
 			return
 		}
 		atomic.AddInt64(engaged, 1)
@@ -120,8 +120,8 @@ func TestTreeDegenerateShapesIdentical(t *testing.T) {
 			sysB, fabB := be.build()
 			treeWrite, treeStore := stagedRun(t, sysB, fabB, be.ranks, be.rpn, decl, seed, cfg, "tree-"+tc.name,
 				func(rank int, w *Writer) {
-					if w.tp != nil {
-						t.Errorf("rank %d: degenerate shape %s allocated tree machinery", rank, sh)
+					if w.interiorTree() != nil {
+						t.Errorf("rank %d: degenerate shape %s built interior tree levels", rank, sh)
 					}
 				})
 
@@ -242,7 +242,7 @@ func TestTreeFailoverCollapse(t *testing.T) {
 			st := w.Stats()
 			atomic.AddInt64(&failovers, st.Failovers)
 			atomic.AddInt64(&lostBytes, st.LostBytes)
-			if w.tp != nil && w.tp.collapsed {
+			if w.interiorTree() != nil && w.tp.collapsed {
 				atomic.AddInt64(&collapsed, 1)
 			}
 		})

@@ -541,14 +541,8 @@ func AblationTree(full bool) Result {
 			TreeSearch:     true,
 			MessagePenalty: msgPenalty,
 		})
-		switch {
-		case tres.Config.Tree != nil:
-			shapes[i] = tres.Config.Tree
-		case tres.Config.IntraNodeStaging:
-			shapes[i] = &tree.Shape{Kind: tree.NodeStaged}
-		default:
-			shapes[i] = &tree.Shape{Kind: tree.Flat}
-		}
+		sh := tres.Config.Shape()
+		shapes[i] = &sh
 		if width == widths[len(widths)-1] && shapes[i].Degenerate() {
 			must(fmt.Errorf("abl-tree: the shape search did not pick an interior tree at %d nodes/partition", width))
 		}

@@ -83,10 +83,10 @@ func TestCollectiveDataRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCollectiveStagingRoundTrip drives the exchange phase with
-// Hints.IntraNodeStaging on: members' pieces for remote-node aggregators
-// become intra-node staging deposits and the round exchange books one
-// coalesced fabric message per (node, aggregator) group. The round trip must
+// TestCollectiveStagingRoundTrip drives the exchange phase with the staged
+// tree plan: members' pieces for remote-node aggregators become intra-node
+// staging deposits and the round exchange books one coalesced fabric
+// message per (node, aggregator) group. The round trip must
 // stay byte-identical to the flat hints, the staged run must book strictly
 // fewer fabric messages, and (payload moving on the plane-sharing
 // collective) the landed bytes must verify against the generator.
@@ -116,7 +116,11 @@ func TestCollectiveStagingRoundTrip(t *testing.T) {
 				f = sys.Create("mpiio-staged", storage.FileOptions{StripeCount: 2, StripeSize: 4 << 10})
 			}
 			f = c.Bcast(0, 8, f).(*storage.File)
-			fh := openOn(c, sys, f, Hints{CBNodes: 2, CBBufferSize: 2 << 10, IntraNodeStaging: staged})
+			h := Hints{CBNodes: 2, CBBufferSize: 2 << 10}
+			if staged {
+				h.TreePlan = "staged"
+			}
+			fh := openOn(c, sys, f, h)
 			data := workload.FillData(decl[c.Rank()], seed)
 			for op, segs := range decl[c.Rank()] {
 				if err := fh.WriteAtAllData(segs, data[op]); err != nil {
@@ -290,22 +294,21 @@ func TestCollectiveTreePlanRoundTrip(t *testing.T) {
 
 	base := Hints{CBNodes: 2, CBBufferSize: 2 << 10}
 	staged := base
-	staged.IntraNodeStaging = true
+	staged.TreePlan = "staged"
 	treed := base
 	treed.TreePlan = "fanin:2"
-	degen := base
-	degen.TreePlan = "staged"
+	flat := base
+	flat.TreePlan = "flat"
 
 	stagedMsgs := run(staged)
 	treeMsgs := run(treed)
-	degenMsgs := run(degen)
 	if treeMsgs != stagedMsgs {
 		t.Fatalf("tree plan booked %d fabric messages, staged %d — relays must not change the message count",
 			treeMsgs, stagedMsgs)
 	}
-	if degenMsgs != stagedMsgs {
-		t.Fatalf("degenerate staged plan booked %d fabric messages, plain staging %d — must be identical",
-			degenMsgs, stagedMsgs)
+	if flatMsgs, plainMsgs := run(flat), run(base); flatMsgs != plainMsgs {
+		t.Fatalf("degenerate flat plan booked %d fabric messages, no plan %d — must be identical",
+			flatMsgs, plainMsgs)
 	}
 
 	// Unparsable plans error on the first collective, on every rank.

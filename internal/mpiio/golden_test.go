@@ -111,11 +111,11 @@ func goldenCases() []goldenCase {
 		{name: "contig-aos-unsieved", hints: with(func(h *Hints) { h.DisableSieving = true })},
 		{name: "aligned", hints: with(func(h *Hints) { h.AlignDomains = true }), shape: layoutSoA},
 		{name: "cyclic", hints: with(func(h *Hints) { h.AlignDomains, h.CyclicDomains = true, true })},
-		{name: "staged", hints: with(func(h *Hints) { h.IntraNodeStaging = true })},
-		{name: "staged-interleaved", hints: with(func(h *Hints) { h.IntraNodeStaging = true }), shape: layoutInterleaved},
+		{name: "staged", hints: with(func(h *Hints) { h.TreePlan = "staged" })},
+		{name: "staged-interleaved", hints: with(func(h *Hints) { h.TreePlan = "staged" }), shape: layoutInterleaved},
 		{name: "tree-fanin2", hints: with(func(h *Hints) { h.TreePlan = "fanin:2" }), shape: layoutInterleaved},
 		{name: "tree-chain", hints: with(func(h *Hints) { h.TreePlan = "chain" }), shape: layoutInterleaved},
-		{name: "dataplane-crc", hints: with(func(h *Hints) { h.IntraNodeStaging = true }), data: true},
+		{name: "dataplane-crc", hints: with(func(h *Hints) { h.TreePlan = "staged" }), data: true},
 		{name: "dataplane-cyclic", hints: with(func(h *Hints) { h.AlignDomains, h.CyclicDomains = true, true }), data: true},
 		{name: "net-loss", hints: base, loss: true},
 		{name: "net-loss-tree", hints: with(func(h *Hints) { h.TreePlan = "fanin:2" }), shape: layoutInterleaved, loss: true},
@@ -125,7 +125,7 @@ func goldenCases() []goldenCase {
 		{name: "uneven", hints: base, shape: layoutUneven},
 		{name: "reversed-ranks", hints: base, shape: layoutUneven,
 			split: func(rank, ranks int) (int, int) { return 0, ranks - rank }},
-		{name: "reversed-ranks-staged", hints: with(func(h *Hints) { h.IntraNodeStaging = true }), shape: layoutInterleaved,
+		{name: "reversed-ranks-staged", hints: with(func(h *Hints) { h.TreePlan = "staged" }), shape: layoutInterleaved,
 			split: func(rank, ranks int) (int, int) { return 0, ranks - rank }},
 	}
 }

@@ -95,21 +95,18 @@ type Hints struct {
 	// DisableSieving turns off write data sieving (read-modify-write for
 	// sparse rounds); sparse data is then written run-by-run.
 	DisableSieving bool
-	// IntraNodeStaging routes the aggregation exchange through a node-local
-	// staging hop: co-located ranks deposit their round pieces into a node
-	// leader's buffer at memory bandwidth and one coalesced fabric message
-	// per (node, aggregator) carries the node total, instead of one message
-	// per rank. This is the data-plane counterpart of the AggrTwoLevel
-	// election (which prices candidates assuming node-coalesced traffic).
-	// Default off: the classic ROMIO exchange sends per-rank messages.
-	IntraNodeStaging bool
-	// TreePlan routes the coalesced node messages through a multi-level
-	// reduction tree instead of straight to the aggregator, in internal/tree
-	// shape syntax ("fanin:4", "group", "chain", ...). A non-flat plan
-	// implies IntraNodeStaging (trees ride on the staging base level); the
-	// flat and staged degenerate shapes reproduce the plain exchanges
-	// exactly. Default "": no tree. An unparsable plan is reported by the
-	// first collective call.
+	// TreePlan selects the aggregation exchange's shape, in internal/tree
+	// shape syntax. "staged" routes it through a node-local staging hop:
+	// co-located ranks deposit their round pieces into a node leader's
+	// buffer at memory bandwidth and one coalesced fabric message per (node,
+	// aggregator) carries the node total, instead of one message per rank
+	// (the data-plane counterpart of the AggrTwoLevel election, which prices
+	// candidates assuming node-coalesced traffic). Tree shapes ("fanin:4",
+	// "group", "chain", ...) ride on that staging hop and route the
+	// coalesced node messages through interior relays instead of straight
+	// to the aggregator. Default "" (or "flat"): the classic ROMIO exchange
+	// with per-rank messages. An unparsable plan is reported by the first
+	// collective call.
 	TreePlan string
 	// RecvOverhead is the aggregator-side CPU cost per received piece in
 	// the two-sided aggregation exchange (message matching + unpacking on
@@ -155,7 +152,7 @@ type File struct {
 	ac         *mpi.Comm        // aggregators' sub-communicator; nil on non-aggregators
 	order      []int            // booking order of comm ranks (nil: comm-rank order)
 	extScratch []storage.Extent // reused per-round batched store extents
-	treeShape  *tree.Shape      // parsed Hints.TreePlan when non-degenerate
+	shape      tree.Shape       // parsed Hints.TreePlan (zero value: flat)
 	treeErr    error            // deferred Hints.TreePlan parse error
 
 	// degraded, once set, replaces sys for round I/O: the fallback tier the
@@ -165,18 +162,12 @@ type File struct {
 
 // Open creates (on rank 0) and opens a file collectively.
 func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions, hints Hints) *File {
-	var treeShape *tree.Shape
+	var shape tree.Shape
 	var treeErr error
 	if hints.TreePlan != "" {
-		if sh, err := tree.ParseShape(hints.TreePlan); err != nil {
+		var err error
+		if shape, err = tree.ParseShape(hints.TreePlan); err != nil {
 			treeErr = fmt.Errorf("mpiio: tree plan: %w", err)
-		} else if sh.Staged() {
-			// Trees ride on the staging base level; the staged degenerate is
-			// then exactly the plain staged exchange.
-			hints.IntraNodeStaging = true
-			if !sh.Degenerate() {
-				treeShape = &sh
-			}
 		}
 	}
 	hints.setDefaults(c)
@@ -193,7 +184,7 @@ func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions,
 	f := res.(*storage.File)
 	set := chooseAggregators(c, hints, sys)
 	fh := &File{c: c, sys: sys, f: f, hints: hints, aggrs: set.ranks, myAgg: -1,
-		order: set.order, treeShape: treeShape, treeErr: treeErr}
+		order: set.order, shape: shape, treeErr: treeErr}
 	for i, a := range set.ranks {
 		if a == c.Rank() {
 			fh.myAgg = i
@@ -241,7 +232,7 @@ func (fh *File) treeHorizons(fab *netsim.Fabric, groups map[[2]int]*stageGroup, 
 			leaders = append(leaders, tree.Leader{Node: aggNode})
 			ready = append(ready, 0)
 		}
-		t := tree.Build(*fh.treeShape, leaders, root, grouper)
+		t := tree.Build(fh.shape, leaders, root, grouper)
 		sub := make([]int64, len(leaders))
 		for v, l := range leaders {
 			for a := v; a >= 0; a = t.Parent[a] {

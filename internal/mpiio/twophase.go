@@ -439,7 +439,7 @@ func (fh *File) exchange(plan *schedule, round int) (horizon []int64, sent int64
 	c := fh.c
 	fab := c.World().Fabric()
 	now := c.Now()
-	stage := fh.hints.IntraNodeStaging
+	stage := fh.shape.Staged()
 	h := make([]int64, len(fh.aggrs))
 	sent = now
 	var groups map[[2]int]*stageGroup
@@ -479,7 +479,7 @@ func (fh *File) exchange(plan *schedule, round int) (horizon []int64, sent int64
 		}
 		return keys[i][1] < keys[j][1]
 	})
-	if fh.treeShape != nil {
+	if !fh.shape.Degenerate() {
 		fh.treeHorizons(fab, groups, keys, h)
 		return h, sent
 	}

@@ -30,18 +30,10 @@ type PriceOptions struct {
 // Leaders(members) and t built over them. The I/O term C2 is excluded, as in
 // the tuner's aggregationSeconds: the flush estimator prices storage.
 //
-// The degenerate shapes do not re-derive their price: Flat delegates to
-// cost.Model.AggregationCost and NodeStaged to cost.Model.TwoLevelCost, so a
-// degenerate tree prices *identically* to the path it collapses into (plus
-// the per-message term, which is zero in the defaults those paths use).
+// The degenerate shapes do not re-derive their price: see PriceDegenerate.
 func Price(m *cost.Model, t *Tree, leaders []Leader, members []cost.Member, rootMember int, opt PriceOptions) float64 {
-	switch t.Shape.Kind {
-	case Flat:
-		return m.AggregationCost(members, rootMember) +
-			opt.PerMessageSeconds*float64(flatMessages(members, rootMember))
-	case NodeStaged:
-		return m.TwoLevelCost(members, rootMember, 0) +
-			opt.PerMessageSeconds*float64(stagedMessages(t, leaders))
+	if t.Shape.Degenerate() {
+		return PriceDegenerate(m, t.Shape.Kind, members, rootMember, opt)
 	}
 
 	rootNode := leaders[t.Root].Node
@@ -51,7 +43,7 @@ func Price(m *cost.Model, t *Tree, leaders []Leader, members []cost.Member, root
 	// buffer at memory bandwidth — the same merge terms TwoLevelCost books.
 	// The root's own node group does not stage (its members put straight
 	// into the aggregation window, priced as the root-level local edges
-	// below), matching the data plane's setupStaging exclusion.
+	// below), matching the data plane's staging exclusion (core.setupTree).
 	starts := memberStarts(leaders, members)
 	for li, l := range leaders {
 		if l.Node == rootNode || l.Bytes == 0 {
@@ -121,6 +113,20 @@ func memberStarts(leaders []Leader, members []cost.Member) []int {
 	return starts
 }
 
+// PriceDegenerate prices a flat or node-staged shape from the members alone,
+// with no tree to build: Flat delegates to cost.Model.AggregationCost and
+// NodeStaged to cost.Model.TwoLevelCost, so a degenerate shape prices
+// *identically* to the path it collapses into (plus the per-message term,
+// which is zero in the defaults those paths use).
+func PriceDegenerate(m *cost.Model, k Kind, members []cost.Member, rootMember int, opt PriceOptions) float64 {
+	if k == Flat {
+		return m.AggregationCost(members, rootMember) +
+			opt.PerMessageSeconds*float64(flatMessages(members, rootMember))
+	}
+	return m.TwoLevelCost(members, rootMember, 0) +
+		opt.PerMessageSeconds*float64(stagedMessages(members, rootMember))
+}
+
 // flatMessages counts the fabric messages a flat exchange lands on the root:
 // one per active member on a remote node (intra-node puts never touch the
 // fabric, so loss cannot stretch them).
@@ -136,14 +142,21 @@ func flatMessages(members []cost.Member, rootMember int) int {
 }
 
 // stagedMessages counts the node-staged exchange's fabric messages: one
-// coalesced message per active remote node group.
-func stagedMessages(t *Tree, leaders []Leader) int {
-	rootNode := leaders[t.Root].Node
+// coalesced message per active remote node group (a run of consecutive
+// members on one node, as Leaders groups them).
+func stagedMessages(members []cost.Member, rootMember int) int {
+	rootNode := members[rootMember].Node
 	n := 0
-	for _, l := range leaders {
-		if l.Bytes > 0 && l.Node != rootNode {
+	var run int64
+	for i, mb := range members {
+		run += mb.Bytes
+		if i+1 < len(members) && members[i+1].Node == mb.Node {
+			continue
+		}
+		if run > 0 && mb.Node != rootNode {
 			n++
 		}
+		run = 0
 	}
 	return n
 }

@@ -35,7 +35,8 @@ const (
 	Flat Kind = iota
 	// NodeStaged is the intra-node pre-aggregation variant: members deposit
 	// into their node leader, one coalesced message per node goes straight to
-	// the aggregator. Degenerate — identical to Config.IntraNodeStaging.
+	// the aggregator. Degenerate — no interior levels (core.Config's
+	// IntraNodeStaging knob is another spelling of this shape).
 	NodeStaged
 	// FanIn bounds every interior vertex to at most K children by inserting
 	// relay levels over contiguous runs of node leaders.

@@ -116,6 +116,45 @@ func TestPriceDegeneracy(t *testing.T) {
 	}
 }
 
+// TestDegenerateMessageCounts: PriceDegenerate's per-message term counts one
+// fabric message per active remote member (flat) or per active remote node
+// run as Leaders groups them (staged), also when a node's members come back
+// in a second run.
+func TestDegenerateMessageCounts(t *testing.T) {
+	m := cost.NewModel(topology.ThetaDragonfly(64, topology.RouteMinimal))
+	rng := rand.New(rand.NewSource(11))
+	opt := PriceOptions{PerMessageSeconds: 1}
+	for trial := 0; trial < 200; trial++ {
+		ranks := 1 + rng.Intn(40)
+		members := randMembers(rng, ranks, 1+rng.Intn(6), 0)
+		if trial%2 == 1 { // fold nodes so runs of one node repeat
+			for i := range members {
+				members[i].Node %= 3
+			}
+		}
+		root := rng.Intn(ranks)
+		rootNode := members[root].Node
+		var flat, staged int
+		for i, mb := range members {
+			if i != root && mb.Bytes > 0 && mb.Node != rootNode {
+				flat++
+			}
+		}
+		leaders, _ := Leaders(members)
+		for _, l := range leaders {
+			if l.Bytes > 0 && l.Node != rootNode {
+				staged++
+			}
+		}
+		if got, want := PriceDegenerate(m, Flat, members, root, opt), m.AggregationCost(members, root)+float64(flat); got != want {
+			t.Fatalf("flat price %.9g, want %.9g (%d messages)", got, want, flat)
+		}
+		if got, want := PriceDegenerate(m, NodeStaged, members, root, opt), m.TwoLevelCost(members, root, 0)+float64(staged); got != want {
+			t.Fatalf("staged price %.9g, want %.9g (%d messages)", got, want, staged)
+		}
+	}
+}
+
 // TestSearchPicksFlatOnCleanFabric: with no per-message penalty and an
 // honest fence charge, interior levels only add cost, so the search must
 // answer with a degenerate shape — this is the "where flat still wins" half
@@ -172,4 +211,25 @@ func TestParseShape(t *testing.T) {
 			t.Fatalf("ParseShape(%q) accepted", s)
 		}
 	}
+}
+
+// FuzzParseShape: every accepted spelling parses back to the same shape from
+// its canonical String form, the wire form hints and reports carry.
+func FuzzParseShape(f *testing.F) {
+	for _, s := range []string{"flat", "staged", "group", "chain", "fanin", "fanin:2", "fanin:16", " fanin:03 ", "fanin:1", "flat:2", "ring", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sh, err := ParseShape(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseShape(sh.String())
+		if err != nil {
+			t.Fatalf("ParseShape(%q) = %v, but its String %q does not parse: %v", s, sh, sh.String(), err)
+		}
+		if back != sh {
+			t.Fatalf("ParseShape(%q) = %+v, round trip through %q gives %+v", s, sh, sh.String(), back)
+		}
+	})
 }

@@ -88,71 +88,44 @@ func (pr *predictor) alignUnit(fopt storage.FileOptions) int64 {
 }
 
 // aggregationSeconds is the network cost of one partition's full aggregation
-// stream into the elected member — C1 for the flat data plane, the intra-node
-// pre-merge variant when staging is on. The dispatch follows the data-plane
-// knob, not the election strategy: a two-level *election* without staging
-// still moves per-member fabric traffic, so only Config.IntraNodeStaging
-// earns the coalesced price. The I/O term C2 is deliberately excluded: the
+// stream into the elected member, priced through the shape the session runs
+// (core.Config.Shape): tree.PriceDegenerate charges flat exactly as C1
+// (AggregationCost) and node-staged exactly as the intra-node pre-merge
+// variant (TwoLevelCost). The dispatch follows the data-plane shape, not the
+// election strategy: a two-level *election* on a flat shape still moves
+// per-member fabric traffic. The I/O term C2 is deliberately excluded: the
 // flush estimator prices the storage path.
 //
-// When cfg carries a tree shape — or a per-message penalty is active
-// (TreeSearch pricing) — the partition is priced through the shape pricer,
-// with the penalty scaled to the full session (tree.Price counts one message
-// per sender for the whole byte stream; the live pipeline sends that many per
-// round). Plain configs are mapped to the degenerate shape they execute as,
-// so flat, staged and tree candidates all pay the penalty on equal terms.
-// The returned level count is the number of interior reduction levels — each
-// one costs an extra fence per round, which the caller charges alongside the
-// base fence.
+// A per-message penalty (TreeSearch pricing) is scaled to the full session:
+// tree.Price counts one message per sender for the whole byte stream, and
+// the live pipeline sends that many per round. Flat, staged and tree
+// candidates all pay it on equal terms. The returned level count is the
+// number of interior reduction levels — each one costs an extra fence per
+// round, which the caller charges alongside the base fence.
 func (pr *predictor) aggregationSeconds(cfg core.Config, members []cost.Member, win, rounds int) (secs float64, interiorLevels int) {
-	sh := cfg.Tree
-	if sh == nil && pr.msgPenalty > 0 {
-		k := tree.Flat
-		if cfg.IntraNodeStaging {
-			k = tree.NodeStaged
+	sh := cfg.Shape()
+	opt := tree.PriceOptions{PerMessageSeconds: pr.msgPenalty * float64(rounds)}
+	if !sh.Degenerate() {
+		t, leaders := pr.buildTree(sh, members, win)
+		if t.Levels >= 2 {
+			return tree.Price(pr.model, t, leaders, members, win, opt), t.Levels - 1
 		}
-		sh = &tree.Shape{Kind: k}
+		// Structurally degenerate on this partition: the runtime runs the
+		// node-staged pipeline, so price exactly that.
+		sh = tree.Shape{Kind: tree.NodeStaged}
 	}
-	if sh != nil {
-		t, leaders, ok := pr.buildTree(*sh, members, win)
-		if ok && !sh.Degenerate() && t.Levels < 2 {
-			// Structurally degenerate on this partition: the runtime falls
-			// back to the staged pipeline (ApplyDefaults forced staging on),
-			// so price exactly that.
-			ns := tree.Shape{Kind: tree.NodeStaged}
-			t, leaders, ok = pr.buildTree(ns, members, win)
-		}
-		if ok {
-			secs = tree.Price(pr.model, t, leaders, members, win, tree.PriceOptions{
-				PerMessageSeconds: pr.msgPenalty * float64(rounds),
-			})
-			if t.Levels > 1 {
-				interiorLevels = t.Levels - 1
-			}
-			return secs, interiorLevels
-		}
-		// Duplicate node runs: the runtime disables the tree; fall through.
-	}
-	if cfg.IntraNodeStaging {
-		return pr.model.TwoLevelCost(members, win, 0), 0
-	}
-	return pr.model.AggregationCost(members, win), 0
+	// Flat and staged price from the members alone: no tree to build.
+	return tree.PriceDegenerate(pr.model, sh.Kind, members, win, opt), 0
 }
 
-// buildTree assembles the reduction tree cfg.Tree would produce over one
-// partition's members — same leader run-length encoding and topology grouper
-// the runtime uses — and reports ok=false when the shape cannot form
-// (duplicate node runs disable trees at setup, exactly as in the runtime).
-func (pr *predictor) buildTree(sh tree.Shape, members []cost.Member, win int) (*tree.Tree, []tree.Leader, bool) {
+// buildTree assembles the reduction tree a session of shape sh would produce
+// over one partition's members — same leader run-length encoding and
+// topology grouper the runtime uses. The predictor's block rank→node mapping
+// never repeats a node in two runs, so the runtime's duplicate-run fallback
+// cannot arise here.
+func (pr *predictor) buildTree(sh tree.Shape, members []cost.Member, win int) (*tree.Tree, []tree.Leader) {
 	leaders, starts := tree.Leaders(members)
-	seen := make(map[int]bool, len(leaders))
-	for _, l := range leaders {
-		if seen[l.Node] {
-			return nil, nil, false
-		}
-		seen[l.Node] = true
-	}
-	return tree.Build(sh, leaders, tree.RootLeader(starts, win), tree.GrouperOf(pr.p.Topo)), leaders, true
+	return tree.Build(sh, leaders, tree.RootLeader(starts, win), tree.GrouperOf(pr.p.Topo)), leaders
 }
 
 // searchShape runs the aggregation-tree shape search for one grid point. The

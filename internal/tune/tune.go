@@ -237,8 +237,8 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 		calibration = best.Corrected / best.Predicted
 	}
 	hints := mpiio.TunedHints(best.Config.Aggregators, best.Config.BufferSize, best.Config.Placement)
-	if best.Config.Tree != nil {
-		hints.TreePlan = best.Config.Tree.String()
+	if sh := best.Config.Shape(); sh.Kind != tree.Flat {
+		hints.TreePlan = sh.String()
 	}
 	return Result{
 		Config:      best.Config,
@@ -285,12 +285,13 @@ func key(a int, b int64, pl cost.Placement, cd dataplane.Codec) string {
 	return fmt.Sprintf("%d/%d/%s/%s", a, b, pl.Name(), codecName(cd))
 }
 
-// evaluate scores one (aggregators, buffer, placement, codec) point; both
-// pipeline variants come out of a single prediction pass, and on platforms
-// with co-located ranks (RanksPerNode > 1) the intra-node staging variants
-// are priced alongside the flat ones. At one rank per node staging is a
-// structural no-op (every node group is a singleton), so only the flat pair
-// is emitted.
+// evaluate scores one (aggregators, buffer, placement, codec) point under
+// each aggregation shape: flat, and on platforms with co-located ranks
+// (RanksPerNode > 1) node-staged plus — with TreeSearch — the shape search's
+// pick when it has interior levels (a degenerate pick is already covered).
+// At one rank per node every node group is a singleton, so staging and
+// trees are structural no-ops and only flat is priced. Every shape yields a
+// double- and a single-buffered candidate from one prediction pass.
 func (s *search) evaluate(a int, b int64, pl cost.Placement, cd dataplane.Codec) {
 	if a < 1 || b < 1 {
 		return
@@ -304,42 +305,31 @@ func (s *search) evaluate(a int, b int64, pl cost.Placement, cd dataplane.Codec)
 	}
 	s.seen[k] = true
 	fopt := s.fileOptions(b, a)
-	stagings := []bool{false}
+	base := core.Config{Aggregators: a, BufferSize: b, Placement: pl, Codec: cd}
+	shapes := []*tree.Shape{nil}
 	if s.p.RanksPerNode > 1 {
-		stagings = append(stagings, true)
+		shapes = append(shapes, &tree.Shape{Kind: tree.NodeStaged})
+		if s.treeSearch {
+			if sh, ok := s.pr.searchShape(base, fopt); ok {
+				shapes = append(shapes, &sh)
+			}
+		}
 	}
-	for _, staged := range stagings {
-		cfg := core.Config{Aggregators: a, BufferSize: b, Placement: pl, Codec: cd, IntraNodeStaging: staged}
+	for _, sh := range shapes {
+		cfg := base
+		cfg.Tree = sh
 		double, single := s.pr.predict(cfg, fopt)
 		s.cands = append(s.cands, Candidate{Config: cfg, FileOptions: fopt, Predicted: double, Corrected: double})
-		scfg := cfg
-		scfg.SingleBuffer = true
-		s.cands = append(s.cands, Candidate{Config: scfg, FileOptions: fopt, Predicted: single, Corrected: single})
-	}
-	// The tree dimension: search reduction shapes over this point's real
-	// partitions and elections; a non-degenerate winner becomes one more
-	// candidate pair (degenerate winners are already covered by the plain
-	// candidates above). Interior shapes need co-located ranks for their
-	// staging base, same gate as the staged variants.
-	if s.treeSearch && s.p.RanksPerNode > 1 {
-		base := core.Config{Aggregators: a, BufferSize: b, Placement: pl, Codec: cd}
-		if shape, ok := s.pr.searchShape(base, fopt); ok {
-			sh := shape
-			base.Tree = &sh
-			double, single := s.pr.predict(base, fopt)
-			s.cands = append(s.cands, Candidate{Config: base, FileOptions: fopt, Predicted: double, Corrected: double})
-			scfg := base
-			scfg.SingleBuffer = true
-			s.cands = append(s.cands, Candidate{Config: scfg, FileOptions: fopt, Predicted: single, Corrected: single})
-		}
+		cfg.SingleBuffer = true
+		s.cands = append(s.cands, Candidate{Config: cfg, FileOptions: fopt, Predicted: single, Corrected: single})
 	}
 }
 
 // rank orders candidates best-first, deterministically: corrected time, then
-// fewer aggregators, smaller buffers, double-buffered before single, the flat
-// data plane before intra-node staging (ties mean the extra hop bought
-// nothing), no codec before a named one, and placement name as the last
-// resort.
+// fewer aggregators, smaller buffers, double-buffered before single, the
+// simpler aggregation shape (flat, then node-staged, then interior shapes by
+// name — ties mean the extra hops bought nothing), no codec before a named
+// one, and placement name as the last resort.
 func (s *search) rank() {
 	sort.SliceStable(s.cands, func(i, j int) bool {
 		a, b := s.cands[i], s.cands[j]
@@ -355,15 +345,11 @@ func (s *search) rank() {
 		if a.Config.SingleBuffer != b.Config.SingleBuffer {
 			return !a.Config.SingleBuffer
 		}
-		if a.Config.IntraNodeStaging != b.Config.IntraNodeStaging {
-			return !a.Config.IntraNodeStaging
-		}
-		if (a.Config.Tree == nil) != (b.Config.Tree == nil) {
-			// A tied tree bought nothing over the plain pipeline.
-			return a.Config.Tree == nil
-		}
-		if an, bn := treeName(a.Config.Tree), treeName(b.Config.Tree); an != bn {
-			return an < bn
+		if as, bs := a.Config.Shape(), b.Config.Shape(); as != bs {
+			if ac, bc := shapeClass(as), shapeClass(bs); ac != bc {
+				return ac < bc
+			}
+			return as.String() < bs.String()
 		}
 		if an, bn := codecName(a.Config.Codec), codecName(b.Config.Codec); an != bn {
 			return an < bn
@@ -372,13 +358,16 @@ func (s *search) rank() {
 	})
 }
 
-// treeName labels a candidate's aggregation-tree shape in rank tie-breaks;
-// nil (the plain pipeline) sorts before every shaped candidate.
-func treeName(sh *tree.Shape) string {
-	if sh == nil {
-		return ""
+// shapeClass ranks aggregation shapes by mechanism in rank tie-breaks: flat,
+// then node-staged, then every shape with interior levels.
+func shapeClass(sh tree.Shape) int {
+	switch sh.Kind {
+	case tree.Flat:
+		return 0
+	case tree.NodeStaged:
+		return 1
 	}
-	return sh.String()
+	return 2
 }
 
 // probe runs the closed loop over the current top-k candidates: each runs a

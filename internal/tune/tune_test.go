@@ -1,6 +1,8 @@
 package tune
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tapioca/internal/core"
@@ -10,6 +12,7 @@ import (
 	"tapioca/internal/sim"
 	"tapioca/internal/storage"
 	"tapioca/internal/topology"
+	"tapioca/internal/tree"
 	"tapioca/internal/workload"
 )
 
@@ -303,7 +306,9 @@ func TestDefaultAggregatorGrid(t *testing.T) {
 }
 
 // TestTreeSearchDimension covers the aggregation-tree dimension end to end:
-// off by default (no candidate carries a shape), deterministic when on, and
+// off by default (no candidate carries an interior shape; hints mirror the
+// pick's shape), one candidate pair per shape when on (a degenerate search
+// pick must not duplicate the flat or staged pair), deterministic, and
 // decisive under a heavy per-message penalty — a modeled lossy fabric must
 // hand the pick to a multi-level shape, and the winner's shape must flow into
 // the baseline hints as a TreePlan.
@@ -315,12 +320,16 @@ func TestTreeSearchDimension(t *testing.T) {
 
 	off := Autotune(p, w, grid)
 	for _, c := range off.Candidates {
-		if c.Config.Tree != nil {
-			t.Fatalf("TreeSearch off, yet candidate %+v carries a tree shape", c.Config)
+		if !c.Config.Shape().Degenerate() {
+			t.Fatalf("TreeSearch off, yet candidate %+v carries an interior shape", c.Config)
 		}
 	}
-	if off.Hints.TreePlan != "" {
-		t.Fatalf("TreeSearch off, yet hints carry tree plan %q", off.Hints.TreePlan)
+	want := ""
+	if sh := off.Config.Shape(); sh.Kind != tree.Flat {
+		want = sh.String()
+	}
+	if off.Hints.TreePlan != want {
+		t.Fatalf("TreeSearch off: hints carry tree plan %q, want %q", off.Hints.TreePlan, want)
 	}
 
 	on := grid
@@ -329,7 +338,7 @@ func TestTreeSearchDimension(t *testing.T) {
 	a := Autotune(p, w, on)
 	b := Autotune(p, w, on)
 	// Config holds the shape by pointer; compare values, then the rest.
-	if treeName(a.Config.Tree) != treeName(b.Config.Tree) || a.Predicted != b.Predicted {
+	if a.Config.Shape() != b.Config.Shape() || a.Predicted != b.Predicted {
 		t.Fatalf("tree search non-deterministic: %+v vs %+v", a.Config, b.Config)
 	}
 	ac, bc := a.Config, b.Config
@@ -337,19 +346,17 @@ func TestTreeSearchDimension(t *testing.T) {
 	if ac != bc {
 		t.Fatalf("tree search non-deterministic: %+v vs %+v", a.Config, b.Config)
 	}
+	distinctShapes(t, a)
 	var treed int
 	for _, c := range a.Candidates {
-		if c.Config.Tree != nil {
+		if !c.Config.Shape().Degenerate() {
 			treed++
-			if c.Config.Tree.Degenerate() {
-				t.Fatalf("degenerate shape %s emitted as a tree candidate", c.Config.Tree)
-			}
 		}
 	}
 	if treed == 0 {
 		t.Fatal("TreeSearch on emitted no tree-shaped candidates")
 	}
-	if a.Config.Tree == nil {
+	if a.Config.Shape().Degenerate() {
 		t.Fatalf("a %.0fµs-per-message fabric still picked the plain pipeline (%+v)",
 			on.MessagePenalty*1e6, a.Config)
 	}
@@ -362,7 +369,82 @@ func TestTreeSearchDimension(t *testing.T) {
 	clean := grid
 	clean.TreeSearch = true
 	res := Autotune(p, w, clean)
-	if res.Config.Tree != nil && res.Candidates[0].Corrected == res.Candidates[1].Corrected {
+	distinctShapes(t, res)
+	if !res.Config.Shape().Degenerate() && res.Candidates[0].Corrected == res.Candidates[1].Corrected {
 		t.Fatalf("tie broken toward a tree: %+v", res.Config)
+	}
+}
+
+// distinctShapes fails when two candidates share a grid point, buffering
+// mode and shape — the duplicate a degenerate search pick would add beside
+// the flat or staged pair that already covers it.
+func distinctShapes(t *testing.T, res Result) {
+	t.Helper()
+	seen := map[string]bool{}
+	for _, c := range res.Candidates {
+		cfg := c.Config
+		k := fmt.Sprintf("%s/%v/%s", cfg.Shape(), cfg.SingleBuffer,
+			key(cfg.Aggregators, cfg.BufferSize, cfg.Placement, cfg.Codec))
+		if seen[k] {
+			t.Fatalf("candidate %s emitted twice (%+v)", k, cfg)
+		}
+		seen[k] = true
+	}
+}
+
+// TestStagedPickReachesHints: a node-staged pick is a shape like any other,
+// so it rides into the MPI-IO hints as TreePlan "staged" — before staging
+// was a shape, the hints dropped it and MPI-IO sent per-rank messages.
+func TestStagedPickReachesHints(t *testing.T) {
+	p := thetaPlatform(64, 4, 8)
+	p.Probe = nil
+	res := Autotune(p, workload.IOR(256, 64<<10), Options{
+		Aggregators:    []int{16},
+		BufferSizes:    []int64{4 << 20},
+		NoRefine:       true,
+		TreeSearch:     true,
+		MessagePenalty: 2e-4,
+	})
+	if res.Hints.TreePlan != "staged" {
+		t.Fatalf("hints carry TreePlan %q, want %q (%+v)", res.Hints.TreePlan, "staged", res.Config)
+	}
+	if sh := res.Config.Shape(); sh.Kind != tree.NodeStaged {
+		t.Fatalf("picked shape %s, want staged (%+v)", sh, res.Config)
+	}
+}
+
+// TestRankTiedShapes: candidates tied on every other key rank by shape
+// mechanism — flat, then node-staged, then interior shapes by name — not by
+// shape name alone (which would put chain, fanin and group ahead of staged).
+func TestRankTiedShapes(t *testing.T) {
+	shape := func(s string) *tree.Shape {
+		sh, err := tree.ParseShape(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &sh
+	}
+	var s search
+	for _, sh := range []*tree.Shape{shape("group"), shape("staged"), shape("fanin:4"), nil, shape("chain"), shape("fanin:12")} {
+		s.cands = append(s.cands, Candidate{Config: core.Config{
+			Aggregators: 4, BufferSize: 4 << 20, Placement: core.PlacementTopologyAware, Tree: sh,
+		}, Corrected: 1})
+	}
+	// The staged spelling through the data-plane knob ties with the staged
+	// shape and keeps its input order.
+	s.cands = append(s.cands, Candidate{Config: core.Config{
+		Aggregators: 4, BufferSize: 4 << 20, Placement: core.PlacementTopologyAware, IntraNodeStaging: true,
+	}, Corrected: 1})
+	s.rank()
+	var got []string
+	for _, c := range s.cands {
+		got = append(got, c.Config.Shape().String())
+	}
+	want := []string{"flat", "staged", "staged", "chain", "fanin:12", "fanin:4", "group"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("tied candidates ranked %v, want %v", got, want)
+	}
+	if s.cands[1].Config.Tree == nil {
+		t.Fatalf("stable order lost: the staged shape should precede the staging knob, got %+v", s.cands[1].Config)
 	}
 }
