@@ -442,7 +442,8 @@ func parseFaults(s string) (uint64, float64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("-faults rate: %v", err)
 	}
-	if rate < 0 || rate > 1 {
+	// Written so NaN fails too: every comparison with NaN is false.
+	if !(rate >= 0 && rate <= 1) {
 		return 0, 0, fmt.Errorf("-faults rate %g outside [0, 1]", rate)
 	}
 	return seed, rate, nil

@@ -176,10 +176,10 @@ type Writer struct {
 	win      *mpi.Win  // window over the aggregator's two buffers
 	part     int       // my partition index
 	aggLocal int       // aggregator's rank within the partition comm
-	isAgg    bool
 
 	written int // count of declared ops already marked written
 	nops    int
+	isAgg   bool
 	ran     bool // zero-op session already attended the pipeline
 
 	// pl is the rank's data plane: non-nil when InitData attached real
@@ -190,11 +190,10 @@ type Writer struct {
 	// flat sessions and for ranks that put directly every round in a
 	// partition without interior tree levels.
 	tp *treeRole
-	// Codec scratch, reused across rounds. Only the pipeline's single
-	// in-flight store job touches these (jobs are joined before the next
-	// launch), so plain fields are race-free.
-	compB   []byte
-	decompB []byte
+	// codec is the codec's round scratch, allocated by the first codec
+	// flush: every rank allocates a Writer per session, and most never
+	// compress.
+	codec *codecScratch
 
 	// rec is the engine's flight recorder (nil when observability is off;
 	// cached by InitData so the pipeline pays one nil check per phase
@@ -363,6 +362,7 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 	}
 	w.aggLocal = w.elect()
 	w.isAgg = w.pc.Rank() == w.aggLocal
+	w.plan.parts[w.part].countAttendance(w.plan, w.aggLocal)
 	w.stats.Partition = w.part
 	w.stats.Placement = w.cfg.Placement.Name()
 	w.stats.Rounds = w.plan.parts[w.part].rounds
@@ -412,9 +412,9 @@ func (w *Writer) Write(i int) error {
 }
 
 // WriteAll performs all declared writes. A rank that declared no operations
-// still participates in its partition's aggregation rounds (fences are
-// collective), so WriteAll is required on every rank even when a rank
-// contributes nothing.
+// still takes part in its partition's session (the closing barrier, and
+// every fence under the shapes that keep full participation), so WriteAll
+// is required on every rank even when a rank contributes nothing.
 func (w *Writer) WriteAll() error {
 	if w.plan == nil {
 		return fmt.Errorf("core: WriteAll before Init on writer for %q", w.f.Name)

@@ -163,24 +163,45 @@ func metricsDigest(s obs.Snapshot) (digest uint64, n int) {
 	return crc64.Checksum([]byte(b.String()), crc64.MakeTable(crc64.ECMA)), n
 }
 
+// goldenPlatform builds a golden case's fabric and storage: a 16-node BG/Q
+// torus with 4-node Psets and GPFS, or a 16-node Theta dragonfly with Lustre.
+func goldenPlatform(torus bool) (*netsim.Fabric, storage.System) {
+	if torus {
+		t := topology.NewTorus5D([5]int{2, 2, 2, 2, 1})
+		t.PsetSize = 4
+		fab := netsim.New(t, netsim.Config{Contention: netsim.ContentionLinks})
+		return fab, storage.NewGPFS(t, fab, storage.GPFSConfig{})
+	}
+	topo := topology.ThetaDragonfly(goldenNodes, topology.RouteMinimal)
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
+	return fab, storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: 4})
+}
+
+// landedCRC is the CRC of the file's backing store over every declared byte,
+// in file-offset order.
+func landedCRC(t *testing.T, name string, file *storage.File, decl [][][]storage.Seg) uint64 {
+	t.Helper()
+	var runs []storage.Seg
+	for _, d := range decl {
+		for _, segs := range d {
+			storage.Enumerate(segs, 1<<20, func(off, length int64) {
+				runs = append(runs, storage.Contig(off, length))
+			})
+		}
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Off < runs[j].Off })
+	crc, err := file.StoreChecksum(runs)
+	if err != nil {
+		t.Fatalf("%s: checksum: %v", name, err)
+	}
+	return crc
+}
+
 // runGoldenWrite runs one case and returns its golden lines. With record set
 // the session runs under a flight recorder and a metrics line is appended.
 func runGoldenWrite(t *testing.T, gc goldenCase, record bool) []string {
 	t.Helper()
-	var (
-		fab *netsim.Fabric
-		sys storage.System
-	)
-	if gc.torus {
-		torus := topology.NewTorus5D([5]int{2, 2, 2, 2, 1})
-		torus.PsetSize = 4
-		fab = netsim.New(torus, netsim.Config{Contention: netsim.ContentionLinks})
-		sys = storage.NewGPFS(torus, fab, storage.GPFSConfig{})
-	} else {
-		topo := topology.ThetaDragonfly(goldenNodes, topology.RouteMinimal)
-		fab = netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
-		sys = storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: 4})
-	}
+	fab, sys := goldenPlatform(gc.torus)
 	cfg := gc.cfg
 	if gc.loss {
 		plan := fault.NewPlan(fault.Config{Seed: 7, NetLossRate: 0.05, RetransmitPenalty: 50_000})
@@ -266,20 +287,7 @@ func runGoldenWrite(t *testing.T, gc goldenCase, record bool) []string {
 	}
 	fl := fmt.Sprintf("file written=%d write_ops=%d", file.BytesWritten(), file.WriteOps())
 	if gc.data {
-		var runs []storage.Seg
-		for _, d := range decl {
-			for _, segs := range d {
-				storage.Enumerate(segs, 1<<20, func(off, length int64) {
-					runs = append(runs, storage.Contig(off, length))
-				})
-			}
-		}
-		sort.Slice(runs, func(i, j int) bool { return runs[i].Off < runs[j].Off })
-		crc, err := file.StoreChecksum(runs)
-		if err != nil {
-			t.Fatalf("%s: checksum: %v", gc.name, err)
-		}
-		fl += fmt.Sprintf(" crc=%016x", crc)
+		fl += fmt.Sprintf(" crc=%016x", landedCRC(t, gc.name, file, decl))
 	}
 	lines = append(lines, fl)
 	if record {
@@ -304,17 +312,24 @@ func TestGoldenWriteResults(t *testing.T) {
 		}
 		got = append(got, lines...)
 	}
+	checkGolden(t, goldenFile, got)
+}
+
+// checkGolden compares got with the golden file line by line, or rewrites
+// the file under -update.
+func checkGolden(t *testing.T, path string, got []string) {
+	t.Helper()
 	out := []byte(strings.Join(got, "\n") + "\n")
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenFile, out, 0o644); err != nil {
+		if err := os.WriteFile(path, out, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenFile)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("%v (generate with -update)", err)
 	}

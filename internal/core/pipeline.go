@@ -38,6 +38,13 @@ func grow(scratch []byte, n int64) []byte {
 	return scratch[:n]
 }
 
+// codecScratch is a writer's compress and decompress buffers, reused across
+// rounds. Only the pipeline's single in-flight store job touches them (jobs
+// are joined before the next launch), so plain fields are race-free.
+type codecScratch struct {
+	comp, decomp []byte
+}
+
 // storeJob is one round's real store I/O running on a background goroutine,
 // off the simulation's critical path: the double-buffer schedule that
 // already overlaps the virtual flush with the next round's aggregation now
@@ -101,21 +108,26 @@ func (w *Writer) storeRound(buf []byte, layout []storage.Seg, dmg []int64, repai
 		}
 		return 0, err
 	}
+	sc := w.codec
+	if sc == nil {
+		sc = &codecScratch{}
+		w.codec = sc
+	}
 	t := hostClock(w.rec)
-	w.compB = codec.Compress(w.compB, buf)
+	sc.comp = codec.Compress(sc.comp, buf)
 	hostObserve(w.rec, "host.codec_compress_seconds", t)
-	stored = int64(len(w.compB))
-	w.decompB = grow(w.decompB, int64(len(buf)))
+	stored = int64(len(sc.comp))
+	sc.decomp = grow(sc.decomp, int64(len(buf)))
 	t = hostClock(w.rec)
-	if err := codec.Decompress(w.decompB, w.compB); err != nil {
+	if err := codec.Decompress(sc.decomp, sc.comp); err != nil {
 		return stored, fmt.Errorf("core: codec %s round trip on flush: %w", codec.Name(), err)
 	}
 	hostObserve(w.rec, "host.codec_decompress_seconds", t)
 	t = hostClock(w.rec)
-	err = w.f.StoreWrite(layout, w.decompB)
+	err = w.f.StoreWrite(layout, sc.decomp)
 	hostObserve(w.rec, "host.store_write_seconds", t)
 	if err == nil && len(dmg) > 0 {
-		err = applyDamage(w.f, layout, w.decompB, dmg, repair)
+		err = applyDamage(w.f, layout, sc.decomp, dmg, repair)
 	}
 	return stored, err
 }
@@ -127,6 +139,17 @@ func (w *Writer) storeRound(buf []byte, layout []storage.Seg, dmg []int64, repai
 // into the other buffer. Before reusing a buffer, the aggregator waits for
 // its previous flush — arriving late at the fence, which is how a slow
 // storage phase throttles the whole partition.
+//
+// Round r's fence is attended by the ranks that move data around it: the
+// aggregator and the members with pieces in round r or r+1 (see
+// countAttendance). Every other member skips the round and goes on to its
+// next attended fence or the closing barrier. Its arrival would have been
+// the previous release, no later than the aggregator's, and it books
+// nothing, so every release — priced with the whole partition's tree cost —
+// lands at the same instant. Sessions where members meet mid-round keep
+// every member at every fence: staged shapes (node rendezvous, tree level
+// fences), SingleBuffer (the serializing fence) and Config.Faults (failover
+// re-election).
 //
 // With the data plane on, the same schedule moves real bytes, zero-copy:
 // each put's payload is gathered by dataplane.Plane.Each directly into the
@@ -161,8 +184,13 @@ func (w *Writer) runWrite() error {
 	rec := w.rec
 	faults := w.cfg.Faults != nil
 	deadRound := w.deathRound()
+	sparse := !faults && !w.cfg.SingleBuffer && !w.cfg.Shape().Staged()
 	idx := 0
 	for r := 0; r < pp.rounds; r++ {
+		if sparse && !w.isAgg && (idx == len(myPieces) || myPieces[idx].round > r+1) {
+			w.win.SkipFences(1) // no pieces in round r or r+1
+			continue
+		}
 		bufID := int64(r % 2)
 		if faults || rec != nil {
 			p.SetPhaseLabel(fmt.Sprintf("tapioca round %d/%d", r+1, pp.rounds))
@@ -231,8 +259,8 @@ func (w *Writer) runWrite() error {
 			// forwards its whole subtree span to its parent, and the level's
 			// fence publishes it before depth d−1 reads. The fence count is
 			// the partition's frozen budget — every member fences every
-			// level every round, engaged, collapsed, or idle (fences are
-			// partition collectives). Depth-1 relays forward last, riding
+			// level every round, engaged, collapsed, or idle (staged shapes
+			// keep full participation). Depth-1 relays forward last, riding
 			// the round's main fence exactly like an inline span put.
 			for d := w.tp.fences + 1; d >= 2; d-- {
 				levelStart := p.Now()
@@ -274,7 +302,11 @@ func (w *Writer) runWrite() error {
 				fenceStart = deferredFree
 			}
 		}
-		w.win.FenceAfter(deferredFree)
+		attend := w.pc.Size()
+		if sparse {
+			attend = int(pp.writeFence[r])
+		}
+		w.win.FenceOf(attend, deferredFree)
 		if rec != nil {
 			rec.Phase(obs.PhaseExchange, p.Now()-fenceStart)
 			p.TraceSpan("tapioca", "exchange", fenceStart, p.Now(), 0)
@@ -419,7 +451,9 @@ func (w *Writer) sessionMetrics(rec *obs.Recorder) {
 // runRead executes the reverse pipeline: the aggregator prefetches round
 // r+1 into the inactive buffer while members pull round r's pieces with
 // one-sided gets. Two fences bound each round: one publishing the buffer,
-// one closing the get epoch.
+// one closing the get epoch. Both are attended by the aggregator and the
+// members with pieces in round r only; the others skip the round, for the
+// reason runWrite gives. No read configuration has members meet mid-round.
 //
 // With the data plane on, the prefetch's real store read runs on a
 // background goroutine (joined before the fence that publishes its buffer),
@@ -482,6 +516,11 @@ func (w *Writer) runRead() error {
 	}
 	idx := 0
 	for r := 0; r < pp.rounds; r++ {
+		if !w.isAgg && (idx == len(myPieces) || myPieces[idx].round > r) {
+			w.win.SkipFences(2) // no pieces in round r
+			continue
+		}
+		attend := int(pp.readFence[r])
 		bufID := int64(r % 2)
 		var roundStart, roundPut int64
 		if rec != nil {
@@ -514,7 +553,7 @@ func (w *Writer) runRead() error {
 			}
 		}
 		fenceStart := p.Now()
-		w.win.Fence()
+		w.win.FenceOf(attend, 0)
 		if rec != nil {
 			rec.Phase(obs.PhaseExchange, p.Now()-fenceStart)
 		}
@@ -531,7 +570,8 @@ func (w *Writer) runRead() error {
 				round := r
 				w.win.GetScatter(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, func(src []byte) {
 					if n := w.pl.Scatter(src, lo, hi); n != int64(len(src)) && prefetchErr == nil {
-						// Deferred like prefetch errors: fences are collective.
+						// Deferred like prefetch errors: the round structure
+						// must complete on every rank.
 						prefetchErr = fmt.Errorf("core: round %d scatter consumed %d bytes, plan expects %d", round, n, len(src))
 					}
 				})
@@ -549,7 +589,7 @@ func (w *Writer) runRead() error {
 			prefetch(r + 1)
 		}
 		closeStart := p.Now()
-		w.win.Fence() // closes the get epoch
+		w.win.FenceOf(attend, 0) // closes the get epoch
 		if rec != nil {
 			rec.Phase(obs.PhaseExchange, p.Now()-closeStart)
 			p.TraceSpan("tapioca", "round", roundStart, p.Now(), w.stats.BytesPut-roundPut)

@@ -41,9 +41,14 @@ func (w *Writer) elect() int {
 	return w.cfg.Placement.Elect(e)
 }
 
-// model builds the session's cost model: the machine-wide memoized distance
+// model returns the session's cost model: the machine-wide memoized distance
 // cache plus the storage tier's C2 hook (a burst buffer absorbs flushes at
-// ingest speed, so its cost opinion overrides the uplink formula).
+// ingest speed, so its cost opinion overrides the uplink formula). Every rank
+// prices with the same immutable model, so the first caller builds it on the
+// shared plan, like the election table.
 func (w *Writer) model() *cost.Model {
-	return cost.MachineModel(w.c.World().Fabric().Distances(), w.sys)
+	if w.plan.model == nil {
+		w.plan.model = cost.MachineModel(w.c.World().Fabric().Distances(), w.sys)
+	}
+	return w.plan.model
 }

@@ -21,6 +21,8 @@ type plan struct {
 	// (tens of thousands of ranks) and the per-rank views allocation-free.
 	pieces   []putPiece
 	pieceOff []int32
+
+	model *cost.Model // the session's cost model, built by the first caller
 }
 
 // piecesOf returns rank r's puts (rounds ascending), a view into the arena.
@@ -52,6 +54,49 @@ type partPlan struct {
 	layout [][]storage.Seg
 
 	members []cost.Member // election table, cached by the first caller
+
+	// writeFence[r] and readFence[r] count the members attending round r's
+	// write fence and read fences (see countAttendance). Filled after the
+	// election by the first caller, like members.
+	writeFence []int32
+	readFence  []int32
+}
+
+// countAttendance fills the partition's per-round fence attendance under
+// aggregator aggLocal. The aggregator attends every fence. A member attends
+// write fence r if it has pieces in round r (its puts' sender-free time
+// feeds the fence's latest arrival) or in round r+1 (it must be released
+// from fence r before booking those puts), and both read fences of round r
+// if it has pieces in round r. Every other member's arrival would carry
+// nothing and come no later than the aggregator's, so leaving it out does
+// not move the release (see runWrite).
+func (pp *partPlan) countAttendance(p *plan, aggLocal int) {
+	if pp.writeFence != nil {
+		return
+	}
+	wf := make([]int32, pp.rounds)
+	rf := make([]int32, pp.rounds)
+	for i := range wf {
+		wf[i], rf[i] = 1, 1 // the aggregator
+	}
+	for local := 0; local < pp.rankN; local++ {
+		if local == aggLocal {
+			continue
+		}
+		last := -1 // the member's previous round with pieces
+		for _, pc := range p.piecesOf(pp.rankLo + local) {
+			q := pc.round
+			if q == last {
+				continue
+			}
+			rf[q]++
+			for r := max(q-1, last+1); r <= q; r++ {
+				wf[r]++
+			}
+			last = q
+		}
+	}
+	pp.writeFence, pp.readFence = wf, rf
 }
 
 type flushInfo struct {

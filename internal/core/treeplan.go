@@ -36,10 +36,10 @@ package core
 // (a member could bypass its vertex: staging keys on node identity, the tree
 // on run identity), runs node-staged.
 //
-// Fences are collectives over the window's communicator — the partition — so
-// the interior fence budget is a per-partition constant (tree depth − 1),
-// fixed at setup and run every round whether or not the round engages the
-// tree. The per-round engagement decision is computed from the globally
+// Under a staged shape every member of the partition attends every window
+// fence (runWrite keeps full participation there), so the interior fence
+// budget is a per-partition constant (tree depth − 1), fixed at setup and
+// run every round whether or not the round engages the tree. The per-round engagement decision is computed from the globally
 // shared plan, identically on every member without communication: a round
 // runs the tree only if every vertex's subtree span is contiguous AND every
 // non-root multi-member group stages that round. The second condition is

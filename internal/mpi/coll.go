@@ -41,7 +41,7 @@ func (c *Comm) collective(kind string, contrib any, finish func(contribs []any, 
 // collectiveImpl carries both finish shapes: the internal (contribs, maxT)
 // form, and the user (contribs)-only form whose release is the tree cost
 // over bytes — passed directly so the hot Collective path does not allocate
-// a wrapper closure per call.
+// a wrapper closure per call. With neither, the collective is a barrier.
 func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []any, maxT int64) (any, int64), userFinish func(contribs []any) any, bytes int64) any {
 	s := c.s
 	if s.coll == nil {
@@ -50,7 +50,7 @@ func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []a
 			s.collFree = nil
 			st.kind = kind
 		} else {
-			st = &collState{kind: kind, contribs: make([]any, c.Size())}
+			st = &collState{kind: kind, waiters: make([]*sim.Proc, 0, c.Size()-1)}
 		}
 		st.refs = c.Size()
 		s.coll = st
@@ -60,7 +60,7 @@ func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []a
 		panic(fmt.Sprintf("mpi: mismatched collectives on comm %d: %s vs %s", s.id, st.kind, kind))
 	}
 	if contrib != nil {
-		st.contribs[c.rank] = contrib
+		st.contributions(c.Size())[c.rank] = contrib
 		st.hasData = true
 	}
 	st.arrived++
@@ -79,10 +79,13 @@ func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []a
 	// Last arriver: compute, reset comm state for the next collective,
 	// release everyone at the common time.
 	entry := c.p.Now()
-	if finish != nil {
-		st.result, st.release = finish(st.contribs, st.maxT)
-	} else {
-		st.result = userFinish(st.contribs)
+	switch {
+	case finish != nil:
+		st.result, st.release = finish(st.contributions(c.Size()), st.maxT)
+	case userFinish != nil:
+		st.result = userFinish(st.contributions(c.Size()))
+		st.release = c.TreeCost(st.maxT, bytes)
+	default: // a barrier: no result, the tree cost over bytes
 		st.release = c.TreeCost(st.maxT, bytes)
 	}
 	if st.release < st.maxT {
@@ -97,6 +100,15 @@ func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []a
 	return res
 }
 
+// contributions returns the per-rank contribution table, allocated on first
+// use: barriers never need one.
+func (st *collState) contributions(n int) []any {
+	if st.contribs == nil {
+		st.contribs = make([]any, n)
+	}
+	return st.contribs
+}
+
 // recycleColl releases one rank's reference on a finished collective state;
 // the last reference clears the state (dropping payload references) and
 // parks it for reuse. The comm may already be running its next collective
@@ -106,7 +118,7 @@ func (s *commShared) recycleColl(st *collState) {
 	if st.refs > 0 {
 		return
 	}
-	// Barriers and fences contribute nothing; skip their O(P) clear.
+	// Barriers contribute nothing; skip their O(P) clear.
 	if st.hasData {
 		for i := range st.contribs {
 			st.contribs[i] = nil
@@ -173,16 +185,10 @@ func (c *Comm) TreeCost(maxT int64, bytes int64) int64 {
 	return maxT + rounds*c.alpha() + rounds*sim.TransferTime(bytes, inject)
 }
 
-// Barrier blocks until all ranks of the communicator arrive. The finish
-// closure is cached on the handle: barriers run once per round per rank,
-// and a fresh closure per call is a heap allocation on that hot path.
+// Barrier blocks until all ranks of the communicator arrive, and releases
+// them at the tree cost of a zero-byte collective.
 func (c *Comm) Barrier() {
-	if c.barrierFn == nil {
-		c.barrierFn = func(_ []any, maxT int64) (any, int64) {
-			return nil, c.TreeCost(maxT, 0)
-		}
-	}
-	c.collective("mpi:barrier", nil, c.barrierFn)
+	c.collectiveImpl("mpi:barrier", nil, nil, nil, 0)
 }
 
 // FenceLocal is a node-scoped rendezvous with leader-fence semantics: every

@@ -234,8 +234,6 @@ type Comm struct {
 	s    *commShared
 	rank int
 	p    *sim.Proc
-
-	barrierFn func(contribs []any, maxT int64) (any, int64) // cached Barrier finish
 }
 
 // Rank returns the caller's rank in this communicator.

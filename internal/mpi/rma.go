@@ -3,6 +3,8 @@ package mpi
 import (
 	"fmt"
 	"sort"
+
+	"tapioca/internal/sim"
 )
 
 // Win is one rank's handle on an RMA window: a per-rank exposed buffer that
@@ -13,7 +15,7 @@ type Win struct {
 	s *winShared
 	c *Comm
 
-	fenceFn func(contribs []any, maxT int64) (any, int64) // cached Fence finish
+	epoch int64 // the caller's next fence epoch, attended or skipped
 }
 
 type winShared struct {
@@ -25,18 +27,29 @@ type winShared struct {
 	epochOps     int
 	epochBytes   int64
 
+	// Fence gates: open holds the gates of epochs with arrivals but no
+	// release yet (a few at most), gateFree the recycled ones; released
+	// counts the epochs closed so far.
+	open     []*fenceGate
+	gateFree []*fenceGate
+	released int64
+
 	fill     []int64     // bytes put into each rank's window this epoch
 	lastFill []int64     // fill of the epoch closed by the last Fence
-	writes   [][]WinSpan // per target, captured spans (when capture enabled)
+	writes   [][]WinSpan // per target, captured spans (allocated by SetCapture)
 
 	// mem holds each rank's real window memory, allocated lazily on the
 	// first payload-carrying access (the data plane). Phantom sessions —
-	// every paper-scale figure — never allocate a byte here.
+	// every paper-scale figure — never allocate a byte here, nor the
+	// per-rank table.
 	mem [][]byte
 }
 
 // memOf returns (allocating on first use) rank r's real window memory.
 func (s *winShared) memOf(r int) []byte {
+	if s.mem == nil {
+		s.mem = make([][]byte, len(s.fill))
+	}
 	if s.mem[r] == nil {
 		s.mem[r] = make([]byte, s.size)
 	}
@@ -59,8 +72,6 @@ func (c *Comm) WinCreate(size int64) *Win {
 			size:     size,
 			fill:     make([]int64, c.Size()),
 			lastFill: make([]int64, c.Size()),
-			writes:   make([][]WinSpan, c.Size()),
-			mem:      make([][]byte, c.Size()),
 		}
 		return s, c.TreeCost(maxT, 0)
 	})
@@ -69,7 +80,12 @@ func (c *Comm) WinCreate(size int64) *Win {
 
 // SetCapture enables span capture for verification in tests. Call before
 // the first epoch; the setting is window-global.
-func (w *Win) SetCapture(on bool) { w.s.capture = on }
+func (w *Win) SetCapture(on bool) {
+	w.s.capture = on
+	if on && w.s.writes == nil {
+		w.s.writes = make([][]WinSpan, len(w.s.fill))
+	}
+}
 
 // Size returns the per-rank exposed size.
 func (w *Win) Size() int64 { return w.s.size }
@@ -241,41 +257,136 @@ func (w *Win) GetScatter(target int, offset, bytes int64, scatter func(src []byt
 // its read-path prefetch fills before one.
 func (w *Win) LocalData() []byte { return w.s.memOf(w.c.rank) }
 
-// Fence closes the current epoch: a collective that releases every rank once
-// all one-sided operations of the epoch have completed (the paper's
-// Algorithm 3 uses this as the round barrier). It returns the release time.
-// The finish closure is cached on the handle — fences run once per round
-// per rank, and a fresh closure per call is a heap allocation on that hot
-// path.
-func (w *Win) Fence() int64 {
-	if w.fenceFn == nil {
-		w.fenceFn = func(_ []any, maxT int64) (any, int64) {
-			release := w.c.TreeCost(maxT, 0)
-			if w.s.epochArrival > release {
-				release = w.s.epochArrival
-			}
-			w.s.epochArrival = 0
-			w.s.epochOps = 0
-			w.s.epochBytes = 0
-			copy(w.s.lastFill, w.s.fill)
-			for i := range w.s.fill {
-				w.s.fill[i] = 0
-			}
-			return release, release
-		}
-	}
-	res := w.c.collective("mpi:win-fence", nil, w.fenceFn)
-	return res.(int64)
-}
+// Fence closes the current epoch: every rank of the communicator arrives,
+// and all are released once the epoch's one-sided operations have completed
+// (the paper's Algorithm 3 uses this as the round barrier). It returns the
+// release time. Fence is FenceOf with every rank attending.
+func (w *Win) Fence() int64 { return w.fence(w.c.Size()) }
 
 // FenceAfter is Fence entered at virtual time senderFree — the deferred
 // completion of the round's last PutAsync. The clock jumps without an extra
-// scheduling point; the fence's collective park supplies the ordered yield
+// scheduling point; the fence's park supplies the ordered yield
 // (sim.Proc.JumpTo's contract: the fence entry bookkeeping is commutative
 // and books nothing).
 func (w *Win) FenceAfter(senderFree int64) int64 {
+	return w.FenceOf(w.c.Size(), senderFree)
+}
+
+// FenceOf is FenceAfter for a fence attended by only n ranks of the
+// communicator; the others call SkipFences for it. The caller's schedule
+// decides who attends, and every attendee must pass the same n. The
+// release is priced exactly like a whole-communicator Fence — the tree cost
+// over the communicator's size from the latest arrival, and no earlier than
+// the epoch's last one-sided completion — so a schedule whose absent ranks
+// would only have arrived early, with nothing to put, releases at the same
+// instant. Absent ranks must not issue one-sided operations in the epoch.
+func (w *Win) FenceOf(n int, senderFree int64) int64 {
+	if n < 1 || n > w.c.Size() {
+		panic(fmt.Sprintf("mpi: fence of %d ranks on a window of %d", n, w.c.Size()))
+	}
 	w.c.p.JumpTo(senderFree)
-	return w.Fence()
+	return w.fence(n)
+}
+
+// SkipFences passes over the caller's next k fences without attending them:
+// the epochs are closed by the ranks that do.
+func (w *Win) SkipFences(k int) { w.epoch += int64(k) }
+
+// fenceGate collects the arrivals of one epoch's fence. Gates are keyed by
+// epoch, so a rank that skipped ahead can arrive at a later epoch's gate
+// while an earlier one is still open; gates release strictly in epoch order.
+// Closed gates are recycled through winShared.gateFree, so steady-state
+// fences allocate nothing.
+type fenceGate struct {
+	epoch   int64
+	n       int // arrivals that close the gate
+	arrived int
+	maxT    int64
+	waiters []*sim.Proc
+}
+
+// fence attends the caller's next epoch fence, which n ranks attend.
+func (w *Win) fence(n int) int64 {
+	s, c, p := w.s, w.c, w.c.p
+	epoch := w.epoch
+	w.epoch++
+	g := s.gate(epoch, n)
+	g.arrived++
+	entry := p.Now()
+	if entry > g.maxT {
+		g.maxT = entry
+	}
+	if g.arrived < g.n {
+		g.waiters = append(g.waiters, p)
+		p.Park(fenceKind)
+		p.TraceSpan("mpi", fenceKind, entry, p.Now(), 0)
+		return p.Now() // the release: no waiter's clock is past maxT
+	}
+	// Last arriver: close the epoch and release everyone at the common time.
+	if epoch != s.released {
+		panic(fmt.Sprintf("mpi: window fence epoch %d complete before epoch %d released", epoch, s.released))
+	}
+	s.released++
+	release := c.TreeCost(g.maxT, 0)
+	if s.epochArrival > release {
+		release = s.epochArrival
+	}
+	s.epochArrival = 0
+	s.epochOps = 0
+	s.epochBytes = 0
+	copy(s.lastFill, s.fill)
+	clear(s.fill)
+	p.Engine().UnparkBatch(g.waiters, release)
+	s.closeGate(g)
+	p.HoldUntil(release)
+	p.TraceSpan("mpi", fenceKind, entry, p.Now(), 0)
+	return release
+}
+
+const fenceKind = "mpi:win-fence"
+
+// gate returns the open gate of epoch, opening it (from the free list) on
+// the epoch's first arrival.
+func (s *winShared) gate(epoch int64, n int) *fenceGate {
+	for _, g := range s.open {
+		if g.epoch == epoch {
+			if g.n != n {
+				panic(fmt.Sprintf("mpi: window fence epoch %d attended with counts %d and %d", epoch, g.n, n))
+			}
+			return g
+		}
+	}
+	if epoch < s.released {
+		panic(fmt.Sprintf("mpi: arrival at window fence epoch %d, already released (arrival count too small?)", epoch))
+	}
+	var g *fenceGate
+	if k := len(s.gateFree); k > 0 {
+		g = s.gateFree[k-1]
+		s.gateFree = s.gateFree[:k-1]
+	} else {
+		g = &fenceGate{}
+	}
+	g.epoch, g.n = epoch, n
+	if cap(g.waiters) < n-1 {
+		g.waiters = make([]*sim.Proc, 0, n-1)
+	}
+	s.open = append(s.open, g)
+	return g
+}
+
+// closeGate removes a released gate from the open set and recycles it.
+func (s *winShared) closeGate(g *fenceGate) {
+	for i, o := range s.open {
+		if o == g {
+			s.open = append(s.open[:i], s.open[i+1:]...)
+			break
+		}
+	}
+	clear(g.waiters)
+	g.waiters = g.waiters[:0]
+	g.arrived = 0
+	g.maxT = 0
+	s.gateFree = append(s.gateFree, g)
 }
 
 // EpochFill returns the bytes put into rank r's window during the current
@@ -291,6 +402,9 @@ func (w *Win) LastEpochFill(r int) int64 { return w.s.lastFill[r] }
 // offset. Only meaningful with SetCapture(true); spans accumulate across
 // epochs.
 func (w *Win) CapturedWrites(r int) []WinSpan {
+	if w.s.writes == nil {
+		return nil
+	}
 	spans := append([]WinSpan(nil), w.s.writes[r]...)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Offset < spans[j].Offset })
 	return spans
