@@ -19,6 +19,12 @@
 //     hides I/O-node locality) and an Allreduce(MINLOC) elects the
 //     minimum-cost rank.
 //
+// Session setup (Init) is a pure function of the shared plan, so the
+// simulator runs it once per partition, not once per rank, and prices it as
+// the collectives it replaces: one rendezvous on the world (plan build and
+// partition split) and one per partition (election, window creation and,
+// under a staged shape, the node split). Each rank parks twice.
+//
 // API note: the paper's TAPIOCA_Write is called once per declared variable;
 // the library is bulk-synchronous and applications call the writes
 // back-to-back. This implementation accrues the whole pipeline's virtual
@@ -287,9 +293,9 @@ func (w *Writer) File() *storage.File { return w.f }
 // Init declares the upcoming operations: declared[i] is this rank's file
 // access pattern for the i-th TAPIOCA_Write/Read call. Collective. It
 // builds the global round schedule, splits partition communicators, elects
-// aggregators, and allocates the RMA windows. Sessions initialized with
-// Init run in phantom mode: only virtual byte counts move (the paper-scale
-// default); use InitData to carry real payload bytes.
+// aggregators, and allocates the RMA windows (see InitData). Sessions
+// initialized with Init run in phantom mode: only virtual byte counts move
+// (the paper-scale default); use InitData to carry real payload bytes.
 func (w *Writer) Init(declared [][]storage.Seg) error {
 	return w.InitData(declared, nil)
 }
@@ -303,6 +309,15 @@ func (w *Writer) Init(declared [][]storage.Seg) error {
 // into real aggregator window memory, flushes land in the file's backing
 // store (a MemStore is attached on first use; see storage.File.SetStore),
 // and DataChecksum exposes the end-to-end verification hook.
+//
+// Setup runs once per partition inside two priced rendezvous: a world one
+// whose release is the tapioca-init collective's price chained with the
+// partition Split's, and a partition one (setupPartition) whose release
+// chains the election compute, the election's reduction, WinCreate and,
+// under a staged shape, the Split by node. Every member of a partition
+// leaves the world rendezvous at the same instant, so the chained release
+// is the release of those collectives run one after another: virtual time
+// is the same as a per-rank setup's.
 func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 	if w.plan != nil {
 		return fmt.Errorf("core: Init called twice on writer for %q", w.f.Name)
@@ -330,19 +345,23 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 	bytes := int64(32*len(mine) + 16)
 	unit := w.sys.OptimalUnit(w.f)
 	withData := w.pl != nil
-	w.plan = c.Collective("tapioca-init", mine, bytes, func(contribs []any) any {
+	// The world rendezvous: the tapioca-init collective (a tree over the
+	// last arriver's segment list) plus the Split into partitions.
+	w.plan = c.CollectivePriced("tapioca-init", mine, func(contribs []any, maxT int64) (any, int64) {
 		all := make([][]storage.Seg, len(contribs))
 		for i, x := range contribs {
 			if x != nil {
 				all[i] = x.([]storage.Seg)
 			}
 		}
-		return buildPlan(all, w.cfg.Aggregators, w.cfg.BufferSize, unit, withData)
+		p := buildPlan(all, w.cfg.Aggregators, w.cfg.BufferSize, unit, withData)
+		carvePartitions(c, p)
+		return p, c.TreeCost(c.TreeCost(maxT, bytes), 8)
 	}).(*plan)
 	// A data-plane-mode mismatch (some ranks passed payload buffers, others
-	// did not) is diagnosed here but reported only after the remaining
-	// collective setup: Split and WinCreate involve every rank, so bailing
-	// early would hang the agreeing ranks instead of surfacing the error.
+	// did not) is diagnosed here but reported only after the partition's
+	// setup rendezvous: it involves every member, so bailing early would
+	// hang the agreeing ranks instead of surfacing the error.
 	var modeErr error
 	if w.plan.withData != withData {
 		modeErr = fmt.Errorf("core: data-plane mode is collective — rank %d passed payload buffers %v but the session plan was built with %v",
@@ -353,26 +372,26 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 	}
 
 	w.part = w.plan.partOf[c.Rank()]
-	w.pc = c.Split(w.part, c.Rank())
-
-	// Election (each rank computes its own candidacy cost locally; the
-	// ElectionDisabled sentinel charges nothing).
-	if w.cfg.ElectionOverhead > 0 {
-		c.Compute(w.cfg.ElectionOverhead)
-	}
-	w.aggLocal = w.elect()
-	w.isAgg = w.pc.Rank() == w.aggLocal
-	w.plan.parts[w.part].countAttendance(w.plan, w.aggLocal)
+	pp := &w.plan.parts[w.part]
+	w.pc = c.Adopt(pp.comms[c.Rank()-pp.rankLo])
+	// The partition rendezvous (see setupPartition).
+	w.pc.CollectivePriced("tapioca-setup", nil, func(_ []any, maxT int64) (any, int64) {
+		return nil, w.setupPartition(pp, maxT)
+	})
+	local := w.pc.Rank()
+	w.aggLocal = pp.agg
+	w.isAgg = local == pp.agg
+	w.win = w.pc.AdoptWin(pp.win)
 	w.stats.Partition = w.part
 	w.stats.Placement = w.cfg.Placement.Name()
-	w.stats.Rounds = w.plan.parts[w.part].rounds
-	w.stats.AggregatorWorldRank = w.pc.WorldRankOf(w.aggLocal)
-
-	// Two pipelined buffers, exposed as one window of 2×BufferSize.
-	w.win = w.pc.WinCreate(2 * w.cfg.BufferSize)
-	if sh := w.cfg.Shape(); sh.Staged() {
-		w.tp = w.setupTree(sh)
-		if t := w.interiorTree(); t != nil {
+	w.stats.Rounds = pp.rounds
+	w.stats.AggregatorWorldRank = w.pc.WorldRankOf(pp.agg)
+	w.stats.ElectionCost = pp.costs[local]
+	if st := pp.staging; st != nil && st.roles[local] != nil {
+		w.tp = &treeRole{groupRole: st.roles[local], nodeComm: w.pc.Adopt(st.nodeComms[local]),
+			leader: local == st.roles[local].leaderLocal}
+		if t := w.tp.t; t != nil {
+			w.tp.msgs = make([]int64, t.Levels+1)
 			w.stats.TreeLevels = t.Levels
 			w.stats.TreeFanIn = t.MaxFanIn
 		}

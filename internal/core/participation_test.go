@@ -7,6 +7,7 @@ import (
 	"tapioca/internal/netsim"
 	"tapioca/internal/storage"
 	"tapioca/internal/topology"
+	"tapioca/internal/tree"
 )
 
 // TestCountAttendance pins the participation rule on a hand-built schedule:
@@ -107,6 +108,56 @@ func TestSparseFenceParks(t *testing.T) {
 		}
 		if bound[i] >= allRank[i] {
 			t.Errorf("%s: bound %d does not separate from all-rank fences (%d parks)", name, bound[i], allRank[i])
+		}
+	}
+}
+
+// TestInitParks is a deterministic work counter for session setup: Init
+// runs one rendezvous on the world and one on the partition, so on any
+// shape a 64-rank session parks at most twice per rank in Init. A setup
+// that performs the election, the window creation or the node split as
+// collectives of their own parks four to five times.
+func TestInitParks(t *testing.T) {
+	topo := topology.ThetaDragonfly(goldenNodes, topology.RouteMinimal)
+	const rpn = 4
+	ranks := goldenNodes * rpn
+	decl := iorDecl(ranks)
+	for _, spec := range []string{"flat", "staged", "fanin:2"} {
+		sh, err := tree.ParseShape(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
+		sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: 4})
+		cfg := Config{Aggregators: 2, BufferSize: 8 << 10, Tree: &sh}
+		var parks int64
+		_, err = mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: rpn, Fabric: fab}, func(c *mpi.Comm) {
+			var f *storage.File
+			if c.Rank() == 0 {
+				f = sys.Create("parks", storage.FileOptions{StripeCount: 4, StripeSize: 16 << 10})
+			}
+			f = c.Bcast(0, 8, f).(*storage.File)
+			eng := c.Proc().Engine()
+			wr := New(c, sys, f, cfg)
+			start := eng.Parks()
+			if err := wr.Init(decl[c.Rank()]); err != nil {
+				t.Error(err)
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				// The closing barrier parks every rank but its last arriver.
+				parks = eng.Parks() - start - int64(ranks-1)
+			}
+			if err := wr.WriteAll(); err != nil {
+				t.Error(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %d parks in Init, %.2f per rank", spec, parks, float64(parks)/float64(ranks))
+		if parks > 2*int64(ranks) {
+			t.Errorf("%s: Init parked %d times on %d ranks, want at most 2 per rank", spec, parks, ranks)
 		}
 	}
 }

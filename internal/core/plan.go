@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"tapioca/internal/cost"
+	"tapioca/internal/mpi"
 	"tapioca/internal/storage"
 )
 
@@ -53,11 +54,18 @@ type partPlan struct {
 	// for data-plane sessions; phantom plans carry nil.
 	layout [][]storage.Seg
 
-	members []cost.Member // election table, cached by the first caller
+	// Session setup, filled once per partition (see InitData): comms holds
+	// the members' partition-communicator handles by local rank; the setup
+	// rendezvous fills the rest.
+	comms   []*mpi.Comm
+	members []cost.Member // election table
+	agg     int           // elected aggregator's local rank
+	costs   []float64     // per member: its own candidacy cost
+	win     *mpi.Win      // the window over the aggregators' two buffers
+	staging *staging      // staged shapes only
 
 	// writeFence[r] and readFence[r] count the members attending round r's
-	// write fence and read fences (see countAttendance). Filled after the
-	// election by the first caller, like members.
+	// write fence and read fences (see countAttendance).
 	writeFence []int32
 	readFence  []int32
 }
@@ -71,9 +79,6 @@ type partPlan struct {
 // nothing and come no later than the aggregator's, so leaving it out does
 // not move the release (see runWrite).
 func (pp *partPlan) countAttendance(p *plan, aggLocal int) {
-	if pp.writeFence != nil {
-		return
-	}
 	wf := make([]int32, pp.rounds)
 	rf := make([]int32, pp.rounds)
 	for i := range wf {

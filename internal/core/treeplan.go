@@ -39,14 +39,22 @@ package core
 // Under a staged shape every member of the partition attends every window
 // fence (runWrite keeps full participation there), so the interior fence
 // budget is a per-partition constant (tree depth − 1), fixed at setup and
-// run every round whether or not the round engages the tree. The per-round engagement decision is computed from the globally
-// shared plan, identically on every member without communication: a round
-// runs the tree only if every vertex's subtree span is contiguous AND every
+// run every round whether or not the round engages the tree. A round runs
+// the tree only if every vertex's subtree span is contiguous AND every
 // non-root multi-member group stages that round. The second condition is
 // load-bearing: a group that does not stage sends its members' pieces
 // straight to the aggregator, and an ancestor forwarding a span over those
 // pieces would overwrite the root's copy with garbage. Rounds that fail
 // either test run node-staged for the whole partition.
+//
+// Every one of these decisions is a pure function of the shared plan, so
+// setup makes them once per partition, inside the partition's setup
+// rendezvous (see setupPartition), priced as the node split it replaces:
+// buildStaging carves the node communicators, groups the members by node,
+// synthesizes the tree and scans the partition's pieces once. Each node
+// group's per-round roles and vertex data are shared read-only by its
+// members; a rank's treeRole adds only its node-communicator handle and
+// its mutable state.
 //
 // Staging is write-side: the read pipeline's scatter has no incast to shape.
 // On an aggregator failover the partition's tree collapses to node-staged
@@ -57,35 +65,49 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"tapioca/internal/mpi"
 	"tapioca/internal/storage"
 	"tapioca/internal/tree"
 )
 
-// treeRole is one rank's role in a staged write: its node group's per-round
-// staging decision and, under a tree with interior levels, its vertex.
-type treeRole struct {
-	nodeComm    *mpi.Comm // node-scoped sub-communicator within the partition
-	leaderLocal int       // partition-local rank of my node group's leader
-	leader      bool
+// staging is one partition's staged-shape setup, built once by buildStaging.
+type staging struct {
+	nodeComms []*mpi.Comm  // local rank → its node-communicator handle
+	roles     []*groupRole // local rank → its node group's role; nil: direct
+}
+
+// groupRole is one node group's part in a staged write: its per-round
+// staging decisions and, under a tree with interior levels, its vertex.
+// Shared read-only by the group's members.
+type groupRole struct {
+	leaderLocal int // partition-local rank of the group's leader
 	rounds      []roundRole
 
 	// t is the partition's synthesized tree, nil when it has no interior
 	// levels; the fields below are meaningful only with t set.
 	t *tree.Tree
-	// depth is the tree depth of the vertex this rank leads.
+	// fences is the partition's interior fence budget per round: tree depth
+	// minus one, frozen at setup (failover must not change it).
+	fences int
+	// depth is the tree depth of the group's vertex.
 	depth int
-	// diverted: this vertex's coalesced put waits for the interior levels —
+	// diverted: the vertex's coalesced put waits for the interior levels —
 	// it has children, or sits below depth 1.
 	diverted bool
 	// parentLocal is the partition-local rank the vertex forwards to: the
 	// aggregator itself when the parent is the root vertex, else the parent
 	// group's leader.
 	parentLocal int
-	// fences is the partition's interior fence budget per round: tree depth
-	// minus one, frozen at setup (failover must not change it).
-	fences int
+}
+
+// treeRole is one rank's role in a staged write: its node group's shared
+// role plus its own node-communicator handle and mutable state.
+type treeRole struct {
+	*groupRole
+	nodeComm *mpi.Comm // node-scoped sub-communicator within the partition
+	leader   bool
 	// collapsed is set by failover: the tree degrades to node-staged under
 	// the new root and interior phases turn into empty fences.
 	collapsed bool
@@ -93,12 +115,12 @@ type treeRole struct {
 	msgs []int64
 }
 
-// roundRole is what setupTree's scan records per round.
+// roundRole is a node group's part in one round.
 type roundRole struct {
-	staged   bool  // my node group stages this round
+	staged   bool  // the group stages this round
 	engaged  bool  // the interior levels run this round (partition-wide)
-	lo, hi   int64 // staged: my group's contiguous bufOff span
-	vlo, vhi int64 // engaged: my vertex's subtree span (empty without one)
+	lo, hi   int64 // staged: the group's contiguous bufOff span
+	vlo, vhi int64 // engaged: the group vertex's subtree span
 }
 
 // putRole is what a rank does with its own pieces in one round.
@@ -130,7 +152,7 @@ func (tr *treeRole) step(r, aggLocal int) roundStep {
 	rr := &tr.rounds[r]
 	treed := tr.t != nil && !tr.collapsed && rr.engaged
 	switch {
-	case treed && tr.diverted:
+	case treed && tr.leader && tr.diverted:
 		return roundStep{role: putVertex, rendezvous: rr.staged, lo: rr.vlo, hi: rr.vhi,
 			to: tr.parentLocal, level: tr.depth, count: true}
 	case rr.staged && tr.leader:
@@ -168,169 +190,156 @@ func (s *span) add(p putPiece) {
 // gapped reports a non-empty span its pieces do not cover exactly.
 func (s span) gapped() bool { return s.total > 0 && s.hi-s.lo != s.total }
 
-// partLeaders builds the tree's leader list for this rank's partition: node
-// groups by run-length over the partition's local-rank order, weighted by
-// the planner's per-member volumes. starts holds each group's first local
-// rank, with a len(members) sentinel appended.
-func (w *Writer) partLeaders(pp *partPlan) (leaders []tree.Leader, starts []int) {
-	for i := 0; i < pp.rankN; i++ {
-		node := w.pc.NodeOfRank(i)
-		if i == 0 || node != w.pc.NodeOfRank(i-1) {
-			leaders = append(leaders, tree.Leader{Node: node})
-			starts = append(starts, i)
-		}
-		if pp.omega != nil {
-			leaders[len(leaders)-1].Bytes += pp.omega[i]
-		}
-	}
-	starts = append(starts, pp.rankN)
-	return leaders, starts
-}
-
-// buildTree synthesizes shape over this rank's partition, or returns nil
-// when the node mapping defeats it or it comes out without interior levels.
-func (w *Writer) buildTree(shape tree.Shape, pp *partPlan) (*tree.Tree, []int) {
-	leaders, starts := w.partLeaders(pp)
-	seen := make(map[int]bool, len(leaders))
-	for _, l := range leaders {
-		if seen[l.Node] {
-			return nil, nil
-		}
-		seen[l.Node] = true
-	}
-	var grouper tree.Grouper
-	if fab := w.c.World().Fabric(); fab != nil {
-		grouper = tree.GrouperOf(fab.Topology())
-	}
-	t := tree.Build(shape, leaders, tree.RootLeader(starts, w.aggLocal), grouper)
-	if t.Levels < 2 {
-		return nil, nil
-	}
-	return t, starts
-}
-
-// setupTree builds this rank's role for a staged shape from the globally
-// shared plan: every member derives the identical per-round decisions
-// without communication. Collective over the partition communicator (every
-// member splits off its node communicator). Returns nil when the rank takes
-// the direct path every round and no interior levels exist.
-func (w *Writer) setupTree(shape tree.Shape) *treeRole {
+// buildStaging builds the partition's staged-shape setup from the shared
+// plan, once for all members. It carves the node communicators in ascending
+// node order (the order a Split colored by node creates them in), groups the members by node in
+// first-appearance order, synthesizes the tree when the shape has interior
+// levels and the node mapping allows one, and scans the partition's pieces
+// once for every group's per-round roles. A group that can never stage, in
+// a partition without interior levels, gets no role: its members put
+// directly every round.
+func (w *Writer) buildStaging(shape tree.Shape, pp *partPlan) *staging {
 	pc := w.pc
-	pp := &w.plan.parts[w.part]
-	nodeComm := pc.SplitNode()
-	myNode := pc.Node()
-	leaderLocal := 0
-	for pc.NodeOfRank(leaderLocal) != myNode {
-		leaderLocal++
+	n := pp.rankN
+	groupOf := make([]int, n)
+	var members [][]int // per group, ascending local ranks
+	index := map[int]int{}
+	for l := 0; l < n; l++ {
+		node := pc.NodeOfRank(l)
+		g, ok := index[node]
+		if !ok {
+			g = len(members)
+			index[node] = g
+			members = append(members, nil)
+		}
+		groupOf[l] = g
+		members[g] = append(members[g], l)
 	}
-	groupSize := pc.NodePeers(pc.Rank())
-	stages := groupSize > 1 && myNode != pc.NodeOfRank(w.aggLocal)
+	ng := len(members)
+	st := &staging{nodeComms: make([]*mpi.Comm, n), roles: make([]*groupRole, n)}
+	byNode := make([]int, ng)
+	for g := range byNode {
+		byNode[g] = g
+	}
+	slices.SortFunc(byNode, func(a, b int) int { return pc.NodeOfRank(members[a][0]) - pc.NodeOfRank(members[b][0]) })
+	for _, g := range byNode {
+		for k, h := range pc.Carve(members[g]) {
+			st.nodeComms[members[g][k]] = h
+		}
+	}
 
 	var t *tree.Tree
-	var starts []int
 	if !shape.Degenerate() {
-		t, starts = w.buildTree(shape, pp)
+		t = w.buildTree(shape, pp, members)
 	}
-	if t == nil && !stages {
-		return nil
-	}
-	tr := &treeRole{nodeComm: nodeComm, leaderLocal: leaderLocal, leader: pc.Rank() == leaderLocal, t: t}
-
-	// The scan covers the whole partition under a tree, one cursor per
-	// member grouped by vertex (group[i] is member i's vertex), else just my
-	// node group's members, all in group 0 (group nil).
-	var group []int
-	var cursors [][]putPiece
-	myGroup := 0
-	if t != nil {
-		tr.fences = t.Levels - 1
-		tr.msgs = make([]int64, t.Levels+1)
-		group = make([]int, pp.rankN)
-		for v := 0; v+1 < len(starts); v++ {
-			for i := starts[v]; i < starts[v+1]; i++ {
-				group[i] = v
-			}
+	aggNode := pc.NodeOfRank(pp.agg)
+	roles := make([]groupRole, ng)
+	stages := make([]bool, ng)
+	for g, ms := range members {
+		stages[g] = len(ms) > 1 && pc.NodeOfRank(ms[0]) != aggNode
+		roles[g].leaderLocal = ms[0]
+		if t == nil {
+			continue
 		}
-		myGroup = group[pc.Rank()]
-		if tr.leader {
-			tr.depth = t.Depth[myGroup]
-			hasChild := false
-			for _, p := range t.Parent {
-				hasChild = hasChild || p == myGroup
-			}
-			tr.diverted = tr.depth >= 1 && (hasChild || tr.depth >= 2)
-			if p := t.Parent[myGroup]; p == t.Root {
-				tr.parentLocal = w.aggLocal
-			} else if p >= 0 {
-				tr.parentLocal = starts[p]
-			}
-		}
-		cursors = make([][]putPiece, pp.rankN)
-		for l := range cursors {
-			cursors[l] = w.plan.piecesOf(pp.rankLo + l)
-		}
-	} else {
-		cursors = make([][]putPiece, 0, groupSize)
-		for l := leaderLocal; len(cursors) < groupSize; l++ {
-			if pc.NodeOfRank(l) == myNode {
-				cursors = append(cursors, w.plan.piecesOf(pp.rankLo+l))
-			}
+		// Every group is one vertex: buildTree requires each node's members
+		// to be one run of local ranks.
+		rl := &roles[g]
+		rl.t, rl.fences, rl.depth = t, t.Levels-1, t.Depth[g]
+		hasChild := slices.Contains(t.Parent, g)
+		rl.diverted = rl.depth >= 1 && (hasChild || rl.depth >= 2)
+		if p := t.Parent[g]; p == t.Root {
+			rl.parentLocal = pp.agg
+		} else if p >= 0 {
+			rl.parentLocal = members[p][0]
 		}
 	}
 
 	// Cursors walk the shared piece arena, rounds ascending. Each piece
 	// folds into its own group's span (the staging contiguity test) and,
-	// under a tree, into every ancestor vertex's subtree span.
-	nv := 1
-	var parent []int
-	if t != nil {
-		nv, parent = len(starts)-1, t.Parent
+	// under a tree, into every ancestor vertex's subtree span. Without a
+	// tree, only the groups that can stage are scanned.
+	cursors := make([][]putPiece, n)
+	for l := range cursors {
+		if t != nil || stages[groupOf[l]] {
+			cursors[l] = w.plan.piecesOf(pp.rankLo + l)
+		}
 	}
-	spans := make([]span, 2*nv)
-	gs, vs := spans[:nv], spans[nv:] // own-group spans, subtree spans
-	tr.rounds = make([]roundRole, pp.rounds)
-	used := t != nil
-	for r := range tr.rounds {
+	rounds := make([]roundRole, ng*pp.rounds)
+	for g := range roles {
+		roles[g].rounds = rounds[g*pp.rounds : (g+1)*pp.rounds]
+	}
+	used := make([]bool, ng)
+	spans := make([]span, 2*ng)
+	gs, vs := spans[:ng], spans[ng:] // own-group spans, subtree spans
+	for r := 0; r < pp.rounds; r++ {
 		clear(spans)
-		for i, pieces := range cursors {
-			g := 0
-			if group != nil {
-				g = group[i]
-			}
+		for l, pieces := range cursors {
+			g := groupOf[l]
 			for len(pieces) > 0 && pieces[0].round == r {
 				p := pieces[0]
 				pieces = pieces[1:]
 				gs[g].add(p)
-				if parent != nil {
-					for a := g; a >= 0; a = parent[a] {
+				if t != nil {
+					for a := g; a >= 0; a = t.Parent[a] {
 						vs[a].add(p)
 					}
 				}
 			}
-			cursors[i] = pieces
+			cursors[l] = pieces
 		}
-		rr := &tr.rounds[r]
-		if g := gs[myGroup]; stages && g.total > 0 && !g.gapped() {
-			rr.staged, rr.lo, rr.hi = true, g.lo, g.hi
-			used = true
+		engaged := t != nil
+		for v := 0; v < ng && engaged; v++ {
+			// Non-root multi-member groups must stage this round or their
+			// members' pieces bypass the tree.
+			engaged = !vs[v].gapped() && (v == t.Root || len(members[v]) < 2 || !gs[v].gapped())
 		}
-		if t != nil {
-			rr.engaged = true
-			for v := 0; v < nv && rr.engaged; v++ {
-				// Non-root multi-member groups must stage this round or
-				// their members' pieces bypass the tree.
-				rr.engaged = !vs[v].gapped() &&
-					(v == t.Root || starts[v+1]-starts[v] < 2 || !gs[v].gapped())
+		for g := range roles {
+			rr := &roles[g].rounds[r]
+			if s := gs[g]; stages[g] && s.total > 0 && !s.gapped() {
+				rr.staged, rr.lo, rr.hi = true, s.lo, s.hi
+				used[g] = true
 			}
-			if tr.leader && vs[myGroup].total > 0 {
-				rr.vlo, rr.vhi = vs[myGroup].lo, vs[myGroup].hi
+			rr.engaged = engaged
+			if v := vs[g]; t != nil && v.total > 0 {
+				rr.vlo, rr.vhi = v.lo, v.hi
 			}
 		}
 	}
-	if !used {
+	for l, g := range groupOf {
+		if t != nil || used[g] {
+			st.roles[l] = &roles[g]
+		}
+	}
+	return st
+}
+
+// buildTree synthesizes shape over the partition's node groups (members, in
+// first-appearance order), weighted by the planner's per-member volumes, or
+// returns nil when the node mapping defeats it — a node whose members are
+// not one run of local ranks — or it comes out without interior levels.
+func (w *Writer) buildTree(shape tree.Shape, pp *partPlan, members [][]int) *tree.Tree {
+	leaders := make([]tree.Leader, len(members))
+	starts := make([]int, 0, len(members)+1)
+	for g, ms := range members {
+		if ms[len(ms)-1]-ms[0] != len(ms)-1 {
+			return nil
+		}
+		leaders[g].Node = w.pc.NodeOfRank(ms[0])
+		for _, l := range ms {
+			leaders[g].Bytes += pp.omega[l]
+		}
+		starts = append(starts, ms[0])
+	}
+	starts = append(starts, pp.rankN)
+	var grouper tree.Grouper
+	if fab := w.c.World().Fabric(); fab != nil {
+		grouper = tree.GrouperOf(fab.Topology())
+	}
+	t := tree.Build(shape, leaders, tree.RootLeader(starts, pp.agg), grouper)
+	if t.Levels < 2 {
 		return nil
 	}
-	return tr
+	return t
 }
 
 // put books one of this rank's pieces for round r: a put into the

@@ -416,9 +416,14 @@ func AblationIntraNode(full bool) Result {
 				RetransmitPenalty: retransmitRTO,
 			}))
 		}
+		// Both arms pin their shape, so an armed -tree shape leaves them be.
+		shape := &tree.Shape{Kind: tree.Flat}
+		if staged {
+			shape = &tree.Shape{Kind: tree.NodeStaged}
+		}
 		j := ioJob{
 			r:   r,
-			cfg: core.Config{Aggregators: aggr, BufferSize: 8 << 20, IntraNodeStaging: staged},
+			cfg: core.Config{Aggregators: aggr, BufferSize: 8 << 20, Tree: shape},
 			declared: func(rank, ranks int) [][]storage.Seg {
 				return [][]storage.Seg{workload.IORSegs(rank, size)}
 			},
@@ -554,22 +559,21 @@ func AblationTree(full bool) Result {
 	}
 	nrows := len(widths)
 	// 6 grid cells per row, plus two degeneracy probes at the widest row:
-	// tree shapes that collapse to the plain pipelines (flat, staged) must
-	// reproduce them exactly.
+	// the degenerate tree shapes (flat, staged), run as independent cells,
+	// must reproduce the flat and staged arms exactly. Every cell pins its
+	// shape, so an armed -tree shape leaves the figure unchanged.
 	cells := make([]out, 6*nrows+2)
 	par.Map(len(cells), func(i int) {
-		row, variant, lossy := 0, 0, false
-		var shape *tree.Shape
-		switch {
-		case i < 6*nrows:
+		row, variant, lossy := nrows-1, i-6*nrows, false
+		if i < 6*nrows {
 			row, variant, lossy = i/6, i%3, i%6 >= 3
-			if variant == 2 {
-				shape = shapes[row]
-			}
-		case i == 6*nrows:
-			row, variant, shape = nrows-1, 0, &tree.Shape{Kind: tree.Flat}
-		default:
-			row, variant, shape = nrows-1, 1, &tree.Shape{Kind: tree.NodeStaged}
+		}
+		shape := shapes[row]
+		switch variant {
+		case 0:
+			shape = &tree.Shape{Kind: tree.Flat}
+		case 1:
+			shape = &tree.Shape{Kind: tree.NodeStaged}
 		}
 		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
 		// Isolate the aggregation phase: an infinitely fast storage tier
@@ -585,10 +589,9 @@ func AblationTree(full bool) Result {
 		j := ioJob{
 			r: r,
 			cfg: core.Config{
-				Aggregators:      nodes / widths[row],
-				BufferSize:       8 << 20,
-				IntraNodeStaging: variant == 1,
-				Tree:             shape,
+				Aggregators: nodes / widths[row],
+				BufferSize:  8 << 20,
+				Tree:        shape,
 			},
 			declared: strided.Declared,
 		}

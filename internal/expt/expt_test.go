@@ -1,8 +1,11 @@
 package expt
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"tapioca/internal/tree"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -173,6 +176,29 @@ func TestExperimentsDeterministic(t *testing.T) {
 			if a.Rows[i].Values[j] != b.Rows[i].Values[j] {
 				t.Fatalf("row %d col %d: %v vs %v", i, j, a.Rows[i].Values[j], b.Rows[i].Values[j])
 			}
+		}
+	}
+}
+
+// TestStagingAblationsIgnoreArmedShape: abl-intranode and abl-tree pin the
+// shape of every cell they run, so arming a tree shape for the whole run
+// (tapiocabench -tree) must leave both figures exactly as they are.
+func TestStagingAblationsIgnoreArmedShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two ablation figures, twice")
+	}
+	fanin, err := tree.ParseShape("fanin:2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"abl-intranode", "abl-tree"} {
+		s := ByID(id)
+		plain := s.Run(false)
+		SetTreeShape(&fanin)
+		armed := s.Run(false)
+		SetTreeShape(nil)
+		if !reflect.DeepEqual(plain, armed) {
+			t.Errorf("%s: armed fanin:2 changed the figure:\nplain: %+v\narmed: %+v", id, plain, armed)
 		}
 	}
 }

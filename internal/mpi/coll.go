@@ -198,8 +198,8 @@ func (c *Comm) Barrier() {
 // overhead. It returns that common release time.
 //
 // Unlike Barrier, this is priced as a shared-memory flag rendezvous, not a
-// tree collective: for communicators produced by SplitNode the members share
-// a coherence domain, so charging ⌈log₂P⌉ rounds of fabric latency would
+// tree collective: for node-scoped communicators (MPI_Comm_split_type with
+// COMM_TYPE_SHARED) the members share a coherence domain, so charging ⌈log₂P⌉ rounds of fabric latency would
 // overprice the synchronization ppn-fold. The intra-node staging leader
 // fences on this before reading members' deposits.
 func (c *Comm) FenceLocal(ready int64) int64 {
@@ -485,13 +485,4 @@ func (c *Comm) Adopt(h *Comm) *Comm {
 // Dup duplicates the communicator (a collective call).
 func (c *Comm) Dup() *Comm {
 	return c.Split(0, c.rank)
-}
-
-// SplitNode splits the communicator into node-scoped sub-communicators:
-// ranks co-located on a node form one, ordered by their rank in c (so rank 0
-// of each node communicator is the node's lowest member — the natural
-// intra-node leader). MPI_Comm_split_type(COMM_TYPE_SHARED) semantics; the
-// intra-node staging plane of two-level aggregation rides on these.
-func (c *Comm) SplitNode() *Comm {
-	return c.Split(c.Node(), c.rank)
 }

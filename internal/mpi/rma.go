@@ -67,15 +67,30 @@ type WinSpan struct {
 // the local window handle. Collective.
 func (c *Comm) WinCreate(size int64) *Win {
 	res := c.collective("mpi:win-create", nil, func(_ []any, maxT int64) (any, int64) {
-		s := &winShared{
-			comm:     c.s,
-			size:     size,
-			fill:     make([]int64, c.Size()),
-			lastFill: make([]int64, c.Size()),
-		}
-		return s, c.TreeCost(maxT, 0)
+		return c.CarveWin(size), c.TreeCost(maxT, 0)
 	})
-	return &Win{s: res.(*winShared), c: c}
+	return c.AdoptWin(res.(*Win))
+}
+
+// CarveWin builds a window exposing size bytes on every rank of c, the way
+// Carve builds a communicator: not collective and free of virtual time, so
+// one rank can build it inside a rendezvous the members already pay for.
+// Each member binds it with AdoptWin before use.
+func (c *Comm) CarveWin(size int64) *Win {
+	return &Win{s: &winShared{
+		comm:     c.s,
+		size:     size,
+		fill:     make([]int64, c.Size()),
+		lastFill: make([]int64, c.Size()),
+	}}
+}
+
+// AdoptWin returns the calling rank's handle on a carved window of c.
+func (c *Comm) AdoptWin(w *Win) *Win {
+	if w.s.comm != c.s {
+		panic(fmt.Sprintf("mpi: adopting a window of comm %d on comm %d", w.s.comm.id, c.s.id))
+	}
+	return &Win{s: w.s, c: c}
 }
 
 // SetCapture enables span capture for verification in tests. Call before

@@ -43,7 +43,7 @@ func Price(m *cost.Model, t *Tree, leaders []Leader, members []cost.Member, root
 	// buffer at memory bandwidth — the same merge terms TwoLevelCost books.
 	// The root's own node group does not stage (its members put straight
 	// into the aggregation window, priced as the root-level local edges
-	// below), matching the data plane's staging exclusion (core.setupTree).
+	// below), matching the data plane's staging exclusion (core.buildStaging).
 	starts := memberStarts(leaders, members)
 	for li, l := range leaders {
 		if l.Node == rootNode || l.Bytes == 0 {
