@@ -564,6 +564,7 @@ func AblationTree(full bool) Result {
 	// shape, so an armed -tree shape leaves the figure unchanged.
 	cells := make([]out, 6*nrows+2)
 	par.Map(len(cells), func(i int) {
+		// The probes (i ≥ 6·nrows) rerun the widest row's flat and staged arms.
 		row, variant, lossy := nrows-1, i-6*nrows, false
 		if i < 6*nrows {
 			row, variant, lossy = i/6, i%3, i%6 >= 3

@@ -199,8 +199,9 @@ func (c *Comm) Barrier() {
 //
 // Unlike Barrier, this is priced as a shared-memory flag rendezvous, not a
 // tree collective: for node-scoped communicators (MPI_Comm_split_type with
-// COMM_TYPE_SHARED) the members share a coherence domain, so charging ⌈log₂P⌉ rounds of fabric latency would
-// overprice the synchronization ppn-fold. The intra-node staging leader
+// COMM_TYPE_SHARED) the members share a coherence domain, so charging
+// ⌈log₂P⌉ rounds of fabric latency would overprice the synchronization
+// ppn-fold. The intra-node staging leader
 // fences on this before reading members' deposits.
 func (c *Comm) FenceLocal(ready int64) int64 {
 	res := c.collective("mpi:fence-local", ready, func(contribs []any, maxT int64) (any, int64) {
