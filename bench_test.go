@@ -13,7 +13,7 @@ package tapioca_test
 // (internal/par) by default, so ns/op here tracks the parallel wall clock;
 // BenchmarkFig10_MicroThetaSerial pins the serial reference. Full-scale runs
 // (the paper's node counts, up to 65,536 simulated ranks) are available
-// through cmd/tapiocabench -full.
+// through cmd/tapiocabench -scale full.
 
 import (
 	"testing"
@@ -24,13 +24,13 @@ import (
 	"tapioca/internal/topology"
 )
 
-// runFigure executes the experiment b.N times and reports the headline
-// metrics extracted by pickCols (indices into the result's series).
-func runFigure(b *testing.B, spec *expt.Spec, tapiocaCol, baselineCol int) {
+// runFigure executes the experiment b.N times under env and reports the
+// headline metrics at the given indices into the result's series.
+func runFigure(b *testing.B, spec *expt.Spec, env expt.Env, tapiocaCol, baselineCol int) {
 	b.Helper()
 	var res expt.Result
 	for i := 0; i < b.N; i++ {
-		res = spec.Run(false)
+		res, _ = spec.Run(env)
 	}
 	last := res.Rows[len(res.Rows)-1]
 	tap := last.Values[tapiocaCol]
@@ -46,26 +46,26 @@ func runFigure(b *testing.B, spec *expt.Spec, tapiocaCol, baselineCol int) {
 // user-tuned MPI-IO (read and write). The "speedup" metric is
 // optimized-write over baseline-write (paper: ~3x at 4 MB).
 func BenchmarkFig07_IORMira(b *testing.B) {
-	runFigure(b, expt.ByID("fig7"), 1, 3)
+	runFigure(b, expt.ByID("fig7"), expt.Env{}, 1, 3)
 }
 
 // BenchmarkFig08_IORTheta regenerates Fig. 8: IOR on Theta, tuned vs
 // platform defaults. Speedup is optimized-write over baseline-write
 // (paper: ~50x on a log-scale figure).
 func BenchmarkFig08_IORTheta(b *testing.B) {
-	runFigure(b, expt.ByID("fig8"), 1, 3)
+	runFigure(b, expt.ByID("fig8"), expt.Env{}, 1, 3)
 }
 
 // BenchmarkFig09_MicroMira regenerates Fig. 9: the micro-benchmark on Mira
 // (paper: TAPIOCA ≈ MPI-IO).
 func BenchmarkFig09_MicroMira(b *testing.B) {
-	runFigure(b, expt.ByID("fig9"), 0, 1)
+	runFigure(b, expt.ByID("fig9"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkFig10_MicroTheta regenerates Fig. 10: the micro-benchmark on
 // Theta (paper: TAPIOCA ~2x at 3.6 MB/rank).
 func BenchmarkFig10_MicroTheta(b *testing.B) {
-	runFigure(b, expt.ByID("fig10"), 0, 1)
+	runFigure(b, expt.ByID("fig10"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkFig10_MicroThetaSerial runs the same grid with the worker pool
@@ -73,9 +73,7 @@ func BenchmarkFig10_MicroTheta(b *testing.B) {
 // (results are identical by construction — see TestParallelRunMatchesSerial
 // in internal/expt).
 func BenchmarkFig10_MicroThetaSerial(b *testing.B) {
-	expt.SetParallelism(1)
-	defer expt.SetParallelism(0)
-	runFigure(b, expt.ByID("fig10"), 0, 1)
+	runFigure(b, expt.ByID("fig10"), expt.Env{Workers: 1}, 0, 1)
 }
 
 // BenchmarkTable1_BufferStripeRatio regenerates Table I: the
@@ -84,7 +82,7 @@ func BenchmarkFig10_MicroThetaSerial(b *testing.B) {
 func BenchmarkTable1_BufferStripeRatio(b *testing.B) {
 	var res expt.Result
 	for i := 0; i < b.N; i++ {
-		res = expt.Table1(false)
+		res = expt.Table1(expt.Env{})
 	}
 	var oneToOne, worst float64
 	for _, row := range res.Rows {
@@ -104,7 +102,7 @@ func BenchmarkTable1_BufferStripeRatio(b *testing.B) {
 // BenchmarkFig11_HACCMira1K regenerates Fig. 11: HACC-IO on Mira, 1,024
 // nodes scale. Speedup is TAPIOCA-AoS over MPI-IO-AoS (paper: up to ~12x).
 func BenchmarkFig11_HACCMira1K(b *testing.B) {
-	runFigure(b, expt.ByID("fig11"), 0, 1)
+	runFigure(b, expt.ByID("fig11"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkFig12_HACCMira4K regenerates Fig. 12: HACC-IO on Mira at 4x the
@@ -113,25 +111,25 @@ func BenchmarkFig12_HACCMira4K(b *testing.B) {
 	if testing.Short() {
 		b.Skip("fig12 runs 8,192 simulated ranks")
 	}
-	runFigure(b, expt.ByID("fig12"), 0, 1)
+	runFigure(b, expt.ByID("fig12"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkFig13_HACCTheta1K regenerates Fig. 13: HACC-IO on Theta
 // (paper: ~7x over MPI-IO at ~1 MB/rank).
 func BenchmarkFig13_HACCTheta1K(b *testing.B) {
-	runFigure(b, expt.ByID("fig13"), 0, 1)
+	runFigure(b, expt.ByID("fig13"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkFig14_HACCTheta2K regenerates Fig. 14: HACC-IO on Theta at 2,048
 // nodes scale (paper: ~4x at 3.6 MB/rank AoS).
 func BenchmarkFig14_HACCTheta2K(b *testing.B) {
-	runFigure(b, expt.ByID("fig14"), 0, 1)
+	runFigure(b, expt.ByID("fig14"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkAblationPlacement quantifies the aggregator placement cost model
 // (aggregation phase isolated; speedup = topology-aware over adversarial).
 func BenchmarkAblationPlacement(b *testing.B) {
-	runFigure(b, expt.ByID("abl-placement"), 0, 3)
+	runFigure(b, expt.ByID("abl-placement"), expt.Env{}, 0, 3)
 }
 
 // BenchmarkAblationPipeline quantifies double buffering on Theta
@@ -139,7 +137,7 @@ func BenchmarkAblationPlacement(b *testing.B) {
 func BenchmarkAblationPipeline(b *testing.B) {
 	var res expt.Result
 	for i := 0; i < b.N; i++ {
-		res = expt.AblationPipeline(false)
+		res = expt.AblationPipeline(expt.Env{})
 	}
 	theta := res.Rows[0]
 	b.ReportMetric(theta.Values[0], "double_GB/s")
@@ -150,7 +148,7 @@ func BenchmarkAblationPipeline(b *testing.B) {
 // BenchmarkAblationDeclaredIO quantifies declared I/O against per-call
 // aggregation on the HACC AoS workload (the paper's Fig. 2 argument).
 func BenchmarkAblationDeclaredIO(b *testing.B) {
-	runFigure(b, expt.ByID("abl-declared"), 0, 1)
+	runFigure(b, expt.ByID("abl-declared"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkAblationAggregators sweeps the aggregator count (reports the
@@ -158,7 +156,7 @@ func BenchmarkAblationDeclaredIO(b *testing.B) {
 func BenchmarkAblationAggregators(b *testing.B) {
 	var res expt.Result
 	for i := 0; i < b.N; i++ {
-		res = expt.AblationAggregators(false)
+		res = expt.AblationAggregators(expt.Env{})
 	}
 	var best float64
 	for _, row := range res.Rows {
@@ -172,7 +170,7 @@ func BenchmarkAblationAggregators(b *testing.B) {
 // BenchmarkAblationContention compares the per-link and endpoint-only
 // network models (storage-bound workloads should agree).
 func BenchmarkAblationContention(b *testing.B) {
-	runFigure(b, expt.ByID("abl-contention"), 0, 1)
+	runFigure(b, expt.ByID("abl-contention"), expt.Env{}, 0, 1)
 }
 
 // BenchmarkAutotune measures the model-driven configuration search itself —
@@ -195,7 +193,7 @@ func BenchmarkAutotune(b *testing.B) {
 // library defaults end to end (the abl-autotune grid): tapioca_GB/s is the
 // tuned write, baseline_GB/s the defaults, speedup their ratio.
 func BenchmarkAutotuneEndToEnd(b *testing.B) {
-	runFigure(b, expt.ByID("abl-autotune"), 1, 0)
+	runFigure(b, expt.ByID("abl-autotune"), expt.Env{}, 1, 0)
 }
 
 // electionMembers spreads nRanks members across a topology's nodes with a

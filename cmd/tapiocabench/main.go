@@ -11,19 +11,27 @@
 //
 // At the default -scale reduced, experiments run at ≈1/4 the paper's nodes
 // (preserving its shapes). -scale full uses the paper's own node counts (up
-// to 65,536 simulated ranks); with -experiment all it runs the registered
-// full-scale variants (fig7-full, fig9-full, fig10-full, fig13-full), each
-// of which completes in minutes on one core. Each figure's independent grid
-// cells execute on a bounded worker pool by default (-parallel); results
-// are identical to the serial order. -json writes one machine-readable file
-// covering every experiment run — including per-figure wall-clock seconds,
-// peak heap bytes, simulated transfer counts, a flight-recorder metrics
-// snapshot, and a per-phase time breakdown — so benchmark trajectories
-// capture simulator speed and footprint, not just simulated GB/s. -trace
-// writes the whole run's flight recording as Chrome trace-event JSON
-// (byte-identical across serial and parallel runs; open in Perfetto), and
-// -phases prints each figure's aggregation/exchange/storage/codec
-// rank-seconds table.
+// to 65,536 simulated ranks); with -experiment all it runs the six
+// registered full-scale variants (fig7-full, fig9-full, fig10-full,
+// fig13-full, abl-intranode-full, abl-tree-full), each of which completes in
+// minutes on one core.
+//
+// The run settings become one expt.Env value that every experiment's Run
+// takes: -scale sets Env.Full; -parallel and -workers set Env.Workers, the
+// width of the worker pool each figure's independent grid cells execute on
+// (results are identical to the serial order); -faults, -recovery, -short
+// and -tree set Env.Faults, Env.NoRecovery, Env.Short and Env.Tree; and
+// -trace, -json and -phases attach an expt.Observer. Each Run returns its
+// own transfer, fabric-message and peak-heap counters.
+//
+// -json writes one machine-readable file covering every experiment run —
+// including per-figure wall-clock seconds, peak heap bytes, simulated
+// transfer counts, a flight-recorder metrics snapshot, and a per-phase time
+// breakdown — so benchmark trajectories capture simulator speed and
+// footprint, not just simulated GB/s. -trace writes the whole run's flight
+// recording as Chrome trace-event JSON (byte-identical across serial and
+// parallel runs; open in Perfetto), and -phases prints each figure's
+// aggregation/exchange/storage/codec rank-seconds table.
 package main
 
 import (
@@ -205,6 +213,10 @@ func run() int {
 	)
 	flag.Parse()
 
+	env := expt.Env{Workers: *workers, NoRecovery: !*recovery, Short: *short}
+	if !*parallel {
+		env.Workers = 1
+	}
 	if *faults != "" {
 		seed, rate, err := parseFaults(*faults)
 		if err != nil {
@@ -212,24 +224,22 @@ func run() int {
 			return 2
 		}
 		cfg := fault.Profile(seed, rate)
-		expt.SetFaultConfig(&cfg)
+		env.Faults = &cfg
 	}
-	expt.SetFaultRecovery(*recovery)
-	expt.SetChaosShort(*short)
 	if *treePlan != "" {
 		sh, err := tree.ParseShape(*treePlan)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "-tree: %v\n", err)
 			return 2
 		}
-		expt.SetTreeShape(&sh)
+		env.Tree = &sh
 	}
 
-	fullScale := *full
+	env.Full = *full
 	switch *scale {
 	case "reduced":
 	case "full":
-		fullScale = true
+		env.Full = true
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -scale %q (want reduced or full)\n", *scale)
 		return 2
@@ -261,12 +271,6 @@ func run() int {
 		}()
 	}
 
-	if *parallel {
-		expt.SetParallelism(*workers)
-	} else {
-		expt.SetParallelism(1)
-	}
-
 	if *list {
 		for _, s := range expt.All() {
 			fmt.Printf("%-16s %s\n", s.ID, s.Title)
@@ -285,7 +289,7 @@ func run() int {
 
 	var specs []expt.Spec
 	if *id == "all" {
-		if fullScale {
+		if env.Full {
 			// The registered full-scale variants: paper node counts, each
 			// finishing in minutes on one core.
 			specs = expt.FullScale()
@@ -305,17 +309,16 @@ func run() int {
 	// metrics/phase side of the recorder (far cheaper). Either way the hot
 	// paths see one nil/bool check per phase boundary.
 	if *trace != "" {
-		expt.StartObservation(true)
+		env.Observer = expt.NewObserver(true)
 	} else if *jsonPath != "" || *phases {
-		expt.StartObservation(false)
+		env.Observer = expt.NewObserver(false)
 	}
 
 	verified := false
 	var verifyStats expt.VerifyStats
 	if *verify {
-		expt.ObserveFigure("verify")
 		var err error
-		if verifyStats, err = expt.VerifyDataPlaneStats(); err != nil {
+		if verifyStats, err = expt.VerifyDataPlaneStats(env); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -329,7 +332,7 @@ func run() int {
 		// The -verify run's own flight-recorder metrics (including the
 		// pipeline/verify wall-clock split and the capture-truncation
 		// count) become a synthetic leading record.
-		if snap := expt.MetricsOf("verify").Snapshot(); !snap.Empty() {
+		if snap := env.Observer.Metrics("verify").Snapshot(); !snap.Empty() {
 			records = append(records, jsonResult{
 				ID:                    "verify",
 				Title:                 "Data-plane round-trip verification (flight-recorder metrics)",
@@ -341,30 +344,20 @@ func run() int {
 		}
 	}
 	for _, s := range specs {
-		expt.ResetTransferCount()
-		expt.ResetFabricMessageCount()
-		expt.ResetPeakHeap()
-		expt.ObserveFigure(s.ID)
 		start := time.Now()
-		res := s.Run(fullScale)
+		res, counts := s.Run(env)
 		elapsed := time.Since(start).Seconds()
-		peak := expt.PeakHeapBytes()
-		transfers := expt.TransferCount()
-		fabricMsgs := expt.FabricMessageCount()
 		fmt.Print(expt.Render(res))
 		fmt.Printf("(wall time %.1fs, %d workers, %d transfers, %d fabric messages, peak heap %.0f MiB)\n",
-			elapsed, expt.Parallelism(), transfers, fabricMsgs, mb(peak))
-		var snap obs.Snapshot
-		if *trace != "" || *jsonPath != "" || *phases {
-			snap = expt.MetricsOf(s.ID).Snapshot()
-		}
+			elapsed, env.Width(), counts.Transfers, counts.FabricMessages, mb(counts.PeakHeapBytes))
+		snap := env.Observer.Metrics(s.ID).Snapshot()
 		if levels, fanin, perLevel := treeStats(&snap); levels > 0 {
 			fmt.Printf("(aggregation tree: %d levels, max fan-in %d, per-level fabric messages %s)\n",
 				levels, fanin, fmtLevels(perLevel))
 		}
 		fmt.Println()
 		if *phases {
-			if tbl := expt.PhaseTable(s.ID); tbl != "" {
+			if tbl := env.Observer.PhaseTable(s.ID); tbl != "" {
 				fmt.Println(tbl)
 			}
 		}
@@ -387,17 +380,17 @@ func run() int {
 				Labels:         res.Labels,
 				Notes:          res.Notes,
 				ElapsedSeconds: elapsed,
-				Workers:        expt.Parallelism(),
-				Transfers:      transfers,
-				FabricMessages: fabricMsgs,
-				PeakHeapBytes:  peak,
+				Workers:        env.Width(),
+				Transfers:      counts.Transfers,
+				FabricMessages: counts.FabricMessages,
+				PeakHeapBytes:  counts.PeakHeapBytes,
 				Verified:       verified,
 			}
 			if verified {
 				rec.VerifyPipelineSeconds = verifyStats.PipelineSeconds
 				rec.VerifyVerifySeconds = verifyStats.VerifySeconds
 			}
-			rec.Phases = expt.PhaseSeconds(s.ID)
+			rec.Phases = env.Observer.PhaseSeconds(s.ID)
 			if !snap.Empty() {
 				rec.Metrics = &snap
 				rec.Faults, rec.Recovery = splitFaultCounters(&snap)
@@ -420,7 +413,7 @@ func run() int {
 		}
 	}
 	if *trace != "" {
-		if err := writeTrace(*trace); err != nil {
+		if err := writeTrace(*trace, env.Observer.Trace()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -452,8 +445,7 @@ func parseFaults(s string) (uint64, float64, error) {
 // writeTrace writes the session's merged flight recording in Chrome
 // trace-event JSON, then re-reads the file and parses it — the trace is only
 // reported as written once it is known to be valid JSON with events in it.
-func writeTrace(path string) error {
-	tr := expt.ObservedTrace()
+func writeTrace(path string, tr *obs.Trace) error {
 	if tr == nil || tr.NumEvents() == 0 {
 		return fmt.Errorf("tapiocabench: no trace events recorded (nothing ran?)")
 	}

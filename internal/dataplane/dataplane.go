@@ -179,7 +179,7 @@ func (pl *Plane) Checksum() uint64 {
 		remaining -= n
 	}
 	crcs := make([]uint64, len(shards))
-	par.Map(len(shards), func(i int) {
+	par.Map(par.Limit(), len(shards), func(i int) {
 		crcs[i] = pl.checksumRange(shards[i].run, shards[i].skip, shards[i].n)
 	})
 	var crc uint64

@@ -24,8 +24,8 @@ import (
 // workloads all candidates cost the same and the strategies tie — the skew
 // is what gives the objective function something to optimize (paper §IV-B:
 // ω(i,A) weights the distances).
-func AblationPlacement(full bool) Result {
-	nodes := pick(full, 1024, 256)
+func AblationPlacement(env Env) Result {
+	nodes := pick(env.Full, 1024, 256)
 	rpn := 16
 	res := Result{
 		ID:     "abl-placement",
@@ -39,9 +39,9 @@ func AblationPlacement(full bool) Result {
 		core.PlacementTwoLevel,
 	}
 	mbs := []float64{1, 2}
-	res.Rows = runGrid(mbs, len(placements), func(row, col int) float64 {
+	res.Rows = runGrid(env, mbs, len(placements), func(row, col int) float64 {
 		base := int64(mbs[row] * (1 << 20) / 2)
-		r := miraRig(nodes, rpn, storage.LockShared)
+		r := miraRig(env, nodes, rpn, storage.LockShared)
 		// Isolate the aggregation phase: an infinitely fast storage
 		// tier exposes what placement does to the network phase
 		// (end-to-end, the storage path hides it — see the note).
@@ -86,11 +86,11 @@ func AblationPlacement(full bool) Result {
 // aggregators on the first nodes; node spread ignores distances) against the
 // cost-model strategies that reuse TAPIOCA's engine (internal/cost) — the
 // first scenario where the tuned ROMIO baseline sees the interconnect.
-func AblationMPIIOPlacement(full bool) Result {
-	nodes := pick(full, 512, 128)
+func AblationMPIIOPlacement(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
-	cb := pick(full, 96, 24)
+	osts := pick(env.Full, 48, 12)
+	cb := pick(env.Full, 96, 24)
 	res := Result{
 		ID:     "abl-mpiio-placement",
 		Title:  fmt.Sprintf("MPI-IO aggregator strategies, IOR write on Theta (%d nodes × %d ranks)", nodes, rpn),
@@ -102,9 +102,9 @@ func AblationMPIIOPlacement(full bool) Result {
 		mpiio.AggrTopologyAware, mpiio.AggrTwoLevel,
 	}
 	mbs := []float64{1, 2}
-	res.Rows = runGrid(mbs, len(strategies), func(row, col int) float64 {
+	res.Rows = runGrid(env, mbs, len(strategies), func(row, col int) float64 {
 		size := int64(mbs[row] * (1 << 20))
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		j := ioJob{
 			r:       r,
 			fileOpt: storage.FileOptions{StripeCount: osts, StripeSize: 8 << 20},
@@ -125,11 +125,11 @@ func AblationMPIIOPlacement(full bool) Result {
 
 // AblationPipeline compares double-buffered aggregation against the
 // single-buffer variant on both platforms.
-func AblationPipeline(full bool) Result {
-	nodesT := pick(full, 512, 128)
-	nodesM := pick(full, 1024, 256)
+func AblationPipeline(env Env) Result {
+	nodesT := pick(env.Full, 512, 128)
+	nodesM := pick(env.Full, 1024, 256)
 	rpn := 16
-	osts := pick(full, 48, 12)
+	osts := pick(env.Full, 48, 12)
 	res := Result{
 		ID:     "abl-pipeline",
 		Title:  "Double vs single aggregation buffer (micro-benchmark, 2 MB/rank)",
@@ -140,18 +140,18 @@ func AblationPipeline(full bool) Result {
 	declared := func(rank, ranks int) [][]storage.Seg {
 		return [][]storage.Seg{workload.IORSegs(rank, size)}
 	}
-	res.Rows = runGrid([]float64{0, 1}, 2, func(row, col int) float64 {
+	res.Rows = runGrid(env, []float64{0, 1}, 2, func(row, col int) float64 {
 		single := col == 1
 		var j ioJob
 		if row == 0 { // Theta
 			j = ioJob{
-				r:       thetaRig(nodesT, rpn, topology.RouteMinimal, osts),
+				r:       thetaRig(env, nodesT, rpn, topology.RouteMinimal, osts),
 				fileOpt: storage.FileOptions{StripeCount: osts, StripeSize: 8 << 20},
 				cfg:     core.Config{Aggregators: osts, BufferSize: 8 << 20, SingleBuffer: single},
 			}
 		} else { // Mira
 			j = ioJob{
-				r:       miraRig(nodesM, rpn, storage.LockShared),
+				r:       miraRig(env, nodesM, rpn, storage.LockShared),
 				subfile: true,
 				cfg:     core.Config{Aggregators: 16, BufferSize: 16 << 20, SingleBuffer: single},
 			}
@@ -165,11 +165,11 @@ func AblationPipeline(full bool) Result {
 // AblationDeclared quantifies the declared-I/O advantage: one Init covering
 // all nine HACC variables versus nine separate sessions (the per-call
 // behaviour of classic collective I/O), AoS layout on Theta.
-func AblationDeclared(full bool) Result {
-	nodes := pick(full, 512, 128)
+func AblationDeclared(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 6)
-	aggr := pick(full, 192, 24)
+	osts := pick(env.Full, 48, 6)
+	aggr := pick(env.Full, 192, 24)
 	res := Result{
 		ID:     "abl-declared",
 		Title:  fmt.Sprintf("Declared I/O vs per-call aggregation, HACC AoS on Theta (%d nodes × %d ranks)", nodes, rpn),
@@ -181,10 +181,10 @@ func AblationDeclared(full bool) Result {
 	for i, particles := range particlesList {
 		xs[i] = float64(particles*workload.ParticleBytes) / (1 << 20)
 	}
-	res.Rows = runGrid(xs, 2, func(row, col int) float64 {
+	res.Rows = runGrid(env, xs, 2, func(row, col int) float64 {
 		particles := particlesList[row]
 		perCall := col == 1
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		var totalBytes int64
 		elapsed, err := r.run(func(c *mpi.Comm, tm *timer) {
 			decl := workload.HACCDeclared(c.Rank(), c.Size(), particles, workload.AoS)
@@ -225,10 +225,10 @@ func AblationDeclared(full bool) Result {
 // AblationAggregators sweeps the aggregator count on the Theta
 // micro-benchmark (the open tuning question the paper cites: how many
 // aggregators collective I/O needs).
-func AblationAggregators(full bool) Result {
-	nodes := pick(full, 512, 128)
+func AblationAggregators(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
+	osts := pick(env.Full, 48, 12)
 	res := Result{
 		ID:     "abl-aggrcount",
 		Title:  fmt.Sprintf("Aggregator count, Theta micro-benchmark (%d nodes × %d ranks, 48 OSTs)", nodes, rpn),
@@ -246,8 +246,8 @@ func AblationAggregators(full bool) Result {
 	for i, aggr := range counts {
 		xs[i] = float64(aggr)
 	}
-	res.Rows = runGrid(xs, 1, func(row, _ int) float64 {
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+	res.Rows = runGrid(env, xs, 1, func(row, _ int) float64 {
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		j := ioJob{
 			r:       r,
 			fileOpt: storage.FileOptions{StripeCount: osts, StripeSize: 8 << 20},
@@ -267,10 +267,10 @@ func AblationAggregators(full bool) Result {
 // simulated sweep over the same search space. The tuner only predicts — it
 // runs zero simulations — yet its pick must be no slower than the defaults
 // and within 10% of the sweep's measured optimum.
-func AblationAutotune(full bool) Result {
-	nodes := pick(full, 512, 128)
+func AblationAutotune(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
+	osts := pick(env.Full, 48, 12)
 	size := int64(1 << 20)
 	w := workload.IOR(nodes*rpn, size)
 	aggs := []int{osts, 2 * osts, 4 * osts, 8 * osts}
@@ -278,7 +278,7 @@ func AblationAutotune(full bool) Result {
 
 	// The tuner prices candidates off a rig's calibration without touching
 	// its resource state; measurements below each use a fresh rig.
-	r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+	r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 	res := tune.Autotune(tune.Platform{
 		Topo:         r.topo,
 		Dist:         r.fab.Distances(),
@@ -292,7 +292,7 @@ func AblationAutotune(full bool) Result {
 	})
 
 	measure := func(cfg core.Config, fopt storage.FileOptions) float64 {
-		rr := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		rr := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		j := ioJob{
 			r:       rr,
 			fileOpt: fopt,
@@ -322,7 +322,7 @@ func AblationAutotune(full bool) Result {
 			cells = append(cells, cell{cfg, advisor.RecommendStripe(w.TotalBytes(), b, a)})
 		}
 	}
-	vals := runCells(len(cells), func(i int) float64 {
+	vals := runCells(env, len(cells), func(i int) float64 {
 		return measure(cells[i].cfg, cells[i].fopt)
 	})
 	defGB, tunedGB := vals[0], vals[1]
@@ -376,10 +376,10 @@ func AblationAutotune(full bool) Result {
 // coalesced messages make the loss draw noisy: one unlucky 8 MB retransmit
 // can erase the expected win, which is itself informative and stays visible
 // in the rows).
-func AblationIntraNode(full bool) Result {
-	nodes := pick(full, 256, 64)
-	osts := pick(full, 48, 12)
-	aggr := pick(full, 32, 16)
+func AblationIntraNode(env Env) Result {
+	nodes := pick(env.Full, 256, 64)
+	osts := pick(env.Full, 48, 12)
+	aggr := pick(env.Full, 32, 16)
 	size := int64(1 << 20)
 	ppns := []int{1, 2, 4, 8, 16}
 	// Lossy-fabric regime: a small per-transfer drop probability with a
@@ -400,9 +400,9 @@ func AblationIntraNode(full bool) Result {
 		msgs int64
 	}
 	cells := make([]out, 4*len(ppns))
-	par.Map(len(cells), func(i int) {
+	par.Map(env.Width(), len(cells), func(i int) {
 		ppn, staged, lossy := ppns[i/4], i%2 == 1, i%4 >= 2
-		r := thetaRig(nodes, ppn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, ppn, topology.RouteMinimal, osts)
 		// Isolate the aggregation phase: an infinitely fast storage tier
 		// exposes what the staging hop does to the network phase.
 		r.sys = storage.NewNullFS()
@@ -486,10 +486,10 @@ func AblationIntraNode(full bool) Result {
 // exactly (identical wall-clock and message counts), and at the widest
 // partition the searched tree must beat both fixed planes on the lossy
 // fabric.
-func AblationTree(full bool) Result {
-	nodes := pick(full, 512, 64)
-	rpn := pick(full, 16, 8)
-	osts := pick(full, 48, 12)
+func AblationTree(env Env) Result {
+	nodes := pick(env.Full, 512, 64)
+	rpn := pick(env.Full, 16, 8)
+	osts := pick(env.Full, 48, 12)
 	widths := []int{16, 32, 64}
 	// Strided small-block workload (the HACC-style interleaved layout): every
 	// rank contributes one small block to every stripe, so every node group
@@ -501,7 +501,7 @@ func AblationTree(full bool) Result {
 	// byte stream dwarfs the per-message penalty, and staged is simply
 	// correct; abl-intranode covers that regime.)
 	blk := int64(16 << 10)
-	nblocks := pick(full, 8, 16)
+	nblocks := pick(env.Full, 8, 16)
 	strided := workload.Pattern{
 		Name:  "strided",
 		Ranks: nodes * rpn,
@@ -532,7 +532,7 @@ func AblationTree(full bool) Result {
 	// pinned grid point so the only open dimension is the tree shape.
 	shapes := make([]*tree.Shape, len(widths))
 	for i, width := range widths {
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		tres := tune.Autotune(tune.Platform{
 			Topo:         r.topo,
 			Dist:         r.fab.Distances(),
@@ -563,7 +563,7 @@ func AblationTree(full bool) Result {
 	// must reproduce the flat and staged arms exactly. Every cell pins its
 	// shape, so an armed -tree shape leaves the figure unchanged.
 	cells := make([]out, 6*nrows+2)
-	par.Map(len(cells), func(i int) {
+	par.Map(env.Width(), len(cells), func(i int) {
 		// The probes (i ≥ 6·nrows) rerun the widest row's flat and staged arms.
 		row, variant, lossy := nrows-1, i-6*nrows, false
 		if i < 6*nrows {
@@ -576,7 +576,7 @@ func AblationTree(full bool) Result {
 		case 1:
 			shape = &tree.Shape{Kind: tree.NodeStaged}
 		}
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		// Isolate the aggregation phase: an infinitely fast storage tier
 		// exposes what the reduction shape does to the network phase.
 		r.sys = storage.NewNullFS()
@@ -630,10 +630,10 @@ func AblationTree(full bool) Result {
 
 // AblationContention compares the per-link and endpoint-only network
 // contention models (a simulator-fidelity knob, not a paper experiment).
-func AblationContention(full bool) Result {
-	nodes := pick(full, 512, 128)
+func AblationContention(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
+	osts := pick(env.Full, 48, 12)
 	res := Result{
 		ID:     "abl-contention",
 		Title:  fmt.Sprintf("Contention models, Theta micro-benchmark (%d nodes × %d ranks)", nodes, rpn),
@@ -642,11 +642,11 @@ func AblationContention(full bool) Result {
 	}
 	size := int64(2 << 20)
 	modes := []int{netsim.ContentionLinks, netsim.ContentionEndpoint}
-	res.Rows = runGrid([]float64{2}, len(modes), func(_, col int) float64 {
+	res.Rows = runGrid(env, []float64{2}, len(modes), func(_, col int) float64 {
 		topo := topology.ThetaDragonfly(nodes, topology.RouteMinimal)
 		fab := netsim.New(topo, netsim.Config{Contention: modes[col]})
 		sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: osts})
-		r := &rig{topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn}
+		r := &rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn}
 		j := ioJob{
 			r:       r,
 			fileOpt: storage.FileOptions{StripeCount: osts, StripeSize: 8 << 20},

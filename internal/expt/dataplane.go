@@ -29,9 +29,9 @@ func DataPlane() []Spec {
 // about what the host pays to carry the bytes. Phase boundaries are barrier
 // release points stamped by rank 0, so each phase's span covers every rank's
 // work in it.
-func DataPlaneFigure(full bool) Result {
+func DataPlaneFigure(env Env) Result {
 	nodes, rpn, particles := 32, 4, int64(2_000)
-	if full {
+	if env.Full {
 		nodes, particles = 64, 8_000
 	}
 	ranks := nodes * rpn
@@ -51,14 +51,14 @@ func DataPlaneFigure(full bool) Result {
 		},
 	}
 	for _, bufSize := range bufSizes {
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, 8)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, 8)
 		cfg := core.Config{Aggregators: 8, BufferSize: bufSize}
 		datas := make([][][]byte, ranks)
 		gots := make([][][]byte, ranks)
 		decls := make([][][]storage.Seg, ranks)
 		var tStart, tWritten, tRead time.Time
 
-		_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: rpn, Fabric: r.fab}, func(c *mpi.Comm) {
+		_, err := r.run(func(c *mpi.Comm, _ *timer) {
 			var f *storage.File
 			if c.Rank() == 0 {
 				f = r.sys.Create("dataplane", storage.FileOptions{StripeCount: 8, StripeSize: 1 << 20})

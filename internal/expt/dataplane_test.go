@@ -6,10 +6,11 @@ import "testing"
 // structure and sanity, not values: every cell must move real bytes and
 // verify them, producing strictly positive throughput in every series.
 func TestDataPlaneFigureSmoke(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("moves real payload bytes at 128 ranks")
 	}
-	res := DataPlaneFigure(false)
+	res := DataPlaneFigure(Env{})
 	if len(res.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -29,10 +30,11 @@ func TestDataPlaneFigureSmoke(t *testing.T) {
 }
 
 func TestVerifyDataPlaneStats(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("runs the full verify scenario")
 	}
-	stats, err := VerifyDataPlaneStats()
+	stats, err := VerifyDataPlaneStats(Env{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,19 +10,24 @@ package expt
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"tapioca/internal/core"
 	"tapioca/internal/fault"
 	"tapioca/internal/mpi"
+	"tapioca/internal/mpiio"
 	"tapioca/internal/netsim"
+	"tapioca/internal/obs"
 	"tapioca/internal/par"
 	"tapioca/internal/sim"
 	"tapioca/internal/storage"
 	"tapioca/internal/topology"
+	"tapioca/internal/tree"
 )
 
 // Result is one regenerated table/figure: rows of X against one bandwidth
@@ -42,11 +47,124 @@ type Row struct {
 	Values []float64
 }
 
+// Env holds one run's settings. The zero Env is the default run: reduced
+// scale, no faults, recovery armed, a GOMAXPROCS-wide worker pool, the
+// default cell budget, no armed tree shape, unobserved. Runs share nothing
+// but the immutable topology cache, so runs with different Envs may execute
+// concurrently in one process.
+type Env struct {
+	// Full runs the paper's node counts instead of the reduced scale.
+	Full bool
+	// Workers bounds the worker pool a figure's grid cells run on: 1 forces
+	// serial execution, <= 0 means GOMAXPROCS. Each cell is an independent
+	// simulation on a fresh platform and rows are assembled by index, so
+	// results are identical at any width.
+	Workers int
+	// Faults arms deterministic fault injection on every rig the run builds
+	// (nil keeps the original zero-fault path).
+	Faults *fault.Config
+	// NoRecovery disarms the recovery machinery (retry, failover,
+	// degraded-mode writes, repair) under Faults.
+	NoRecovery bool
+	// Short shrinks the abl-faults rate sweep to its CI smoke subset.
+	Short bool
+	// Tree is the aggregation-tree shape every cell that does not pin its
+	// own runs with (nil leaves every cell on its configured path).
+	Tree *tree.Shape
+	// CellBudget is the per-cell virtual-time watchdog in nanoseconds; <= 0
+	// means defaultCellBudget.
+	CellBudget int64
+	// Observer collects the run's flight recordings, metrics and phase
+	// totals, keyed by figure id; nil runs unobserved (and pays nothing).
+	Observer *Observer
+
+	label string // the observer label of the run's cells (the spec ID)
+	tally *tally // the run's work counters; nil when nobody reads them
+}
+
+// Width returns the worker-pool width the run's grids use.
+func (e Env) Width() int {
+	if e.Workers > 0 {
+		return e.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// defaultCellBudget is the per-cell virtual-time watchdog: four simulated
+// hours, an order of magnitude past the slowest legitimate full-scale cell.
+// A cell that exceeds it is killed by the engine (sim.BudgetError) and
+// reported as a structured CellError instead of hanging the whole run.
+const defaultCellBudget = 4 * 3600 * 1e9
+
+func (e Env) cellBudget() int64 {
+	if e.CellBudget > 0 {
+		return e.CellBudget
+	}
+	return defaultCellBudget
+}
+
+// Counts are one run's deterministic work counters plus its sampled peak
+// heap.
+type Counts struct {
+	// Transfers counts every simulated transfer the run's measurement cells
+	// booked, intra-node ones included.
+	Transfers int64
+	// FabricMessages counts the inter-node messages among Transfers: the
+	// traffic that crosses fabric links, which intra-node staging collapses
+	// ppn-fold.
+	FabricMessages int64
+	// PeakHeapBytes is the maximum live heap sampled at cell boundaries.
+	PeakHeapBytes uint64
+}
+
+// tally accumulates a run's Counts from concurrently completing cells.
+type tally struct {
+	transfers, fabricMsgs atomic.Int64
+	peakHeap              atomic.Uint64
+}
+
+const heapMetricName = "/memory/classes/heap/objects:bytes"
+
+// add books one finished cell's fabric counters and samples the live heap.
+// The sample is taken inline as the cell completes, while its whole
+// simulated platform is still reachable, so the reading reflects the
+// figure's real footprint; a ticker goroutine's armed runtime timer would
+// measurably slow the simulation's scheduler on a busy machine.
+func (t *tally) add(fab *netsim.Fabric) {
+	if t == nil {
+		return
+	}
+	t.transfers.Add(fab.Transfers())
+	t.fabricMsgs.Add(fab.FabricMessages())
+	s := []metrics.Sample{{Name: heapMetricName}}
+	metrics.Read(s)
+	v := s[0].Value.Uint64()
+	for {
+		cur := t.peakHeap.Load()
+		if v <= cur || t.peakHeap.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // Spec is a runnable experiment.
 type Spec struct {
 	ID    string
 	Title string
-	Run   func(full bool) Result
+	fig   func(Env) Result
+}
+
+// Run regenerates the experiment under env, labelling its observed cells
+// with the spec's ID, and returns the figure with the run's own counters.
+func (s Spec) Run(env Env) (Result, Counts) {
+	t := &tally{}
+	env.label, env.tally = s.ID, t
+	res := s.fig(env)
+	return res, Counts{
+		Transfers:      t.transfers.Load(),
+		FabricMessages: t.fabricMsgs.Load(),
+		PeakHeapBytes:  t.peakHeap.Load(),
+	}
 }
 
 // All lists every experiment in paper order.
@@ -76,13 +194,13 @@ func All() []Spec {
 // FullScale lists the registered full-scale variants: the paper's own node
 // counts (§V — 512–1,024 nodes × 16 ranks and up), runnable on one core in
 // minutes since the message path was flattened. Each variant pins full
-// scale regardless of the scale switch passed to Run. fig10-full and
-// fig13-full exercise the dragonfly/Lustre path, fig7/9-full the BG/Q
-// torus/GPFS path.
+// scale regardless of Env.Full. fig10-full and fig13-full exercise the
+// dragonfly/Lustre path, fig7/9-full the BG/Q torus/GPFS path.
 func FullScale() []Spec {
-	pin := func(run func(bool) Result, id string) func(bool) Result {
-		return func(bool) Result {
-			res := run(true)
+	pin := func(fig func(Env) Result, id string) func(Env) Result {
+		return func(env Env) Result {
+			env.Full = true
+			res := fig(env)
 			res.ID = id
 			return res
 		}
@@ -112,80 +230,15 @@ func ByID(id string) *Spec {
 	return nil
 }
 
-// transferCount accumulates fabric transfers booked by measurement cells
-// (every runIO call), so drivers can report simulated message counts per
-// figure. Atomic: grid cells run on the worker pool.
-var transferCount atomic.Int64
-
-// TransferCount returns the fabric transfers booked by measurement cells
-// since the last ResetTransferCount.
-func TransferCount() int64 { return transferCount.Load() }
-
-// ResetTransferCount zeroes the per-figure transfer counter.
-func ResetTransferCount() { transferCount.Store(0) }
-
-// fabricMsgCount accumulates inter-node fabric messages (transfers whose
-// source and destination nodes differ) booked by measurement cells, so
-// drivers can report how many messages actually crossed fabric links — the
-// quantity intra-node staging collapses ppn-fold. Atomic: grid cells run on
-// the worker pool.
-var fabricMsgCount atomic.Int64
-
-// FabricMessageCount returns the inter-node fabric messages booked by
-// measurement cells since the last ResetFabricMessageCount.
-func FabricMessageCount() int64 { return fabricMsgCount.Load() }
-
-// ResetFabricMessageCount zeroes the per-figure fabric message counter.
-func ResetFabricMessageCount() { fabricMsgCount.Store(0) }
-
-// peakHeap tracks the maximum live heap observed at cell boundaries. The
-// sample is taken inline as each measurement cell completes — while its
-// whole simulated platform is still reachable, so the reading reflects the
-// figure's real footprint — rather than from a ticker goroutine, whose
-// armed runtime timer measurably slows the simulation's scheduler on a
-// busy machine.
-var peakHeap atomic.Uint64
-
-const heapMetricName = "/memory/classes/heap/objects:bytes"
-
-func sampleHeap() {
-	s := []metrics.Sample{{Name: heapMetricName}}
-	metrics.Read(s)
-	v := s[0].Value.Uint64()
-	for {
-		cur := peakHeap.Load()
-		if v <= cur || peakHeap.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// PeakHeapBytes returns the maximum live heap sampled at measurement-cell
-// boundaries since the last ResetPeakHeap.
-func PeakHeapBytes() uint64 { return peakHeap.Load() }
-
-// ResetPeakHeap zeroes the per-figure peak-heap tracker.
-func ResetPeakHeap() { peakHeap.Store(0) }
-
-// SetParallelism bounds the worker pool every Spec.Run uses for its grid
-// cells (and that the autotuner uses for closed-loop probes): n = 1 forces
-// serial execution, n <= 0 restores the default (GOMAXPROCS). Each cell is
-// an independent simulation on a fresh platform, and rows are assembled by
-// index, so results are identical at any setting.
-func SetParallelism(n int) { par.SetLimit(n) }
-
-// Parallelism returns the effective grid worker-pool width.
-func Parallelism() int { return par.Limit() }
-
 // runGrid evaluates a uniform rows×cols grid of independent measurement
 // cells — one fresh simulated platform each — on the bounded worker pool and
 // assembles the rows by index, byte-identical to the serial loop order.
-func runGrid(xs []float64, cols int, cell func(row, col int) float64) []Row {
+func runGrid(env Env, xs []float64, cols int, cell func(row, col int) float64) []Row {
 	rows := make([]Row, len(xs))
 	for i, x := range xs {
 		rows[i] = Row{X: x, Values: make([]float64, cols)}
 	}
-	par.Map(len(xs)*cols, func(i int) {
+	par.Map(env.Width(), len(xs)*cols, func(i int) {
 		rows[i/cols].Values[i%cols] = cell(i/cols, i%cols)
 	})
 	return rows
@@ -194,26 +247,57 @@ func runGrid(xs []float64, cols int, cell func(row, col int) float64) []Row {
 // runCells evaluates n independent cells on the worker pool, returning the
 // values in cell-index order (the flat variant of runGrid, for experiments
 // whose cells do not form a rectangle).
-func runCells(n int, cell func(i int) float64) []float64 {
+func runCells(env Env, n int, cell func(i int) float64) []float64 {
 	out := make([]float64, n)
-	par.Map(n, func(i int) { out[i] = cell(i) })
+	par.Map(env.Width(), n, func(i int) { out[i] = cell(i) })
 	return out
 }
 
 // rig is a fresh simulated platform for one measurement.
 type rig struct {
+	env   Env
 	topo  topology.Topology
 	fab   *netsim.Fabric
 	sys   storage.System
 	nodes int
 	rpn   int
-	// fplan is the cell's deterministic fault plan — non-nil when a fault
-	// config is armed (SetFaultConfig, or the chaos experiment's own plans).
-	// One plan per rig: its consumed-once state never crosses cells.
+	// fplan is the cell's deterministic fault plan — non-nil when the Env
+	// arms faults (or the chaos experiment builds its own plan). One plan
+	// per rig: its consumed-once state never crosses cells.
 	fplan *fault.Plan
+	// record keeps a metrics-only recorder on every run even when the Env is
+	// unobserved; rec is the recorder the last run used (nil if none).
+	record bool
+	rec    *obs.Recorder
 }
 
 func (r *rig) ranks() int { return r.nodes * r.rpn }
+
+// session injects the rig's fault plan (with the default recovery policy
+// unless the Env disarms it) and the Env's tree shape into a TAPIOCA session
+// config. A shape the cell pinned wins; a rig without a plan and an Env
+// without a shape leave cfg untouched — the byte-identical original path.
+func (r *rig) session(cfg core.Config) core.Config {
+	if r.fplan != nil {
+		cfg.Faults = r.fplan
+		if !r.env.NoRecovery {
+			cfg.Recovery = fault.DefaultRecovery()
+		}
+	}
+	if cfg.Tree == nil {
+		cfg.Tree = r.env.Tree
+	}
+	return cfg
+}
+
+// hints mirrors session for the MPI-IO stack: the Env's tree shape rides in
+// as a TreePlan hint unless the cell set one.
+func (r *rig) hints(h mpiio.Hints) mpiio.Hints {
+	if h.TreePlan == "" && r.env.Tree != nil {
+		h.TreePlan = r.env.Tree.String()
+	}
+	return h
+}
 
 // must restores the pre-error-API failure mode for experiment drivers: an
 // I/O session error inside a rank proc is a bug in the figure's setup, and
@@ -264,7 +348,7 @@ func sharedTheta(nodes, routing int) (*topology.Dragonfly, *topology.DistanceCac
 }
 
 // miraRig builds a Mira platform. lockMode selects the GPFS token mode.
-func miraRig(nodes, rpn, lockMode int) *rig {
+func miraRig(env Env, nodes, rpn, lockMode int) *rig {
 	topo, dc := sharedMira(nodes)
 	fab := netsim.New(topo, netsim.Config{
 		Contention: netsim.ContentionLinks,
@@ -272,18 +356,18 @@ func miraRig(nodes, rpn, lockMode int) *rig {
 	})
 	fab.ShareDistances(dc)
 	sys := storage.NewGPFS(topo, fab, storage.GPFSConfig{LockMode: lockMode})
-	return armFaults(&rig{topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})
+	return armFaults(&rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})
 }
 
 // thetaRig builds a Theta platform with the given routing mode and OST
 // population (reduced-scale runs shrink the OST count proportionally so
 // aggregator-per-OST and domain-per-stripe ratios match the paper's).
-func thetaRig(nodes, rpn, routing, numOST int) *rig {
+func thetaRig(env Env, nodes, rpn, routing, numOST int) *rig {
 	topo, dc := sharedTheta(nodes, routing)
 	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
 	fab.ShareDistances(dc)
 	sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: numOST})
-	return armFaults(&rig{topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})
+	return armFaults(&rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})
 }
 
 // measure runs body on the rig and returns the I/O bandwidth in GB/s:
@@ -296,38 +380,35 @@ type timer struct {
 // run executes a job; body gets the comm and a timer whose Start/Stop must
 // bracket the timed phase (rank 0's observations are used — barrier release
 // times are common to all ranks). Every measurement cell funnels through
-// here, so this is where the per-figure instrumentation (transfer count,
-// peak-heap sample) hooks in.
+// here, so this is the one place that applies the Env's watchdog budget,
+// recorder and counters to a simulation.
 func (r *rig) run(body func(c *mpi.Comm, tm *timer)) (float64, error) {
-	defer func() {
-		transferCount.Add(r.fab.Transfers())
-		fabricMsgCount.Add(r.fab.FabricMessages())
-		sampleHeap()
-	}()
-	tm := &timer{}
-	rec := cellRecorder()
+	defer r.env.tally.add(r.fab)
+	r.rec = r.env.Observer.recorder()
+	if r.rec == nil && r.record {
+		r.rec = obs.NewRecorder(false)
+	}
 	// Watchdog: a cell that exceeds the virtual-time budget is killed by the
 	// engine and surfaces as a structured CellError (wrapping
 	// sim.BudgetError) instead of hanging the whole grid.
-	weng := sim.NewEngine()
-	if b := CellBudget(); b > 0 {
-		weng.SetBudget(b)
-	}
-	eng, err := mpi.Run(mpi.Config{
+	eng := sim.NewEngine()
+	eng.SetBudget(r.env.cellBudget())
+	tm := &timer{}
+	_, err := mpi.Run(mpi.Config{
 		Ranks:        r.ranks(),
 		RanksPerNode: r.rpn,
 		Fabric:       r.fab,
-		Engine:       weng,
-		Recorder:     rec,
+		Engine:       eng,
+		Recorder:     r.rec,
 	}, func(c *mpi.Comm) {
 		body(c, tm)
 	})
 	if err != nil {
 		return 0, &CellError{Nodes: r.nodes, Ranks: r.ranks(), Err: err}
 	}
-	if rec != nil {
-		r.fab.SnapshotMetrics(rec.Registry(), eng.Now())
-		observeCell(rec)
+	if r.rec != nil {
+		r.fab.SnapshotMetrics(r.rec.Registry(), eng.Now())
+		r.env.Observer.observe(r.env.label, r.rec)
 	}
 	return sim.ToSeconds(tm.t1 - tm.t0), nil
 }

@@ -9,6 +9,7 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
+	t.Parallel()
 	want := []string{"fig7", "fig8", "fig9", "fig10", "table1", "fig11", "fig12", "fig13", "fig14"}
 	for _, id := range want {
 		if ByID(id) == nil {
@@ -21,6 +22,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRenderAndCSV(t *testing.T) {
+	t.Parallel()
 	res := Result{
 		ID: "x", Title: "T", XLabel: "mb",
 		Labels: []string{"a", "b"},
@@ -41,10 +43,11 @@ func TestRenderAndCSV(t *testing.T) {
 // grids (Figs. 11, 12, 14) are exercised by the benchmarks.
 
 func TestFig8Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	res := Fig8(false)
+	res := Fig8(Env{})
 	for _, row := range res.Rows {
 		optR, optW, baseR, baseW := row.Values[0], row.Values[1], row.Values[2], row.Values[3]
 		if optW < 3*baseW {
@@ -61,10 +64,11 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	res := Fig10(false)
+	res := Fig10(Env{})
 	last := res.Rows[len(res.Rows)-1]
 	if last.Values[0] <= last.Values[1] {
 		t.Errorf("TAPIOCA %v not ahead of MPI-IO %v at the largest size", last.Values[0], last.Values[1])
@@ -77,10 +81,11 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	res := Table1(false)
+	res := Table1(Env{})
 	var peakX float64
 	var peakV float64
 	for _, row := range res.Rows {
@@ -100,10 +105,11 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig13Shape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	res := Fig13(false)
+	res := Fig13(Env{})
 	for _, row := range res.Rows {
 		tapAoS, mpiAoS := row.Values[0], row.Values[1]
 		tapSoA, mpiSoA := row.Values[2], row.Values[3]
@@ -117,10 +123,11 @@ func TestFig13Shape(t *testing.T) {
 }
 
 func TestAblationPipelineShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	res := AblationPipeline(false)
+	res := AblationPipeline(Env{})
 	theta := res.Rows[0]
 	if theta.Values[0] < 1.5*theta.Values[1] {
 		t.Errorf("double buffering %v not >=1.5x single %v on Theta", theta.Values[0], theta.Values[1])
@@ -128,10 +135,11 @@ func TestAblationPipelineShape(t *testing.T) {
 }
 
 func TestAblationDeclaredShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	res := AblationDeclared(false)
+	res := AblationDeclared(Env{})
 	for _, row := range res.Rows {
 		if row.Values[0] < 3*row.Values[1] {
 			t.Errorf("x=%v: declared %v not >>3x per-call %v", row.X, row.Values[0], row.Values[1])
@@ -145,10 +153,11 @@ func TestAblationDeclaredShape(t *testing.T) {
 // exhaustive sweep over the same search space finds — and the pick itself
 // must be deterministic across runs.
 func TestAblationAutotuneShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	res := AblationAutotune(false)
+	res := AblationAutotune(Env{})
 	row := res.Rows[0]
 	def, tuned, sweep := row.Values[0], row.Values[1], row.Values[2]
 	if tuned < def {
@@ -159,18 +168,19 @@ func TestAblationAutotuneShape(t *testing.T) {
 	}
 	// The pick is deterministic: re-running the (simulation-free) search
 	// lands on the identical configuration.
-	again := AblationAutotune(false)
+	again := AblationAutotune(Env{})
 	if res.Notes[0] != again.Notes[0] {
 		t.Errorf("non-deterministic pick:\n%s\n%s", res.Notes[0], again.Notes[0])
 	}
 }
 
 func TestExperimentsDeterministic(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
-	a := Fig10(false)
-	b := Fig10(false)
+	a := Fig10(Env{})
+	b := Fig10(Env{})
 	for i := range a.Rows {
 		for j := range a.Rows[i].Values {
 			if a.Rows[i].Values[j] != b.Rows[i].Values[j] {
@@ -184,6 +194,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 // shape of every cell they run, so arming a tree shape for the whole run
 // (tapiocabench -tree) must leave both figures exactly as they are.
 func TestStagingAblationsIgnoreArmedShape(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("two ablation figures, twice")
 	}
@@ -193,10 +204,8 @@ func TestStagingAblationsIgnoreArmedShape(t *testing.T) {
 	}
 	for _, id := range []string{"abl-intranode", "abl-tree"} {
 		s := ByID(id)
-		plain := s.Run(false)
-		SetTreeShape(&fanin)
-		armed := s.Run(false)
-		SetTreeShape(nil)
+		plain, _ := s.Run(Env{})
+		armed, _ := s.Run(Env{Tree: &fanin})
 		if !reflect.DeepEqual(plain, armed) {
 			t.Errorf("%s: armed fanin:2 changed the figure:\nplain: %+v\narmed: %+v", id, plain, armed)
 		}

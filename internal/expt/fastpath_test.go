@@ -16,8 +16,9 @@ import (
 // disabled (the uncoalesced reference behaviour), every figure must produce
 // a byte-identical Result to the optimized run. The covered subset spans
 // both platforms (torus/GPFS, dragonfly/Lustre), both I/O stacks (TAPIOCA,
-// MPI-IO), reads and writes, and both contention models. Serial runs, so
-// the package-global toggles cannot race with worker cells.
+// MPI-IO), reads and writes, and both contention models. The two toggles
+// are process-wide, so this is the one test in the package that does not
+// run in parallel: Go runs it before it releases the parallel ones.
 func TestFastPathsMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment grid")
@@ -26,8 +27,6 @@ func TestFastPathsMatchReference(t *testing.T) {
 	if raceEnabled {
 		subset = []string{"fig10"}
 	}
-	defer SetParallelism(0)
-	SetParallelism(1)
 	for _, id := range subset {
 		s := ByID(id)
 		if s == nil {
@@ -36,7 +35,7 @@ func TestFastPathsMatchReference(t *testing.T) {
 		t.Run(id, func(t *testing.T) {
 			prevCache := netsim.SetPathCache(false)
 			prevCompact := storage.SetSegCompaction(false)
-			reference := s.Run(false)
+			reference, _ := s.Run(Env{Workers: 1})
 			netsim.SetPathCache(prevCache)
 			storage.SetSegCompaction(prevCompact)
 
@@ -45,12 +44,7 @@ func TestFastPathsMatchReference(t *testing.T) {
 			// that tracing and the fault-plane plumbing perturb nothing on
 			// the zero-fault path.
 			zero := fault.Profile(7, 0)
-			SetFaultConfig(&zero)
-			StartObservation(true)
-			ObserveFigure(id)
-			optimized := s.Run(false)
-			StopObservation()
-			SetFaultConfig(nil)
+			optimized, _ := s.Run(Env{Workers: 1, Faults: &zero, Observer: NewObserver(true)})
 			if !reflect.DeepEqual(reference, optimized) {
 				t.Fatalf("optimized run diverged from uncached/uncompacted reference:\nref: %+v\nopt: %+v", reference, optimized)
 			}
@@ -59,9 +53,7 @@ func TestFastPathsMatchReference(t *testing.T) {
 			// cell through the aggregation-tree config path (and the MPI-IO
 			// TreePlan hint parser), which must collapse to exactly the default
 			// pipeline — byte-identical figures.
-			SetTreeShape(&tree.Shape{Kind: tree.Flat})
-			treed := s.Run(false)
-			SetTreeShape(nil)
+			treed, _ := s.Run(Env{Workers: 1, Tree: &tree.Shape{Kind: tree.Flat}})
 			if !reflect.DeepEqual(reference, treed) {
 				t.Fatalf("degenerate flat tree shape diverged from reference:\nref: %+v\ntree: %+v", reference, treed)
 			}
@@ -76,6 +68,7 @@ func TestFastPathsMatchReference(t *testing.T) {
 // — the point is catching order-of-magnitude regressions of the per-message
 // path, which would blow straight through it.
 func TestFullScaleSmoke(t *testing.T) {
+	t.Parallel()
 	budget := 4 * time.Minute
 	if raceEnabled {
 		budget = 20 * time.Minute // race-built simulations run ~10-20x slower
@@ -85,7 +78,7 @@ func TestFullScaleSmoke(t *testing.T) {
 		t.Fatal("fig10-full not registered")
 	}
 	start := time.Now()
-	res := s.Run(true)
+	res, _ := s.Run(Env{})
 	elapsed := time.Since(start)
 	if elapsed > budget {
 		t.Fatalf("fig10-full took %v, budget %v", elapsed, budget)

@@ -3,67 +3,17 @@ package expt
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"tapioca/internal/core"
 	"tapioca/internal/fault"
 	"tapioca/internal/mpi"
 	"tapioca/internal/netsim"
-	"tapioca/internal/obs"
 	"tapioca/internal/par"
 	"tapioca/internal/sim"
 	"tapioca/internal/storage"
 	"tapioca/internal/topology"
 	"tapioca/internal/workload"
 )
-
-// Package-level fault state behind tapiocabench's -faults flag: when a fault
-// config is armed, every rig built afterwards carries the plan (network
-// degradation on the fabric, transient/outage injection on the storage tier,
-// death/corruption schedules in the pipeline). Nil (the default) leaves every
-// rig on the original zero-fault path, byte-identical to a build without the
-// fault plane.
-var (
-	faultCfgState atomic.Pointer[fault.Config]
-	recoveryOff   atomic.Bool // inverted: zero value means recovery armed
-	chaosShort    atomic.Bool
-	cellBudgetNs  atomic.Int64
-)
-
-// defaultCellBudget is the per-cell virtual-time watchdog: four simulated
-// hours, an order of magnitude past the slowest legitimate full-scale cell.
-// A cell that exceeds it is killed by the engine (sim.BudgetError) and
-// reported as a structured CellError instead of hanging the whole run.
-const defaultCellBudget = 4 * 3600 * 1e9
-
-// SetFaultConfig arms (or, with nil, clears) deterministic fault injection
-// for subsequently built measurement cells.
-func SetFaultConfig(cfg *fault.Config) { faultCfgState.Store(cfg) }
-
-// FaultConfig returns the armed fault config, or nil.
-func FaultConfig() *fault.Config { return faultCfgState.Load() }
-
-// SetFaultRecovery arms or disarms the recovery machinery (retry, failover,
-// degraded-mode writes, repair) under an armed fault config. Default: armed.
-func SetFaultRecovery(on bool) { recoveryOff.Store(!on) }
-
-// FaultRecovery reports whether recovery is armed.
-func FaultRecovery() bool { return !recoveryOff.Load() }
-
-// SetChaosShort shrinks the abl-faults rate sweep to its CI smoke subset.
-func SetChaosShort(on bool) { chaosShort.Store(on) }
-
-// SetCellBudget overrides the per-cell virtual-time watchdog budget in
-// nanoseconds; v <= 0 restores the default.
-func SetCellBudget(v int64) { cellBudgetNs.Store(v) }
-
-// CellBudget returns the effective per-cell virtual-time budget.
-func CellBudget() int64 {
-	if v := cellBudgetNs.Load(); v > 0 {
-		return v
-	}
-	return defaultCellBudget
-}
 
 // CellError wraps a measurement-cell failure with the cell's shape, so a
 // grid run reports which simulation died (watchdog, deadlock, session error)
@@ -79,11 +29,11 @@ func (e *CellError) Error() string {
 
 func (e *CellError) Unwrap() error { return e.Err }
 
-// armFaults attaches the globally armed fault plan (if any) to a fresh rig:
-// one plan per cell, so plan state (op counters, consumed-once corruption
-// keys) never crosses cells and parallel grids stay deterministic.
+// armFaults attaches the Env's fault plan (if any) to a fresh rig: one plan
+// per cell, so plan state (op counters, consumed-once corruption keys) never
+// crosses cells and parallel grids stay deterministic.
 func armFaults(r *rig) *rig {
-	cfg := faultCfgState.Load()
+	cfg := r.env.Faults
 	if cfg == nil || !cfg.Enabled() {
 		return r
 	}
@@ -92,20 +42,6 @@ func armFaults(r *rig) *rig {
 	r.fab.SetFaults(plan)
 	r.sys = storage.NewFaulty(r.sys, plan)
 	return r
-}
-
-// faultConfigFor injects the rig's fault plan (and, when armed, the default
-// recovery policy) into a session config. A rig without a plan returns cfg
-// untouched — the byte-identical zero-fault path.
-func faultConfigFor(r *rig, cfg core.Config) core.Config {
-	if r.fplan == nil {
-		return cfg
-	}
-	cfg.Faults = r.fplan
-	if FaultRecovery() {
-		cfg.Recovery = fault.DefaultRecovery()
-	}
-	return cfg
 }
 
 // Chaos lists the fault-injection experiments. They are registered for
@@ -120,13 +56,13 @@ func Chaos() []Spec {
 // chaosRig builds the chaos platform: a burst-buffer staging tier over
 // Lustre on a Theta dragonfly — the stack with a degraded-mode story (buffer
 // down ⇒ direct-to-PFS).
-func chaosRig(nodes, rpn, numOST int) *rig {
+func chaosRig(env Env, nodes, rpn, numOST int) *rig {
 	topo, dc := sharedTheta(nodes, topology.RouteMinimal)
 	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
 	fab.ShareDistances(dc)
 	lustre := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: numOST})
 	sys := storage.NewBurstBuffer(lustre, storage.BurstBufferConfig{})
-	return &rig{topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn}
+	return armFaults(&rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})
 }
 
 // chaosOut is one chaos cell's measurements.
@@ -140,9 +76,10 @@ type chaosOut struct {
 // chaosCell runs one fault-rate × recovery-mode measurement: an IOR write
 // through the full pipeline on a fresh chaos rig, under its own deterministic
 // fault plan.
-func chaosCell(nodes, rpn, numOST int, rate float64, withRec bool) chaosOut {
+func chaosCell(env Env, nodes, rpn, numOST int, rate float64, withRec bool) chaosOut {
 	const seed = 0x7A910CA
-	r := chaosRig(nodes, rpn, numOST)
+	// The cell arms its own plan in place of any run-wide profile.
+	env.Faults = nil
 	if rate > 0 {
 		fc := fault.Profile(seed, rate)
 		// Take the buffer tier down mid-run (the short cells finish in about
@@ -156,32 +93,16 @@ func chaosCell(nodes, rpn, numOST int, rate float64, withRec bool) chaosOut {
 			// every other fault class.
 			fc.AggrDeathRate = 0
 		}
-		plan := fault.NewPlan(fc)
-		r.fplan = plan
-		r.fab.SetFaults(plan)
-		r.sys = storage.NewFaulty(r.sys, plan)
+		env.Faults = &fc
 	}
+	r := chaosRig(env, nodes, rpn, numOST)
+	// The chaos figure always records: round-latency percentiles and
+	// recovery counters are half its point. (Virtual time is unaffected.)
+	r.record = true
 
 	pattern := workload.IOR(r.ranks(), 1<<20)
-	rec := cellRecorder()
-	if rec == nil {
-		// The chaos figure always records: round-latency percentiles and
-		// recovery counters are half its point. (Virtual time is unaffected.)
-		rec = obs.NewRecorder(false)
-	}
-	eng := sim.NewEngine()
-	if b := CellBudget(); b > 0 {
-		eng.SetBudget(b)
-	}
-	tm := &timer{}
 	var total, lost int64
-	_, err := mpi.Run(mpi.Config{
-		Ranks:        r.ranks(),
-		RanksPerNode: r.rpn,
-		Fabric:       r.fab,
-		Engine:       eng,
-		Recorder:     rec,
-	}, func(c *mpi.Comm) {
+	elapsed, err := r.run(func(c *mpi.Comm, tm *timer) {
 		decl := pattern.Declared(c.Rank(), c.Size())
 		var mine int64
 		for _, segs := range decl {
@@ -203,15 +124,9 @@ func chaosCell(nodes, rpn, numOST int, rate float64, withRec bool) chaosOut {
 			total, lost = sum, lostSum
 		}
 	})
-	if err != nil {
-		panic(&CellError{Nodes: nodes, Ranks: r.ranks(), Err: err})
-	}
-	transferCount.Add(r.fab.Transfers())
-	sampleHeap()
-	r.fab.SnapshotMetrics(rec.Registry(), eng.Now())
-	observeCell(rec)
+	must(err)
 
-	snap := rec.Registry().Snapshot()
+	snap := r.rec.Registry().Snapshot()
 	events := map[string]int64{}
 	for name, v := range snap.Counters {
 		if strings.HasPrefix(name, "fault.") || strings.HasPrefix(name, "recovery.") {
@@ -219,7 +134,7 @@ func chaosCell(nodes, rpn, numOST int, rate float64, withRec bool) chaosOut {
 		}
 	}
 	return chaosOut{
-		goodput: gbps(total-lost, sim.ToSeconds(tm.t1-tm.t0)),
+		goodput: gbps(total-lost, elapsed),
 		p99:     snap.Histograms["tapioca.round_seconds"].P99,
 		lost:    lost,
 		events:  events,
@@ -231,13 +146,13 @@ func chaosCell(nodes, rpn, numOST int, rate float64, withRec bool) chaosOut {
 // armed, plus p99 round latency and recovery-event totals in the notes. All
 // fault schedules are pure functions of (seed, virtual time), so the figure
 // is deterministic, serial or parallel.
-func AblationFaults(full bool) Result {
+func AblationFaults(env Env) Result {
 	nodes, rpn, osts := 32, 4, 8
-	if full {
+	if env.Full {
 		nodes, rpn = 64, 8
 	}
 	rates := []float64{0, 0.02, 0.05, 0.1, 0.2}
-	if chaosShort.Load() {
+	if env.Short {
 		rates = []float64{0, 0.1}
 	}
 	res := Result{
@@ -251,8 +166,8 @@ func AblationFaults(full bool) Result {
 		},
 	}
 	cells := make([]chaosOut, len(rates)*2)
-	par.Map(len(cells), func(i int) {
-		cells[i] = chaosCell(nodes, rpn, osts, rates[i/2], i%2 == 1)
+	par.Map(env.Width(), len(cells), func(i int) {
+		cells[i] = chaosCell(env, nodes, rpn, osts, rates[i/2], i%2 == 1)
 	})
 	for i, rate := range rates {
 		no, with := cells[2*i], cells[2*i+1]

@@ -19,20 +19,25 @@ import (
 
 // TestChaosDeterminism: the abl-faults figure — every cell carrying its own
 // instantiated fault plan — produces a deeply equal Result (rows, notes,
-// recovery-event totals) serial and on a worker pool.
+// recovery-event totals) and identical counters serial and on a worker
+// pool. Its cells count fabric messages like every other figure's: at least
+// one, and never more than the transfers they are part of.
 func TestChaosDeterminism(t *testing.T) {
-	SetChaosShort(true)
-	defer SetChaosShort(false)
-	defer SetParallelism(0)
-	SetParallelism(1)
-	serial := AblationFaults(false)
-	SetParallelism(8)
-	parallel := AblationFaults(false)
+	t.Parallel()
+	s := ByID("abl-faults")
+	serial, sc := s.Run(Env{Short: true, Workers: 1})
+	parallel, pc := s.Run(Env{Short: true, Workers: 8})
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("abl-faults diverged serial vs parallel:\nserial:   %+v\nparallel: %+v", serial, parallel)
 	}
 	if len(serial.Rows) != 2 || len(serial.Rows[0].Values) != 2 {
 		t.Fatalf("short chaos sweep shape: %+v", serial.Rows)
+	}
+	if sc.Transfers != pc.Transfers || sc.FabricMessages != pc.FabricMessages {
+		t.Fatalf("counters diverged: serial %+v, parallel %+v", sc, pc)
+	}
+	if sc.FabricMessages <= 0 || sc.FabricMessages > sc.Transfers {
+		t.Fatalf("abl-faults counted %d fabric messages over %d transfers", sc.FabricMessages, sc.Transfers)
 	}
 }
 
@@ -41,17 +46,14 @@ func TestChaosDeterminism(t *testing.T) {
 // a run with no profile armed at all — the zero-fault path is exactly the
 // original code path.
 func TestZeroRateFaultsByteIdentical(t *testing.T) {
-	defer SetParallelism(0)
-	SetParallelism(1)
+	t.Parallel()
 	s := ByID("abl-pipeline")
 	if s == nil {
 		t.Fatal("unknown spec abl-pipeline")
 	}
-	plain := s.Run(false)
+	plain, _ := s.Run(Env{Workers: 1})
 	cfg := fault.Profile(7, 0)
-	SetFaultConfig(&cfg)
-	defer SetFaultConfig(nil)
-	armed := s.Run(false)
+	armed, _ := s.Run(Env{Workers: 1, Faults: &cfg})
 	if !reflect.DeepEqual(plain, armed) {
 		t.Fatalf("zero-rate fault profile perturbed the figure:\nplain: %+v\narmed: %+v", plain, armed)
 	}
@@ -62,8 +64,7 @@ func TestZeroRateFaultsByteIdentical(t *testing.T) {
 // wrapping the engine's BudgetError — the structured report a grid run
 // prints instead of hanging.
 func TestCellBudgetWatchdog(t *testing.T) {
-	SetCellBudget(1) // 1 ns: any real cell blows through it immediately
-	defer SetCellBudget(0)
+	t.Parallel()
 	var err error
 	func() {
 		defer func() {
@@ -74,7 +75,8 @@ func TestCellBudgetWatchdog(t *testing.T) {
 				}
 			}
 		}()
-		chaosCell(2, 2, 2, 0, true)
+		// 1 ns: any real cell blows through it immediately.
+		chaosCell(Env{CellBudget: 1}, 2, 2, 2, 0, true)
 	}()
 	if err == nil {
 		t.Fatal("cell completed under a 1 ns budget")

@@ -66,7 +66,7 @@ func runIO(j ioJob, method int) (float64, error) {
 		switch method {
 		case methodTapioca:
 			f := openShared(group, j.r.sys, fileName, j.fileOpt)
-			w := core.New(group, j.r.sys, f, treeConfigFor(faultConfigFor(j.r, j.cfg)))
+			w := core.New(group, j.r.sys, f, j.r.session(j.cfg))
 			tm.Start(c)
 			must(w.Init(decl))
 			if j.read {
@@ -76,7 +76,7 @@ func runIO(j ioJob, method int) (float64, error) {
 			}
 			tm.Stop(c)
 		default:
-			fh := mpiio.Open(group, j.r.sys, fileName, j.fileOpt, treeHintsFor(j.hints))
+			fh := mpiio.Open(group, j.r.sys, fileName, j.fileOpt, j.r.hints(j.hints))
 			tm.Start(c)
 			for _, segs := range decl {
 				if j.read {
@@ -124,8 +124,8 @@ var haccParticles = []int64{5000, 10000, 25000, 50000, 100000}
 // Fig7 reproduces the Mira IOR tuning study: baseline (exclusive GPFS
 // tokens, unaligned domains) vs optimized (shared locks, aligned domains),
 // read and write, file per Pset.
-func Fig7(full bool) Result {
-	nodes := pick(full, 512, 128)
+func Fig7(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
 	res := Result{
 		ID:     "fig7",
@@ -143,10 +143,10 @@ func Fig7(full bool) Result {
 		{storage.LockExclusive, false, true},
 		{storage.LockExclusive, false, false},
 	}
-	res.Rows = runGrid(iorSizesMB, len(variants), func(row, col int) float64 {
+	res.Rows = runGrid(env, iorSizesMB, len(variants), func(row, col int) float64 {
 		size := int64(iorSizesMB[row] * (1 << 20))
 		variant := variants[col]
-		r := miraRig(nodes, rpn, variant.lockMode)
+		r := miraRig(env, nodes, rpn, variant.lockMode)
 		j := ioJob{
 			r:       r,
 			subfile: true,
@@ -171,11 +171,11 @@ func Fig7(full bool) Result {
 // Fig8 reproduces the Theta IOR tuning study: baseline (1 OST, 1 MB
 // stripes, adaptive routing) vs optimized (48 OSTs, 8 MB stripes, minimal
 // routing, 2 aggregators per OST, aligned domains).
-func Fig8(full bool) Result {
-	nodes := pick(full, 512, 128)
+func Fig8(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
-	cb := pick(full, 96, 24)
+	osts := pick(env.Full, 48, 12)
+	cb := pick(env.Full, 96, 24)
 	res := Result{
 		ID:     "fig8",
 		Title:  fmt.Sprintf("IOR on Theta (%d nodes × %d ranks)", nodes, rpn),
@@ -186,7 +186,7 @@ func Fig8(full bool) Result {
 		optimized bool
 		read      bool
 	}{{true, true}, {true, false}, {false, true}, {false, false}}
-	res.Rows = runGrid(iorSizesMB, len(variants), func(row, col int) float64 {
+	res.Rows = runGrid(env, iorSizesMB, len(variants), func(row, col int) float64 {
 		size := int64(iorSizesMB[row] * (1 << 20))
 		variant := variants[col]
 		routing := topology.RouteValiant
@@ -197,7 +197,7 @@ func Fig8(full bool) Result {
 			fileOpt = storage.FileOptions{StripeCount: osts, StripeSize: 8 << 20}
 			hints = mpiio.Hints{CBNodes: cb, CBBufferSize: 8 << 20, Strategy: mpiio.AggrNodeSpread, AlignDomains: true, CyclicDomains: true}
 		}
-		r := thetaRig(nodes, rpn, routing, osts)
+		r := thetaRig(env, nodes, rpn, routing, osts)
 		j := ioJob{
 			r:       r,
 			fileOpt: fileOpt,
@@ -217,8 +217,8 @@ func Fig8(full bool) Result {
 // Fig9 compares TAPIOCA and MPI-IO with the micro-benchmark on Mira
 // (expected: parity — the pattern is uniform and the BG/Q MPI-IO stack is
 // well tuned).
-func Fig9(full bool) Result {
-	nodes := pick(full, 1024, 256)
+func Fig9(env Env) Result {
+	nodes := pick(env.Full, 1024, 256)
 	rpn := 16
 	res := Result{
 		ID:     "fig9",
@@ -227,9 +227,9 @@ func Fig9(full bool) Result {
 		Labels: []string{"TAPIOCA", "MPI-IO"},
 	}
 	methods := []int{methodTapioca, methodMPIIO}
-	res.Rows = runGrid(microSizesMB, len(methods), func(row, col int) float64 {
+	res.Rows = runGrid(env, microSizesMB, len(methods), func(row, col int) float64 {
 		size := int64(microSizesMB[row] * (1 << 20))
-		r := miraRig(nodes, rpn, storage.LockShared)
+		r := miraRig(env, nodes, rpn, storage.LockShared)
 		j := ioJob{
 			r:       r,
 			subfile: true,
@@ -250,12 +250,12 @@ func Fig9(full bool) Result {
 
 // Fig10 compares TAPIOCA and MPI-IO with the micro-benchmark on Theta
 // (expected: TAPIOCA ~2x at the largest size).
-func Fig10(full bool) Result {
-	nodes := pick(full, 512, 128)
+func Fig10(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
-	aggr := pick(full, 48, 12)
-	cb := pick(full, 96, 24)
+	osts := pick(env.Full, 48, 12)
+	aggr := pick(env.Full, 48, 12)
+	cb := pick(env.Full, 96, 24)
 	res := Result{
 		ID:     "fig10",
 		Title:  fmt.Sprintf("Micro-benchmark on Theta (%d nodes × %d ranks), 48 OSTs, 8 MB stripes", nodes, rpn),
@@ -264,9 +264,9 @@ func Fig10(full bool) Result {
 	}
 	fileOpt := storage.FileOptions{StripeCount: osts, StripeSize: 8 << 20}
 	methods := []int{methodTapioca, methodMPIIO}
-	res.Rows = runGrid(microSizesMB, len(methods), func(row, col int) float64 {
+	res.Rows = runGrid(env, microSizesMB, len(methods), func(row, col int) float64 {
 		size := int64(microSizesMB[row] * (1 << 20))
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		j := ioJob{
 			r:       r,
 			fileOpt: fileOpt,
@@ -288,11 +288,11 @@ func Fig10(full bool) Result {
 // Table1 reproduces the buffer:stripe ratio study: TAPIOCA micro-benchmark
 // writes on Theta with varying stripe sizes per aggregation buffer size;
 // the 1:1 ratio must win.
-func Table1(full bool) Result {
-	nodes := pick(full, 512, 128)
+func Table1(env Env) Result {
+	nodes := pick(env.Full, 512, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
-	aggr := pick(full, 48, 12)
+	osts := pick(env.Full, 48, 12)
+	aggr := pick(env.Full, 48, 12)
 	res := Result{
 		ID:     "table1",
 		Title:  fmt.Sprintf("Buffer:stripe ratio on Theta (%d nodes × %d ranks), TAPIOCA writes", nodes, rpn),
@@ -308,11 +308,11 @@ func Table1(full bool) Result {
 	}
 	const sizePerRank = 1 << 20
 	buffers := []int64{4 << 20, 8 << 20, 16 << 20}
-	vals := runCells(len(ratios)*len(buffers), func(i int) float64 {
+	vals := runCells(env, len(ratios)*len(buffers), func(i int) float64 {
 		ratio := ratios[i/len(buffers)]
 		buf := buffers[i%len(buffers)]
 		stripe := buf * ratio.den / ratio.num
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		j := ioJob{
 			r:       r,
 			fileOpt: storage.FileOptions{StripeCount: osts, StripeSize: stripe},
@@ -339,7 +339,7 @@ func Table1(full bool) Result {
 
 // haccResult runs the HACC-IO comparison grid (TAPIOCA vs MPI-IO × AoS vs
 // SoA) on the given platform builder.
-func haccResult(id, title string, particlesList []int64, run func(layout int, particles int64, method int) float64) Result {
+func haccResult(env Env, id, title string, particlesList []int64, run func(layout int, particles int64, method int) float64) Result {
 	res := Result{
 		ID:     id,
 		Title:  title,
@@ -358,7 +358,7 @@ func haccResult(id, title string, particlesList []int64, run func(layout int, pa
 	for i, particles := range particlesList {
 		xs[i] = float64(particles*workload.ParticleBytes) / (1 << 20)
 	}
-	res.Rows = runGrid(xs, len(cells), func(row, col int) float64 {
+	res.Rows = runGrid(env, xs, len(cells), func(row, col int) float64 {
 		return run(cells[col].layout, particlesList[row], cells[col].method)
 	})
 	return res
@@ -366,9 +366,9 @@ func haccResult(id, title string, particlesList []int64, run func(layout int, pa
 
 // haccMira runs one HACC-IO cell on Mira (file per Pset, 16 aggregators and
 // 16 MB buffers per Pset, as in Figs. 11–12).
-func haccMira(nodes, rpn int) func(layout int, particles int64, method int) float64 {
+func haccMira(env Env, nodes, rpn int) func(layout int, particles int64, method int) float64 {
 	return func(layout int, particles int64, method int) float64 {
-		r := miraRig(nodes, rpn, storage.LockShared)
+		r := miraRig(env, nodes, rpn, storage.LockShared)
 		j := ioJob{
 			r:       r,
 			subfile: true,
@@ -386,32 +386,32 @@ func haccMira(nodes, rpn int) func(layout int, particles int64, method int) floa
 }
 
 // Fig11 is HACC-IO on 1,024 Mira nodes.
-func Fig11(full bool) Result {
-	nodes := pick(full, 1024, 256)
+func Fig11(env Env) Result {
+	nodes := pick(env.Full, 1024, 256)
 	rpn := 16
-	res := haccResult("fig11",
+	res := haccResult(env, "fig11",
 		fmt.Sprintf("HACC-IO on Mira (%d nodes × %d ranks), file per Pset", nodes, rpn),
-		haccParticles, haccMira(nodes, rpn))
+		haccParticles, haccMira(env, nodes, rpn))
 	res.Notes = append(res.Notes, "paper: TAPIOCA up to ~12x MPI-IO AoS at small sizes; ~90% of the Pset peak")
 	return res
 }
 
 // Fig12 is HACC-IO on 4,096 Mira nodes.
-func Fig12(full bool) Result {
-	nodes := pick(full, 4096, 512)
+func Fig12(env Env) Result {
+	nodes := pick(env.Full, 4096, 512)
 	rpn := 16
-	res := haccResult("fig12",
+	res := haccResult(env, "fig12",
 		fmt.Sprintf("HACC-IO on Mira (%d nodes × %d ranks), file per Pset", nodes, rpn),
-		haccParticles, haccMira(nodes, rpn))
+		haccParticles, haccMira(env, nodes, rpn))
 	res.Notes = append(res.Notes, "paper: same shape at 4x scale; peak ~89.6 GB/s on 32 Psets")
 	return res
 }
 
 // haccTheta runs one HACC-IO cell on Theta (shared file, 48 OSTs, 16 MB
 // stripes, aggr aggregators with 16 MB buffers, as in Figs. 13–14).
-func haccTheta(nodes, rpn, aggr, osts int) func(layout int, particles int64, method int) float64 {
+func haccTheta(env Env, nodes, rpn, aggr, osts int) func(layout int, particles int64, method int) float64 {
 	return func(layout int, particles int64, method int) float64 {
-		r := thetaRig(nodes, rpn, topology.RouteMinimal, osts)
+		r := thetaRig(env, nodes, rpn, topology.RouteMinimal, osts)
 		j := ioJob{
 			r:       r,
 			fileOpt: storage.FileOptions{StripeCount: osts, StripeSize: 16 << 20},
@@ -429,27 +429,27 @@ func haccTheta(nodes, rpn, aggr, osts int) func(layout int, particles int64, met
 }
 
 // Fig13 is HACC-IO on 1,024 Theta nodes (192 aggregators: 4 per OST).
-func Fig13(full bool) Result {
-	nodes := pick(full, 1024, 128)
+func Fig13(env Env) Result {
+	nodes := pick(env.Full, 1024, 128)
 	rpn := 16
-	osts := pick(full, 48, 12)
-	aggr := pick(full, 192, 48)
-	res := haccResult("fig13",
+	osts := pick(env.Full, 48, 12)
+	aggr := pick(env.Full, 192, 48)
+	res := haccResult(env, "fig13",
 		fmt.Sprintf("HACC-IO on Theta (%d nodes × %d ranks), %d OSTs, 16 MB stripes", nodes, rpn, osts),
-		haccParticles, haccTheta(nodes, rpn, aggr, osts))
+		haccParticles, haccTheta(env, nodes, rpn, aggr, osts))
 	res.Notes = append(res.Notes, "paper: TAPIOCA ~7x MPI-IO at ~1 MB/rank; gap narrows with size")
 	return res
 }
 
 // Fig14 is HACC-IO on 2,048 Theta nodes (384 aggregators: 8 per OST).
-func Fig14(full bool) Result {
-	nodes := pick(full, 2048, 256)
+func Fig14(env Env) Result {
+	nodes := pick(env.Full, 2048, 256)
 	rpn := 16
-	osts := pick(full, 48, 12)
-	aggr := pick(full, 384, 96)
-	res := haccResult("fig14",
+	osts := pick(env.Full, 48, 12)
+	aggr := pick(env.Full, 384, 96)
+	res := haccResult(env, "fig14",
 		fmt.Sprintf("HACC-IO on Theta (%d nodes × %d ranks), %d OSTs, 16 MB stripes", nodes, rpn, osts),
-		haccParticles, haccTheta(nodes, rpn, aggr, osts))
+		haccParticles, haccTheta(env, nodes, rpn, aggr, osts))
 	res.Notes = append(res.Notes, "paper: TAPIOCA ~4x MPI-IO at 3.6 MB/rank AoS")
 	return res
 }

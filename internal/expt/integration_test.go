@@ -63,6 +63,7 @@ func verifyJob(t *testing.T, r *rig, subfile bool, fileOpt storage.FileOptions,
 }
 
 func TestEndToEndCoverageMatrix(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("integration")
 	}
@@ -98,11 +99,11 @@ func TestEndToEndCoverageMatrix(t *testing.T) {
 		for _, method := range []int{methodTapioca, methodMPIIO} {
 			mname := map[int]string{methodTapioca: "tapioca", methodMPIIO: "mpiio"}[method]
 			t.Run(wl.name+"/"+mname+"/mira", func(t *testing.T) {
-				r := miraRig(256, 1, storage.LockShared)
+				r := miraRig(Env{}, 256, 1, storage.LockShared)
 				verifyJob(t, r, true, storage.FileOptions{}, method, wl.declared, wl.bytes)
 			})
 			t.Run(wl.name+"/"+mname+"/theta", func(t *testing.T) {
-				r := thetaRig(64, 2, topology.RouteMinimal, 8)
+				r := thetaRig(Env{}, 64, 2, topology.RouteMinimal, 8)
 				verifyJob(t, r, false, storage.FileOptions{StripeCount: 8, StripeSize: 1 << 18}, method, wl.declared, wl.bytes)
 			})
 		}
@@ -110,11 +111,12 @@ func TestEndToEndCoverageMatrix(t *testing.T) {
 }
 
 func TestEndToEndMesh2D(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("integration")
 	}
 	mesh := workload.Mesh2D{P: 8, Q: 16, TileRows: 16, TileCols: 64, ElemSize: 8}
-	r := thetaRig(64, 2, topology.RouteMinimal, 8)
+	r := thetaRig(Env{}, 64, 2, topology.RouteMinimal, 8)
 	verifyJob(t, r, false, storage.FileOptions{StripeCount: 8, StripeSize: 1 << 18}, methodTapioca,
 		func(rank, ranks int) [][]storage.Seg { return [][]storage.Seg{mesh.Segs(rank)} },
 		func(ranks int) int64 { return mesh.Bytes() })

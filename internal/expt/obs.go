@@ -5,31 +5,41 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"tapioca/internal/obs"
 )
 
-// observer is the package-level observation session behind tapiocabench
-// -trace/-phases/-json metrics: every measurement cell that funnels through
-// rig.run contributes one per-cell recorder, merged here. All merge
-// operations (Trace.AddCell, Registry.MergeFrom, PhaseTotals.Add) are
+// Observer is the observation session behind tapiocabench
+// -trace/-phases/-json metrics: every measurement cell of a run it observes
+// contributes one per-cell recorder, merged here under the run's figure id,
+// so one Observer can serve many runs. All merge operations
+// (Trace.AddCell, Registry.MergeFrom, PhaseTotals.Add) are
 // order-independent, so parallel grid execution produces byte-identical
 // output.
-type observer struct {
+type Observer struct {
 	trace bool
 	tr    *obs.Trace
 
 	mu     sync.Mutex
-	label  string
-	order  []string
 	phases map[string]*obs.PhaseTotals
 	regs   map[string]*obs.Registry
 }
 
+// NewObserver starts an observation session. With trace true, cells also
+// record full event streams (merged by Trace); with trace false only
+// metrics and phase totals accumulate (the cheap -json/-phases mode).
+func NewObserver(trace bool) *Observer {
+	return &Observer{
+		trace:  trace,
+		tr:     obs.NewTrace(),
+		phases: map[string]*obs.PhaseTotals{},
+		regs:   map[string]*obs.Registry{},
+	}
+}
+
 // registryOf returns the label's metrics registry, creating it on first use.
 // Callers must hold o.mu.
-func (o *observer) registryOf(label string) *obs.Registry {
+func (o *Observer) registryOf(label string) *obs.Registry {
 	reg := o.regs[label]
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -38,63 +48,25 @@ func (o *observer) registryOf(label string) *obs.Registry {
 	return reg
 }
 
-var obsState atomic.Pointer[observer]
-
-// StartObservation begins an observation session, replacing any previous
-// one. With trace true, cells also record full event streams (merged by
-// ObservedTrace); with trace false only metrics and phase totals accumulate
-// (the cheap -json/-phases mode).
-func StartObservation(trace bool) {
-	obsState.Store(&observer{
-		trace:  trace,
-		tr:     obs.NewTrace(),
-		phases: map[string]*obs.PhaseTotals{},
-		regs:   map[string]*obs.Registry{},
-	})
-}
-
-// StopObservation ends the observation session; subsequent runs are
-// unobserved (and pay nothing).
-func StopObservation() { obsState.Store(nil) }
-
-// Observing reports whether an observation session is active.
-func Observing() bool { return obsState.Load() != nil }
-
-// ObserveFigure labels subsequently run cells with a figure id (trace cell
-// grouping and the per-figure phase table). Call between figures, never
-// while one is running.
-func ObserveFigure(id string) {
-	if o := obsState.Load(); o != nil {
-		o.mu.Lock()
-		o.label = id
-		o.mu.Unlock()
-	}
-}
-
-// cellRecorder returns a fresh per-cell recorder, or nil when no
-// observation session is active.
-func cellRecorder() *obs.Recorder {
-	o := obsState.Load()
+// recorder returns a fresh per-cell recorder, or nil on a nil Observer.
+func (o *Observer) recorder() *obs.Recorder {
 	if o == nil {
 		return nil
 	}
 	return obs.NewRecorder(o.trace)
 }
 
-// observeCell folds one completed cell into the session. Goroutine-safe
-// (cells run on the worker pool).
-func observeCell(rec *obs.Recorder) {
-	o := obsState.Load()
-	if o == nil || rec == nil {
+// observe folds one completed cell into the session under label. Safe on a
+// nil Observer, and goroutine-safe (cells run on the worker pool).
+func (o *Observer) observe(label string, rec *obs.Recorder) {
+	if o == nil {
 		return
 	}
 	o.mu.Lock()
-	label := o.label
 	pt := o.phases[label]
 	if pt == nil {
 		pt = &obs.PhaseTotals{}
 		o.phases[label] = pt
-		o.order = append(o.order, label)
 	}
 	pt.Add(rec.PhaseTotals())
 	reg := o.registryOf(label)
@@ -103,59 +75,29 @@ func observeCell(rec *obs.Recorder) {
 	reg.MergeFrom(rec.Registry())
 }
 
-// ObservedTrace returns the session's merged trace, or nil when not tracing.
-func ObservedTrace() *obs.Trace {
-	o := obsState.Load()
-	if o == nil || !o.trace {
+// Trace returns the session's merged trace, or nil when not tracing.
+func (o *Observer) Trace() *obs.Trace {
+	if !o.trace {
 		return nil
 	}
 	return o.tr
 }
 
-// ObservedMetrics returns the metrics registry for the currently observed
-// label (nil when no session is active; Registry methods are nil-safe).
-func ObservedMetrics() *obs.Registry {
-	o := obsState.Load()
+// Metrics returns a figure's merged metrics registry, created empty on first
+// use; nil on a nil Observer (Registry methods are nil-safe).
+func (o *Observer) Metrics(id string) *obs.Registry {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.registryOf(o.label)
+	return o.registryOf(id)
 }
 
-// MetricsOf returns a figure's merged metrics registry, or nil if the figure
-// reported none (Registry methods are nil-safe).
-func MetricsOf(id string) *obs.Registry {
-	o := obsState.Load()
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.regs[id]
-}
-
-// PhaseFigures returns the figure ids that have reported phase time, in
-// first-run order.
-func PhaseFigures() []string {
-	o := obsState.Load()
-	if o == nil {
-		return nil
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return append([]string(nil), o.order...)
-}
-
-// PhaseTotalsOf returns a figure's accumulated phase breakdown (rank-time:
+// PhaseTotals returns a figure's accumulated phase breakdown (rank-time:
 // every rank's virtual seconds in each phase, summed over the figure's
 // cells).
-func PhaseTotalsOf(id string) obs.PhaseTotals {
-	o := obsState.Load()
-	if o == nil {
-		return obs.PhaseTotals{}
-	}
+func (o *Observer) PhaseTotals(id string) obs.PhaseTotals {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if pt := o.phases[id]; pt != nil {
@@ -166,8 +108,8 @@ func PhaseTotalsOf(id string) obs.PhaseTotals {
 
 // PhaseSeconds returns a figure's phase breakdown as a name→seconds map
 // (the -json shape).
-func PhaseSeconds(id string) map[string]float64 {
-	pt := PhaseTotalsOf(id)
+func (o *Observer) PhaseSeconds(id string) map[string]float64 {
+	pt := o.PhaseTotals(id)
 	if pt.Empty() {
 		return nil
 	}
@@ -181,8 +123,8 @@ func PhaseSeconds(id string) map[string]float64 {
 // PhaseTable renders one figure's phase breakdown as an aligned text table
 // row block — the paper's stacked-bar analyses in text form. Values are
 // rank-seconds (virtual), with each phase's share of the total.
-func PhaseTable(id string) string {
-	pt := PhaseTotalsOf(id)
+func (o *Observer) PhaseTable(id string) string {
+	pt := o.PhaseTotals(id)
 	if pt.Empty() {
 		return ""
 	}

@@ -38,6 +38,7 @@ func stripHost(s obs.Snapshot) obs.Snapshot {
 // identical phase totals — and observation does not change the figure's
 // measured results.
 func TestTraceDeterminism(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
@@ -45,14 +46,7 @@ func TestTraceDeterminism(t *testing.T) {
 	if s == nil {
 		t.Fatal("unknown spec abl-pipeline")
 	}
-	defer SetParallelism(0)
-	defer StopObservation()
-
-	baseline := func() Result {
-		SetParallelism(1)
-		StopObservation()
-		return s.Run(false)
-	}()
+	baseline, _ := s.Run(Env{Workers: 1})
 
 	type capture struct {
 		res    Result
@@ -62,12 +56,9 @@ func TestTraceDeterminism(t *testing.T) {
 		table  string
 	}
 	runObserved := func(workers int) capture {
-		SetParallelism(workers)
-		StartObservation(true)
-		defer StopObservation()
-		ObserveFigure(s.ID)
-		res := s.Run(false)
-		tr := ObservedTrace()
+		o := NewObserver(true)
+		res, _ := s.Run(Env{Workers: workers, Observer: o})
+		tr := o.Trace()
 		if tr == nil || tr.NumEvents() == 0 {
 			t.Fatal("no trace recorded")
 		}
@@ -81,9 +72,9 @@ func TestTraceDeterminism(t *testing.T) {
 		return capture{
 			res:    res,
 			trace:  buf.Bytes(),
-			snap:   stripHost(MetricsOf(s.ID).Snapshot()),
-			phases: PhaseTotalsOf(s.ID),
-			table:  PhaseTable(s.ID),
+			snap:   stripHost(o.Metrics(s.ID).Snapshot()),
+			phases: o.PhaseTotals(s.ID),
+			table:  o.PhaseTable(s.ID),
 		}
 	}
 
@@ -159,17 +150,16 @@ func relDiff(a, b float64) float64 {
 // pipeline/verify wall-clock split and the capture-truncation counter in the
 // metrics registry.
 func TestObservedVerifyMetrics(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("data-plane round trip")
 	}
-	defer StopObservation()
-	StartObservation(false)
-	ObserveFigure("verify")
-	stats, err := VerifyDataPlaneStats()
+	o := NewObserver(false)
+	stats, err := VerifyDataPlaneStats(Env{Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := MetricsOf("verify").Snapshot()
+	snap := o.Metrics("verify").Snapshot()
 	if snap.Empty() {
 		t.Fatal("verify run recorded no metrics")
 	}

@@ -24,29 +24,24 @@ type VerifyStats struct {
 	VerifySeconds float64
 }
 
-// VerifyDataPlane runs the data-plane round-trip smoke behind tapiocabench
-// -verify; see VerifyDataPlaneStats. It returns nil when every platform
-// verifies.
-func VerifyDataPlane() error {
-	_, err := VerifyDataPlaneStats()
-	return err
-}
-
-// VerifyDataPlaneStats runs one reduced figure-style scenario per platform —
-// the HACC-IO SoA pattern on Theta/Lustre and on Mira/GPFS — with real
-// payload bytes enabled. Every rank writes deterministic offset-keyed bytes
-// through the full aggregation pipeline, a fresh session reads them back,
-// and the run fails unless the bytes match and the per-rank write/read CRC-64
-// checksums agree with each other and with a CRC computed over the backing
-// store itself. Timings for the two phases are returned alongside the error.
-func VerifyDataPlaneStats() (VerifyStats, error) {
+// VerifyDataPlaneStats is the data-plane round-trip smoke behind
+// tapiocabench -verify. It runs one reduced figure-style scenario per
+// platform — the HACC-IO SoA pattern on Theta/Lustre and on Mira/GPFS — with
+// real payload bytes enabled. Every rank writes deterministic offset-keyed
+// bytes through the full aggregation pipeline, a fresh session reads them
+// back, and the run fails unless the bytes match and the per-rank write/read
+// CRC-64 checksums agree with each other and with a CRC computed over the
+// backing store itself. Timings for the two phases are returned alongside
+// the error. Observed cells are labelled "verify".
+func VerifyDataPlaneStats(env Env) (VerifyStats, error) {
+	env.label = "verify"
 	type platform struct {
 		name string
 		rig  *rig
 	}
 	platforms := []platform{
-		{"theta-lustre", thetaRig(32, 4, topology.RouteMinimal, 8)},
-		{"mira-gpfs", miraRig(128, 1, storage.LockShared)},
+		{"theta-lustre", thetaRig(env, 32, 4, topology.RouteMinimal, 8)},
+		{"mira-gpfs", miraRig(env, 128, 1, storage.LockShared)},
 	}
 	const seed = 20170905 // the paper's CLUSTER year+month+day, any constant works
 	var stats VerifyStats
@@ -56,9 +51,8 @@ func VerifyDataPlaneStats() (VerifyStats, error) {
 		pattern := workload.HACC(ranks, 512, workload.SoA)
 		var failure error
 		var verifyDur time.Duration
-		rec := cellRecorder()
 		start := time.Now()
-		eng, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: r.rpn, Fabric: r.fab, Recorder: rec}, func(c *mpi.Comm) {
+		_, err := r.run(func(c *mpi.Comm, _ *timer) {
 			var f *storage.File
 			if c.Rank() == 0 {
 				f = r.sys.Create("verify", storage.FileOptions{StripeCount: 8, StripeSize: 1 << 20})
@@ -120,14 +114,8 @@ func VerifyDataPlaneStats() (VerifyStats, error) {
 		total := time.Since(start)
 		stats.VerifySeconds += verifyDur.Seconds()
 		stats.PipelineSeconds += (total - verifyDur).Seconds()
-		if rec != nil {
-			if eng != nil {
-				r.fab.SnapshotMetrics(rec.Registry(), eng.Now())
-			}
-			if f := r.sys.Lookup("verify"); f != nil {
-				rec.Registry().Add("storage.capture_dropped", f.CaptureDropped())
-			}
-			observeCell(rec)
+		if f := r.sys.Lookup("verify"); f != nil {
+			env.Observer.Metrics(env.label).Add("storage.capture_dropped", f.CaptureDropped())
 		}
 		if err == nil {
 			err = failure
@@ -138,9 +126,8 @@ func VerifyDataPlaneStats() (VerifyStats, error) {
 	}
 	// Host wall-clock (nondeterministic) — "host." prefix keeps it out of
 	// any determinism comparison, matching the pipeline's convention.
-	if reg := ObservedMetrics(); reg != nil {
-		reg.SetMax("host.verify_pipeline_seconds", stats.PipelineSeconds)
-		reg.SetMax("host.verify_verify_seconds", stats.VerifySeconds)
-	}
+	reg := env.Observer.Metrics(env.label)
+	reg.SetMax("host.verify_pipeline_seconds", stats.PipelineSeconds)
+	reg.SetMax("host.verify_verify_seconds", stats.VerifySeconds)
 	return stats, nil
 }

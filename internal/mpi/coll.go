@@ -390,16 +390,6 @@ func (c *Comm) Scatter(root int, bytes int64, payloads []any) any {
 	return res.([]any)[c.rank]
 }
 
-// Alltoall exchanges bytes between every pair of ranks (cost only; payloads
-// are not routed — use explicit Send/Recv when content matters).
-func (c *Comm) Alltoall(bytesPerPair int64) {
-	c.collective("mpi:alltoall", nil, func(_ []any, maxT int64) (any, int64) {
-		total := int64(c.Size()-1) * bytesPerPair
-		inject := c.s.w.fabric.Config().InjectRate
-		return nil, maxT + int64(c.Size()-1)*c.s.w.cfg.Overhead + sim.TransferTime(total, inject)
-	})
-}
-
 // splitEntry carries one rank's Split arguments.
 type splitEntry struct {
 	color, key, rank int

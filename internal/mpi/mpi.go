@@ -8,7 +8,7 @@
 //   - blocking point-to-point with tag matching and wildcards, moving
 //     virtual bytes through a netsim.Fabric (so congestion is real);
 //   - collectives (Barrier, Bcast, Reduce, Allreduce with MINLOC/MAXLOC,
-//     Gather/Allgather and the v variants, Alltoall) with LogP-style
+//     Gather/Allgather and the v variants) with LogP-style
 //     analytic costs — collectives are the control plane, the measured data
 //     plane always moves through the fabric;
 //   - one-sided communication: windows with Put/Get/Accumulate and fence

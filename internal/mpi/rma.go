@@ -243,23 +243,13 @@ func (w *Win) Get(target int, offset, bytes int64) {
 	c.p.Hold(c.s.w.cfg.Overhead)
 }
 
-// GetInto is Get with a real destination: the target's window bytes at
-// [offset, offset+len(dst)) are copied into dst (the data plane). Timing is
-// identical to Get over len(dst) bytes; as with Get, the data is only
-// guaranteed published once the preceding Fence closed the exposing epoch —
-// callers issue GetInto after the fence that published the buffer, so the
-// copy at issue time observes the exposed bytes.
-func (w *Win) GetInto(target int, offset int64, dst []byte) {
-	w.Get(target, offset, int64(len(dst)))
-	copy(dst, w.s.memOf(target)[offset:])
-}
-
-// GetScatter is GetInto with a zero-copy destination: instead of copying the
-// target's window bytes into an intermediate buffer for the caller to
-// scatter, the scatter function receives the window slice [offset,
-// offset+bytes) directly and distributes it into the final payload buffers.
-// Timing matches Get over the same byte count; the same publication contract
-// as GetInto applies (issue after the fence that exposed the buffer).
+// GetScatter is Get with a real, zero-copy destination: the scatter
+// function receives the target's window slice [offset, offset+bytes)
+// directly and distributes it into the final payload buffers. Timing
+// matches Get over the same byte count. As with Get, the data is only
+// guaranteed published once the preceding Fence closed the exposing epoch:
+// issue GetScatter after the fence that published the buffer, so the slice
+// observed at issue time holds the exposed bytes.
 func (w *Win) GetScatter(target int, offset, bytes int64, scatter func(src []byte)) {
 	w.Get(target, offset, bytes)
 	if bytes > 0 && scatter != nil {

@@ -18,8 +18,8 @@ import (
 // limit holds the configured pool width; <=0 means "use GOMAXPROCS".
 var limit atomic.Int32
 
-// SetLimit bounds the worker pool for subsequent Map calls. n = 1 forces
-// serial execution; n <= 0 restores the default (GOMAXPROCS).
+// SetLimit bounds the pool width Limit reports. n = 1 forces serial
+// execution; n <= 0 restores the default (GOMAXPROCS).
 func SetLimit(n int) {
 	if n < 0 {
 		n = 0
@@ -27,7 +27,7 @@ func SetLimit(n int) {
 	limit.Store(int32(n))
 }
 
-// Limit returns the effective worker-pool width.
+// Limit returns the process-wide default pool width.
 func Limit() int {
 	if n := limit.Load(); n > 0 {
 		return int(n)
@@ -35,18 +35,18 @@ func Limit() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Map runs fn(0), fn(1), …, fn(n-1) on up to Limit() workers and returns
-// once every call has finished. Work is handed out by an atomic cursor, so
-// the pool never idles while cells remain.
+// Map runs fn(0), fn(1), …, fn(n-1) on up to workers goroutines (serially
+// when workers <= 1) and returns once every call has finished. Work is
+// handed out by an atomic cursor, so the pool never idles while cells
+// remain.
 //
 // Panics are deterministic: every cell still runs, and the panic raised by
 // the lowest index is re-thrown on the caller — the same cell a serial loop
 // would have died on.
-func Map(n int, fn func(i int)) {
+func Map(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := Limit()
 	if workers > n {
 		workers = n
 	}

@@ -7,30 +7,27 @@ import (
 
 func TestMapCoversEveryIndexOnce(t *testing.T) {
 	for _, lim := range []int{0, 1, 3, 64} {
-		SetLimit(lim)
 		const n = 257
 		counts := make([]atomic.Int32, n)
-		Map(n, func(i int) { counts[i].Add(1) })
+		Map(lim, n, func(i int) { counts[i].Add(1) })
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("limit %d: index %d ran %d times", lim, i, c)
 			}
 		}
 	}
-	SetLimit(0)
 }
 
 func TestMapEmpty(t *testing.T) {
-	Map(0, func(int) { t.Fatal("called") })
-	Map(-5, func(int) { t.Fatal("called") })
+	Map(4, 0, func(int) { t.Fatal("called") })
+	Map(4, -5, func(int) { t.Fatal("called") })
 }
 
 func TestMapPanicIsLowestIndex(t *testing.T) {
 	for _, lim := range []int{1, 4} {
-		SetLimit(lim)
 		got := func() (r any) {
 			defer func() { r = recover() }()
-			Map(16, func(i int) {
+			Map(lim, 16, func(i int) {
 				if i == 3 || i == 11 {
 					panic(i)
 				}
@@ -41,7 +38,6 @@ func TestMapPanicIsLowestIndex(t *testing.T) {
 			t.Fatalf("limit %d: recovered %v, want 3 (lowest panicking index)", lim, got)
 		}
 	}
-	SetLimit(0)
 }
 
 func TestSetLimitClamps(t *testing.T) {

@@ -363,7 +363,7 @@ func (f *File) StoreChecksum(segs []Seg) (uint64, error) {
 	parts := SplitSegs(segs, shards)
 	crcs := make([]uint64, len(parts))
 	errs := make([]error, len(parts))
-	par.Map(len(parts), func(i int) { crcs[i], errs[i] = f.storeChecksumSerial(parts[i]) })
+	par.Map(par.Limit(), len(parts), func(i int) { crcs[i], errs[i] = f.storeChecksumSerial(parts[i]) })
 	var crc uint64
 	for i := range parts {
 		if errs[i] != nil {

@@ -386,7 +386,7 @@ func (s *search) probe(w workload.Pattern, k int) {
 	}
 	type outcome struct{ measured, predicted float64 }
 	outs := make([]outcome, k)
-	par.Map(k, func(i int) {
+	par.Map(par.Limit(), k, func(i int) {
 		c := s.cands[i]
 		perRank := probeRounds * c.Config.BufferSize * int64(c.Config.Aggregators) / int64(w.Ranks)
 		if perRank < 64<<10 {
