@@ -196,7 +196,6 @@ func run() int {
 		list     = flag.Bool("list", false, "list available experiments")
 		id       = flag.String("experiment", "all", "experiment id (fig7…fig14, table1, abl-*, a *-full variant, or all)")
 		scale    = flag.String("scale", "reduced", "experiment scale: reduced or full (paper node counts)")
-		full     = flag.Bool("full", false, "deprecated alias for -scale full")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 		jsonPath = flag.String("json", "", "also write all results as JSON to this file")
 		parallel = flag.Bool("parallel", true, "run each figure's independent grid cells on a worker pool (identical results)")
@@ -235,7 +234,6 @@ func run() int {
 		env.Tree = &sh
 	}
 
-	env.Full = *full
 	switch *scale {
 	case "reduced":
 	case "full":

@@ -16,31 +16,48 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"tapioca"
 	"tapioca/internal/par"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main's body over explicit arguments and output streams; it returns
+// the exit code: 2 for a bad flag value, 1 for a failed tune or run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tapiocatune", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		machine   = flag.String("machine", "theta", "platform: theta or mira")
-		nodes     = flag.Int("nodes", 128, "compute node count")
-		rpn       = flag.Int("rpn", 16, "ranks per node")
-		wl        = flag.String("workload", "ior", "workload: ior, hacc-aos, hacc-soa")
-		mb        = flag.Float64("mb", 1, "per-rank data size in MB (ior)")
-		particles = flag.Int64("particles", 25000, "particles per rank (hacc)")
-		read      = flag.Bool("read", false, "tune a collective read instead of a write")
-		probes    = flag.Int("probes", 0, "closed-loop probe count (0 = pure model)")
-		burst     = flag.Bool("burst", false, "stack a burst-buffer staging tier on the machine")
-		degraded  = flag.Bool("degraded", false, "tune for degraded mode: assume the burst-buffer tier is down and price against the tier behind it (implies -burst)")
-		parallel  = flag.Bool("parallel", true, "run closed-loop probes on a worker pool (identical pick)")
-		verify    = flag.Bool("verify", false, "run tuned vs default end to end")
-		trace     = flag.String("trace", "", "write a Chrome trace-event flight recording of the tuned run to this file (implies -verify)")
+		machine   = fs.String("machine", "theta", "platform: theta or mira")
+		nodes     = fs.Int("nodes", 128, "compute node count")
+		rpn       = fs.Int("rpn", 16, "ranks per node")
+		wl        = fs.String("workload", "ior", "workload: ior, hacc-aos, hacc-soa")
+		mb        = fs.Float64("mb", 1, "per-rank data size in MB (ior)")
+		particles = fs.Int64("particles", 25000, "particles per rank (hacc)")
+		read      = fs.Bool("read", false, "tune a collective read instead of a write")
+		probes    = fs.Int("probes", 0, "closed-loop probe count (0 = pure model)")
+		burst     = fs.Bool("burst", false, "stack a burst-buffer staging tier on the machine")
+		degraded  = fs.Bool("degraded", false, "tune for degraded mode: assume the burst-buffer tier is down and price against the tier behind it (implies -burst)")
+		parallel  = fs.Bool("parallel", true, "run closed-loop probes on a worker pool (identical pick)")
+		verify    = fs.Bool("verify", false, "run tuned vs default end to end")
+		trace     = fs.String("trace", "", "write a Chrome trace-event flight recording of the tuned run to this file (implies -verify)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *machine != "theta" && *machine != "mira" {
+		fmt.Fprintf(stderr, "tapiocatune: unknown -machine %q (want theta or mira)\n", *machine)
+		return 2
+	}
 
 	if *trace != "" {
 		*verify = true
@@ -64,8 +81,8 @@ func main() {
 		return tapioca.Theta(*nodes, mo...)
 	}
 	if *nodes < 1 || *rpn < 1 {
-		fmt.Fprintf(os.Stderr, "tapiocatune: -nodes %d and -rpn %d must both be positive\n", *nodes, *rpn)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tapiocatune: -nodes %d and -rpn %d must both be positive\n", *nodes, *rpn)
+		return 2
 	}
 	m := build()
 	ranks := *nodes * *rpn
@@ -79,8 +96,8 @@ func main() {
 	case "hacc-soa":
 		w = tapioca.HACCWorkload(ranks, *particles, false)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *wl)
+		return 2
 	}
 	w.Read = *read
 
@@ -96,23 +113,23 @@ func main() {
 	// combination as an error instead of a panic.
 	cfg, fopt, hints, err := tapioca.TryAutotune(m, w, opts...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	fmt.Printf("Autotuned %s on %s (%d ranks, %d/node, %.2f MB/rank)\n\n",
+	fmt.Fprintf(stdout, "Autotuned %s on %s (%d ranks, %d/node, %.2f MB/rank)\n\n",
 		w.Name, m.Name(), ranks, *rpn, float64(w.TotalBytes())/float64(ranks)/(1<<20))
-	fmt.Printf("  Config       Aggregators=%d BufferSize=%dMB Placement=%s SingleBuffer=%v Shape=%s\n",
+	fmt.Fprintf(stdout, "  Config       Aggregators=%d BufferSize=%dMB Placement=%s SingleBuffer=%v Shape=%s\n",
 		cfg.Aggregators, cfg.BufferSize>>20, cfg.Placement.Name(), cfg.SingleBuffer, cfg.Shape())
-	fmt.Printf("  FileOptions  StripeCount=%d StripeSize=%dMB\n",
+	fmt.Fprintf(stdout, "  FileOptions  StripeCount=%d StripeSize=%dMB\n",
 		fopt.StripeCount, fopt.StripeSize>>20)
-	fmt.Printf("  Hints        CBNodes=%d CBBufferSize=%dMB Strategy=%s AlignDomains=%v CyclicDomains=%v TreePlan=%q\n",
+	fmt.Fprintf(stdout, "  Hints        CBNodes=%d CBBufferSize=%dMB Strategy=%s AlignDomains=%v CyclicDomains=%v TreePlan=%q\n",
 		hints.CBNodes, hints.CBBufferSize>>20, hints.Strategy.Name(), hints.AlignDomains, hints.CyclicDomains, hints.TreePlan)
 
 	if !*verify {
-		return
+		return 0
 	}
-	run := func(c tapioca.Config, fo tapioca.FileOptions, tracePath string) float64 {
+	measure := func(c tapioca.Config, fo tapioca.FileOptions, tracePath string) (float64, error) {
 		vm := build()
 		if tracePath != "" {
 			vm.EnableTracing()
@@ -136,8 +153,7 @@ func main() {
 			}
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 0, err
 		}
 		if tracePath != "" {
 			tf, terr := os.Create(tracePath)
@@ -148,18 +164,26 @@ func main() {
 				}
 			}
 			if terr != nil {
-				fmt.Fprintln(os.Stderr, terr)
-				os.Exit(1)
+				return 0, terr
 			}
-			fmt.Printf("\n  trace: tuned run -> %s (open in https://ui.perfetto.dev)\n", tracePath)
+			fmt.Fprintf(stdout, "\n  trace: tuned run -> %s (open in https://ui.perfetto.dev)\n", tracePath)
 		}
-		return elapsed
+		return elapsed, nil
 	}
 	total := float64(w.TotalBytes())
-	tuned := run(cfg, fopt, *trace)
-	def := run(tapioca.Config{}, tapioca.FileOptions{}, "")
-	fmt.Printf("\n  verify: tuned %8.1f ms (%6.2f GB/s)   defaults %8.1f ms (%6.2f GB/s)   %.2fx\n",
+	tuned, err := measure(cfg, fopt, *trace)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	def, err := measure(tapioca.Config{}, tapioca.FileOptions{}, "")
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "\n  verify: tuned %8.1f ms (%6.2f GB/s)   defaults %8.1f ms (%6.2f GB/s)   %.2fx\n",
 		tuned*1e3, total/tuned/1e9, def*1e3, total/def/1e9, def/tuned)
+	return 0
 }
 
 // must surfaces an I/O session error as a rank panic, which the simulation

@@ -21,9 +21,7 @@ func (w *Writer) setupPartition(pp *partPlan, maxT int64) int64 {
 	}
 	var redBytes int64
 	pp.agg, redBytes = w.electPartition(pp)
-	if redBytes >= 0 {
-		t = pc.TreeCost(t, redBytes)
-	}
+	t = pc.TreeCost(t, redBytes)
 	pp.countAttendance(w.plan, pp.agg)
 	pp.win = pc.CarveWin(2 * w.cfg.BufferSize)
 	t = pc.TreeCost(t, 0)
@@ -35,53 +33,29 @@ func (w *Writer) setupPartition(pp *partPlan, maxT int64) int64 {
 }
 
 // electPartition chooses the partition's aggregator (a partition-local
-// rank) under the configured placement, once for all members: the
-// placement's collective mode runs once per member against recording hooks,
-// each member pricing its own candidacy with the shared cost model
-// (internal/cost), and the recorded values reduce exactly as the
-// partition's Allreduce would. A placement that reduces nothing elects what
-// it returns. Every member's observed candidacy cost lands in pp.costs. It
-// also returns the bytes per rank of the collective the members would have
-// run: 16 for a MinLoc or MaxLoc reduction, 0 for a barrier, -1 for none.
+// rank) under the configured placement, with one Elect call over the whole
+// member table: placements are deterministic, so it elects what every
+// member pricing its own candidacy (internal/cost) and reducing across the
+// partition would. Every member's candidacy cost lands in pp.costs. It also
+// returns the bytes per rank of the collective the members would run: 16
+// for the MINLOC or MAXLOC reduction of a cost-driven placement, 0 for the
+// barrier of a heuristic that reports no costs.
 func (w *Writer) electPartition(pp *partPlan) (winner int, redBytes int64) {
-	pc := w.pc
 	pp.members = make([]cost.Member, pp.rankN)
 	for local := range pp.members {
-		pp.members[local] = cost.Member{Node: pc.NodeOfRank(local), Bytes: pp.omega[local]}
-	}
-	pp.costs = make([]float64, pp.rankN)
-	redBytes = -1
-	best, self := 0.0, 0
-	reduce := func(maxLoc bool) func(float64, int) (float64, int) {
-		return func(v float64, loc int) (float64, int) {
-			// AllreduceMinLoc's and AllreduceMaxLoc's rule: the extreme
-			// value wins, ties go to the lowest location.
-			if redBytes < 16 || (maxLoc && v > best) || (!maxLoc && v < best) || (v == best && loc < winner) {
-				best, winner = v, loc
-			}
-			redBytes = 16
-			return v, loc
-		}
+		pp.members[local] = cost.Member{Node: w.pc.NodeOfRank(local), Bytes: pp.omega[local]}
 	}
 	e := &cost.Election{
-		Model:       w.model(),
-		Members:     pp.members,
-		IOBytes:     pp.bytes,
-		Partition:   w.part,
-		MinLoc:      reduce(false),
-		MaxLoc:      reduce(true),
-		Barrier:     func() { redBytes = max(redBytes, 0) },
-		ObserveCost: func(c float64) { pp.costs[self] = c },
+		Model:     w.model(),
+		Members:   pp.members,
+		IOBytes:   pp.bytes,
+		Partition: w.part,
 	}
-	elected := 0
-	for ; self < pp.rankN; self++ {
-		e.Self = self
-		if got := w.cfg.Placement.Elect(e); self == 0 {
-			elected = got
-		}
-	}
-	if redBytes < 16 {
-		winner = elected
+	winner = w.cfg.Placement.Elect(e)
+	pp.costs = make([]float64, pp.rankN)
+	if e.Costs != nil {
+		copy(pp.costs, e.Costs)
+		redBytes = 16
 	}
 	return winner, redBytes
 }

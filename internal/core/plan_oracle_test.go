@@ -303,6 +303,57 @@ func TestPlanMatchesReference(t *testing.T) {
 	}
 }
 
+// fuzzDecl decodes a declared pattern from fuzz bytes, four per rank: a
+// kind (nothing, one block, a strided run, or two blocks) and its sizes.
+// Every rank declares inside its own 64 KiB region, so ranks never overlap.
+func fuzzDecl(data []byte) [][]storage.Seg {
+	const region, half = 1 << 16, 1 << 15
+	all := make([][]storage.Seg, max(1, len(data)/4))
+	for r := range all {
+		if 4*r+3 >= len(data) {
+			break
+		}
+		kind, a, c := data[4*r]%4, int64(data[4*r+1])<<8|int64(data[4*r+2]), int64(data[4*r+3])
+		base := int64(r) * region
+		switch kind {
+		case 1:
+			all[r] = []storage.Seg{storage.Contig(base, 1+a%(region-1))}
+		case 2:
+			length := 1 + c%32
+			stride := length + a%64
+			all[r] = []storage.Seg{storage.Strided(base, length, stride, 1+(a>>6)%(region/stride))}
+		case 3:
+			all[r] = []storage.Seg{storage.Contig(base, 1+a%(half-1)), storage.Contig(base+half, 1+c*97%(half-1))}
+		}
+	}
+	return all
+}
+
+// FuzzBuildPlan pins the plan builder to the reference implementation on
+// random declared patterns, aggregator counts, buffer sizes and alignment
+// units.
+func FuzzBuildPlan(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint16(0), uint8(0))
+	f.Add([]byte{1, 255, 255, 0, 1, 0, 10, 0, 1, 128, 0, 0}, uint8(2), uint16(3), uint8(1))
+	f.Add([]byte{2, 7, 3, 9, 0, 0, 0, 0, 3, 40, 1, 200, 2, 255, 0, 31}, uint8(3), uint16(40), uint8(2))
+	f.Add([]byte{3, 1, 2, 3, 3, 4, 5, 6, 3, 7, 8, 9, 1, 0, 0, 0, 2, 1, 1, 1}, uint8(7), uint16(62), uint8(0))
+	aligns := []int64{0, 4096, 32768}
+	f.Fuzz(func(t *testing.T, data []byte, aggrs uint8, buf uint16, align uint8) {
+		if len(data) > 64 {
+			data = data[:64] // 16 ranks
+		}
+		all := fuzzDecl(data)
+		nAggr := int(aggrs%8) + 1
+		bufSize := 512 + int64(buf)%(63<<10)
+		alignUnit := aligns[int(align)%len(aligns)]
+		got := buildPlan(all, nAggr, bufSize, alignUnit, false)
+		want := buildPlanReference(all, nAggr, bufSize, alignUnit)
+		if err := comparePlans(got, want, bufSize); err != nil {
+			t.Fatalf("ranks=%d aggr=%d buf=%d align=%d: %v", len(all), nAggr, bufSize, alignUnit, err)
+		}
+	})
+}
+
 // TestPlanMatchesReferenceHACCLike pins the builder on the paper's
 // workloads: HACC AoS/SoA interleavings and IOR blocks, where coalescing
 // and dense-region fast paths all engage.

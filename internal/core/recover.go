@@ -184,9 +184,8 @@ func (w *Writer) lostRounds(r int) []int {
 }
 
 // reelect re-runs the §IV-B election over the partition's surviving
-// candidates. Every member holds the full cached member table, so the
-// election runs in the cost engine's local mode (no MinLoc collective):
-// each rank scans the filtered table and lands on the same winner.
+// candidates. Every member holds the full cached member table, so each rank
+// elects over the filtered table and lands on the same winner.
 func (w *Writer) reelect(dead int) int {
 	pp := &w.plan.parts[w.part]
 	cand := make([]cost.Member, 0, len(pp.members)-1)

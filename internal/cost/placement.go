@@ -1,22 +1,11 @@
 package cost
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
-// Election is one partition's aggregator-election context. It supports two
-// execution modes:
-//
-//   - Collective mode (MinLoc != nil): every member computes its own
-//     candidacy cost and an Allreduce-style reduction elects the winner —
-//     TAPIOCA's in-band election, which charges the reduction's virtual
-//     time. Self identifies the caller and the reduction hooks are wired to
-//     the partition communicator.
-//   - Local mode (MinLoc == nil): the caller holds the whole member table
-//     and evaluates every candidate itself, deterministically — how the
-//     MPI-IO baseline picks aggregators at open time, outside any timed
-//     phase.
+// Election is one partition's aggregator election. The caller holds the
+// whole member table and evaluates every candidate itself; placements being
+// deterministic, every caller lands on the same winner, the member the
+// paper's Allreduce MINLOC over per-member candidacy costs (§IV-B) elects.
 type Election struct {
 	// Model prices candidacies. Required by cost-driven placements.
 	Model *Model
@@ -28,38 +17,17 @@ type Election struct {
 	// Partition is the partition's index (seeds deterministic randomness).
 	Partition int
 
-	// Self is the caller's member index (collective mode); ignored in local
-	// mode.
-	Self int
-	// MinLoc and MaxLoc reduce (value, member index) across the partition in
-	// collective mode. Nil selects local mode.
-	MinLoc func(v float64, loc int) (float64, int)
-	MaxLoc func(v float64, loc int) (float64, int)
-	// Barrier synchronizes the partition; placements that skip the cost
-	// reduction still rendezvous through it in collective mode. May be nil.
-	Barrier func()
-	// ObserveCost, when set, receives the caller's own candidacy cost (the
-	// session's ElectionCost statistic).
-	ObserveCost func(float64)
-}
-
-func (e *Election) collective() bool { return e.MinLoc != nil }
-
-func (e *Election) observe(c float64) {
-	if e.ObserveCost != nil {
-		e.ObserveCost(c)
-	}
-}
-
-func (e *Election) barrier() {
-	if e.Barrier != nil {
-		e.Barrier()
-	}
+	// Costs is Elect's output: a cost-driven placement sets it to every
+	// member's candidacy cost (0 for a member it does not price), the values
+	// its MINLOC or MAXLOC reduction runs over. Heuristics that reduce no
+	// cost leave it nil.
+	Costs []float64
 }
 
 // Placement elects one aggregator per partition. Implementations must be
 // deterministic: the same Election data elects the same member on every
-// caller.
+// caller. A cost-driven implementation reports the costs it reduced in
+// Election.Costs.
 type Placement interface {
 	// Name identifies the strategy (reports, figure labels).
 	Name() string
@@ -88,17 +56,17 @@ type SetStrategy interface {
 	SelectSet(e *SetElection) []int
 }
 
-// argBest scans every candidate locally and returns the extreme-cost member
-// (ties break toward the lowest index). worst flips the objective.
+// argBest prices every candidate into e.Costs and returns the extreme-cost
+// member (ties break toward the lowest index, as MINLOC and MAXLOC do).
+// worst flips the objective.
 func argBest(e *Election, worst bool) int {
-	best, bestCost := 0, math.Inf(1)
-	if worst {
-		bestCost = math.Inf(-1)
-	}
+	e.Costs = make([]float64, len(e.Members))
+	best := 0
 	for i := range e.Members {
 		c := e.Model.CandidacyCost(e.Members, i, e.IOBytes)
-		if (!worst && c < bestCost) || (worst && c > bestCost) {
-			best, bestCost = i, c
+		e.Costs[i] = c
+		if (!worst && c < e.Costs[best]) || (worst && c > e.Costs[best]) {
+			best = i
 		}
 	}
 	return best
@@ -112,21 +80,13 @@ type topologyAware struct{}
 
 func (topologyAware) Name() string { return "topology-aware" }
 
-func (topologyAware) Elect(e *Election) int {
-	if e.collective() {
-		c := e.Model.CandidacyCost(e.Members, e.Self, e.IOBytes)
-		e.observe(c)
-		_, loc := e.MinLoc(c, e.Self)
-		return loc
-	}
-	return argBest(e, false)
-}
+func (topologyAware) Elect(e *Election) int { return argBest(e, false) }
 
 // TwoLevel returns the intra-node pre-aggregation variant: members first
 // merge within their node, then one aggregate flow per node competes in the
 // inter-node election, so only each node's first member (its leader) is
-// electable. This follows Kang et al.'s intra-node request aggregation
-// direction on top of the paper's cost model.
+// electable and priced. This follows Kang et al.'s intra-node request
+// aggregation direction on top of the paper's cost model.
 func TwoLevel() Placement { return twoLevel{} }
 
 type twoLevel struct{}
@@ -135,52 +95,28 @@ func (twoLevel) Name() string { return "two-level" }
 
 func (twoLevel) Elect(e *Election) int {
 	groups := groupByNode(e.Members)
-	if e.collective() {
-		// Non-leaders are not electable: they carry +Inf into the reduction
-		// but report no candidacy cost of their own.
-		c := math.Inf(1)
-		for _, g := range groups {
-			if g.leader == e.Self {
-				c = e.Model.twoLevelCost(e.Members, groups, e.Self, e.IOBytes)
-				e.observe(c)
-				break
-			}
-		}
-		_, loc := e.MinLoc(c, e.Self)
-		return loc
-	}
-	best, bestCost := groups[0].leader, math.Inf(1)
+	e.Costs = make([]float64, len(e.Members))
+	best := groups[0].leader
 	for _, g := range groups {
-		if c := e.Model.twoLevelCost(e.Members, groups, g.leader, e.IOBytes); c < bestCost {
-			best, bestCost = g.leader, c
+		c := e.Model.twoLevelCost(e.Members, groups, g.leader, e.IOBytes)
+		e.Costs[g.leader] = c
+		if c < e.Costs[best] {
+			best = g.leader
 		}
 	}
 	return best
 }
 
 // Worst returns the adversarial ablation bound: the maximum-cost candidate
-// wins, quantifying how much placement can possibly matter.
+// wins (Allreduce MAXLOC), quantifying how much placement can possibly
+// matter.
 func Worst() Placement { return worst{} }
 
 type worst struct{}
 
 func (worst) Name() string { return "worst" }
 
-func (worst) Elect(e *Election) int {
-	if e.collective() {
-		c := e.Model.CandidacyCost(e.Members, e.Self, e.IOBytes)
-		e.observe(c)
-		if e.MaxLoc != nil {
-			_, loc := e.MaxLoc(c, e.Self)
-			return loc
-		}
-		// Collective mode is keyed on MinLoc alone; reducing the negated
-		// cost elects the maximum with the same lowest-rank tie-breaking.
-		_, loc := e.MinLoc(-c, e.Self)
-		return loc
-	}
-	return argBest(e, true)
-}
+func (worst) Elect(e *Election) int { return argBest(e, true) }
 
 // Random returns a deterministic pseudo-random pick seeded by the partition
 // index — the statistically neutral baseline.
@@ -191,25 +127,16 @@ type random struct{}
 func (random) Name() string { return "random" }
 
 func (random) Elect(e *Election) int {
-	if e.collective() {
-		e.barrier()
-	}
 	h := uint64(e.Partition+1) * 0x9E3779B97F4A7C15
 	h ^= h >> 33
 	return int(h % uint64(len(e.Members)))
 }
 
 // firstMember is the shared Elect body of the heuristics that run no cost
-// election per partition: every member rendezvous at the barrier in
-// collective mode, then the partition's first member wins.
+// election per partition: the partition's first member wins.
 type firstMember struct{}
 
-func (firstMember) Elect(e *Election) int {
-	if e.collective() {
-		e.barrier()
-	}
-	return 0
-}
+func (firstMember) Elect(*Election) int { return 0 }
 
 // RankOrder returns the naive baseline. Per partition it elects the first
 // member; as an MPI-IO set strategy it picks comm ranks 0..Want-1 regardless

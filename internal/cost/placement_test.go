@@ -1,12 +1,13 @@
 package cost
 
 import (
+	"math"
 	"testing"
 
 	"tapioca/internal/topology"
 )
 
-// torusElection builds a local-mode election on a Mira-like torus with the
+// torusElection builds an election on a Mira-like torus with the
 // data volume skewed toward high node indices.
 func torusElection(t *testing.T) *Election {
 	t.Helper()
@@ -98,41 +99,6 @@ func TestElectionDeterministicAcrossRepeats(t *testing.T) {
 	}
 }
 
-func TestCollectiveModeAgreesWithLocalScan(t *testing.T) {
-	// Simulate the Allreduce MINLOC/MAXLOC by evaluating the collective
-	// path once per member and reducing by hand; the result must match the
-	// local-mode scan (ties break toward the lowest index in both).
-	base := torusElection(t)
-	for _, tc := range []struct {
-		p   Placement
-		max bool
-	}{{TopologyAware(), false}, {Worst(), true}, {TwoLevel(), false}} {
-		localWinner := tc.p.Elect(base)
-		bestLoc, bestVal, have := -1, 0.0, false
-		for self := range base.Members {
-			e := torusElection(t)
-			e.Self = self
-			var observed float64
-			e.MinLoc = func(v float64, loc int) (float64, int) {
-				observed = v
-				return v, loc // loc echoes back: we reduce by hand below
-			}
-			e.MaxLoc = e.MinLoc
-			gotLoc := tc.p.Elect(e)
-			if gotLoc != self {
-				t.Fatalf("%s: collective elect returned %d for self %d without reduction", tc.p.Name(), gotLoc, self)
-			}
-			v := observed
-			if !have || (!tc.max && v < bestVal) || (tc.max && v > bestVal) {
-				bestLoc, bestVal, have = self, v, true
-			}
-		}
-		if bestLoc != localWinner {
-			t.Fatalf("%s: collective reduction elects %d, local scan %d", tc.p.Name(), bestLoc, localWinner)
-		}
-	}
-}
-
 func TestNodeSpreadSetMatchesSeedHeuristic(t *testing.T) {
 	// 4 nodes × 2 ranks, want 4: first rank of each node.
 	nodes := []int{0, 0, 1, 1, 2, 2, 3, 3}
@@ -196,19 +162,6 @@ func TestBridgeFirstSetNeverDuplicates(t *testing.T) {
 	}
 }
 
-func TestTwoLevelCollectiveNonLeaderObservesNothing(t *testing.T) {
-	// A non-leader must not report +Inf as its own candidacy cost.
-	topo := topology.MiraTorus(128)
-	members := []Member{{Node: 0, Bytes: 100}, {Node: 0, Bytes: 200}, {Node: 1, Bytes: 300}}
-	e := &Election{
-		Model: NewModel(topo), Members: members, Self: 1, // not node 0's leader
-		MinLoc:      func(v float64, loc int) (float64, int) { return v, 0 },
-		MaxLoc:      func(v float64, loc int) (float64, int) { return v, 0 },
-		ObserveCost: func(v float64) { t.Fatalf("non-leader observed cost %v", v) },
-	}
-	TwoLevel().Elect(e)
-}
-
 func TestTopologyAwareHasNoSetStrategy(t *testing.T) {
 	if _, ok := TopologyAware().(SetStrategy); ok {
 		t.Fatal("topology-aware should elect per partition, not pick global sets")
@@ -216,4 +169,107 @@ func TestTopologyAwareHasNoSetStrategy(t *testing.T) {
 	if _, ok := TwoLevel().(SetStrategy); ok {
 		t.Fatal("two-level should elect per partition, not pick global sets")
 	}
+}
+
+// fuzzModels are the machines FuzzElect prices on: a BG/Q torus, where C2
+// steers toward bridge nodes, and a dragonfly, where C2 is zero.
+var fuzzModels = []*Model{
+	NewModel(topology.MiraTorus(128)),
+	NewModel(topology.ThetaDragonfly(64, topology.RouteMinimal)),
+}
+
+// fuzzMembers decodes a member table from fuzz bytes, two per member: the
+// node (within a small range, so members share nodes) and the volume (a
+// few small values, zero included, so candidacies tie; or a spread one).
+func fuzzMembers(data []byte, nodes int) []Member {
+	members := make([]Member, max(1, len(data)/2))
+	for i := range members {
+		if 2*i+1 >= len(data) {
+			break
+		}
+		nb, bb := data[2*i], data[2*i+1]
+		members[i].Node = int(nb) % nodes
+		if bb < 128 {
+			members[i].Bytes = int64(bb%4) << 12
+		} else {
+			members[i].Bytes = int64(bb) * 1000
+		}
+	}
+	return members
+}
+
+// FuzzElect checks every built-in placement over random member tables: a
+// cost-driven placement reports each priced member's exact candidacy cost
+// (0 for the members it does not price) and elects what a MINLOC (MAXLOC
+// for Worst) reduction over those costs elects, ties to the lowest index;
+// a heuristic reports no costs.
+func FuzzElect(f *testing.F) {
+	f.Add([]byte{}, uint8(0), uint32(0), uint8(0))
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 0, 1}, uint8(0), uint32(1<<20), uint8(3))
+	f.Add([]byte{0, 1, 0, 1, 1, 1, 1, 1, 2, 0, 2, 0}, uint8(1), uint32(4096), uint8(1))
+	f.Add([]byte{5, 200, 9, 3, 5, 130, 17, 255, 9, 0, 40, 66}, uint8(0), uint32(1<<26), uint8(7))
+	f.Add([]byte{3, 0, 3, 0, 3, 0}, uint8(1), uint32(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, model uint8, ioBytes uint32, part uint8) {
+		if len(data) > 96 {
+			data = data[:96] // 48 members: elections are quadratic
+		}
+		m := fuzzModels[int(model)%len(fuzzModels)]
+		members := fuzzMembers(data, 16)
+		io := int64(ioBytes)
+		leader := func(i int) bool {
+			for j := 0; j < i; j++ {
+				if members[j].Node == members[i].Node {
+					return false
+				}
+			}
+			return true
+		}
+		for _, pl := range []Placement{
+			TopologyAware(), Worst(), TwoLevel(),
+			Random(), RankOrder(), NodeSpread(), BridgeFirst(),
+		} {
+			e := &Election{Model: m, Members: members, IOBytes: io, Partition: int(part)}
+			got := pl.Elect(e)
+			if got < 0 || got >= len(members) {
+				t.Fatalf("%s elected %d of %d members", pl.Name(), got, len(members))
+			}
+			var price func(i int) (float64, bool)
+			switch pl.Name() {
+			case "topology-aware", "worst":
+				price = func(i int) (float64, bool) { return m.CandidacyCost(members, i, io), true }
+			case "two-level":
+				price = func(i int) (float64, bool) {
+					if !leader(i) {
+						return 0, false
+					}
+					return m.TwoLevelCost(members, i, io), true
+				}
+			default:
+				if e.Costs != nil {
+					t.Fatalf("%s reported costs %v", pl.Name(), e.Costs)
+				}
+				continue
+			}
+			if len(e.Costs) != len(members) {
+				t.Fatalf("%s reported %d costs for %d members", pl.Name(), len(e.Costs), len(members))
+			}
+			maxLoc := pl.Name() == "worst"
+			want, best := -1, 0.0
+			for i := range members {
+				c, priced := price(i)
+				if math.Float64bits(e.Costs[i]) != math.Float64bits(c) {
+					t.Fatalf("%s member %d: cost %v, want %v", pl.Name(), i, e.Costs[i], c)
+				}
+				if !priced {
+					continue
+				}
+				if want < 0 || (maxLoc && c > best) || (!maxLoc && c < best) {
+					want, best = i, c
+				}
+			}
+			if got != want {
+				t.Fatalf("%s elected %d, the reduction over its costs %v elects %d", pl.Name(), got, e.Costs, want)
+			}
+		}
+	})
 }

@@ -128,6 +128,23 @@ func (pr *predictor) buildTree(sh tree.Shape, members []cost.Member, win int) (*
 	return tree.Build(sh, leaders, tree.RootLeader(starts, win), tree.GrouperOf(pr.p.Topo)), leaders
 }
 
+// elect builds partition pi's member table from its estimate and runs the
+// session's election over it, so the predicted aggregator is the one the
+// live session elects.
+func (pr *predictor) elect(cfg core.Config, pe *core.PartEstimate, pi int) (members []cost.Member, win int) {
+	members = make([]cost.Member, pe.Ranks)
+	for i := range members {
+		members[i] = cost.Member{Node: pr.nodes[pe.FirstRank+i], Bytes: pe.MemberBytes[i]}
+	}
+	win = cfg.Placement.Elect(&cost.Election{
+		Model:     pr.model,
+		Members:   members,
+		IOBytes:   pe.Bytes,
+		Partition: pi,
+	})
+	return members, win
+}
+
 // searchShape runs the aggregation-tree shape search for one grid point. The
 // partitions and elections come from the same plan/election path predict
 // uses, so the searched shape is priced against exactly the partitions the
@@ -146,16 +163,7 @@ func (pr *predictor) searchShape(cfg core.Config, fopt storage.FileOptions) (tre
 		if pe.Bytes == 0 || pe.Rounds == 0 {
 			continue
 		}
-		members := make([]cost.Member, pe.Ranks)
-		for i := range members {
-			members[i] = cost.Member{Node: pr.nodes[pe.FirstRank+i], Bytes: pe.MemberBytes[i]}
-		}
-		win := cfg.Placement.Elect(&cost.Election{
-			Model:     pr.model,
-			Members:   members,
-			IOBytes:   pe.Bytes,
-			Partition: pi,
-		})
+		members, win := pr.elect(cfg, pe, pi)
 		parts = append(parts, tree.Partition{Members: members, Root: win})
 		if pe.Rounds > maxRounds {
 			maxRounds = pe.Rounds
@@ -221,16 +229,7 @@ func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions) (double,
 		if pe.Bytes == 0 || pe.Rounds == 0 {
 			continue
 		}
-		members := make([]cost.Member, pe.Ranks)
-		for i := range members {
-			members[i] = cost.Member{Node: pr.nodes[pe.FirstRank+i], Bytes: pe.MemberBytes[i]}
-		}
-		win := cfg.Placement.Elect(&cost.Election{
-			Model:     pr.model,
-			Members:   members,
-			IOBytes:   pe.Bytes,
-			Partition: pi,
-		})
+		members, win := pr.elect(cfg, pe, pi)
 		fence := 2 * math.Log2(float64(pe.Ranks)+1) * pr.alpha()
 		aggSecs, interior := pr.aggregationSeconds(cfg, members, win, pe.Rounds)
 		perRound := aggSecs/float64(pe.Rounds) + fence*float64(1+interior)
