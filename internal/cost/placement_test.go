@@ -99,6 +99,31 @@ func TestElectionDeterministicAcrossRepeats(t *testing.T) {
 	}
 }
 
+func TestCollectiveModeAgreesWithLocalScan(t *testing.T) {
+	// Reduce the per-member costs a placement reports the way the
+	// paper's Allreduce MINLOC/MAXLOC would, by hand; the result must
+	// match the placement's local scan (ties to the lowest index in both).
+	for _, tc := range []struct {
+		p   Placement
+		max bool
+	}{{TopologyAware(), false}, {Worst(), true}, {TwoLevel(), false}} {
+		e := torusElection(t)
+		localWinner := tc.p.Elect(e)
+		if len(e.Costs) != len(e.Members) {
+			t.Fatalf("%s: %d costs for %d members", tc.p.Name(), len(e.Costs), len(e.Members))
+		}
+		bestLoc, bestVal := -1, 0.0
+		for self, v := range e.Costs {
+			if bestLoc < 0 || (!tc.max && v < bestVal) || (tc.max && v > bestVal) {
+				bestLoc, bestVal = self, v
+			}
+		}
+		if bestLoc != localWinner {
+			t.Fatalf("%s: collective reduction elects %d, local scan %d", tc.p.Name(), bestLoc, localWinner)
+		}
+	}
+}
+
 func TestNodeSpreadSetMatchesSeedHeuristic(t *testing.T) {
 	// 4 nodes × 2 ranks, want 4: first rank of each node.
 	nodes := []int{0, 0, 1, 1, 2, 2, 3, 3}
@@ -159,6 +184,21 @@ func TestBridgeFirstSetNeverDuplicates(t *testing.T) {
 	}
 	if len(got) != 4 { // 1 bridge first-rank + 3 non-bridge first-ranks
 		t.Fatalf("set = %v, want the 4 distinct first ranks", got)
+	}
+}
+
+func TestTwoLevelCollectiveNonLeaderObservesNothing(t *testing.T) {
+	// A non-leader is not priced: it must report 0, not +Inf or a cost
+	// of its own, as its candidacy cost.
+	topo := topology.MiraTorus(128)
+	members := []Member{{Node: 0, Bytes: 100}, {Node: 0, Bytes: 200}, {Node: 1, Bytes: 300}}
+	e := &Election{Model: NewModel(topo), Members: members}
+	winner := TwoLevel().Elect(e)
+	if winner == 1 {
+		t.Fatalf("non-leader 1 elected")
+	}
+	if len(e.Costs) != len(members) || e.Costs[1] != 0 {
+		t.Fatalf("non-leader 1 reported cost; costs %v", e.Costs)
 	}
 }
 
