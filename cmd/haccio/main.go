@@ -7,49 +7,48 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"tapioca"
 )
 
-var varSizes = []int64{4, 4, 4, 4, 4, 4, 4, 8, 2}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-const particleBytes = 38
-
-func declared(rank, ranks int, particles int64, aos bool) [][]tapioca.Seg {
-	out := make([][]tapioca.Seg, len(varSizes))
-	if aos {
-		base := int64(rank) * particles * particleBytes
-		var off int64
-		for v, sz := range varSizes {
-			out[v] = []tapioca.Seg{tapioca.Strided(base+off, sz, particleBytes, particles)}
-			off += sz
-		}
-		return out
-	}
-	var region int64
-	for v, sz := range varSizes {
-		out[v] = []tapioca.Seg{tapioca.Contig(region+int64(rank)*particles*sz, particles*sz)}
-		region += int64(ranks) * particles * sz
-	}
-	return out
-}
-
-func main() {
+// run is main's body over explicit arguments and output streams; it returns
+// the exit code: 2 for a bad flag value, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("haccio", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		machine     = flag.String("machine", "theta", "theta or mira")
-		nodes       = flag.Int("nodes", 128, "compute nodes")
-		rpn         = flag.Int("rpn", 4, "ranks per node")
-		particles   = flag.Int64("particles", 25000, "particles per rank")
-		layout      = flag.String("layout", "aos", "aos or soa")
-		method      = flag.String("method", "tapioca", "tapioca or mpiio")
-		aggregators = flag.Int("aggregators", 0, "aggregators / cb_nodes (0 = default)")
-		buffer      = flag.Int64("buffer", 16<<20, "aggregation buffer bytes")
+		machine     = fs.String("machine", "theta", "theta or mira")
+		nodes       = fs.Int("nodes", 128, "compute nodes")
+		rpn         = fs.Int("rpn", 4, "ranks per node")
+		particles   = fs.Int64("particles", 25000, "particles per rank")
+		layout      = fs.String("layout", "aos", "aos or soa")
+		method      = fs.String("method", "tapioca", "tapioca or mpiio")
+		aggregators = fs.Int("aggregators", 0, "aggregators / cb_nodes (0 = default)")
+		buffer      = fs.Int64("buffer", 16<<20, "aggregation buffer bytes")
 	)
-	flag.Parse()
-	aos := *layout == "aos"
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	for _, f := range []struct{ name, val, a, b string }{
+		{"machine", *machine, "theta", "mira"},
+		{"layout", *layout, "aos", "soa"},
+		{"method", *method, "tapioca", "mpiio"},
+	} {
+		if f.val != f.a && f.val != f.b {
+			fmt.Fprintf(stderr, "haccio: unknown -%s %q (want %s or %s)\n", f.name, f.val, f.a, f.b)
+			return 2
+		}
+	}
 
 	var m *tapioca.Machine
 	opt := tapioca.FileOptions{}
@@ -61,6 +60,7 @@ func main() {
 		m = tapioca.Theta(*nodes)
 		opt = tapioca.FileOptions{StripeCount: 12, StripeSize: 16 << 20}
 	}
+	hacc := tapioca.HACCWorkload(*nodes**rpn, *particles, *layout == "aos")
 
 	var elapsed float64
 	_, err := m.Run(*rpn, func(ctx *tapioca.Ctx) {
@@ -72,7 +72,7 @@ func main() {
 			name = fmt.Sprintf("hacc-pset%d", pset)
 		}
 		f := ctx.CreateFile(name, opt)
-		decl := declared(group.Rank(), group.Size(), *particles, aos)
+		decl := hacc.Declared(group.Rank(), group.Size())
 		ctx.Barrier()
 		t0 := ctx.Now()
 		if *method == "tapioca" {
@@ -92,11 +92,13 @@ func main() {
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "haccio: %v\n", err)
+		return 1
 	}
-	total := float64(int64(*nodes**rpn) * *particles * particleBytes)
-	fmt.Printf("%s %s HACC-IO on %s: %d ranks × %d particles = %.2f GB in %.3f s → %.3f GB/s\n",
+	total := float64(hacc.TotalBytes())
+	fmt.Fprintf(stdout, "%s %s HACC-IO on %s: %d ranks × %d particles = %.2f GB in %.3f s → %.3f GB/s\n",
 		*method, *layout, m.Name(), *nodes**rpn, *particles, total/1e9, elapsed, total/elapsed/1e9)
+	return 0
 }
 
 // must surfaces an I/O session error as a rank panic, which the simulation

@@ -8,28 +8,45 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
 
 	"tapioca"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main's body over explicit arguments and output streams; it returns
+// the exit code: 2 for a bad flag value, 1 for a failed run.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iorsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		machine     = flag.String("machine", "theta", "theta or mira")
-		nodes       = flag.Int("nodes", 128, "compute nodes")
-		rpn         = flag.Int("rpn", 4, "ranks per node")
-		size        = flag.Int64("size", 1<<20, "bytes per rank")
-		method      = flag.String("method", "tapioca", "tapioca or mpiio")
-		aggregators = flag.Int("aggregators", 0, "aggregators / cb_nodes (0 = default)")
-		buffer      = flag.Int64("buffer", 8<<20, "aggregation buffer bytes")
-		stripeCount = flag.Int("stripe-count", 12, "Lustre stripe count (theta)")
-		stripeSize  = flag.Int64("stripe-size", 8<<20, "Lustre stripe size (theta)")
-		lockShared  = flag.Bool("lock-sharing", true, "GPFS shared locks (mira)")
-		read        = flag.Bool("read", false, "measure reads instead of writes")
+		machine     = fs.String("machine", "theta", "theta or mira")
+		nodes       = fs.Int("nodes", 128, "compute nodes")
+		rpn         = fs.Int("rpn", 4, "ranks per node")
+		size        = fs.Int64("size", 1<<20, "bytes per rank")
+		method      = fs.String("method", "tapioca", "tapioca or mpiio")
+		aggregators = fs.Int("aggregators", 0, "aggregators / cb_nodes (0 = default)")
+		buffer      = fs.Int64("buffer", 8<<20, "aggregation buffer bytes")
+		stripeCount = fs.Int("stripe-count", 12, "Lustre stripe count (theta)")
+		stripeSize  = fs.Int64("stripe-size", 8<<20, "Lustre stripe size (theta)")
+		lockShared  = fs.Bool("lock-sharing", true, "GPFS shared locks (mira)")
+		read        = fs.Bool("read", false, "measure reads instead of writes")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *method != "tapioca" && *method != "mpiio" {
+		fmt.Fprintf(stderr, "iorsim: unknown -method %q (want tapioca or mpiio)\n", *method)
+		return 2
+	}
 
 	var m *tapioca.Machine
 	opt := tapioca.FileOptions{}
@@ -44,7 +61,8 @@ func main() {
 		m = tapioca.Theta(*nodes)
 		opt = tapioca.FileOptions{StripeCount: *stripeCount, StripeSize: *stripeSize}
 	default:
-		log.Fatalf("unknown machine %q", *machine)
+		fmt.Fprintf(stderr, "iorsim: unknown -machine %q (want theta or mira)\n", *machine)
+		return 2
 	}
 
 	var elapsed float64
@@ -76,15 +94,17 @@ func main() {
 		}
 	})
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintf(stderr, "iorsim: %v\n", err)
+		return 1
 	}
 	total := float64(int64(*nodes**rpn) * *size)
 	op := "write"
 	if *read {
 		op = "read"
 	}
-	fmt.Printf("%s %s on %s: %d ranks × %d B = %.2f GB in %.3f s → %.3f GB/s\n",
+	fmt.Fprintf(stdout, "%s %s on %s: %d ranks × %d B = %.2f GB in %.3f s → %.3f GB/s\n",
 		*method, op, m.Name(), *nodes**rpn, *size, total/1e9, elapsed, total/elapsed/1e9)
+	return 0
 }
 
 // must surfaces an I/O session error as a rank panic, which the simulation

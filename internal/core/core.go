@@ -399,11 +399,31 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 	return modeErr
 }
 
-// checkOp validates a Write/Read call against the session state. Misuse
-// returns a descriptive error (it used to panic): the session must be
-// initialized, i must name a declared operation, and operations complete in
-// declared order.
-func (w *Writer) checkOp(verb string, i int) error {
+// Write marks the i-th declared operation written. When the final declared
+// operation arrives, the full aggregation pipeline executes (see the
+// package comment for why). Collective across the communicator.
+func (w *Writer) Write(i int) error { return w.mark("Write", i, w.runWrite) }
+
+// WriteAll performs all declared writes. A rank that declared no operations
+// still takes part in its partition's session (the closing barrier, and
+// every fence under the shapes that keep full participation), so WriteAll
+// is required on every rank even when a rank contributes nothing.
+func (w *Writer) WriteAll() error { return w.markAll("Write", w.runWrite) }
+
+// Read marks the i-th declared operation for reading; the pipeline runs on
+// the last one, mirroring Write. In a data-plane session the payload
+// buffers passed to InitData are filled once the final operation completes.
+func (w *Writer) Read(i int) error { return w.mark("Read", i, w.runRead) }
+
+// ReadAll performs all declared reads, with the same zero-operation
+// participation contract as WriteAll.
+func (w *Writer) ReadAll() error { return w.markAll("Read", w.runRead) }
+
+// mark validates and records the i-th declared operation, running the
+// pipeline (run) once the last one is marked. Misuse returns a descriptive
+// error: the session must be initialized, i must name a declared operation,
+// and operations complete in declared order.
+func (w *Writer) mark(verb string, i int, run func() error) error {
 	if w.plan == nil {
 		return fmt.Errorf("core: %s(%d) before Init on writer for %q", verb, i, w.f.Name)
 	}
@@ -413,75 +433,28 @@ func (w *Writer) checkOp(verb string, i int) error {
 	if i != w.written {
 		return fmt.Errorf("core: %s(%d) out of declared order (next is %d)", verb, i, w.written)
 	}
-	return nil
-}
-
-// Write marks the i-th declared operation written. When the final declared
-// operation arrives, the full aggregation pipeline executes (see the
-// package comment for why). Collective across the communicator.
-func (w *Writer) Write(i int) error {
-	if err := w.checkOp("Write", i); err != nil {
-		return err
-	}
 	w.written++
 	if w.written == w.nops {
-		return w.runWrite()
+		return run()
 	}
 	return nil
 }
 
-// WriteAll performs all declared writes. A rank that declared no operations
-// still takes part in its partition's session (the closing barrier, and
-// every fence under the shapes that keep full participation), so WriteAll
-// is required on every rank even when a rank contributes nothing.
-func (w *Writer) WriteAll() error {
+// markAll marks every remaining declared operation; a zero-operation rank
+// runs the pipeline once on its own.
+func (w *Writer) markAll(verb string, run func() error) error {
 	if w.plan == nil {
-		return fmt.Errorf("core: WriteAll before Init on writer for %q", w.f.Name)
+		return fmt.Errorf("core: %sAll before Init on writer for %q", verb, w.f.Name)
 	}
 	if w.nops == 0 {
 		if w.ran {
 			return nil
 		}
 		w.ran = true
-		return w.runWrite()
+		return run()
 	}
 	for i := w.written; i < w.nops; i++ {
-		if err := w.Write(i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read marks the i-th declared operation for reading; the pipeline runs on
-// the last one, mirroring Write. In a data-plane session the payload
-// buffers passed to InitData are filled once the final operation completes.
-func (w *Writer) Read(i int) error {
-	if err := w.checkOp("Read", i); err != nil {
-		return err
-	}
-	w.written++
-	if w.written == w.nops {
-		return w.runRead()
-	}
-	return nil
-}
-
-// ReadAll performs all declared reads, with the same zero-operation
-// participation contract as WriteAll.
-func (w *Writer) ReadAll() error {
-	if w.plan == nil {
-		return fmt.Errorf("core: ReadAll before Init on writer for %q", w.f.Name)
-	}
-	if w.nops == 0 {
-		if w.ran {
-			return nil
-		}
-		w.ran = true
-		return w.runRead()
-	}
-	for i := w.written; i < w.nops; i++ {
-		if err := w.Read(i); err != nil {
+		if err := w.mark(verb, i, run); err != nil {
 			return err
 		}
 	}

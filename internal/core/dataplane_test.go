@@ -209,9 +209,16 @@ func TestDataPlaneRoundTrip(t *testing.T) {
 // codec lossless under the full pipeline — over both MemStore (default) and
 // an on-disk FileStore.
 func TestDataPlaneCodecRoundTrip(t *testing.T) {
-	for _, backing := range []string{"memstore", "filestore"} {
-		backing := backing
-		t.Run(backing, func(t *testing.T) {
+	for _, tc := range []struct {
+		backing string
+		single  bool
+	}{{"memstore", false}, {"filestore", false}, {"memstore", true}} {
+		backing, single := tc.backing, tc.single
+		name := backing
+		if single {
+			name += "-single"
+		}
+		t.Run(name, func(t *testing.T) {
 			const ranks, rpn = 16, 2
 			seed := int64(4242)
 			rng := rand.New(rand.NewSource(seed))
@@ -243,7 +250,7 @@ func TestDataPlaneCodecRoundTrip(t *testing.T) {
 				f = c.Bcast(0, 8, f).(*storage.File)
 				mine := decl[c.Rank()]
 				data := workload.FillData(mine, uint64(seed))
-				cfg := Config{Aggregators: 4, BufferSize: 8 << 10, Codec: dataplane.LZ}
+				cfg := Config{Aggregators: 4, BufferSize: 8 << 10, Codec: dataplane.LZ, SingleBuffer: single}
 
 				w := New(c, sys, f, cfg)
 				if err := w.InitData(mine, data); err != nil {

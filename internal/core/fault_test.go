@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"tapioca/internal/dataplane"
 	"tapioca/internal/fault"
 	"tapioca/internal/mpi"
 	"tapioca/internal/netsim"
@@ -236,14 +237,61 @@ func TestAggregatorDeathWithoutRecoveryDiagnosed(t *testing.T) {
 	}
 }
 
+// TestPhantomFailoverCountsCodecBytes: a phantom codec session that fails
+// over must count the modeled compressed bytes of every flush, the
+// replacement aggregator's replayed rounds included.
+func TestPhantomFailoverCountsCodecBytes(t *testing.T) {
+	const ranks, perRank, buf = 8, 256 << 10, 64 << 10
+	plan := fault.NewPlan(fault.Config{Seed: 3, AggrDeathRate: 1})
+	var mu sync.Mutex
+	var sum Stats
+	runFlat(t, ranks, 1, func(c *mpi.Comm, sys storage.System) {
+		var f *storage.File
+		if c.Rank() == 0 {
+			f = sys.Create("phantom-failover", storage.FileOptions{})
+		}
+		f = c.Bcast(0, 8, f).(*storage.File)
+		decl := [][]storage.Seg{{storage.Contig(int64(c.Rank())*perRank, perRank)}}
+		w := New(c, sys, f, Config{Aggregators: 2, BufferSize: buf, Codec: dataplane.LZ,
+			Faults: plan, Recovery: fault.DefaultRecovery()})
+		if err := w.Init(decl); err != nil {
+			panic(err)
+		}
+		if err := w.WriteAll(); err != nil {
+			panic(err)
+		}
+		st := w.Stats()
+		mu.Lock()
+		sum.Flushes += st.Flushes
+		sum.BytesFlushed += st.BytesFlushed
+		sum.BytesCompressed += st.BytesCompressed
+		sum.ReplayedRounds += st.ReplayedRounds
+		mu.Unlock()
+	})
+	if sum.ReplayedRounds == 0 {
+		t.Fatal("no round replayed — the property ran vacuously")
+	}
+	if sum.BytesFlushed != sum.Flushes*buf {
+		t.Fatalf("flushed %d bytes in %d flushes, want full %d-byte buffers", sum.BytesFlushed, sum.Flushes, buf)
+	}
+	if want := sum.Flushes * dataplane.ModeledSize(dataplane.LZ, buf); sum.BytesCompressed != want {
+		t.Errorf("BytesCompressed = %d, want %d (%d flushes, %d replayed)",
+			sum.BytesCompressed, want, sum.Flushes, sum.ReplayedRounds)
+	}
+}
+
 // TestCorruptionRepair: a scheduled bit-flip per flushed round must be
 // visible end-to-end (store checksum diverges from the write checksum) when
 // repair is disarmed, and invisible (checksums match) when the targeted
 // verify-and-repair scrub is armed.
 func TestCorruptionRepair(t *testing.T) {
-	for _, repair := range []bool{false, true} {
-		repair := repair
-		t.Run(fmt.Sprintf("repair=%v", repair), func(t *testing.T) {
+	for _, tc := range []struct{ repair, single bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		repair, single := tc.repair, tc.single
+		name := fmt.Sprintf("repair=%v", repair)
+		if single {
+			name += "-single"
+		}
+		t.Run(name, func(t *testing.T) {
 			const ranks, rpn = 8, 2
 			seed := int64(31337)
 			rng := rand.New(rand.NewSource(seed))
@@ -267,7 +315,7 @@ func TestCorruptionRepair(t *testing.T) {
 				f = c.Bcast(0, 8, f).(*storage.File)
 				mine := decl[c.Rank()]
 				data := workload.FillData(mine, uint64(seed))
-				w := New(c, sys, f, Config{Aggregators: 2, BufferSize: 8 << 10, Faults: plan, Recovery: rec})
+				w := New(c, sys, f, Config{Aggregators: 2, BufferSize: 8 << 10, SingleBuffer: single, Faults: plan, Recovery: rec})
 				if err := w.InitData(mine, data); err != nil {
 					panic(err)
 				}

@@ -45,37 +45,83 @@ type codecScratch struct {
 	comp, decomp []byte
 }
 
-// storeJob is one round's real store I/O running on a background goroutine,
-// off the simulation's critical path: the double-buffer schedule that
-// already overlaps the virtual flush with the next round's aggregation now
-// carries the actual bytes too. At most one job per writer is in flight
-// (the join point precedes the next launch), so the writer's codec scratch
-// needs no locking.
+// storeJob is one round's real store I/O (a flush, prefetch or replay)
+// running on a background goroutine, off the simulation's critical path:
+// the schedule that overlaps the virtual flush with the next round's
+// aggregation carries the actual bytes too. At most one job per writer is
+// in flight (the join point precedes the next launch), so the writer's
+// codec scratch needs no locking.
 type storeJob struct {
 	done   chan struct{}
 	err    error
 	stored int64 // post-codec bytes handed to the store (codec rounds)
 }
 
-// launchStore runs fn on a background goroutine. Everything fn touches must
-// be captured in a synchronized context before the launch (window slices,
-// layouts, the file's attached store).
-func launchStore(fn func() (int64, error)) *storeJob {
+// storeJobs holds a session's store jobs, one slot per aggregation buffer.
+// Every store I/O of a data-plane session runs as a job, whatever the buffer
+// mode; Writer.join is its only completion point.
+type storeJobs [2]*storeJob
+
+// launch runs fn on a background goroutine as buffer bufID's job.
+// Everything fn touches must be captured in a synchronized context before
+// the launch (window slices, layouts, the file's attached store).
+func (js *storeJobs) launch(bufID int64, fn func() (int64, error)) {
 	j := &storeJob{done: make(chan struct{})}
 	go func() {
 		defer close(j.done)
 		j.stored, j.err = fn()
 	}()
-	return j
+	js[bufID] = j
 }
 
-// codecModel resolves the codec's deterministic pricing terms: compress and
-// decompress nanoseconds-per-byte and the modeled compressed size of n
-// bytes. Virtual time must not depend on payload content, so the model —
-// not the achieved ratio — is what the simulation charges.
-func (w *Writer) codecModel() (cNsPerByte, dNsPerByte float64) {
+// join waits for buffer bufID's store job, if any: the first job error is
+// kept in *errp and the job's stored bytes count toward BytesCompressed.
+// Joining costs no virtual time; it is the host-side happens-before edge
+// that lets the buffer be reused.
+func (w *Writer) join(jobs *storeJobs, bufID int64, errp *error) {
+	j := jobs[bufID]
+	if j == nil {
+		return
+	}
+	<-j.done
+	if j.err != nil && *errp == nil {
+		*errp = j.err
+	}
+	w.stats.BytesCompressed += j.stored
+	jobs[bufID] = nil
+}
+
+// codecHold charges the codec's compute for one round of bytes: compress
+// before a flush, decompress (read) after a prefetch lands. Virtual time
+// must not depend on payload content, so the codec's modeled rates — not
+// the achieved ones — are what the simulation charges.
+func (w *Writer) codecHold(p *sim.Proc, bytes int64, read bool) {
 	crate, drate := w.cfg.Codec.ModelRates()
-	return 1e9 / crate, 1e9 / drate
+	rate, span := crate, "compress"
+	if read {
+		rate, span = drate, "decompress"
+	}
+	cd := int64(float64(bytes) * (1e9 / rate))
+	p.Hold(cd)
+	if w.rec != nil {
+		w.rec.Phase(obs.PhaseCodec, cd)
+		p.TraceSpan("tapioca", span, p.Now()-cd, p.Now(), bytes)
+	}
+}
+
+// waitFlush blocks on a flush (or prefetch) event and books the wait to the
+// storage phase under the named trace span. A nil event — no flush, or one
+// absorbed as lost — costs nothing.
+func (w *Writer) waitFlush(p *sim.Proc, ev *sim.Event, span string, bytes int64) {
+	if ev == nil {
+		return
+	}
+	start := p.Now()
+	ev.Wait(p)
+	if w.rec != nil {
+		w.rec.Phase(obs.PhaseStorage, p.Now()-start)
+		p.TraceSpan("tapioca", span, start, p.Now(), bytes)
+	}
 }
 
 // flushSegsFor prices a round's flush extent: without a codec the plan's
@@ -98,38 +144,70 @@ func (w *Writer) flushSegsFor(fl flushInfo) []storage.Seg {
 // (both zero on the fault-free path): after the write lands, applyDamage
 // flips the damaged byte and — with repair on — scrubs it back.
 func (w *Writer) storeRound(buf []byte, layout []storage.Seg, dmg []int64, repair bool) (stored int64, err error) {
-	codec := w.cfg.Codec
-	if codec == nil {
-		t := hostClock(w.rec)
-		err := w.f.StoreWrite(layout, buf)
-		hostObserve(w.rec, "host.store_write_seconds", t)
-		if err == nil && len(dmg) > 0 {
-			err = applyDamage(w.f, layout, buf, dmg, repair)
+	src := buf
+	if codec := w.cfg.Codec; codec != nil {
+		sc := w.codec
+		if sc == nil {
+			sc = &codecScratch{}
+			w.codec = sc
 		}
-		return 0, err
-	}
-	sc := w.codec
-	if sc == nil {
-		sc = &codecScratch{}
-		w.codec = sc
+		t := hostClock(w.rec)
+		sc.comp = codec.Compress(sc.comp, buf)
+		hostObserve(w.rec, "host.codec_compress_seconds", t)
+		stored = int64(len(sc.comp))
+		sc.decomp = grow(sc.decomp, int64(len(buf)))
+		t = hostClock(w.rec)
+		if err := codec.Decompress(sc.decomp, sc.comp); err != nil {
+			return stored, fmt.Errorf("core: codec %s round trip on flush: %w", codec.Name(), err)
+		}
+		hostObserve(w.rec, "host.codec_decompress_seconds", t)
+		src = sc.decomp
 	}
 	t := hostClock(w.rec)
-	sc.comp = codec.Compress(sc.comp, buf)
-	hostObserve(w.rec, "host.codec_compress_seconds", t)
-	stored = int64(len(sc.comp))
-	sc.decomp = grow(sc.decomp, int64(len(buf)))
-	t = hostClock(w.rec)
-	if err := codec.Decompress(sc.decomp, sc.comp); err != nil {
-		return stored, fmt.Errorf("core: codec %s round trip on flush: %w", codec.Name(), err)
-	}
-	hostObserve(w.rec, "host.codec_decompress_seconds", t)
-	t = hostClock(w.rec)
-	err = w.f.StoreWrite(layout, sc.decomp)
+	err = w.f.StoreWrite(layout, src)
 	hostObserve(w.rec, "host.store_write_seconds", t)
 	if err == nil && len(dmg) > 0 {
-		err = applyDamage(w.f, layout, sc.decomp, dmg, repair)
+		err = applyDamage(w.f, layout, src, dmg, repair)
 	}
 	return stored, err
+}
+
+// flushRound is the aggregator's flush of round r's filled buffer bufID —
+// the one flush step of Algorithm 3, shared by the steady-state pipeline
+// and failover replay. In order: the codec's compress hold (and, in
+// phantom mode, the modeled compressed bytes); on a round's first flush
+// under Config.Faults, its corruption decision, whose repair scrub books
+// storage after the codec hold; the data plane's store job; and the
+// non-blocking virtual flush, whose event the caller waits on its own
+// schedule.
+func (w *Writer) flushRound(p *sim.Proc, jobs *storeJobs, r int, bufID int64, first bool) *sim.Event {
+	fl := w.plan.parts[w.part].flush[r]
+	if w.cfg.Codec != nil {
+		w.codecHold(p, fl.bytes, false)
+		if w.pl == nil {
+			w.stats.BytesCompressed += dataplane.ModeledSize(w.cfg.Codec, fl.bytes)
+		}
+	}
+	var dmg []int64
+	var repair bool
+	if first && w.cfg.Faults != nil {
+		dmg, repair = w.checkCorruption(p, r, fl)
+	}
+	if w.pl != nil {
+		// The fence published every member's payload; hand the filled
+		// buffer to a background store job. Everything the job touches is
+		// resolved here, in proc context.
+		buf := w.win.LocalData()[bufID*w.cfg.BufferSize:][:fl.bytes]
+		layout := w.plan.layoutOf(w.part, r)
+		w.f.EnsureStore()
+		jobs.launch(bufID, func() (int64, error) {
+			return w.storeRound(buf, layout, dmg, repair)
+		})
+	}
+	ev := w.flushAsync(p, fl, false)
+	w.stats.BytesFlushed += fl.bytes
+	w.stats.Flushes++
+	return ev
 }
 
 // runWrite executes the paper's Algorithm 3 over the partition: for every
@@ -151,36 +229,26 @@ func (w *Writer) storeRound(buf []byte, layout []storage.Seg, dmg []int64, repai
 // fences), SingleBuffer (the serializing fence) and Config.Faults (failover
 // re-election).
 //
+// Every round's flush goes through flushRound. The buffer mode decides only
+// the virtual-time wait: double buffering parks the flush event until the
+// buffer's next reuse, SingleBuffer waits for it at once and then fences
+// again to serialize the next round's aggregation.
+//
 // With the data plane on, the same schedule moves real bytes, zero-copy:
 // each put's payload is gathered by dataplane.Plane.Each directly into the
 // aggregator's window memory (Win.PutGather — no intermediate buffer), and
-// the aggregator's real store I/O for round r runs on a background goroutine
-// while round r+1 aggregates, joined before the fence that would let
-// members overwrite that buffer. Data-plane errors are deferred to the
-// return value: the fences and the closing barrier are collective, so a
-// rank must finish the round structure in lockstep even when its store
-// fails.
+// the aggregator's real store I/O for round r runs as a background store job
+// in both buffer modes, joined before the fence that would let members
+// overwrite that buffer. Data-plane errors are deferred to the return value:
+// the fences and the closing barrier are collective, so a rank must finish
+// the round structure in lockstep even when its store fails.
 func (w *Writer) runWrite() error {
 	pp := &w.plan.parts[w.part]
 	p := w.c.Proc()
 	myPieces := w.plan.piecesOf(w.c.Rank())
 	var pending [2]*sim.Event
-	var jobs [2]*storeJob
+	var jobs storeJobs
 	var dataErr error
-	join := func(bufID int64) {
-		if j := jobs[bufID]; j != nil {
-			<-j.done
-			if j.err != nil && dataErr == nil {
-				dataErr = j.err
-			}
-			w.stats.BytesCompressed += j.stored
-			jobs[bufID] = nil
-		}
-	}
-	var cNsPerByte float64
-	if w.cfg.Codec != nil {
-		cNsPerByte, _ = w.codecModel()
-	}
 	rec := w.rec
 	faults := w.cfg.Faults != nil
 	deadRound := w.deathRound()
@@ -196,7 +264,7 @@ func (w *Writer) runWrite() error {
 			p.SetPhaseLabel(fmt.Sprintf("tapioca round %d/%d", r+1, pp.rounds))
 		}
 		if r == deadRound {
-			if err := w.failover(p, r, &pending, join, &dataErr); err != nil {
+			if err := w.failover(p, r, &pending, &jobs, &dataErr); err != nil {
 				return err
 			}
 		}
@@ -284,17 +352,12 @@ func (w *Writer) runWrite() error {
 		// overwrites it. (The virtual flush completion is enforced
 		// separately by pending[…] below — joining here costs no virtual
 		// time, it is the host-side happens-before edge.)
-		join(1 - bufID)
+		w.join(&jobs, 1-bufID, &dataErr)
 		// Buffer-reuse guard: the fence cannot release until the aggregator
 		// has finished the flush that last used this buffer.
-		if w.isAgg && pending[bufID] != nil {
-			waitStart := p.Now()
-			pending[bufID].Wait(p)
+		if w.isAgg {
+			w.waitFlush(p, pending[bufID], "flush-wait", 0)
 			pending[bufID] = nil
-			if rec != nil {
-				rec.Phase(obs.PhaseStorage, p.Now()-waitStart)
-				p.TraceSpan("tapioca", "flush-wait", waitStart, p.Now(), 0)
-			}
 		}
 		var fenceStart int64
 		if rec != nil {
@@ -311,61 +374,12 @@ func (w *Writer) runWrite() error {
 			rec.Phase(obs.PhaseExchange, p.Now()-fenceStart)
 			p.TraceSpan("tapioca", "exchange", fenceStart, p.Now(), 0)
 		}
-		if w.isAgg {
-			fl := pp.flush[r]
-			if fl.bytes > 0 {
-				if w.cfg.Codec != nil {
-					// The reduction stage: compress compute before the flush
-					// can be issued, then a smaller flush extent.
-					cd := int64(float64(fl.bytes) * cNsPerByte)
-					p.Hold(cd)
-					if rec != nil {
-						rec.Phase(obs.PhaseCodec, cd)
-						p.TraceSpan("tapioca", "compress", p.Now()-cd, p.Now(), fl.bytes)
-					}
-					if w.pl == nil {
-						w.stats.BytesCompressed += dataplane.ModeledSize(w.cfg.Codec, fl.bytes)
-					}
-				}
-				var dmg []int64
-				var repair bool
-				if faults {
-					dmg, repair = w.checkCorruption(p, r, fl)
-				}
-				if w.pl != nil {
-					// The fence published every member's payload; hand the
-					// filled buffer to the background store job. Everything
-					// the job touches is resolved here, in proc context.
-					buf := w.win.LocalData()[bufID*w.cfg.BufferSize:][:fl.bytes]
-					layout := w.plan.layoutOf(w.part, r)
-					w.f.EnsureStore()
-					if w.cfg.SingleBuffer {
-						stored, err := w.storeRound(buf, layout, dmg, repair)
-						if err != nil && dataErr == nil {
-							dataErr = err
-						}
-						w.stats.BytesCompressed += stored
-					} else {
-						jobs[bufID] = launchStore(func() (int64, error) {
-							return w.storeRound(buf, layout, dmg, repair)
-						})
-					}
-				}
-				ev := w.flushAsync(p, fl, false)
-				w.stats.BytesFlushed += fl.bytes
-				w.stats.Flushes++
-				if w.cfg.SingleBuffer {
-					if ev != nil {
-						waitStart := p.Now()
-						ev.Wait(p)
-						if rec != nil {
-							rec.Phase(obs.PhaseStorage, p.Now()-waitStart)
-							p.TraceSpan("tapioca", "flush-wait", waitStart, p.Now(), fl.bytes)
-						}
-					}
-				} else {
-					pending[bufID] = ev
-				}
+		if w.isAgg && pp.flush[r].bytes > 0 {
+			ev := w.flushRound(p, &jobs, r, bufID, true)
+			if w.cfg.SingleBuffer {
+				w.waitFlush(p, ev, "flush-wait", pp.flush[r].bytes)
+			} else {
+				pending[bufID] = ev
 			}
 		}
 		if w.cfg.SingleBuffer {
@@ -393,18 +407,11 @@ func (w *Writer) runWrite() error {
 	// Drain outstanding flushes, then close the session collectively.
 	if w.isAgg {
 		for _, ev := range pending {
-			if ev != nil {
-				waitStart := p.Now()
-				ev.Wait(p)
-				if rec != nil {
-					rec.Phase(obs.PhaseStorage, p.Now()-waitStart)
-					p.TraceSpan("tapioca", "flush-wait", waitStart, p.Now(), 0)
-				}
-			}
+			w.waitFlush(p, ev, "flush-wait", 0)
 		}
 	}
-	join(0)
-	join(1)
+	w.join(&jobs, 0, &dataErr)
+	w.join(&jobs, 1, &dataErr)
 	barStart := p.Now()
 	w.pc.Barrier()
 	if w.interiorTree() != nil {
@@ -455,31 +462,19 @@ func (w *Writer) sessionMetrics(rec *obs.Recorder) {
 // members with pieces in round r only; the others skip the round, for the
 // reason runWrite gives. No read configuration has members meet mid-round.
 //
-// With the data plane on, the prefetch's real store read runs on a
-// background goroutine (joined before the fence that publishes its buffer),
-// and each member's get scatters its piece straight out of window memory
-// into the payload buffers it passed to InitData (Win.GetScatter — no
-// intermediate buffer).
+// With the data plane on, the prefetch's real store read runs as a
+// background store job in both buffer modes, joined before the fence that
+// publishes its buffer (under SingleBuffer, right after its launch, since
+// that round's prefetch is not overlapped), and each member's get scatters
+// its piece straight out of window memory into the payload buffers it
+// passed to InitData (Win.GetScatter — no intermediate buffer).
 func (w *Writer) runRead() error {
 	pp := &w.plan.parts[w.part]
 	p := w.c.Proc()
 	myPieces := w.plan.piecesOf(w.c.Rank())
 	var pending [2]*sim.Event
-	var jobs [2]*storeJob
+	var jobs storeJobs
 	var prefetchErr error
-	join := func(bufID int64) {
-		if j := jobs[bufID]; j != nil {
-			<-j.done
-			if j.err != nil && prefetchErr == nil {
-				prefetchErr = j.err
-			}
-			jobs[bufID] = nil
-		}
-	}
-	var dNsPerByte float64
-	if w.cfg.Codec != nil {
-		_, dNsPerByte = w.codecModel()
-	}
 	rec := w.rec
 	prefetch := func(r int) {
 		if w.isAgg && r < pp.rounds && pp.flush[r].bytes > 0 {
@@ -488,20 +483,12 @@ func (w *Writer) runRead() error {
 				// fence publishes it to the members' gets.
 				buf := w.win.LocalData()[int64(r%2)*w.cfg.BufferSize:][:pp.flush[r].bytes]
 				layout := w.plan.layoutOf(w.part, r)
-				if w.cfg.SingleBuffer {
+				jobs.launch(int64(r%2), func() (int64, error) {
 					t := hostClock(rec)
-					if err := w.f.StoreRead(layout, buf); err != nil && prefetchErr == nil {
-						prefetchErr = err
-					}
+					err := w.f.StoreRead(layout, buf)
 					hostObserve(rec, "host.store_read_seconds", t)
-				} else {
-					jobs[r%2] = launchStore(func() (int64, error) {
-						t := hostClock(rec)
-						err := w.f.StoreRead(layout, buf)
-						hostObserve(rec, "host.store_read_seconds", t)
-						return 0, err
-					})
-				}
+					return 0, err
+				})
 			}
 			pending[r%2] = w.flushAsync(p, pp.flush[r], true)
 			w.stats.BytesFlushed += pp.flush[r].bytes
@@ -534,22 +521,12 @@ func (w *Writer) runRead() error {
 		// The aggregator publishes the buffer once its read (and, with a
 		// codec, the decompress compute) lands; the background byte job for
 		// this buffer must be joined before the publishing fence.
-		join(bufID)
+		w.join(&jobs, bufID, &prefetchErr)
 		if w.isAgg && pending[bufID] != nil {
-			waitStart := p.Now()
-			pending[bufID].Wait(p)
+			w.waitFlush(p, pending[bufID], "read-wait", pp.flush[r].bytes)
 			pending[bufID] = nil
-			if rec != nil {
-				rec.Phase(obs.PhaseStorage, p.Now()-waitStart)
-				p.TraceSpan("tapioca", "read-wait", waitStart, p.Now(), pp.flush[r].bytes)
-			}
 			if w.cfg.Codec != nil {
-				cd := int64(float64(pp.flush[r].bytes) * dNsPerByte)
-				p.Hold(cd)
-				if rec != nil {
-					rec.Phase(obs.PhaseCodec, cd)
-					p.TraceSpan("tapioca", "decompress", p.Now()-cd, p.Now(), pp.flush[r].bytes)
-				}
+				w.codecHold(p, pp.flush[r].bytes, true)
 			}
 		}
 		fenceStart := p.Now()
@@ -595,8 +572,8 @@ func (w *Writer) runRead() error {
 			p.TraceSpan("tapioca", "round", roundStart, p.Now(), w.stats.BytesPut-roundPut)
 		}
 	}
-	join(0)
-	join(1)
+	w.join(&jobs, 0, &prefetchErr)
+	w.join(&jobs, 1, &prefetchErr)
 	barStart := p.Now()
 	w.pc.Barrier()
 	if rec != nil {

@@ -221,7 +221,7 @@ func (w *Writer) reelect(dead int) int {
 // rounds resume. The demoted rank survives as a member — the model is
 // gray failure of the aggregator role (its NVRAM lease expires, its buffers
 // are fenced off) — so its own declared data still lands.
-func (w *Writer) failover(p *sim.Proc, r int, pending *[2]*sim.Event, join func(int64), dataErr *error) error {
+func (w *Writer) failover(p *sim.Proc, r int, pending *[2]*sim.Event, jobs *storeJobs, dataErr *error) error {
 	reg := w.rec.Registry()
 	rc := w.cfg.Recovery
 	if rc == nil || !rc.Failover {
@@ -260,12 +260,12 @@ func (w *Writer) failover(p *sim.Proc, r int, pending *[2]*sim.Event, join func(
 		// timer with no waiter; its background store jobs are joined here,
 		// in proc context, so the replacement's replay rewrites are ordered
 		// after them on the host side (the engine serializes procs).
-		join(0)
-		join(1)
+		w.join(jobs, 0, dataErr)
+		w.join(jobs, 1, dataErr)
 		pending[0], pending[1] = nil, nil
 	}
 	for _, q := range w.lostRounds(r) {
-		w.replayRound(p, q, dataErr)
+		w.replayRound(p, jobs, q, dataErr)
 	}
 	// Serializing fence: normal rounds resume only once the replacement's
 	// replay flushes have landed (round r reuses the r-2 buffer).
@@ -274,13 +274,17 @@ func (w *Writer) failover(p *sim.Proc, r int, pending *[2]*sim.Event, join func(
 }
 
 // replayRound re-runs round q's aggregation into the replacement
-// aggregator's window and flushes it synchronously. The bytes come from the
-// members' own payload buffers (data-plane sessions) or move as virtual
-// counts (phantom sessions) — the dead aggregator contributes nothing
-// beyond its own declared data, which it still holds as a member.
-func (w *Writer) replayRound(p *sim.Proc, q int, dataErr *error) {
+// aggregator's window and flushes it through flushRound, like any round. The
+// bytes come from the members' own payload buffers (data-plane sessions) or
+// move as virtual counts (phantom sessions) — the dead aggregator
+// contributes nothing beyond its own declared data, which it still holds as
+// a member. Replay is off the steady-state schedule and the serializing
+// fence in failover needs the bytes durable, so the replacement joins the
+// store job at once and waits for the flush. The original corruption key
+// for round q was consumed at first flush, so the replay rewrites clean
+// bytes over any damage.
+func (w *Writer) replayRound(p *sim.Proc, jobs *storeJobs, q int, dataErr *error) {
 	pp := &w.plan.parts[w.part]
-	fl := pp.flush[q]
 	bufID := int64(q % 2)
 	var deferredFree int64
 	for _, pc := range w.plan.piecesOf(w.c.Rank()) {
@@ -296,32 +300,14 @@ func (w *Writer) replayRound(p *sim.Proc, q int, dataErr *error) {
 		deferredFree = w.put(q, bufID, pc, false, dataErr)
 	}
 	w.win.FenceAfter(deferredFree)
-	if !w.isAgg || fl.bytes == 0 {
+	if !w.isAgg || pp.flush[q].bytes == 0 {
 		return
 	}
-	if w.cfg.Codec != nil {
-		cNsPerByte, _ := w.codecModel()
-		p.Hold(int64(float64(fl.bytes) * cNsPerByte))
-	}
-	if w.pl != nil {
-		buf := w.win.LocalData()[bufID*w.cfg.BufferSize:][:fl.bytes]
-		layout := w.plan.layoutOf(w.part, q)
-		w.f.EnsureStore()
-		// Synchronous: replay is already off the steady-state schedule, and
-		// the serializing fence in failover needs the bytes durable. The
-		// original corruption key for round q was consumed at first flush,
-		// so the replay rewrites clean bytes over any damage.
-		stored, err := w.storeRound(buf, layout, nil, false)
-		if err != nil && *dataErr == nil {
-			*dataErr = err
-		}
-		w.stats.BytesCompressed += stored
-	}
-	if ev := w.flushAsync(p, fl, false); ev != nil {
+	ev := w.flushRound(p, jobs, q, bufID, false)
+	w.join(jobs, bufID, dataErr)
+	if ev != nil {
 		ev.Wait(p)
 	}
-	w.stats.BytesFlushed += fl.bytes
-	w.stats.Flushes++
 	w.stats.ReplayedRounds++
 	w.rec.Registry().Add(fault.MetricReplayedRounds, 1)
 }

@@ -5,14 +5,15 @@
 // provides the subset of MPI-2/MPI-3 that two-phase I/O libraries consume:
 //
 //   - communicators with Dup and Split;
-//   - blocking point-to-point with tag matching and wildcards, moving
-//     virtual bytes through a netsim.Fabric (so congestion is real);
-//   - collectives (Barrier, Bcast, Reduce, Allreduce with MINLOC/MAXLOC,
-//     Gather/Allgather and the v variants) with LogP-style
-//     analytic costs — collectives are the control plane, the measured data
-//     plane always moves through the fabric;
-//   - one-sided communication: windows with Put/Get/Accumulate and fence
-//     epochs, the transport TAPIOCA uses for aggregation.
+//   - blocking and non-blocking point-to-point with tag matching and
+//     wildcards, moving virtual bytes through a netsim.Fabric (so
+//     congestion is real);
+//   - collectives (Barrier, Bcast, Gather, Allgather, Scatter, and
+//     Allreduce with MINLOC and MAXLOC) with LogP-style analytic costs —
+//     collectives are the control plane, the measured data plane always
+//     moves through the fabric;
+//   - one-sided communication: windows with Put/Get and fence epochs, the
+//     transport TAPIOCA uses for aggregation.
 //
 // Payloads are optional: small control values ride along for algorithmic
 // correctness (e.g. election costs), while bulk data is virtual byte counts.

@@ -204,8 +204,9 @@ func WithBurstBuffer(cfg storage.BurstBufferConfig) MachineOption {
 }
 
 // Machine is a simulated platform: topology + network fabric + storage.
-// Machines are single-use: each Run consumes fresh resource state, so build
-// a new Machine per measurement.
+// Machines are single-use: a Run books the fabric's and storage's resource
+// state, so a second Run on the same Machine returns an error; build a new
+// Machine per measurement.
 type Machine struct {
 	name    string
 	topo    topology.Topology
@@ -215,6 +216,7 @@ type Machine struct {
 	nodes   int
 	rec     *obs.Recorder   // non-nil after EnableTracing
 	rebuild func() *Machine // fresh identical machine (autotune probes)
+	used    bool            // Run already booked this machine's resources
 }
 
 // Mira builds a Mira-like IBM BG/Q + GPFS machine with the given compute
@@ -307,8 +309,14 @@ type FileReport struct {
 }
 
 // Run executes body on nodes×ranksPerNode simulated MPI ranks and returns a
-// report. The Machine must not be reused afterwards.
+// report. It returns an error, without running body, if the Machine has
+// already run: the fabric and storage keep the earlier run's booked state,
+// so a rerun would report inflated times.
 func (m *Machine) Run(ranksPerNode int, body func(*Ctx)) (Report, error) {
+	if m.used {
+		return Report{}, fmt.Errorf("tapioca: machine %s already ran; build a new Machine per Run", m.name)
+	}
+	m.used = true
 	if ranksPerNode <= 0 {
 		ranksPerNode = 1
 	}

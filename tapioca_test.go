@@ -67,6 +67,30 @@ func TestDeterministicReports(t *testing.T) {
 	}
 }
 
+// TestMachineRunsOnce: a second Run on the same Machine would reuse the
+// fabric's booked state and report inflated times, so it must fail without
+// running its body.
+func TestMachineRunsOnce(t *testing.T) {
+	m := tapioca.Theta(16)
+	body := func(ctx *tapioca.Ctx) {
+		f := ctx.CreateFile("once", tapioca.FileOptions{StripeCount: 4, StripeSize: 1 << 20})
+		w := ctx.Tapioca(f, tapioca.Config{Aggregators: 2, BufferSize: 1 << 20})
+		w.Init([][]tapioca.Seg{{tapioca.Contig(int64(ctx.Rank())<<19, 1<<19)}})
+		w.WriteAll()
+		ctx.Barrier()
+	}
+	if _, err := m.Run(2, body); err != nil {
+		t.Fatal(err)
+	}
+	ran := false
+	if _, err := m.Run(2, func(ctx *tapioca.Ctx) { ran = true }); err == nil {
+		t.Fatal("second Run on the same Machine succeeded")
+	}
+	if ran {
+		t.Error("second Run executed its body")
+	}
+}
+
 func TestCtxSplitAndPset(t *testing.T) {
 	m := tapioca.Mira(256)
 	_, err := m.Run(2, func(ctx *tapioca.Ctx) {
