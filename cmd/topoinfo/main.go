@@ -8,66 +8,94 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
+	"os"
+	"slices"
 
 	"tapioca/internal/topology"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main's body over explicit arguments and output streams; it returns
+// the exit code: 2 for a bad flag value.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topoinfo", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		machine = flag.String("machine", "mira", "mira or theta")
-		nodes   = flag.Int("nodes", 512, "compute nodes")
-		from    = flag.Int("from", 0, "source node")
-		to      = flag.Int("to", 1, "destination node")
+		machine = fs.String("machine", "mira", "mira or theta")
+		nodes   = fs.Int("nodes", 512, "compute nodes")
+		from    = fs.Int("from", 0, "source node")
+		to      = fs.Int("to", 1, "destination node")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "topoinfo: "+format+"\n", a...)
+		return 2
+	}
 
 	var topo topology.Topology
 	switch *machine {
 	case "mira":
+		if sizes := topology.MiraSizes(); !slices.Contains(sizes, *nodes) {
+			return usage("no Mira partition of -nodes %d (want one of %v)", *nodes, sizes)
+		}
 		topo = topology.MiraTorus(*nodes)
 	case "theta":
+		if *nodes <= 0 {
+			return usage("-nodes %d must be positive", *nodes)
+		}
 		topo = topology.ThetaDragonfly(*nodes, topology.RouteMinimal)
 	default:
-		log.Fatalf("unknown machine %q", *machine)
+		return usage("unknown -machine %q (want mira or theta)", *machine)
+	}
+	for _, n := range []struct {
+		flag string
+		node int
+	}{{"from", *from}, {"to", *to}} {
+		if n.node < 0 || n.node >= topo.Nodes() {
+			return usage("-%s %d out of range [0,%d)", n.flag, n.node, topo.Nodes())
+		}
 	}
 
-	fmt.Printf("topology: %s\n", topo.Name())
-	fmt.Printf("nodes:    %d (dimensions %v)\n", topo.Nodes(), topo.Dimensions())
-	fmt.Printf("I/O nodes: %d, per-hop latency %d ns\n", topo.IONodes(), topo.Latency())
+	fmt.Fprintf(stdout, "topology: %s\n", topo.Name())
+	fmt.Fprintf(stdout, "nodes:    %d (dimensions %v)\n", topo.Nodes(), topo.Dimensions())
+	fmt.Fprintf(stdout, "I/O nodes: %d, per-hop latency %d ns\n", topo.IONodes(), topo.Latency())
 	for lvl, name := range []string{"injection", "fabric", "io-uplink", "storage"} {
-		fmt.Printf("bandwidth[%s] = %.2f GB/s\n", name, topo.Bandwidth(lvl)/1e9)
+		fmt.Fprintf(stdout, "bandwidth[%s] = %.2f GB/s\n", name, topo.Bandwidth(lvl)/1e9)
 	}
 
-	if *from >= topo.Nodes() || *to >= topo.Nodes() {
-		log.Fatalf("nodes out of range (have %d)", topo.Nodes())
-	}
-	fmt.Printf("\nnode %d: coordinates %v", *from, topo.Coordinates(*from))
+	fmt.Fprintf(stdout, "\nnode %d: coordinates %v", *from, topo.Coordinates(*from))
 	if ion := topo.IONodeOf(*from); ion != topology.IONUnknown {
-		fmt.Printf(", ION/Pset %d (distance %d)", ion, topo.DistanceToION(*from, ion))
+		fmt.Fprintf(stdout, ", ION/Pset %d (distance %d)", ion, topo.DistanceToION(*from, ion))
 	} else {
-		fmt.Printf(", ION locality hidden (C2 = 0, as on Theta)")
+		fmt.Fprintf(stdout, ", ION locality hidden (C2 = 0, as on Theta)")
 	}
-	fmt.Println()
-	fmt.Printf("node %d: coordinates %v\n", *to, topo.Coordinates(*to))
-	route := topo.Route(*from, *to)
+	fmt.Fprintln(stdout)
+	fmt.Fprintf(stdout, "node %d: coordinates %v\n", *to, topo.Coordinates(*to))
 	hops, bw := topology.PathInfo(topo, *from, *to)
-	fmt.Printf("distance %d hops, route %d links, bottleneck %.2f GB/s\n",
+	fmt.Fprintf(stdout, "distance %d hops, route %d links, bottleneck %.2f GB/s\n",
 		topo.Distance(*from, *to), hops, bw/1e9)
-	_ = route
 
 	if tor, ok := topo.(*topology.Torus5D); ok {
-		fmt.Printf("\nPsets (%d nodes each):\n", tor.PsetSize)
+		fmt.Fprintf(stdout, "\nPsets (%d nodes each):\n", tor.PsetSize)
 		for p := 0; p < tor.IONodes() && p < 8; p++ {
 			br := tor.BridgeNodes(p)
-			fmt.Printf("  pset %d: nodes [%d,%d), bridges %d and %d\n",
+			fmt.Fprintf(stdout, "  pset %d: nodes [%d,%d), bridges %d and %d\n",
 				p, p*tor.PsetSize, (p+1)*tor.PsetSize, br[0], br[1])
 		}
 	}
 	if d, ok := topo.(*topology.Dragonfly); ok {
-		fmt.Printf("\ndragonfly: %d groups × %d×%d routers × %d nodes, %d LNET service nodes\n",
+		fmt.Fprintf(stdout, "\ndragonfly: %d groups × %d×%d routers × %d nodes, %d LNET service nodes\n",
 			d.Groups, d.Rows, d.Cols, d.NodesPerRouter, d.ServiceNodes)
 	}
+	return 0
 }

@@ -204,7 +204,7 @@ func (w *Writer) flushRound(p *sim.Proc, jobs *storeJobs, r int, bufID int64, fi
 			return w.storeRound(buf, layout, dmg, repair)
 		})
 	}
-	ev := w.flushAsync(p, fl, false)
+	ev := w.flushAsync(p, fl, storage.OpWrite)
 	w.stats.BytesFlushed += fl.bytes
 	w.stats.Flushes++
 	return ev
@@ -490,7 +490,7 @@ func (w *Writer) runRead() error {
 					return 0, err
 				})
 			}
-			pending[r%2] = w.flushAsync(p, pp.flush[r], true)
+			pending[r%2] = w.flushAsync(p, pp.flush[r], storage.OpRead)
 			w.stats.BytesFlushed += pp.flush[r].bytes
 			w.stats.Flushes++
 			if w.cfg.Codec != nil {

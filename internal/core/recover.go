@@ -84,51 +84,30 @@ func (w *Writer) loseFlush(fl flushInfo) {
 // errors retry under the tier's policy with deterministic virtual-time
 // backoff; a tier outage degrades to the fallback tier when armed;
 // anything unrecoverable is absorbed as a lost flush and returns nil.
-// Without Config.Faults this is exactly the original non-blocking call.
-func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, read bool) *sim.Event {
+// Without Config.Faults it is one plain storage.Start.
+func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, op storage.Op) *sim.Event {
 	segs := w.flushSegsFor(fl)
 	node := w.pc.Node()
 	sys := w.ioSys()
 	if w.cfg.Faults == nil {
-		if read {
-			return sys.ReadAsync(p, node, w.f, segs)
-		}
-		return sys.WriteAsync(p, node, w.f, segs)
+		return storage.Start(p, sys, node, w.f, segs, op)
 	}
 	reg := w.rec.Registry()
 	rc := w.cfg.Recovery
-	degraded := func() {
-		if w.degradedSys != nil {
-			w.stats.DegradedFlushes++
-			reg.Add(fault.MetricDegradedRounds, 1)
-		}
-	}
 	attempt, spent := 0, int64(0)
 	for {
-		fb := storage.FallibleOf(sys)
-		if fb == nil {
-			// The degraded tier (or an unwrapped system) has no fault face.
-			degraded()
-			if read {
-				return sys.ReadAsync(p, node, w.f, segs)
-			}
-			return sys.WriteAsync(p, node, w.f, segs)
-		}
-		var ev *sim.Event
-		var err error
-		if read {
-			ev, err = fb.ReadAsyncTry(p, node, w.f, segs)
-		} else {
-			ev, err = fb.WriteAsyncTry(p, node, w.f, segs)
-		}
+		tier, err := storage.Try(p, sys)
 		if err == nil {
-			degraded()
-			return ev
+			if w.degradedSys != nil {
+				w.stats.DegradedFlushes++
+				reg.Add(fault.MetricDegradedRounds, 1)
+			}
+			return storage.Start(p, tier, node, w.f, segs, op)
 		}
 		if errors.Is(err, fault.ErrTierDown) {
 			if rc != nil && rc.Degraded && w.degrade() {
 				sys = w.ioSys()
-				if !read {
+				if op == storage.OpWrite {
 					segs = restripe(segs, sys.OptimalUnit(w.f))
 				}
 				continue
@@ -360,8 +339,8 @@ func (w *Writer) checkCorruption(p *sim.Proc, r int, fl flushInfo) (dmg []int64,
 		scrub := []storage.Seg{storage.Contig(lo, n)}
 		sys := w.ioSys()
 		node := w.pc.Node()
-		sys.Read(p, node, w.f, scrub)
-		sys.Write(p, node, w.f, scrub)
+		storage.Do(p, sys, node, w.f, scrub, storage.OpRead)
+		storage.Do(p, sys, node, w.f, scrub, storage.OpWrite)
 	}
 	w.stats.RepairedExtents++
 	reg.Add(fault.MetricRepairedExtents, 1)

@@ -406,11 +406,12 @@ func (fh *File) WriteAtData(segs []storage.Seg, data []byte) error {
 	p := fh.c.Proc()
 	if !fh.hints.DisableSieving && storage.TotalRuns(segs) > 1 {
 		lo, hi := storage.SpanAll(segs)
-		fh.sys.Read(p, fh.c.Node(), fh.f, []storage.Seg{storage.Contig(lo, hi-lo)})
-		fh.sys.Write(p, fh.c.Node(), fh.f, []storage.Seg{storage.Contig(lo, hi-lo)})
+		span := []storage.Seg{storage.Contig(lo, hi-lo)}
+		storage.Do(p, fh.sys, fh.c.Node(), fh.f, span, storage.OpRead)
+		storage.Do(p, fh.sys, fh.c.Node(), fh.f, span, storage.OpWrite)
 		return nil
 	}
-	fh.sys.Write(p, fh.c.Node(), fh.f, segs)
+	storage.Do(p, fh.sys, fh.c.Node(), fh.f, segs, storage.OpWrite)
 	return nil
 }
 
@@ -440,10 +441,10 @@ func (fh *File) ReadAtData(segs []storage.Seg, dst []byte) error {
 	p := fh.c.Proc()
 	if storage.TotalRuns(segs) > 1 {
 		lo, hi := storage.SpanAll(segs)
-		fh.sys.Read(p, fh.c.Node(), fh.f, []storage.Seg{storage.Contig(lo, hi-lo)})
+		storage.Do(p, fh.sys, fh.c.Node(), fh.f, []storage.Seg{storage.Contig(lo, hi-lo)}, storage.OpRead)
 		return nil
 	}
-	fh.sys.Read(p, fh.c.Node(), fh.f, segs)
+	storage.Do(p, fh.sys, fh.c.Node(), fh.f, segs, storage.OpRead)
 	return nil
 }
 

@@ -11,8 +11,8 @@ import (
 // ROMIO stack has: bounded retry with virtual-time backoff on transient
 // errors and a fall-back to the tier behind a dead burst buffer. Only the
 // coalesced round flushes and round reads go through the guarded path — the
-// sieving read-modify-write stays on the plain interface, where the modeled
-// client library absorbs transients internally.
+// sieved write (OpSieve) stays on the plain storage.Do path, where the
+// modeled client library absorbs transients internally.
 
 // ioSys is the tier the handle's round I/O currently targets: the opened
 // system, or the degraded fallback once the primary tier went down.
@@ -24,35 +24,19 @@ func (fh *File) ioSys() storage.System {
 }
 
 // guarded issues one blocking round write (or read) with the recovery loop.
-// On a system without a fault face this is exactly the original blocking
-// call; with one, transients retry under the default policy, a tier outage
-// degrades when a fallback tier exists, and an exhausted budget hands the op
-// back to the self-healing plain interface so the collective still completes.
-func (fh *File) guarded(read bool, segs []storage.Seg) {
+// On a system without a fault plan this is one plain storage.Do; with one,
+// transients retry under the default policy, a tier outage degrades when a
+// fallback tier exists, and an exhausted budget hands the op back to the
+// self-healing plain path so the collective still completes.
+func (fh *File) guarded(op storage.Op, segs []storage.Seg) {
 	p := fh.c.Proc()
 	node := fh.c.Node()
-	plain := func(sys storage.System) {
-		if read {
-			sys.Read(p, node, fh.f, segs)
-		} else {
-			sys.Write(p, node, fh.f, segs)
-		}
-	}
 	pol := fault.RetryPolicy{}.WithDefaults()
 	for attempt, spent := 0, int64(0); ; {
 		sys := fh.ioSys()
-		fb := storage.FallibleOf(sys)
-		if fb == nil {
-			plain(sys)
-			return
-		}
-		var err error
-		if read {
-			_, err = fb.ReadTry(p, node, fh.f, segs)
-		} else {
-			_, err = fb.WriteTry(p, node, fh.f, segs)
-		}
+		tier, err := storage.Try(p, sys)
 		if err == nil {
+			storage.Do(p, tier, node, fh.f, segs, op)
 			return
 		}
 		reg := p.Recorder().Registry()
@@ -62,7 +46,7 @@ func (fh *File) guarded(read bool, segs []storage.Seg) {
 				reg.Add(fault.MetricDegradedRounds, 1)
 				continue
 			}
-			plain(sys) // no fallback tier; the plain path completes the op
+			storage.Do(p, sys, node, fh.f, segs, op) // no fallback tier; the plain path completes the op
 			return
 		}
 		if attempt < pol.MaxAttempts && spent < pol.Budget {
@@ -74,7 +58,7 @@ func (fh *File) guarded(read bool, segs []storage.Seg) {
 			reg.Add(fault.MetricBackoffNs, d)
 			continue
 		}
-		plain(sys) // budget exhausted: absorb internally, keep the collective alive
+		storage.Do(p, sys, node, fh.f, segs, op) // budget exhausted: absorb internally, keep the collective alive
 		return
 	}
 }

@@ -392,7 +392,7 @@ func (fh *File) runRounds(plan *schedule, planes []*dataplane.Plane, read bool) 
 		if read {
 			if rd.bytes > 0 {
 				lo, hi := storage.SpanAll(rd.segs)
-				fh.guarded(true, []storage.Seg{storage.Contig(lo, hi-lo)})
+				fh.guarded(storage.OpRead, []storage.Seg{storage.Contig(lo, hi-lo)})
 			}
 			fh.ac.CollectivePriced("mpiio-round", nil, func(_ []any, maxT int64) (any, int64) {
 				ready := c.TreeCost(maxT, 16)
@@ -530,14 +530,14 @@ func (fh *File) flush(rd roundData) {
 	lo, hi := storage.SpanAll(rd.segs)
 	if rd.bytes >= hi-lo {
 		// Fully dense: one contiguous write.
-		fh.guarded(false, []storage.Seg{storage.Contig(lo, rd.bytes)})
+		fh.guarded(storage.OpWrite, []storage.Seg{storage.Contig(lo, rd.bytes)})
 		return
 	}
 	if !fh.hints.DisableSieving {
-		fh.sys.WriteSieved(p, node, fh.f, rd.segs)
+		storage.Do(p, fh.sys, node, fh.f, rd.segs, storage.OpSieve)
 		return
 	}
-	fh.guarded(false, rd.segs)
+	fh.guarded(storage.OpWrite, rd.segs)
 }
 
 // scatter books one read round's scatter for every rank, at the calling

@@ -76,17 +76,6 @@ func (bb *BurstBuffer) server(f *File, segs []Seg) *sim.GapResource {
 	return bb.servers[h%uint64(len(bb.servers))]
 }
 
-// stage books the burst-buffer ingest and the asynchronous drain; it
-// returns the ingest completion (what the writer waits for). The drain to
-// the backing system is booked concurrently and tracked in pending.
-func (bb *BurstBuffer) stage(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	bytes := TotalBytes(segs)
-	_, end := bb.server(f, segs).ReserveDur(p.Now()+bb.cfg.PerOp, sim.TransferTime(bytes, bb.cfg.ServerBW), bytes)
-	bb.staged += bytes
-	bb.pending = append(bb.pending, bb.backing.WriteAsync(p, node, f, segs))
-	return end
-}
-
 // Flush blocks until every background drain has reached the backing system
 // and returns the time of the last one.
 func (bb *BurstBuffer) Flush(p *sim.Proc) int64 {
@@ -99,10 +88,6 @@ func (bb *BurstBuffer) Flush(p *sim.Proc) int64 {
 	bb.pending = nil
 	return last
 }
-
-// Backing returns the file system behind the buffer tier — the degraded-
-// mode target when the buffer tier is down.
-func (bb *BurstBuffer) Backing() System { return bb.backing }
 
 // StagedBytes returns the bytes ingested by the buffer tier.
 func (bb *BurstBuffer) StagedBytes() int64 { return bb.staged }
@@ -148,31 +133,21 @@ func (bb *BurstBuffer) RecommendStripe(totalBytes, bufSize int64, aggregators in
 	return FileOptions{}
 }
 
-func (bb *BurstBuffer) Write(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	// recordWrite happens in the backing WriteAsync inside stage.
-	return blockingWrite(p, node, "bb-write", false, segs, bb.stage(p, node, f, segs))
-}
-
-func (bb *BurstBuffer) WriteAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	return asyncEvent(p, node, "bb-write", false, segs, bb.stage(p, node, f, segs))
-}
-
-func (bb *BurstBuffer) WriteSieved(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	lo, _ := SpanAll(segs)
-	footprint := PageFootprint(segs, 4096)
-	return bb.Write(p, node, f, []Seg{Contig(lo, footprint)})
-}
-
-func (bb *BurstBuffer) Read(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordRead(segs)
+// book serves reads from the buffer. A write completes at ingest (what the
+// writer waits for) while its drain to the backing system is booked
+// concurrently, tracked in pending, and records the write on the file. A
+// sieved write stages its page footprint, as a page-granular client would.
+func (bb *BurstBuffer) book(p *sim.Proc, node int, f *File, segs []Seg, op Op) (int64, string, []Seg) {
+	if op == OpSieve {
+		segs = pageSpan(segs)
+	}
 	bytes := TotalBytes(segs)
 	_, end := bb.server(f, segs).ReserveDur(p.Now()+bb.cfg.PerOp, sim.TransferTime(bytes, bb.cfg.ServerBW), bytes)
-	return blockingWrite(p, node, "bb-read", true, segs, end)
-}
-
-func (bb *BurstBuffer) ReadAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	f.recordRead(segs)
-	bytes := TotalBytes(segs)
-	_, end := bb.server(f, segs).ReserveDur(p.Now()+bb.cfg.PerOp, sim.TransferTime(bytes, bb.cfg.ServerBW), bytes)
-	return asyncEvent(p, node, "bb-read", true, segs, end)
+	if op == OpRead {
+		f.recordRead(segs)
+		return end, "bb-read", segs
+	}
+	bb.staged += bytes
+	bb.pending = append(bb.pending, Start(p, bb.backing, node, f, segs, OpWrite))
+	return end, "bb-write", segs
 }

@@ -15,12 +15,12 @@ func TestBurstBufferFasterThanBacking(t *testing.T) {
 	var staged, direct int64
 	e.Spawn("w", func(p *sim.Proc) {
 		t0 := p.Now()
-		bb.Write(p, 0, f, []Seg{Contig(0, 32<<20)})
+		Do(p, bb, 0, f, []Seg{Contig(0, 32<<20)}, OpWrite)
 		staged = p.Now() - t0
 
 		g := lustre.Create("g", FileOptions{StripeCount: 4, StripeSize: 8 << 20})
 		t0 = p.Now()
-		lustre.Write(p, 0, g, []Seg{Contig(0, 32<<20)})
+		Do(p, lustre, 0, g, []Seg{Contig(0, 32<<20)}, OpWrite)
 		direct = p.Now() - t0
 	})
 	if err := e.Run(); err != nil {
@@ -38,7 +38,7 @@ func TestBurstBufferDrainReachesBacking(t *testing.T) {
 	f := bb.Create("f", FileOptions{StripeCount: 2, StripeSize: 4 << 20})
 	e := sim.NewEngine()
 	e.Spawn("w", func(p *sim.Proc) {
-		bb.Write(p, 0, f, []Seg{Contig(0, 8<<20)})
+		Do(p, bb, 0, f, []Seg{Contig(0, 8<<20)}, OpWrite)
 		stagedAt := p.Now()
 		drainedAt := bb.Flush(p)
 		if drainedAt <= stagedAt {
@@ -62,10 +62,10 @@ func TestBurstBufferReadsAndAsync(t *testing.T) {
 	f := bb.Create("f", FileOptions{})
 	e := sim.NewEngine()
 	e.Spawn("w", func(p *sim.Proc) {
-		ev := bb.WriteAsync(p, 0, f, []Seg{Contig(0, 1<<20)})
+		ev := Start(p, bb, 0, f, []Seg{Contig(0, 1<<20)}, OpWrite)
 		ev.Wait(p)
-		bb.Read(p, 0, f, []Seg{Contig(0, 1<<20)})
-		rv := bb.ReadAsync(p, 0, f, []Seg{Contig(0, 1<<20)})
+		Do(p, bb, 0, f, []Seg{Contig(0, 1<<20)}, OpRead)
+		rv := Start(p, bb, 0, f, []Seg{Contig(0, 1<<20)}, OpRead)
 		rv.Wait(p)
 		bb.Flush(p)
 	})
@@ -88,7 +88,7 @@ func TestBurstBufferServersSpread(t *testing.T) {
 		// Writes at widely spaced offsets should hash to multiple servers:
 		// total time must beat a single-server serialization.
 		for i := 0; i < 8; i++ {
-			bb.WriteAsync(p, 0, f, []Seg{Contig(int64(i)*256<<20, 64<<20)})
+			Start(p, bb, 0, f, []Seg{Contig(int64(i)*256<<20, 64<<20)}, OpWrite)
 		}
 		bb.Flush(p)
 	})

@@ -5,39 +5,16 @@ import (
 	"tapioca/internal/sim"
 )
 
-// Fallible is the error-surfacing face of a fault-injected storage system.
-// The base System interface has no error returns — the happy-path layers
-// stay oblivious — so recovery-aware callers (core, mpiio) probe for this
-// interface with FallibleOf and drive their retry/degrade loops through the
-// Try variants. Each Try op either books the I/O and returns its completion
-// (nil error), or charges the failure-detection latency and returns
-// fault.ErrTransient (retryable) or fault.ErrTierDown (degrade or lose).
-type Fallible interface {
-	System
-	WriteAsyncTry(p *sim.Proc, node int, f *File, segs []Seg) (*sim.Event, error)
-	ReadAsyncTry(p *sim.Proc, node int, f *File, segs []Seg) (*sim.Event, error)
-	WriteTry(p *sim.Proc, node int, f *File, segs []Seg) (int64, error)
-	ReadTry(p *sim.Proc, node int, f *File, segs []Seg) (int64, error)
-}
-
-// FallibleOf extracts the Fallible face of a system, or nil.
-func FallibleOf(sys System) Fallible {
-	if fb, ok := sys.(Fallible); ok {
-		return fb
-	}
-	return nil
-}
-
 // transientLatency is the virtual cost of one failed store op: the timeout
 // plus error-path software cost the client pays before seeing the failure.
 const transientLatency = 500_000 // 500µs
 
 // Faulty injects a deterministic fault plan beneath any storage system:
 // transient op failures, latency spikes, and a scheduled permanent tier
-// outage. Through the plain System interface the wrapper is self-healing
-// (transients cost latency but the op proceeds, so fault-oblivious callers
-// stay correct); through the Fallible interface the errors surface and the
-// caller owns retry, backoff and degraded-mode policy.
+// outage. Through Do and Start the wrapper is self-healing (transients cost
+// latency but the op proceeds, so fault-oblivious callers stay correct);
+// through Try the errors surface and the caller owns retry, backoff and
+// degraded-mode policy.
 //
 // All decisions are consumed in proc context — the engine's serialization
 // makes the op counter deterministic, serial or parallel grid runs alike.
@@ -54,19 +31,45 @@ func NewFaulty(backing System, plan *fault.Plan) *Faulty {
 	return &Faulty{backing: backing, plan: plan, tierID: fault.TierID(backing.Name())}
 }
 
-// Unwrap returns the wrapped system (consumed by the tuning-hook
-// extractors, which see through fault wrappers).
-func (fy *Faulty) Unwrap() System { return fy.backing }
+// Try consumes one fault decision for an op about to be issued against sys
+// and returns the system to issue it on. On a fault-injected system it
+// either returns the tier beneath the wrapper (nil error), or charges the
+// failure-detection latency and returns fault.ErrTransient (retryable) or
+// fault.ErrTierDown (degrade or lose). A system without a fault plan comes
+// back unchanged and never fails. The plain interface has no error returns
+// — the happy-path layers stay oblivious — so recovery-aware callers (core,
+// mpiio) drive their retry/degrade loops through Try.
+func Try(p *sim.Proc, sys System) (System, error) {
+	fy, ok := sys.(*Faulty)
+	if !ok {
+		return sys, nil
+	}
+	if err := fy.decide(p); err != nil {
+		return nil, err
+	}
+	return fy.backing, nil
+}
+
+// unwrap returns the system directly beneath a wrapper tier (the fault
+// injector or a burst buffer), or nil for a base model.
+func unwrap(sys System) System {
+	switch s := sys.(type) {
+	case *Faulty:
+		return s.backing
+	case *BurstBuffer:
+		return s.backing
+	}
+	return nil
+}
 
 // DegradedSystemOf returns the tier a writer should fall back to when sys
 // reports ErrTierDown: the backing store beneath a burst-buffer tier,
 // seen through any fault wrapper. nil when there is no fallback tier.
 func DegradedSystemOf(sys System) System {
-	switch s := sys.(type) {
-	case *Faulty:
-		return DegradedSystemOf(s.backing)
-	case *BurstBuffer:
-		return s.Backing()
+	for ; sys != nil; sys = unwrap(sys) {
+		if _, ok := sys.(*BurstBuffer); ok {
+			return unwrap(sys)
+		}
 	}
 	return nil
 }
@@ -116,7 +119,7 @@ func (fy *Faulty) decide(p *sim.Proc) error {
 // fault-oblivious callers see latency, never failure. A tier outage cannot
 // be absorbed; the op falls through to the backing tier's fallback if one
 // exists, else proceeds against the (nominally down) tier so the oblivious
-// caller still completes — recovery-aware callers use the Try variants.
+// caller still completes — recovery-aware callers use Try.
 func (fy *Faulty) absorb(p *sim.Proc) System {
 	for tries := 0; tries < 64; tries++ {
 		switch err := fy.decide(p); err {
@@ -133,50 +136,8 @@ func (fy *Faulty) absorb(p *sim.Proc) System {
 	return fy.backing
 }
 
-func (fy *Faulty) Write(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	return fy.absorb(p).Write(p, node, f, segs)
-}
-
-func (fy *Faulty) WriteAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	return fy.absorb(p).WriteAsync(p, node, f, segs)
-}
-
-func (fy *Faulty) WriteSieved(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	return fy.absorb(p).WriteSieved(p, node, f, segs)
-}
-
-func (fy *Faulty) Read(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	return fy.absorb(p).Read(p, node, f, segs)
-}
-
-func (fy *Faulty) ReadAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	return fy.absorb(p).ReadAsync(p, node, f, segs)
-}
-
-func (fy *Faulty) WriteAsyncTry(p *sim.Proc, node int, f *File, segs []Seg) (*sim.Event, error) {
-	if err := fy.decide(p); err != nil {
-		return nil, err
-	}
-	return fy.backing.WriteAsync(p, node, f, segs), nil
-}
-
-func (fy *Faulty) ReadAsyncTry(p *sim.Proc, node int, f *File, segs []Seg) (*sim.Event, error) {
-	if err := fy.decide(p); err != nil {
-		return nil, err
-	}
-	return fy.backing.ReadAsync(p, node, f, segs), nil
-}
-
-func (fy *Faulty) WriteTry(p *sim.Proc, node int, f *File, segs []Seg) (int64, error) {
-	if err := fy.decide(p); err != nil {
-		return 0, err
-	}
-	return fy.backing.Write(p, node, f, segs), nil
-}
-
-func (fy *Faulty) ReadTry(p *sim.Proc, node int, f *File, segs []Seg) (int64, error) {
-	if err := fy.decide(p); err != nil {
-		return 0, err
-	}
-	return fy.backing.Read(p, node, f, segs), nil
+// book absorbs the op's fault decisions, then books it on the tier they
+// leave.
+func (fy *Faulty) book(p *sim.Proc, node int, f *File, segs []Seg, op Op) (int64, string, []Seg) {
+	return fy.absorb(p).book(p, node, f, segs, op)
 }

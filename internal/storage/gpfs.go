@@ -312,31 +312,22 @@ func (g *GPFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 // storage.FlushModel hook.)
 func (g *GPFS) AlignUnit(opt FileOptions) int64 { return g.cfg.BlockSize }
 
-func (g *GPFS) Write(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordWrite(node, p.Now(), segs)
-	return blockingWrite(p, node, "gpfs-write", false, segs, g.reserve(p.Now(), node, f, segs, false))
-}
-
-func (g *GPFS) WriteAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	f.recordWrite(node, p.Now(), segs)
-	return asyncEvent(p, node, "gpfs-write", false, segs, g.reserve(p.Now(), node, f, segs, false))
-}
-
-func (g *GPFS) WriteSieved(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordWrite(node, p.Now(), segs)
+// book prices a sieved write as a read-modify-write of the contiguous span:
+// the span is read and written back while the file records the logical
+// segments.
+func (g *GPFS) book(p *sim.Proc, node int, f *File, segs []Seg, op Op) (int64, string, []Seg) {
+	now := p.Now()
+	if op == OpRead {
+		f.recordRead(segs)
+		return g.reserve(now, node, f, segs, true), "gpfs-read", segs
+	}
+	f.recordWrite(node, now, segs)
+	if op == OpWrite {
+		return g.reserve(now, node, f, segs, false), "gpfs-write", segs
+	}
 	lo, hi := SpanAll(segs)
 	span := []Seg{Contig(lo, hi-lo)}
 	f.bytesRead += hi - lo
-	tRead := g.reserve(p.Now(), node, f, span, true)
-	return blockingWrite(p, node, "gpfs-write-sieved", false, span, g.reserve(tRead, node, f, span, false))
-}
-
-func (g *GPFS) Read(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordRead(segs)
-	return blockingWrite(p, node, "gpfs-read", true, segs, g.reserve(p.Now(), node, f, segs, true))
-}
-
-func (g *GPFS) ReadAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	f.recordRead(segs)
-	return asyncEvent(p, node, "gpfs-read", true, segs, g.reserve(p.Now(), node, f, segs, true))
+	tRead := g.reserve(now, node, f, span, true)
+	return g.reserve(tRead, node, f, span, false), "gpfs-write-sieved", span
 }

@@ -134,15 +134,7 @@ func (l *Lustre) Config() LustreConfig { return l.cfg }
 func (l *Lustre) Name() string { return "lustre" }
 
 func (l *Lustre) Create(name string, opt FileOptions) *File {
-	if opt.StripeCount <= 0 {
-		opt.StripeCount = l.cfg.DefaultStripeCount
-	}
-	if opt.StripeCount > l.cfg.NumOST {
-		opt.StripeCount = l.cfg.NumOST
-	}
-	if opt.StripeSize <= 0 {
-		opt.StripeSize = l.cfg.DefaultStripeSize
-	}
+	opt.StripeCount, opt.StripeSize = l.resolveOpt(opt)
 	f := &File{Name: name, Opt: opt, impl: &lustreFile{
 		stripeCount: opt.StripeCount,
 		stripeSize:  opt.StripeSize,
@@ -337,34 +329,20 @@ func (l *Lustre) RecommendStripe(totalBytes, bufSize int64, aggregators int) Fil
 	return FileOptions{StripeCount: count, StripeSize: bufSize}
 }
 
-func (l *Lustre) Write(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordWrite(node, p.Now(), segs)
-	return blockingWrite(p, node, "lustre-write", false, segs, l.reserve(p.Now(), node, f, segs, false))
-}
-
-func (l *Lustre) WriteAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	f.recordWrite(node, p.Now(), segs)
-	return asyncEvent(p, node, "lustre-write", false, segs, l.reserve(p.Now(), node, f, segs, false))
-}
-
-// WriteSieved on Lustre models page-granular writeback rather than a
+// book prices a sieved write as page-granular writeback rather than a
 // read-modify-write: the client dirties whole 4 KB pages, so a sparse
 // pattern transfers its page footprint (up to the whole span), with no
 // sieve read — Lustre client mechanics, unlike the BG/Q GPFS path.
-func (l *Lustre) WriteSieved(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordWrite(node, p.Now(), segs)
-	lo, _ := SpanAll(segs)
-	footprint := PageFootprint(segs, 4096)
-	span := []Seg{Contig(lo, footprint)}
-	return blockingWrite(p, node, "lustre-write-sieved", false, span, l.reserve(p.Now(), node, f, span, false))
-}
-
-func (l *Lustre) Read(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordRead(segs)
-	return blockingWrite(p, node, "lustre-read", true, segs, l.reserve(p.Now(), node, f, segs, true))
-}
-
-func (l *Lustre) ReadAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	f.recordRead(segs)
-	return asyncEvent(p, node, "lustre-read", true, segs, l.reserve(p.Now(), node, f, segs, true))
+func (l *Lustre) book(p *sim.Proc, node int, f *File, segs []Seg, op Op) (int64, string, []Seg) {
+	now := p.Now()
+	if op == OpRead {
+		f.recordRead(segs)
+		return l.reserve(now, node, f, segs, true), "lustre-read", segs
+	}
+	f.recordWrite(node, now, segs)
+	if op == OpWrite {
+		return l.reserve(now, node, f, segs, false), "lustre-write", segs
+	}
+	span := pageSpan(segs)
+	return l.reserve(now, node, f, span, false), "lustre-write-sieved", span
 }

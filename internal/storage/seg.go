@@ -298,6 +298,13 @@ func PageFootprint(segs []Seg, page int64) int64 {
 	return footprint
 }
 
+// pageSpan is the contiguous extent a page-granular client writes back for
+// segs: from the span's start, the pattern's 4 KB page footprint.
+func pageSpan(segs []Seg) []Seg {
+	lo, _ := SpanAll(segs)
+	return []Seg{Contig(lo, PageFootprint(segs, 4096))}
+}
+
 func minI64(a, b int64) int64 {
 	if a < b {
 		return a

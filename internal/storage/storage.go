@@ -34,7 +34,8 @@ type FileOptions struct {
 	StripeSize int64
 }
 
-// System is a simulated parallel file system.
+// System is a simulated parallel file system. Only this package's models
+// implement it; every access goes through Do or Start.
 type System interface {
 	// Name identifies the file system model.
 	Name() string
@@ -46,21 +47,66 @@ type System interface {
 	// (stripe size on Lustre, block size on GPFS) — what an aggregation
 	// buffer should align with (paper Table I).
 	OptimalUnit(f *File) int64
-	// Write performs a blocking write of segs issued from node, returning
-	// the completion time.
-	Write(p *sim.Proc, node int, f *File, segs []Seg) int64
-	// WriteAsync books the write and returns an event completing when the
-	// data is durable (the paper's non-blocking flush).
-	WriteAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event
-	// WriteSieved performs a data-sieving read-modify-write: the contiguous
-	// span of segs is read and written back, while the file records the
-	// logical segments. This is how ROMIO handles sparse rounds — the cost
-	// is two contiguous span transfers instead of run-by-run writes.
-	WriteSieved(p *sim.Proc, node int, f *File, segs []Seg) int64
-	// Read performs a blocking read of segs into node.
-	Read(p *sim.Proc, node int, f *File, segs []Seg) int64
-	// ReadAsync books the read and returns its completion event.
-	ReadAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event
+
+	// book records one access on f and reserves it through the model from
+	// p's current time. It returns the completion time plus the span name
+	// and segments the flight recorder reports. Callers go through Do and
+	// Start, which own the waiting and the tracing.
+	book(p *sim.Proc, node int, f *File, segs []Seg, op Op) (done int64, name string, traced []Seg)
+}
+
+// Op selects what an access does.
+type Op uint8
+
+const (
+	// OpWrite writes segs.
+	OpWrite Op = iota
+	// OpRead reads segs.
+	OpRead
+	// OpSieve is a data-sieving write: the file records the logical
+	// segments while the model moves a contiguous span instead of pricing
+	// run-by-run writes. This is how ROMIO handles sparse rounds; each
+	// model prices the span with its own client mechanics.
+	OpSieve
+)
+
+// Do performs a blocking access of segs issued from node and returns its
+// completion time.
+func Do(p *sim.Proc, sys System, node int, f *File, segs []Seg, op Op) int64 {
+	done, _ := issue(p, sys, node, f, segs, op)
+	p.HoldUntil(done)
+	return done
+}
+
+// Start books an access and returns an event completing when it does (for a
+// write, when the data is durable: the paper's non-blocking flush).
+func Start(p *sim.Proc, sys System, node int, f *File, segs []Seg, op Op) *sim.Event {
+	done, name := issue(p, sys, node, f, segs, op)
+	ev := sim.NewEvent(name)
+	sim.CompleteAt(p, ev, done)
+	return ev
+}
+
+// issue books an access and reports it to the flight recorder: a
+// service-interval span on the storage timeline (pid PIDStorage, tid = the
+// issuing node) plus per-tier byte/op counters. One nil check when
+// observability is off.
+func issue(p *sim.Proc, sys System, node int, f *File, segs []Seg, op Op) (int64, string) {
+	done, name, traced := sys.book(p, node, f, segs, op)
+	rec := p.Recorder()
+	if rec == nil {
+		return done, name
+	}
+	bytes := TotalBytes(traced)
+	reg := rec.Registry()
+	if op == OpRead {
+		reg.Add("storage.bytes_read", bytes)
+	} else {
+		reg.Add("storage.bytes_written", bytes)
+	}
+	reg.Add("storage.ops", 1)
+	rec.Span(obs.PIDStorage, int32(node), "storage", name, p.Now(), done, bytes)
+	return done, name
 }
 
 // File is a file within a simulated file system.
@@ -191,44 +237,6 @@ func (f *File) VerifyCoverage(lo, hi int64) error {
 	return nil
 }
 
-// traceExtentIO reports one extent operation to the flight recorder: a
-// service-interval span on the storage timeline (pid PIDStorage, tid = the
-// issuing node) plus per-tier byte/op counters. One nil check when
-// observability is off.
-func traceExtentIO(p *sim.Proc, node int, name string, read bool, segs []Seg, completion int64) {
-	rec := p.Recorder()
-	if rec == nil {
-		return
-	}
-	bytes := TotalBytes(segs)
-	reg := rec.Registry()
-	if read {
-		reg.Add("storage.bytes_read", bytes)
-	} else {
-		reg.Add("storage.bytes_written", bytes)
-	}
-	reg.Add("storage.ops", 1)
-	rec.Span(obs.PIDStorage, int32(node), "storage", name, p.Now(), completion, bytes)
-}
-
-// blockingWrite adapts a reservation function into the System.Write shape.
-// Every System implementation funnels blocking extent I/O through here, so
-// this is also the single observability hook for it.
-func blockingWrite(p *sim.Proc, node int, name string, read bool, segs []Seg, completion int64) int64 {
-	traceExtentIO(p, node, name, read, segs, completion)
-	p.HoldUntil(completion)
-	return completion
-}
-
-// asyncEvent adapts a reservation completion into a sim.Event (and, like
-// blockingWrite, reports the operation to the flight recorder).
-func asyncEvent(p *sim.Proc, node int, name string, read bool, segs []Seg, completion int64) *sim.Event {
-	traceExtentIO(p, node, name, read, segs, completion)
-	ev := sim.NewEvent(name)
-	sim.CompleteAt(p, ev, completion)
-	return ev
-}
-
 // NullFS is an infinitely fast file system with a fixed per-op latency: it
 // isolates network effects in tests and ablations.
 type NullFS struct {
@@ -266,29 +274,18 @@ func (n *NullFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 // AlignUnit matches OptimalUnit. (The storage.FlushModel hook.)
 func (n *NullFS) AlignUnit(opt FileOptions) int64 { return 1 << 20 }
 
-func (n *NullFS) Write(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordWrite(node, p.Now(), segs)
-	return blockingWrite(p, node, "nullfs-write", false, segs, p.Now()+n.PerOp)
-}
-
-func (n *NullFS) WriteSieved(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordWrite(node, p.Now(), segs)
+// book prices a sieved write at two per-op latencies (read, then write).
+func (n *NullFS) book(p *sim.Proc, node int, f *File, segs []Seg, op Op) (int64, string, []Seg) {
+	now := p.Now()
+	if op == OpRead {
+		f.recordRead(segs)
+		return now + n.PerOp, "nullfs-read", segs
+	}
+	f.recordWrite(node, now, segs)
+	if op == OpWrite {
+		return now + n.PerOp, "nullfs-write", segs
+	}
 	lo, hi := SpanAll(segs)
 	f.bytesRead += hi - lo
-	return blockingWrite(p, node, "nullfs-write-sieved", false, segs, p.Now()+2*n.PerOp)
-}
-
-func (n *NullFS) WriteAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	f.recordWrite(node, p.Now(), segs)
-	return asyncEvent(p, node, "nullfs-write", false, segs, p.Now()+n.PerOp)
-}
-
-func (n *NullFS) Read(p *sim.Proc, node int, f *File, segs []Seg) int64 {
-	f.recordRead(segs)
-	return blockingWrite(p, node, "nullfs-read", true, segs, p.Now()+n.PerOp)
-}
-
-func (n *NullFS) ReadAsync(p *sim.Proc, node int, f *File, segs []Seg) *sim.Event {
-	f.recordRead(segs)
-	return asyncEvent(p, node, "nullfs-read", true, segs, p.Now()+n.PerOp)
+	return now + 2*n.PerOp, "nullfs-write-sieved", segs
 }

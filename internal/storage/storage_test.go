@@ -26,10 +26,10 @@ func TestNullFS(t *testing.T) {
 	f := fs.Create("x", FileOptions{})
 	e := sim.NewEngine()
 	e.Spawn("w", func(p *sim.Proc) {
-		fs.Write(p, 0, f, []Seg{Contig(0, 1000)})
-		ev := fs.WriteAsync(p, 0, f, []Seg{Contig(1000, 1000)})
+		Do(p, fs, 0, f, []Seg{Contig(0, 1000)}, OpWrite)
+		ev := Start(p, fs, 0, f, []Seg{Contig(1000, 1000)}, OpWrite)
 		ev.Wait(p)
-		fs.Read(p, 0, f, []Seg{Contig(0, 500)})
+		Do(p, fs, 0, f, []Seg{Contig(0, 500)}, OpRead)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -51,8 +51,8 @@ func TestFileCoverageVerification(t *testing.T) {
 	f.SetCapture(true)
 	e := sim.NewEngine()
 	e.Spawn("w", func(p *sim.Proc) {
-		fs.Write(p, 0, f, []Seg{Contig(0, 100)})
-		fs.Write(p, 1, f, []Seg{Contig(100, 100)})
+		Do(p, fs, 0, f, []Seg{Contig(0, 100)}, OpWrite)
+		Do(p, fs, 1, f, []Seg{Contig(100, 100)}, OpWrite)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -71,8 +71,8 @@ func TestFileCoverageDetectsOverlap(t *testing.T) {
 	f.SetCapture(true)
 	e := sim.NewEngine()
 	e.Spawn("w", func(p *sim.Proc) {
-		fs.Write(p, 0, f, []Seg{Contig(0, 150)})
-		fs.Write(p, 1, f, []Seg{Contig(100, 100)})
+		Do(p, fs, 0, f, []Seg{Contig(0, 150)}, OpWrite)
+		Do(p, fs, 1, f, []Seg{Contig(100, 100)}, OpWrite)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestGPFSWriteCompletes(t *testing.T) {
 	e := sim.NewEngine()
 	var done int64
 	e.Spawn("w", func(p *sim.Proc) {
-		done = g.Write(p, 5, f, []Seg{Contig(0, 16<<20)})
+		done = Do(p, g, 5, f, []Seg{Contig(0, 16<<20)}, OpWrite)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestGPFSBandwidthCeilingPerPset(t *testing.T) {
 		node := i * 4
 		off := int64(i) * chunk
 		e.Spawn("w", func(p *sim.Proc) {
-			g.Write(p, node, f, []Seg{Contig(off, chunk)})
+			Do(p, g, node, f, []Seg{Contig(off, chunk)}, OpWrite)
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -143,8 +143,8 @@ func TestGPFSLockRevocationCost(t *testing.T) {
 		e := sim.NewEngine()
 		e.Spawn("w", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
-				g.Write(p, 3, f, []Seg{Contig(int64(i)*1000, 1000)})
-				g.Write(p, 64, f, []Seg{Contig(int64(i)*1000+500000, 1000)})
+				Do(p, g, 3, f, []Seg{Contig(int64(i)*1000, 1000)}, OpWrite)
+				Do(p, g, 64, f, []Seg{Contig(int64(i)*1000+500000, 1000)}, OpWrite)
 			}
 		})
 		if err := e.Run(); err != nil {
@@ -188,7 +188,7 @@ func TestGPFSSubfilingBeatsSharedFile(t *testing.T) {
 			}
 			off := int64(pset) * chunk
 			e.Spawn("w", func(p *sim.Proc) {
-				g.Write(p, node, f, []Seg{Contig(off, chunk)})
+				Do(p, g, node, f, []Seg{Contig(off, chunk)}, OpWrite)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -211,10 +211,10 @@ func TestGPFSReadFasterThanWrite(t *testing.T) {
 	var wDur, rDur int64
 	e.Spawn("w", func(p *sim.Proc) {
 		t0 := p.Now()
-		g.Write(p, 5, f, []Seg{Contig(0, 64<<20)})
+		Do(p, g, 5, f, []Seg{Contig(0, 64<<20)}, OpWrite)
 		wDur = p.Now() - t0
 		t0 = p.Now()
-		g.Read(p, 5, f, []Seg{Contig(0, 64<<20)})
+		Do(p, g, 5, f, []Seg{Contig(0, 64<<20)}, OpRead)
 		rDur = p.Now() - t0
 	})
 	if err := e.Run(); err != nil {
@@ -234,11 +234,11 @@ func TestGPFSAsyncOverlaps(t *testing.T) {
 	f := g.Create("f", FileOptions{})
 	e := sim.NewEngine()
 	e.Spawn("w", func(p *sim.Proc) {
-		ev1 := g.WriteAsync(p, 5, f, []Seg{Contig(0, 16<<20)})
+		ev1 := Start(p, g, 5, f, []Seg{Contig(0, 16<<20)}, OpWrite)
 		if p.Now() > sim.Millisecond {
 			t.Error("async write blocked the proc")
 		}
-		ev2 := g.WriteAsync(p, 5, f, []Seg{Contig(16<<20, 16<<20)})
+		ev2 := Start(p, g, 5, f, []Seg{Contig(16<<20, 16<<20)}, OpWrite)
 		ev1.Wait(p)
 		ev2.Wait(p)
 	})
@@ -278,7 +278,7 @@ func TestLustreSingleStreamLatencyBound(t *testing.T) {
 	f := l.Create("f", FileOptions{StripeCount: 1, StripeSize: 8 << 20})
 	e := sim.NewEngine()
 	e.Spawn("w", func(p *sim.Proc) {
-		l.Write(p, 0, f, []Seg{Contig(0, 8<<20)})
+		Do(p, l, 0, f, []Seg{Contig(0, 8<<20)}, OpWrite)
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestLustreConcurrentStreamsScale(t *testing.T) {
 			node := i * 4
 			off := int64(i) * chunk
 			e.Spawn("w", func(p *sim.Proc) {
-				l.Write(p, node, f, []Seg{Contig(off, chunk)})
+				Do(p, l, node, f, []Seg{Contig(off, chunk)}, OpWrite)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -329,7 +329,7 @@ func TestLustreMoreOSTsScale(t *testing.T) {
 			node := i * 4
 			off := int64(i) * chunk
 			e.Spawn("w", func(p *sim.Proc) {
-				l.Write(p, node, f, []Seg{Contig(off, chunk)})
+				Do(p, l, node, f, []Seg{Contig(off, chunk)}, OpWrite)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -358,13 +358,13 @@ func TestLustreLockRevocationOnSharedStripe(t *testing.T) {
 				base := int64(i) * (16 << 20)
 				if shareStripes {
 					// Both nodes write halves of stripe 2i: owner bounces.
-					l.Write(p, 0, f, []Seg{Contig(base, half)})
-					l.Write(p, 4, f, []Seg{Contig(base+half, half)})
+					Do(p, l, 0, f, []Seg{Contig(base, half)}, OpWrite)
+					Do(p, l, 4, f, []Seg{Contig(base+half, half)}, OpWrite)
 				} else {
 					// Node 0 writes stripe 2i, node 4 writes stripe 2i+1:
 					// same bytes, disjoint stripes, stable owners.
-					l.Write(p, 0, f, []Seg{Contig(base, half)})
-					l.Write(p, 4, f, []Seg{Contig(base+(8<<20), half)})
+					Do(p, l, 0, f, []Seg{Contig(base, half)}, OpWrite)
+					Do(p, l, 4, f, []Seg{Contig(base+(8<<20), half)}, OpWrite)
 				}
 			}
 		})
@@ -388,10 +388,10 @@ func TestLustreReadFasterThanWrite(t *testing.T) {
 	var wDur, rDur int64
 	e.Spawn("w", func(p *sim.Proc) {
 		t0 := p.Now()
-		l.Write(p, 0, f, []Seg{Contig(0, 32<<20)})
+		Do(p, l, 0, f, []Seg{Contig(0, 32<<20)}, OpWrite)
 		wDur = p.Now() - t0
 		t0 = p.Now()
-		l.Read(p, 0, f, []Seg{Contig(0, 32<<20)})
+		Do(p, l, 0, f, []Seg{Contig(0, 32<<20)}, OpRead)
 		rDur = p.Now() - t0
 	})
 	if err := e.Run(); err != nil {
@@ -423,12 +423,12 @@ func TestLustreObjectSetupPenalty(t *testing.T) {
 	var tBig, tSplit int64
 	e.Spawn("w", func(p *sim.Proc) {
 		t0 := p.Now()
-		l.Write(p, 0, fBig, []Seg{Contig(0, 8<<20)})
+		Do(p, l, 0, fBig, []Seg{Contig(0, 8<<20)}, OpWrite)
 		tBig = p.Now() - t0
 	})
 	e.Spawn("w2", func(p *sim.Proc) {
 		t0 := p.Now()
-		l.Write(p, 8, fSplit, []Seg{Contig(0, 8<<20)})
+		Do(p, l, 8, fSplit, []Seg{Contig(0, 8<<20)}, OpWrite)
 		tSplit = p.Now() - t0
 	})
 	if err := e.Run(); err != nil {

@@ -33,35 +33,24 @@ type StripeAdvisor interface {
 	RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions
 }
 
-// FlushModelOf extracts the FlushModel hook from a system, or nil. Wrapper
-// systems that expose Unwrap (the fault-injection wrapper) are seen
-// through: a fault plan changes timing, not calibration.
+// FlushModelOf extracts the FlushModel hook from a system, or nil. Fault
+// wrappers are seen through: a fault plan changes timing, not calibration.
 func FlushModelOf(sys System) FlushModel {
-	for sys != nil {
+	for ; sys != nil; sys = unwrap(sys) {
 		if m, ok := sys.(FlushModel); ok {
 			return m
 		}
-		u, ok := sys.(interface{ Unwrap() System })
-		if !ok {
-			break
-		}
-		sys = u.Unwrap()
 	}
 	return nil
 }
 
 // StripeAdvisorOf extracts the StripeAdvisor hook from a system, or nil.
-// Sees through Unwrap like FlushModelOf.
+// Sees through fault wrappers like FlushModelOf.
 func StripeAdvisorOf(sys System) StripeAdvisor {
-	for sys != nil {
+	for ; sys != nil; sys = unwrap(sys) {
 		if a, ok := sys.(StripeAdvisor); ok {
 			return a
 		}
-		u, ok := sys.(interface{ Unwrap() System })
-		if !ok {
-			break
-		}
-		sys = u.Unwrap()
 	}
 	return nil
 }
