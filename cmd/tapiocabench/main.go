@@ -72,6 +72,11 @@ type jsonResult struct {
 	// transfers — the traffic that crosses the fabric, which intra-node
 	// pre-aggregation collapses ppn-fold (see abl-intranode).
 	FabricMessages int64 `json:"fabric_messages"`
+	// Parks and Switches are the simulation engine's work counters over the
+	// figure's measurement cells: blocking waits of simulated ranks, and
+	// context switches between them.
+	Parks    int64 `json:"parks"`
+	Switches int64 `json:"switches"`
 	// PeakHeapBytes is the maximum live heap observed while the figure ran
 	// (sampled), the footprint bound for paper-scale runs.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
@@ -346,8 +351,8 @@ func run() int {
 		res, counts := s.Run(env)
 		elapsed := time.Since(start).Seconds()
 		fmt.Print(expt.Render(res))
-		fmt.Printf("(wall time %.1fs, %d workers, %d transfers, %d fabric messages, peak heap %.0f MiB)\n",
-			elapsed, env.Width(), counts.Transfers, counts.FabricMessages, mb(counts.PeakHeapBytes))
+		fmt.Printf("(wall time %.1fs, %d workers, %d transfers, %d fabric messages, %d parks, %d switches, peak heap %.0f MiB)\n",
+			elapsed, env.Width(), counts.Transfers, counts.FabricMessages, counts.Parks, counts.Switches, mb(counts.PeakHeapBytes))
 		snap := env.Observer.Metrics(s.ID).Snapshot()
 		if levels, fanin, perLevel := treeStats(&snap); levels > 0 {
 			fmt.Printf("(aggregation tree: %d levels, max fan-in %d, per-level fabric messages %s)\n",
@@ -381,6 +386,8 @@ func run() int {
 				Workers:        env.Width(),
 				Transfers:      counts.Transfers,
 				FabricMessages: counts.FabricMessages,
+				Parks:          counts.Parks,
+				Switches:       counts.Switches,
 				PeakHeapBytes:  counts.PeakHeapBytes,
 				Verified:       verified,
 			}

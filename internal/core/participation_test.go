@@ -161,3 +161,70 @@ func TestInitParks(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionParks pins the exact park totals of WriteAll and ReadAll per
+// tree shape on TestInitParks's 64-rank dragonfly session. Parks are a
+// deterministic work counter: a change to the pipeline's synchronization or
+// to the engine's scheduling that adds or drops a blocking wait moves these
+// numbers on any machine. A change that moves them on purpose updates the
+// table and says why.
+func TestSessionParks(t *testing.T) {
+	topo := topology.ThetaDragonfly(goldenNodes, topology.RouteMinimal)
+	const rpn = 4
+	ranks := goldenNodes * rpn
+	decl := iorDecl(ranks)
+	want := map[string][2]int64{ // shape: {WriteAll, ReadAll}
+		"flat":    {222, 247},
+		"staged":  {959, 247},
+		"fanin:2": {2509, 247},
+	}
+	for _, spec := range []string{"flat", "staged", "fanin:2"} {
+		sh, err := tree.ParseShape(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
+		sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: 4})
+		cfg := Config{Aggregators: 2, BufferSize: 8 << 10, Tree: &sh}
+		var parks [2]int64
+		_, err = mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: rpn, Fabric: fab}, func(c *mpi.Comm) {
+			var f *storage.File
+			if c.Rank() == 0 {
+				f = sys.Create("parks", storage.FileOptions{StripeCount: 4, StripeSize: 16 << 10})
+			}
+			f = c.Bcast(0, 8, f).(*storage.File)
+			eng := c.Proc().Engine()
+			for i := range parks {
+				wr := New(c, sys, f, cfg)
+				if err := wr.Init(decl[c.Rank()]); err != nil {
+					t.Error(err)
+					return
+				}
+				c.Barrier()
+				start := eng.Parks()
+				var err error
+				if i == 0 {
+					err = wr.WriteAll()
+				} else {
+					err = wr.ReadAll()
+				}
+				if err != nil {
+					t.Error(err)
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					// The closing barrier parks every rank but its last arriver.
+					parks[i] = eng.Parks() - start - int64(ranks-1)
+				}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: WriteAll %d parks (%.2f per rank), ReadAll %d (%.2f per rank)", spec,
+			parks[0], float64(parks[0])/float64(ranks), parks[1], float64(parks[1])/float64(ranks))
+		if parks != want[spec] {
+			t.Errorf("%s: {WriteAll, ReadAll} parked %v times, want %v", spec, parks, want[spec])
+		}
+	}
+}

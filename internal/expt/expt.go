@@ -113,29 +113,35 @@ type Counts struct {
 	// traffic that crosses fabric links, which intra-node staging collapses
 	// ppn-fold.
 	FabricMessages int64
+	// Parks counts the blocking waits of every simulated proc
+	// (sim.Engine.Parks), and Switches the engine's context switches
+	// between procs (sim.Engine.Switches).
+	Parks, Switches int64
 	// PeakHeapBytes is the maximum live heap sampled at cell boundaries.
 	PeakHeapBytes uint64
 }
 
 // tally accumulates a run's Counts from concurrently completing cells.
 type tally struct {
-	transfers, fabricMsgs atomic.Int64
-	peakHeap              atomic.Uint64
+	transfers, fabricMsgs, parks, switches atomic.Int64
+	peakHeap                               atomic.Uint64
 }
 
 const heapMetricName = "/memory/classes/heap/objects:bytes"
 
-// add books one finished cell's fabric counters and samples the live heap.
-// The sample is taken inline as the cell completes, while its whole
-// simulated platform is still reachable, so the reading reflects the
+// add books one finished cell's fabric and engine counters and samples the
+// live heap. The sample is taken inline as the cell completes, while its
+// whole simulated platform is still reachable, so the reading reflects the
 // figure's real footprint; a ticker goroutine's armed runtime timer would
 // measurably slow the simulation's scheduler on a busy machine.
-func (t *tally) add(fab *netsim.Fabric) {
+func (t *tally) add(fab *netsim.Fabric, eng *sim.Engine) {
 	if t == nil {
 		return
 	}
 	t.transfers.Add(fab.Transfers())
 	t.fabricMsgs.Add(fab.FabricMessages())
+	t.parks.Add(eng.Parks())
+	t.switches.Add(eng.Switches())
 	s := []metrics.Sample{{Name: heapMetricName}}
 	metrics.Read(s)
 	v := s[0].Value.Uint64()
@@ -163,6 +169,8 @@ func (s Spec) Run(env Env) (Result, Counts) {
 	return res, Counts{
 		Transfers:      t.transfers.Load(),
 		FabricMessages: t.fabricMsgs.Load(),
+		Parks:          t.parks.Load(),
+		Switches:       t.switches.Load(),
 		PeakHeapBytes:  t.peakHeap.Load(),
 	}
 }
@@ -383,16 +391,16 @@ type timer struct {
 // here, so this is the one place that applies the Env's watchdog budget,
 // recorder and counters to a simulation.
 func (r *rig) run(body func(c *mpi.Comm, tm *timer)) (float64, error) {
-	defer r.env.tally.add(r.fab)
-	r.rec = r.env.Observer.recorder()
-	if r.rec == nil && r.record {
-		r.rec = obs.NewRecorder(false)
-	}
 	// Watchdog: a cell that exceeds the virtual-time budget is killed by the
 	// engine and surfaces as a structured CellError (wrapping
 	// sim.BudgetError) instead of hanging the whole grid.
 	eng := sim.NewEngine()
 	eng.SetBudget(r.env.cellBudget())
+	defer r.env.tally.add(r.fab, eng)
+	r.rec = r.env.Observer.recorder()
+	if r.rec == nil && r.record {
+		r.rec = obs.NewRecorder(false)
+	}
 	tm := &timer{}
 	_, err := mpi.Run(mpi.Config{
 		Ranks:        r.ranks(),

@@ -12,8 +12,8 @@ import (
 
 // TestParallelRunMatchesSerial is the grid runner's determinism contract:
 // for every registered experiment, running the grid on the worker pool
-// produces output deep-equal to the serial order, with identical transfer
-// and fabric-message counts. Cells are independent simulations assembled by
+// produces output deep-equal to the serial order, with identical transfer,
+// fabric-message, park and switch counts. Cells are independent simulations assembled by
 // index, so any divergence is a real isolation bug (shared mutable state
 // leaking between engines). Under the race detector (~10-20x slower
 // simulations) the matrix trims itself to a representative subset so race
@@ -36,7 +36,8 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Fatalf("parallel run diverged from serial:\nserial:   %+v\nparallel: %+v", serial, parallel)
 			}
-			if sc.Transfers != pc.Transfers || sc.FabricMessages != pc.FabricMessages {
+			if sc.Transfers != pc.Transfers || sc.FabricMessages != pc.FabricMessages ||
+				sc.Parks != pc.Parks || sc.Switches != pc.Switches {
 				t.Fatalf("counters diverged: serial %+v, parallel %+v", sc, pc)
 			}
 		})

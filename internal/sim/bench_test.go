@@ -3,9 +3,9 @@ package sim
 // Engine micro-benchmarks pinning the scheduler hot path:
 //
 //	BenchmarkEngineStep     the same-proc fast path (Hold while strictly
-//	                        earliest) — no heap traffic, no channel ops
-//	BenchmarkEnginePingPong the direct successor handoff between two procs
-//	                        (one channel synchronization per switch)
+//	                        earliest) — no heap traffic, no switch
+//	BenchmarkEnginePingPong a forced switch between two procs (the parking
+//	                        proc yields, Run resumes its successor)
 //	BenchmarkEngineFanIn    heap behaviour under many procs converging on one
 //	                        resource (pop/push churn at scale)
 //
@@ -17,9 +17,8 @@ import (
 )
 
 // BenchmarkEngineStep measures one scheduling point of a proc that remains
-// strictly earliest: the dominant case for Hold under skewed clocks. Before
-// the direct-handoff engine this cost two channel ops and two goroutine
-// switches (~500 ns); the fast path reduces it to a heap peek.
+// strictly earliest: the dominant case for Hold under skewed clocks. Without
+// the fast path it would cost a full switch; with it, a heap peek.
 func BenchmarkEngineStep(b *testing.B) {
 	e := NewEngine()
 	n := b.N
@@ -41,8 +40,8 @@ func BenchmarkEngineStep(b *testing.B) {
 }
 
 // BenchmarkEnginePingPong measures a forced context switch per step: two
-// procs alternate via Park/Unpark, so every iteration is one direct
-// proc-to-proc handoff (the engine goroutine never wakes).
+// procs alternate via Park/Unpark, so every iteration is one yield of the
+// parking proc to Run and one resume of its successor.
 func BenchmarkEnginePingPong(b *testing.B) {
 	e := NewEngine()
 	n := b.N
@@ -90,7 +89,7 @@ func BenchmarkEngineFanIn(b *testing.B) {
 }
 
 // BenchmarkEngineTimer measures CompleteAt + Wait round trips: the recycled
-// goroutine-less timer nodes that back asynchronous storage completions.
+// coroutine-less timer nodes that back asynchronous storage completions.
 func BenchmarkEngineTimer(b *testing.B) {
 	e := NewEngine()
 	n := b.N

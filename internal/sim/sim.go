@@ -1,7 +1,7 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine.
 //
-// Simulated processes ("procs") are ordinary goroutines that advance a
+// Simulated processes ("procs") are coroutines (iter.Pull) that advance a
 // virtual clock instead of wall time. The engine runs exactly one proc at a
 // time and always resumes the runnable proc with the smallest (virtual time,
 // proc id) pair, so a simulation is fully deterministic: the same program
@@ -17,21 +17,21 @@
 // future".
 //
 // Scheduling is built for throughput: the run queue is a concrete 4-ary
-// min-heap over *Proc (no interface boxing), a proc that is still strictly
-// earliest after advancing its clock keeps running without any context
-// switch (the same-proc fast path), and when a switch is needed the yielding
-// proc resumes its successor directly — the engine goroutine is only woken
-// when the run queue empties or an error needs adjudication, so the steady
-// state pays one channel handoff per switch instead of two plus an engine
-// round-trip.
+// min-heap over *Proc, a proc still strictly earliest after advancing its
+// clock keeps running (the same-proc fast path), and a switch is two
+// coroutine transfers on one thread: the parking proc picks its successor
+// and yields to Engine.Run, which resumes it.
+// A proc blocked on a real channel holds up the whole simulation meanwhile.
 //
 // Virtual time is int64 nanoseconds.
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"iter"
 	"math"
-	"sort"
+	"slices"
 
 	"tapioca/internal/obs"
 )
@@ -64,7 +64,7 @@ func TransferTime(bytes int64, rate float64) int64 {
 	return int64(math.Ceil(float64(bytes) / rate * float64(Second)))
 }
 
-// abortError is the sentinel panic value used to unwind proc goroutines when
+// abortError is the sentinel panic value used to unwind suspended procs when
 // the engine shuts down early (deadlock or another proc's failure).
 type abortError struct{}
 
@@ -94,12 +94,12 @@ func (s procState) String() string {
 }
 
 // Proc is a simulated process. A Proc handle is only valid inside the
-// goroutine the engine created for it; procs communicate through engine
+// coroutine the engine created for it; procs communicate through engine
 // primitives, never by calling methods on each other's handles.
 //
 // The same struct doubles as a recycled timer node (timerEv != nil): timers
-// ride the run queue like procs but fire inline in whichever goroutine
-// dispatches them, with no goroutine or channel behind them.
+// ride the run queue like procs but fire inline in whichever proc (or the
+// engine loop) dispatches them, with no coroutine behind them.
 type Proc struct {
 	eng  *Engine
 	id   int
@@ -109,10 +109,13 @@ type Proc struct {
 	state      procState
 	parkReason string
 	phase      string
-	aborted    bool
 
-	resume chan struct{}
-	fn     func(*Proc)
+	fn func(*Proc)
+	// The coroutine, created on the first run: Run resumes it with next,
+	// drain unwinds it with stop, and it suspends itself with yield.
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
 
 	heapIndex int // position in the engine run queue, -1 if absent
 
@@ -124,7 +127,7 @@ type Proc struct {
 	traceTID int32
 	runStart int64 // virtual time the current run interval began
 
-	// Timer-node fields (goroutine-less run-queue entries).
+	// Timer-node fields (coroutine-less run-queue entries).
 	timerEv   *Event // event to complete when dispatched
 	timerNext *Proc  // engine free list
 
@@ -184,11 +187,9 @@ type Engine struct {
 	nextID int
 	err    error
 
-	// wake is the engine goroutine's adjudication signal: a proc sends on it
-	// when the run queue empties or a terminal error needs handling. Buffered
-	// so the engine's own empty-queue dispatch cannot self-deadlock; at most
-	// one wake is ever outstanding (a single goroutine runs at a time).
-	wake    chan struct{}
+	// pending is the proc that Run resumes next, chosen by the dispatch that
+	// suspended the previous one; nil when Run must dispatch itself.
+	pending *Proc
 	running bool
 	started bool
 
@@ -213,13 +214,18 @@ type Engine struct {
 	// livelocked simulation spin forever.
 	budget int64
 
-	parks int64 // Park calls (work counter; the Hold fast path is not counted)
+	parks    int64 // Park calls (work counter; the Hold fast path is not counted)
+	switches int64 // coroutine resumes in Run
 }
 
 // Parks returns how many times procs have parked: a deterministic work
 // counter (each park is a blocking wait and usually a context switch) that
 // compares across machines where wall-clock cannot.
 func (e *Engine) Parks() int64 { return e.parks }
+
+// Switches returns how many times Run has resumed a proc: a deterministic
+// work counter of context switches.
+func (e *Engine) Switches() int64 { return e.switches }
 
 // SetBudget arms the virtual-time watchdog: the run terminates with a
 // *BudgetError as soon as the clock would pass limit (ns). Zero disables.
@@ -247,7 +253,7 @@ func (e *Engine) Recorder() *obs.Recorder { return e.rec }
 
 // NewEngine returns an empty engine ready for Spawn and Run.
 func NewEngine() *Engine {
-	return &Engine{wake: make(chan struct{}, 1)}
+	return &Engine{}
 }
 
 // Now returns the engine's clock: the largest virtual time any proc has
@@ -270,7 +276,6 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 		name:      name,
 		fn:        fn,
 		state:     stateRunnable,
-		resume:    make(chan struct{}),
 		heapIndex: -1,
 	}
 	e.nextID++
@@ -279,14 +284,16 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	}
 	e.procs = append(e.procs, p)
 	e.live++
-	go p.run()
 	e.runq.push(p)
 	return p
 }
 
-// run is the goroutine body wrapping the user function.
-func (p *Proc) run() {
-	<-p.resume // wait for first schedule
+// body is the coroutine wrapping the user function. Run creates it on the
+// proc's first resume: a coroutine created at Spawn would sit unstarted,
+// and GC would shrink its near-empty stack only for it to regrow. A proc's
+// panic becomes the engine's terminal error; abortError is swallowed.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
 	defer func() {
 		r := recover()
 		if r != nil {
@@ -298,25 +305,15 @@ func (p *Proc) run() {
 			p.eng.rec.Span(p.tracePID, p.traceTID, "sched", "run", p.runStart, p.now, 0)
 		}
 		p.state = stateFinished
-		e := p.eng
-		e.live--
-		if e.err != nil || p.aborted {
-			// Terminal condition: the engine adjudicates (error propagation
-			// or drain); do not hand control to another proc.
-			e.wake <- struct{}{}
-			return
-		}
-		e.dispatch(nil)
+		p.eng.live--
+		p.next, p.stop, p.yield = nil, nil, nil
 	}()
-	if p.aborted {
-		return
-	}
 	p.fn(p)
 }
 
 // Run executes the simulation until every proc finishes. It returns an error
 // if a proc panicked or if the simulation deadlocked (no runnable proc while
-// live procs remain parked). After Run returns, all proc goroutines have
+// live procs remain parked). After Run returns, all proc coroutines have
 // terminated.
 func (e *Engine) Run() error {
 	if e.running {
@@ -326,12 +323,22 @@ func (e *Engine) Run() error {
 	e.started = true
 	defer func() { e.running = false }()
 
-	// Dispatch the earliest entry and sleep until the chain of direct
-	// proc-to-proc handoffs needs adjudication: the queue drained (normal
-	// completion or deadlock) or a proc recorded a terminal error.
-	for e.err == nil && (e.runq.len() > 0 || e.batchPos < len(e.batch)) {
-		e.dispatch(nil)
-		<-e.wake
+	// A parking proc leaves its successor in pending; after a finish the loop
+	// dispatches itself. An empty queue or a terminal error ends the run.
+	for e.err == nil {
+		if e.pending == nil {
+			e.dispatch(nil)
+		}
+		p := e.pending
+		if p == nil {
+			break
+		}
+		e.pending = nil
+		e.switches++
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.body)
+		}
+		p.next()
 	}
 
 	if e.err == nil && e.live > 0 {
@@ -341,28 +348,25 @@ func (e *Engine) Run() error {
 	return e.err
 }
 
-// dispatch transfers control to the earliest pending run-queue entry. Timer
-// nodes fire inline (in the calling goroutine, which is acting as the
-// scheduler at the minimal virtual time) until a real proc surfaces; that
-// proc is then resumed directly. With nothing left to run, the engine
-// goroutine is woken to adjudicate.
+// dispatch chooses the earliest pending run-queue entry to run next. Timer
+// nodes fire inline (in the calling proc or the engine loop, which is acting
+// as the scheduler at the minimal virtual time) until a real proc surfaces;
+// that proc is left in e.pending for Run to resume. An empty queue, a budget
+// breach or a timer panic leaves e.pending nil.
 //
-// self is the calling proc (nil from the engine goroutine or a finishing
-// proc). An inline timer can unpark self mid-dispatch; when self then pops
-// as the earliest entry, dispatch returns true and the caller keeps running
-// instead of sending itself a resume it could never receive.
+// self is the calling proc (nil from the engine loop). An inline timer can
+// unpark self mid-dispatch; when self then pops as the earliest entry,
+// dispatch returns true and the caller keeps running without a switch.
 func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 	for {
 		next := e.popNext()
 		if next == nil {
-			e.wake <- struct{}{}
 			return false
 		}
 		if e.budget > 0 && next.now > e.budget {
 			if e.err == nil {
 				e.err = &BudgetError{Limit: e.budget, At: next.now}
 			}
-			e.wake <- struct{}{}
 			return false
 		}
 		if next.now > e.clock {
@@ -373,10 +377,8 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 			e.freeTimer(next)
 			e.fireTimer(ev, at)
 			if e.err != nil {
-				// The completion panicked. Timers have no goroutine whose
-				// recover could catch it, so record it here and hand the
-				// terminal error to the engine to adjudicate.
-				e.wake <- struct{}{}
+				// The completion panicked (fireTimer recorded it): leave the
+				// terminal error to Run.
 				return false
 			}
 			continue
@@ -385,7 +387,7 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 		if next == self {
 			return true
 		}
-		next.resume <- struct{}{}
+		e.pending = next
 		return false
 	}
 }
@@ -420,7 +422,7 @@ func (e *Engine) popNext() *Proc {
 }
 
 // after arranges for ev to complete at virtual time at, via a recycled
-// goroutine-less timer node on the run queue. Callers guarantee causality
+// coroutine-less timer node on the run queue. Callers guarantee causality
 // (at >= the running proc's time).
 func (e *Engine) after(at int64, ev *Event) {
 	t := e.timerFree
@@ -447,7 +449,7 @@ func (e *Engine) freeTimer(t *Proc) {
 // fireTimer completes a timer's event, converting a panic (e.g. an event
 // completed twice) into the engine's terminal error — preserving the
 // contract that Run returns misbehavior as an error instead of crashing the
-// process, which proc goroutines get from run()'s recover.
+// process, which procs get from body's recover.
 func (e *Engine) fireTimer(ev *Event, at int64) {
 	defer func() {
 		if r := recover(); r != nil && e.err == nil {
@@ -491,43 +493,48 @@ func (e *Engine) deadlockError() error {
 	return fmt.Errorf("%s", msg)
 }
 
-// drain force-terminates all unfinished procs so no goroutines leak.
+// drain force-terminates all unfinished procs so no coroutines leak: stop
+// makes a suspended proc's yield return false, and the proc unwinds.
+// A proc that never ran has no coroutine.
 func (e *Engine) drain() {
 	e.batch = nil
 	e.batchPos = 0
+	e.pending = nil
 	for _, p := range e.procs {
 		if p.state == stateFinished {
 			continue
 		}
-		p.aborted = true
 		if p.heapIndex >= 0 {
 			e.runq.remove(p)
 		}
-		p.resume <- struct{}{}
-		<-e.wake
+		if p.stop != nil {
+			p.stop()
+		} else {
+			p.state = stateFinished
+			e.live--
+		}
 	}
 	e.runq.clear() // drop any remaining timer nodes
 }
 
-// handoff enqueues nothing itself: it transfers control to the next pending
-// entry and blocks until this proc is resumed. On resume it honors shutdown
-// aborts. If an inline timer made this proc the earliest entry again, it
-// returns without ever blocking.
+// handoff enqueues nothing itself: it chooses the next entry to run and
+// suspends this proc until Run resumes it, unwinding with abortError if the
+// engine shuts down instead. If an inline timer made this proc the earliest
+// entry again, it returns without suspending.
 func (p *Proc) handoff() {
 	if p.eng.dispatch(p) {
 		return
 	}
-	<-p.resume
-	if p.aborted {
+	if !p.yield(struct{}{}) {
 		panic(abortError{})
 	}
 }
 
 // reschedule is the engine's scheduling point. If the proc is still strictly
 // earliest — the dominant case for Hold under skewed clocks — it simply
-// keeps running: no heap traffic, no channel ops, no goroutine switch. The
-// outcome is identical to re-enqueueing and being popped again immediately.
-// Otherwise the proc enqueues itself and resumes its successor directly.
+// keeps running: no heap traffic, no coroutine switch. The outcome is
+// identical to re-enqueueing and being popped again immediately. Otherwise
+// the proc enqueues itself and yields to its successor.
 func (p *Proc) reschedule() {
 	e := p.eng
 	// A budget breach must not take the keep-running shortcut: the slow path
@@ -678,20 +685,12 @@ func (e *Engine) UnparkBatch(waiters []*Proc, at int64) {
 }
 
 // sortProcsByID sorts same-time batch entries by proc id. Collective waiters
-// park in run order, which is usually already id-sorted — detect that in one
-// pass and only pay a real sort when it is not.
+// park in run order, which is usually already id-sorted, so check first.
 func sortProcsByID(s []*Proc) {
-	sorted := true
-	for i := 1; i < len(s); i++ {
-		if s[i].id < s[i-1].id {
-			sorted = false
-			break
-		}
+	byID := func(a, b *Proc) int { return cmp.Compare(a.id, b.id) }
+	if !slices.IsSortedFunc(s, byID) {
+		slices.SortFunc(s, byID)
 	}
-	if sorted {
-		return
-	}
-	sort.Slice(s, func(i, j int) bool { return s[i].id < s[j].id })
 }
 
 // procLess is the scheduling order: (virtual time, proc id) ascending.
@@ -706,8 +705,6 @@ func procLess(a, b *Proc) bool {
 type runQueue struct {
 	s []*Proc
 }
-
-func (q *runQueue) len() int { return len(q.s) }
 
 // peek returns the earliest entry without removing it, or nil.
 func (q *runQueue) peek() *Proc {

@@ -150,7 +150,7 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestDeadlockDrainsOtherProcs(t *testing.T) {
-	// A deadlocked run must terminate every proc goroutine, including ones
+	// A deadlocked run must terminate every proc coroutine, including ones
 	// parked on unrelated conditions.
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
@@ -160,7 +160,7 @@ func TestDeadlockDrainsOtherProcs(t *testing.T) {
 		t.Fatal("expected deadlock error")
 	}
 	// Run returned, so drain completed; nothing further to assert beyond
-	// not leaking (checked by -race and goroutine count stability in CI).
+	// not leaking (TestRunReleasesEveryCoroutine counts the goroutines).
 }
 
 func TestDeadlockListingIsCapped(t *testing.T) {
@@ -192,7 +192,7 @@ func TestDeadlockListingIsCapped(t *testing.T) {
 func TestInlineTimerResumesOwnProc(t *testing.T) {
 	// A proc that parks while the only other run-queue entry is its own
 	// completion timer must be resumed inline by its own dispatch (the timer
-	// fires in the parking proc's goroutine and unparks it).
+	// fires inside the parking proc's dispatch and unparks it).
 	e := NewEngine()
 	var woke int64
 	e.Spawn("self", func(p *Proc) {
@@ -239,7 +239,7 @@ func TestTimersInterleaveWithProcsDeterministically(t *testing.T) {
 func TestDoubleTimerCompletionIsAnError(t *testing.T) {
 	// Two CompleteAt arms on one event: the second inline firing panics
 	// ("completed twice"), which must surface as Run's error — never as a
-	// process crash — even though timers have no goroutine recover.
+	// process crash — even though timers have no proc body to recover in.
 	e := NewEngine()
 	e.Spawn("armer", func(p *Proc) {
 		ev := NewEvent("dup")

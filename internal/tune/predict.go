@@ -102,8 +102,15 @@ func (pr *predictor) alignUnit(fopt storage.FileOptions) int64 {
 // candidates all pay it on equal terms. The returned level count is the
 // number of interior reduction levels — each one costs an extra fence per
 // round, which the caller charges alongside the base fence.
+//
+// A read session runs flat whatever its shape (in core's runRead every
+// member gets its pieces straight from the aggregator's window), so a read
+// is priced flat.
 func (pr *predictor) aggregationSeconds(cfg core.Config, members []cost.Member, win, rounds int) (secs float64, interiorLevels int) {
 	sh := cfg.Shape()
+	if pr.read {
+		sh = tree.Shape{Kind: tree.Flat}
+	}
 	opt := tree.PriceOptions{PerMessageSeconds: pr.msgPenalty * float64(rounds)}
 	if !sh.Degenerate() {
 		t, leaders := pr.buildTree(sh, members, win)
