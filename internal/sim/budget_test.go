@@ -8,7 +8,7 @@ import (
 
 // A proc that advances its clock past the budget must terminate the run
 // with a *BudgetError instead of spinning forever, and every proc must
-// drain (TestRunReleasesEveryCoroutine checks that no coroutine is left).
+// drain (TestRunReleasesEveryCoroutine checks that no carrier is left busy).
 func TestBudgetExceeded(t *testing.T) {
 	e := NewEngine()
 	e.SetBudget(1000)

@@ -5,12 +5,21 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
-// TestRunReleasesEveryCoroutine checks each way Run can end: afterwards no
-// proc coroutine is left behind, whether its proc finished, was parked, was
-// runnable or never started.
+// busyGoroutines counts the goroutines that are not idle carriers.
+func busyGoroutines() int {
+	idleCarriers.Lock()
+	defer idleCarriers.Unlock()
+	return runtime.NumGoroutine() - len(idleCarriers.s)
+}
+
+// TestRunReleasesEveryCoroutine checks each way Run can end: afterwards
+// every carrier has ended or is idle in the pool, whether its proc finished,
+// was parked, was runnable or never started.
 func TestRunReleasesEveryCoroutine(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -56,7 +65,7 @@ func TestRunReleasesEveryCoroutine(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := busyGoroutines()
 			e := NewEngine()
 			tc.build(e)
 			err := e.Run()
@@ -66,16 +75,116 @@ func TestRunReleasesEveryCoroutine(t *testing.T) {
 			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 				t.Fatalf("Run = %v, want an error containing %q", err, tc.want)
 			}
-			if after := runtime.NumGoroutine(); after != before {
-				t.Fatalf("%d goroutines after Run, %d before", after, before)
+			if after := busyGoroutines(); after != before {
+				t.Fatalf("%d busy goroutines after Run, %d before", after, before)
 			}
-			for _, p := range e.procs {
-				if p.state != stateFinished || p.next != nil || p.stop != nil || p.yield != nil {
-					t.Fatalf("proc %s left in state %v with its coroutine attached", p.name, p.state)
-				}
-			}
+			checkAllEnded(t, e)
 		})
 	}
+}
+
+func checkAllEnded(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, p := range e.procs {
+		if p.state != stateFinished || p.car != nil {
+			t.Fatalf("proc %s left in state %v with a carrier attached", p.name, p.state)
+		}
+	}
+}
+
+// TestRunDrainsOnGoexit checks a proc that calls runtime.Goexit, as t.FailNow
+// does: the goroutine that called Run exits too, but only after every other
+// proc has been unwound and its carrier returned to the pool.
+func TestRunDrainsOnGoexit(t *testing.T) {
+	before := busyGoroutines()
+	e := NewEngine()
+	unwound := false
+	e.Spawn("parked", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Park("quitter")
+	})
+	e.Spawn("quitter", func(p *Proc) {
+		p.Hold(5)
+		runtime.Goexit()
+	})
+	e.Spawn("never started", func(p *Proc) { p.Hold(50) })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		t.Error("Run returned after a proc called runtime.Goexit")
+	}()
+	<-done
+	if err := e.Err(); err == nil || !strings.Contains(err.Error(), "(quitter) called runtime.Goexit") {
+		t.Fatalf("Err = %v, want the quitter's Goexit", err)
+	}
+	if !unwound {
+		t.Fatal("parked proc was not unwound")
+	}
+	checkAllEnded(t, e)
+	// The goroutine that ran Run may still be exiting after close(done).
+	for i := 0; busyGoroutines() != before; i++ {
+		if i == 100 {
+			t.Fatalf("%d busy goroutines after Run, %d before", busyGoroutines(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCarriersAreReused checks that, with pooling on, a run starts no
+// coroutine when the pool already holds enough idle carriers for its procs.
+func TestCarriersAreReused(t *testing.T) {
+	if !keepCarriers {
+		t.Skip("carriers are pooled only under the race detector")
+	}
+	run := func() {
+		e := NewEngine()
+		b := NewBarrier("all", 8, nil)
+		for i := 0; i < 8; i++ {
+			e.Spawn(fmt.Sprint("p", i), func(p *Proc) {
+				p.Hold(int64(i))
+				b.Wait(p)
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	before := runtime.NumGoroutine()
+	run()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after a second run, %d before", after, before)
+	}
+}
+
+// TestConcurrentEnginesShareCarriers runs engines on several goroutines at
+// once, so pooled carriers move between goroutines; run it under -race.
+func TestConcurrentEnginesShareCarriers(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				e := NewEngine()
+				b := NewBarrier("all", 8, nil)
+				sum := 0
+				for j := 0; j < 8; j++ {
+					e.Spawn(fmt.Sprint("p", j), func(p *Proc) {
+						p.Hold(int64(j))
+						b.Wait(p)
+						sum += j
+					})
+				}
+				if err := e.Run(); err != nil || sum != 28 {
+					t.Errorf("Run = %v with sum %d, want nil and 28", err, sum)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestProcBlocksOnHostChannel is the pattern of a background store job: a

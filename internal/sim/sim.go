@@ -1,7 +1,7 @@
 // Package sim implements a deterministic, process-oriented discrete-event
 // simulation engine.
 //
-// Simulated processes ("procs") are coroutines (iter.Pull) that advance a
+// Simulated processes ("procs") run on coroutines (iter.Pull) and advance a
 // virtual clock instead of wall time. The engine runs exactly one proc at a
 // time and always resumes the runnable proc with the smallest (virtual time,
 // proc id) pair, so a simulation is fully deterministic: the same program
@@ -22,16 +22,18 @@
 // coroutine transfers on one thread: the parking proc picks its successor
 // and yields to Engine.Run, which resumes it.
 // A proc blocked on a real channel holds up the whole simulation meanwhile.
+// Each proc runs on its own carrier coroutine from its first run to its end;
+// under the race detector, carriers are pooled and reused (see keepCarriers).
 //
 // Virtual time is int64 nanoseconds.
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"iter"
 	"math"
-	"slices"
+	"sort"
+	"sync"
 
 	"tapioca/internal/obs"
 )
@@ -94,8 +96,9 @@ func (s procState) String() string {
 }
 
 // Proc is a simulated process. A Proc handle is only valid inside the
-// coroutine the engine created for it; procs communicate through engine
-// primitives, never by calling methods on each other's handles.
+// proc's own function, which runs on a carrier coroutine lent to it from its
+// first run to its end; procs communicate through engine primitives, never
+// by calling methods on each other's handles.
 //
 // The same struct doubles as a recycled timer node (timerEv != nil): timers
 // ride the run queue like procs but fire inline in whichever proc (or the
@@ -110,12 +113,8 @@ type Proc struct {
 	parkReason string
 	phase      string
 
-	fn func(*Proc)
-	// The coroutine, created on the first run: Run resumes it with next,
-	// drain unwinds it with stop, and it suspends itself with yield.
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
+	fn  func(*Proc)
+	car *carrier // runs fn; nil before the first run and after the end
 
 	heapIndex int // position in the engine run queue, -1 if absent
 
@@ -288,40 +287,99 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// body is the coroutine wrapping the user function. Run creates it on the
-// proc's first resume: a coroutine created at Spawn would sit unstarted,
-// and GC would shrink its near-empty stack only for it to regrow. A proc's
-// panic becomes the engine's terminal error; abortError is swallowed.
-func (p *Proc) body(yield func(struct{}) bool) {
-	p.yield = yield
+// carrier is the coroutine a proc runs on. It runs its proc's function to
+// the end; then it ends too, or, when keepCarriers is set, it yields and
+// waits idle in the pool for its next proc.
+type carrier struct {
+	p     *Proc // the proc being run; nil while idle
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+}
+
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		c.p = nil
+		if !keepCarriers {
+			return
+		}
+		yield(struct{}{})
+	}
+}
+
+// idleCarriers is the process-wide pool of carriers between procs, empty
+// unless keepCarriers is set. Engines on different goroutines share it: a
+// carrier may be resumed from any goroutine, one at a time. It holds at most
+// the largest number of procs that were ever started and unfinished at once.
+var idleCarriers struct {
+	sync.Mutex
+	s []*carrier
+}
+
+func getCarrier() *carrier {
+	idleCarriers.Lock()
+	defer idleCarriers.Unlock()
+	if n := len(idleCarriers.s); n > 0 {
+		c := idleCarriers.s[n-1]
+		idleCarriers.s = idleCarriers.s[:n-1]
+		return c
+	}
+	c := &carrier{}
+	c.next, _ = iter.Pull(c.loop)
+	return c
+}
+
+func putCarrier(c *carrier) {
+	idleCarriers.Lock()
+	idleCarriers.s = append(idleCarriers.s, c)
+	idleCarriers.Unlock()
+}
+
+// run executes the proc's function on its carrier. A proc's panic becomes
+// the engine's terminal error; abortError is swallowed. runtime.Goexit in
+// the function ends the carrier and then Run's goroutine, which drains the
+// other procs on its way out.
+func (p *Proc) run() {
+	returned := false
 	defer func() {
-		r := recover()
-		if r != nil {
-			if _, isAbort := r.(abortError); !isAbort && p.eng.err == nil {
-				p.eng.err = fmt.Errorf("sim: proc %d (%s) panicked at t=%d: %v", p.id, p.name, p.now, r)
+		e := p.eng
+		switch r := recover(); {
+		case returned:
+			if p.traceOn {
+				e.rec.Span(p.tracePID, p.traceTID, "sched", "run", p.runStart, p.now, 0)
+			}
+		case r == nil:
+			p.car = nil
+			if e.err == nil {
+				e.err = fmt.Errorf("sim: proc %d (%s) called runtime.Goexit at t=%d", p.id, p.name, p.now)
+			}
+		default:
+			if _, isAbort := r.(abortError); !isAbort && e.err == nil {
+				e.err = fmt.Errorf("sim: proc %d (%s) panicked at t=%d: %v", p.id, p.name, p.now, r)
 			}
 		}
-		if p.traceOn && r == nil {
-			p.eng.rec.Span(p.tracePID, p.traceTID, "sched", "run", p.runStart, p.now, 0)
-		}
 		p.state = stateFinished
-		p.eng.live--
-		p.next, p.stop, p.yield = nil, nil, nil
+		e.live--
 	}()
 	p.fn(p)
+	returned = true
 }
 
 // Run executes the simulation until every proc finishes. It returns an error
 // if a proc panicked or if the simulation deadlocked (no runnable proc while
-// live procs remain parked). After Run returns, all proc coroutines have
-// terminated.
+// live procs remain parked). After Run returns, every proc and its carrier
+// have ended, or the carrier is idle in the pool.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called re-entrantly")
 	}
 	e.running = true
 	e.started = true
-	defer func() { e.running = false }()
+	defer func() {
+		e.drain()
+		e.running = false
+	}()
 
 	// A parking proc leaves its successor in pending; after a finish the loop
 	// dispatches itself. An empty queue or a terminal error ends the run.
@@ -335,17 +393,29 @@ func (e *Engine) Run() error {
 		}
 		e.pending = nil
 		e.switches++
-		if p.next == nil {
-			p.next, p.stop = iter.Pull(p.body)
-		}
-		p.next()
+		e.resume(p)
 	}
 
 	if e.err == nil && e.live > 0 {
 		e.err = e.deadlockError()
 	}
-	e.drain()
 	return e.err
+}
+
+// resume runs p until it parks or ends. p gets its carrier on its first run
+// and drops it when it ends.
+func (e *Engine) resume(p *Proc) {
+	if p.car == nil {
+		p.car = getCarrier()
+		p.car.p = p
+	}
+	p.car.next()
+	if p.state == stateFinished {
+		if keepCarriers {
+			putCarrier(p.car)
+		}
+		p.car = nil
+	}
 }
 
 // dispatch chooses the earliest pending run-queue entry to run next. Timer
@@ -449,7 +519,7 @@ func (e *Engine) freeTimer(t *Proc) {
 // fireTimer completes a timer's event, converting a panic (e.g. an event
 // completed twice) into the engine's terminal error — preserving the
 // contract that Run returns misbehavior as an error instead of crashing the
-// process, which procs get from body's recover.
+// process, which procs get from run's recover.
 func (e *Engine) fireTimer(ev *Event, at int64) {
 	defer func() {
 		if r := recover(); r != nil && e.err == nil {
@@ -493,9 +563,9 @@ func (e *Engine) deadlockError() error {
 	return fmt.Errorf("%s", msg)
 }
 
-// drain force-terminates all unfinished procs so no coroutines leak: stop
-// makes a suspended proc's yield return false, and the proc unwinds.
-// A proc that never ran has no coroutine.
+// drain force-terminates all unfinished procs. It resumes each suspended
+// proc once more; seeing the terminal error, the proc unwinds with
+// abortError and drops its carrier. A proc that never ran has no carrier.
 func (e *Engine) drain() {
 	e.batch = nil
 	e.batchPos = 0
@@ -507,8 +577,8 @@ func (e *Engine) drain() {
 		if p.heapIndex >= 0 {
 			e.runq.remove(p)
 		}
-		if p.stop != nil {
-			p.stop()
+		if p.car != nil {
+			e.resume(p)
 		} else {
 			p.state = stateFinished
 			e.live--
@@ -518,14 +588,16 @@ func (e *Engine) drain() {
 }
 
 // handoff enqueues nothing itself: it chooses the next entry to run and
-// suspends this proc until Run resumes it, unwinding with abortError if the
-// engine shuts down instead. If an inline timer made this proc the earliest
-// entry again, it returns without suspending.
+// suspends this proc until Run resumes it, unwinding with abortError if
+// drain resumes it instead (only drain resumes a proc after a terminal
+// error). If an inline timer made this proc the earliest entry again, it
+// returns without suspending.
 func (p *Proc) handoff() {
 	if p.eng.dispatch(p) {
 		return
 	}
-	if !p.yield(struct{}{}) {
+	p.car.yield(struct{}{})
+	if p.eng.err != nil {
 		panic(abortError{})
 	}
 }
@@ -685,12 +757,20 @@ func (e *Engine) UnparkBatch(waiters []*Proc, at int64) {
 }
 
 // sortProcsByID sorts same-time batch entries by proc id. Collective waiters
-// park in run order, which is usually already id-sorted, so check first.
+// park in run order, which is usually already id-sorted — detect that in one
+// pass and only pay a real sort when it is not.
 func sortProcsByID(s []*Proc) {
-	byID := func(a, b *Proc) int { return cmp.Compare(a.id, b.id) }
-	if !slices.IsSortedFunc(s, byID) {
-		slices.SortFunc(s, byID)
+	sorted := true
+	for i := 1; i < len(s); i++ {
+		if s[i].id < s[i-1].id {
+			sorted = false
+			break
+		}
 	}
+	if sorted {
+		return
+	}
+	sort.Slice(s, func(i, j int) bool { return s[i].id < s[j].id })
 }
 
 // procLess is the scheduling order: (virtual time, proc id) ascending.

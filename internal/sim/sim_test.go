@@ -150,7 +150,7 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestDeadlockDrainsOtherProcs(t *testing.T) {
-	// A deadlocked run must terminate every proc coroutine, including ones
+	// A deadlocked run must terminate every proc, including ones
 	// parked on unrelated conditions.
 	e := NewEngine()
 	for i := 0; i < 10; i++ {
