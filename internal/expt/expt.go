@@ -117,7 +117,11 @@ type Counts struct {
 	// (sim.Engine.Parks), and Switches the engine's context switches
 	// between procs (sim.Engine.Switches).
 	Parks, Switches int64
-	// PeakHeapBytes is the maximum live heap sampled at cell boundaries.
+	// PeakHeapBytes is the largest heap-object reading
+	// (/memory/classes/heap/objects:bytes) sampled at cell boundaries. It
+	// counts live objects and dead ones the GC has not swept yet, so it
+	// follows GC timing: it bounds the footprint from above and varies run
+	// to run.
 	PeakHeapBytes uint64
 }
 
@@ -130,10 +134,11 @@ type tally struct {
 const heapMetricName = "/memory/classes/heap/objects:bytes"
 
 // add books one finished cell's fabric and engine counters and samples the
-// live heap. The sample is taken inline as the cell completes, while its
-// whole simulated platform is still reachable, so the reading reflects the
-// figure's real footprint; a ticker goroutine's armed runtime timer would
-// measurably slow the simulation's scheduler on a busy machine.
+// heap-object bytes. The sample is taken inline as the cell completes,
+// while its whole simulated platform is still reachable, so the reading
+// includes the figure's footprint, plus whatever garbage the GC has not
+// swept by then; a ticker goroutine's armed runtime timer would measurably
+// slow the simulation's scheduler on a busy machine.
 func (t *tally) add(fab *netsim.Fabric, eng *sim.Engine) {
 	if t == nil {
 		return

@@ -90,7 +90,10 @@ type Hints struct {
 	// aggregator s mod cb_nodes) instead of contiguously — the Lustre
 	// driver behaviour of Cray MPI-IO/ROMIO, which keeps every OST busy
 	// each round and pins each aggregator to one OST when cb_nodes is a
-	// multiple of the stripe count.
+	// multiple of the stripe count. The stripes are the file system's
+	// optimal unit, so they are unit-aligned whether or not AlignDomains is
+	// set. Only a system reporting a unit ≤ 0 (no built-in one does) falls
+	// back to block domains.
 	CyclicDomains bool
 	// DisableSieving turns off write data sieving (read-modify-write for
 	// sparse rounds); sparse data is then written run-by-run.

@@ -27,71 +27,95 @@ func runFlat(t *testing.T, ranks, ranksPerNode int, body func(c *mpi.Comm, sys s
 	return eng
 }
 
+// layouts are the two file-domain layouts buildSchedule takes: block
+// domains, and stripe-cyclic domains over 1 MiB stripes.
+var layouts = []struct {
+	name    string
+	alignTo int64
+	cyclic  bool
+}{{"block", 0, false}, {"cyclic", 1 << 20, true}}
+
 func TestBuildScheduleContig(t *testing.T) {
-	// 4 ranks × 1 MB contiguous, 2 aggregators, 1 MB buffers → domain 2 MB,
-	// 2 rounds.
+	// 4 ranks × 1 MB contiguous, 2 aggregators, 1 MB buffers → 2 rounds:
+	// block domains of 2 MB, or 4 stripes dealt out 2 per aggregator.
 	const mb = 1 << 20
 	allSegs := make([][]storage.Seg, 4)
 	for r := range allSegs {
 		allSegs[r] = []storage.Seg{storage.Contig(int64(r)*mb, mb)}
 	}
-	s := buildSchedule(allSegs, 2, mb, 0)
-	if s.lo != 0 || s.hi != 4*mb {
-		t.Fatalf("range [%d,%d)", s.lo, s.hi)
-	}
-	if s.rounds != 2 {
-		t.Fatalf("rounds = %d", s.rounds)
-	}
-	// Every (agg, round) gets exactly one rank's MB.
-	for a := 0; a < 2; a++ {
-		for r := 0; r < 2; r++ {
-			if s.aggRounds[a][r].bytes != mb {
-				t.Errorf("agg %d round %d bytes = %d", a, r, s.aggRounds[a][r].bytes)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			s := buildSchedule(allSegs, 2, mb, l.alignTo, l.cyclic)
+			if s.lo != 0 || s.hi != 4*mb {
+				t.Fatalf("range [%d,%d)", s.lo, s.hi)
 			}
-		}
-	}
-	// Each rank sends exactly its MB, to one (agg, round).
-	for r, pieces := range s.sendPieces {
-		var total int64
-		for _, p := range pieces {
-			total += p.bytes
-		}
-		if total != mb {
-			t.Errorf("rank %d sends %d bytes", r, total)
-		}
+			if s.rounds != 2 {
+				t.Fatalf("rounds = %d", s.rounds)
+			}
+			// Every (agg, round) gets exactly one rank's MB.
+			for a := 0; a < 2; a++ {
+				for r := 0; r < 2; r++ {
+					if s.aggRounds[a][r].bytes != mb {
+						t.Errorf("agg %d round %d bytes = %d", a, r, s.aggRounds[a][r].bytes)
+					}
+				}
+			}
+			// Each rank sends exactly its MB, to one (agg, round).
+			for r, pieces := range s.sendPieces {
+				var total int64
+				for _, p := range pieces {
+					total += p.bytes
+				}
+				if total != mb {
+					t.Errorf("rank %d sends %d bytes", r, total)
+				}
+			}
+		})
 	}
 }
 
 func TestBuildScheduleSparseStrided(t *testing.T) {
 	// One rank writes 4-byte runs every 38 bytes — an AoS variable. The
 	// schedule must keep byte counts exact.
-	s := buildSchedule([][]storage.Seg{
-		{storage.Strided(0, 4, 38, 1000)},
-	}, 2, 1<<20, 0)
-	var total int64
-	for a := range s.aggRounds {
-		for r := range s.aggRounds[a] {
-			total += s.aggRounds[a][r].bytes
-		}
-	}
-	if total != 4000 {
-		t.Fatalf("scheduled bytes = %d, want 4000", total)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			s := buildSchedule([][]storage.Seg{
+				{storage.Strided(0, 4, 38, 1000)},
+			}, 2, 1<<20, l.alignTo, l.cyclic)
+			var total int64
+			for a := range s.aggRounds {
+				for r := range s.aggRounds[a] {
+					total += s.aggRounds[a][r].bytes
+				}
+			}
+			if total != 4000 {
+				t.Fatalf("scheduled bytes = %d, want 4000", total)
+			}
+		})
 	}
 }
 
 func TestBuildScheduleDomainAlignment(t *testing.T) {
+	// 3 MB over 2 aggregators: unaligned domains would split at 1.5 MB, so
+	// aggregator 0's last window must end on the 1 MB unit before the file
+	// end.
 	const mb = 1 << 20
 	allSegs := [][]storage.Seg{{storage.Contig(0, 3*mb)}}
-	s := buildSchedule(allSegs, 2, mb, mb)
-	if s.domains[0][1]%mb != 0 {
-		t.Fatalf("domain boundary %d not aligned", s.domains[0][1])
+	s := buildSchedule(allSegs, 2, mb, mb, false)
+	whi := s.aggRounds[0][s.rounds-1].whi
+	if whi%mb != 0 || whi >= s.hi {
+		t.Fatalf("aggregator 0 ends at %d, want a unit boundary below %d", whi, s.hi)
 	}
 }
 
 func TestBuildScheduleEmpty(t *testing.T) {
-	s := buildSchedule(make([][]storage.Seg, 4), 2, 1<<20, 0)
-	if s.rounds != 0 && s.hi != s.lo {
-		t.Fatalf("empty schedule has rounds=%d range=[%d,%d)", s.rounds, s.lo, s.hi)
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			s := buildSchedule(make([][]storage.Seg, 4), 2, 1<<20, l.alignTo, l.cyclic)
+			if s.rounds != 0 || s.hi != s.lo {
+				t.Fatalf("empty schedule has rounds=%d range=[%d,%d)", s.rounds, s.lo, s.hi)
+			}
+		})
 	}
 }
 

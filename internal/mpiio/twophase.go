@@ -13,9 +13,8 @@ import (
 // schedule is the per-collective-call two-phase plan, computed once (on the
 // last rank to enter the collective) from every rank's access pattern.
 type schedule struct {
-	lo, hi  int64
-	rounds  int
-	domains [][2]int64 // per aggregator: file domain [lo, hi)
+	lo, hi int64
+	rounds int
 
 	// sendPieces[rank] lists what each rank contributes, per (agg, round),
 	// sorted by round (stable, preserving build order within a round) so the
@@ -101,8 +100,15 @@ type roundData struct {
 }
 
 // buildSchedule computes file domains, rounds and piece routing from the
-// gathered per-rank segment lists.
-func buildSchedule(allSegs [][]storage.Seg, nAggr int, bufSize int64, alignTo int64) *schedule {
+// gathered per-rank segment lists. One layout rule covers both domain
+// kinds: the file is cut into chunks of width w from origin, and chunk c
+// belongs to aggregator c mod nAggr and fills its rounds
+// [(c/nAggr)*sub, (c/nAggr+1)*sub), one buffer window each, with
+// sub = ceil(w/bufSize). Block domains (cyclic false) split the span nAggr
+// ways, rounded up to alignTo, so each aggregator owns at most one chunk.
+// Stripe-cyclic domains (cyclic true, alignTo > 0) use alignTo-wide stripes
+// from the unit boundary at or below the lowest byte.
+func buildSchedule(allSegs [][]storage.Seg, nAggr int, bufSize, alignTo int64, cyclic bool) *schedule {
 	s := &schedule{}
 	first := true
 	for _, segs := range allSegs {
@@ -123,30 +129,15 @@ func buildSchedule(allSegs [][]storage.Seg, nAggr int, bufSize int64, alignTo in
 	if first {
 		return s // nothing to do
 	}
-	span := s.hi - s.lo
-	domain := (span + int64(nAggr) - 1) / int64(nAggr)
-	if alignTo > 1 {
-		domain = (domain + alignTo - 1) / alignTo * alignTo
+	n := int64(nAggr)
+	origin, w := s.lo, (s.hi-s.lo+n-1)/n
+	if cyclic {
+		origin, w = s.lo/alignTo*alignTo, alignTo
+	} else if alignTo > 1 {
+		w = (w + alignTo - 1) / alignTo * alignTo
 	}
-	if domain < 1 {
-		domain = 1
-	}
-	s.domains = make([][2]int64, nAggr)
-	for a := 0; a < nAggr; a++ {
-		dlo := s.lo + int64(a)*domain
-		dhi := dlo + domain
-		if dlo > s.hi {
-			dlo, dhi = s.hi, s.hi
-		}
-		if dhi > s.hi {
-			dhi = s.hi
-		}
-		s.domains[a] = [2]int64{dlo, dhi}
-	}
-	s.rounds = int((domain + bufSize - 1) / bufSize)
-	if s.rounds < 1 {
-		s.rounds = 1
-	}
+	sub := int((w + bufSize - 1) / bufSize)
+	s.rounds = int((s.hi-1-origin)/w/n+1) * sub
 	s.sendPieces = make([][]sendPiece, len(allSegs))
 	s.aggRounds = make([][]roundData, nAggr)
 	for a := range s.aggRounds {
@@ -158,95 +149,16 @@ func buildSchedule(allSegs [][]storage.Seg, nAggr int, bufSize int64, alignTo in
 				continue
 			}
 			glo, ghi := sg.Span()
-			aFirst := int((glo - s.lo) / domain)
-			aLast := int((ghi - 1 - s.lo) / domain)
-			for a := aFirst; a <= aLast && a < nAggr; a++ {
-				dlo := s.domains[a][0]
-				rFirst := 0
-				if glo > dlo {
-					rFirst = int((glo - dlo) / bufSize)
+			for c, cLast := (glo-origin)/w, (ghi-1-origin)/w; c <= cLast; c++ {
+				agg, k := int(c%n), int(c/n)
+				clo := origin + c*w
+				j := 0
+				if glo > clo {
+					j = int((glo - clo) / bufSize)
 				}
-				for round := rFirst; round < s.rounds; round++ {
-					wlo := dlo + int64(round)*bufSize
-					whi := minI64(wlo+bufSize, s.domains[a][1])
-					if whi <= wlo || wlo >= ghi {
-						break
-					}
-					pieces := sg.Intersect(wlo, whi)
-					b := storage.TotalBytes(pieces)
-					if b == 0 {
-						continue
-					}
-					s.sendPieces[r] = append(s.sendPieces[r], sendPiece{agg: a, round: round, bytes: b})
-					rd := &s.aggRounds[a][round]
-					rd.segs = append(rd.segs, pieces...)
-					rd.bytes += b
-					rd.pieces++
-					rd.wlo, rd.whi = wlo, whi
-				}
-			}
-		}
-	}
-	s.sortPieces()
-	return s
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// buildScheduleCyclic builds the stripe-cyclic plan: stripe s (unit-sized
-// file window) belongs to aggregator (s - s0) mod nAggr, and each stripe is
-// cut into ceil(unit/bufSize) buffer windows. The k-th stripe of an
-// aggregator lands in rounds [k*sub, (k+1)*sub).
-func buildScheduleCyclic(allSegs [][]storage.Seg, nAggr int, bufSize, unit int64) *schedule {
-	s := &schedule{}
-	first := true
-	for _, segs := range allSegs {
-		for _, sg := range segs {
-			if sg.Empty() {
-				continue
-			}
-			lo, hi := sg.Span()
-			if first || lo < s.lo {
-				s.lo = lo
-			}
-			if first || hi > s.hi {
-				s.hi = hi
-			}
-			first = false
-		}
-	}
-	if first {
-		return s
-	}
-	s0 := s.lo / unit
-	s1 := (s.hi - 1) / unit
-	nStripes := s1 - s0 + 1
-	sub := int((unit + bufSize - 1) / bufSize)
-	perAgg := int((nStripes + int64(nAggr) - 1) / int64(nAggr))
-	s.rounds = perAgg * sub
-	s.sendPieces = make([][]sendPiece, len(allSegs))
-	s.aggRounds = make([][]roundData, nAggr)
-	for a := range s.aggRounds {
-		s.aggRounds[a] = make([]roundData, s.rounds)
-	}
-	for r, segs := range allSegs {
-		for _, sg := range segs {
-			if sg.Empty() {
-				continue
-			}
-			glo, ghi := sg.Span()
-			for st := glo / unit; st <= (ghi-1)/unit; st++ {
-				agg := int((st - s0) % int64(nAggr))
-				k := int((st - s0) / int64(nAggr))
-				stripeLo := st * unit
-				for j := 0; j < sub; j++ {
-					wlo := stripeLo + int64(j)*bufSize
-					whi := minI64(wlo+bufSize, stripeLo+unit)
+				for ; j < sub; j++ {
+					wlo := clo + int64(j)*bufSize
+					whi := min(wlo+bufSize, clo+w, s.hi)
 					if whi <= wlo || wlo >= ghi {
 						break
 					}
@@ -332,10 +244,7 @@ func (fh *File) collectiveIO(segs []storage.Seg, data []byte, read bool) error {
 				allSegs[i] = x.([]storage.Seg)
 			}
 		}
-		if cyclic {
-			return buildScheduleCyclic(allSegs, len(fh.aggrs), fh.hints.CBBufferSize, alignTo)
-		}
-		return buildSchedule(allSegs, len(fh.aggrs), fh.hints.CBBufferSize, alignTo)
+		return buildSchedule(allSegs, len(fh.aggrs), fh.hints.CBBufferSize, alignTo, cyclic)
 	}).(*schedule)
 	// Data plane: share every rank's payload plane — the simulated transport
 	// of the two-phase sends' payload slices. The extra collective exists
