@@ -77,9 +77,9 @@ type jsonResult struct {
 	// context switches between them.
 	Parks    int64 `json:"parks"`
 	Switches int64 `json:"switches"`
-	// PeakHeapBytes is the largest heap-object reading sampled as the
-	// figure's cells completed (expt.Counts.PeakHeapBytes): live objects plus
-	// garbage not yet swept, so it follows GC timing and varies run to run.
+	// PeakHeapBytes is the largest live-heap reading sampled as the figure's
+	// cells completed (expt.Counts.PeakHeapBytes): the bytes the latest GC
+	// marked live, without garbage not yet swept.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 	// Verified reports that this binary's data-plane round-trip smoke
 	// (-verify: real payload bytes written through the aggregation pipeline

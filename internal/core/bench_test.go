@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"tapioca/internal/storage"
@@ -46,6 +47,30 @@ func BenchmarkPlanBuild(b *testing.B) {
 				p := buildPlan(all, 192, 16<<20, 16<<20, false)
 				if len(p.parts) == 0 {
 					b.Fatal("empty plan")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildPlanInterleaved measures the planner on banded small blocks,
+// the tuner's strided-tree-lossy shape: 512 ranks, rank r's j-th 16 KiB
+// block in the file's j-th band after the lower ranks' blocks, so every
+// partition's members interleave band by band.
+func BenchmarkBuildPlanInterleaved(b *testing.B) {
+	const ranks, blocks, blk = 512, 16, 16 << 10
+	all := make([][]storage.Seg, ranks)
+	for r := range all {
+		for j := int64(0); j < blocks; j++ {
+			all[r] = append(all[r], storage.Contig((j*ranks+int64(r))*blk, blk))
+		}
+	}
+	for _, aggs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("aggr-%d", aggs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if p := buildPlan(all, aggs, 8<<20, 8<<20, false); len(p.parts) != aggs {
+					b.Fatal("wrong partition count")
 				}
 			}
 		})

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"tapioca/internal/cost"
 	"tapioca/internal/mpi"
@@ -152,7 +151,96 @@ type planBuilder struct {
 	touched []int32
 	fill    []int64
 	counts  []int32
+	runs    []runCursor   // the partition's ascending declared runs
+	heads   []runHead     // their merge heap
 	lruns   []storage.Seg // per-member layout scratch (data-plane builds)
+}
+
+// runCursor walks one ascending run of a partition's declared segments,
+// taken in member order. A run may span members: segs is the rest of member
+// local's list, and the run ends in member last's list before index lastEnd.
+type runCursor struct {
+	segs                 []storage.Seg
+	local, last, lastEnd int32
+}
+
+// stop ends the cursor's run before segment j of member i's list.
+func (c *runCursor) stop(lists [][]storage.Seg, i, j int) {
+	c.last, c.lastEnd = int32(i), int32(j)
+	if int(c.local) == i {
+		c.segs = lists[i][len(lists[i])-len(c.segs) : j]
+	}
+}
+
+// next moves the cursor to its run's next non-empty segment, segs[0], and
+// reports false at the run's end.
+func (c *runCursor) next(lists [][]storage.Seg) bool {
+	for {
+		for ; len(c.segs) > 0; c.segs = c.segs[1:] {
+			if !c.segs[0].Empty() {
+				return true
+			}
+		}
+		if c.local == c.last {
+			return false
+		}
+		c.local++
+		if c.segs = lists[c.local]; c.local == c.last {
+			c.segs = c.segs[:c.lastEnd]
+		}
+	}
+}
+
+// runHead is a merge-heap entry: a run's next offset and the run's number.
+// Runs are numbered in member order, so the number breaks offset ties by
+// local rank.
+type runHead struct {
+	off int64
+	run int32
+}
+
+func (a runHead) before(b runHead) bool {
+	return a.off < b.off || (a.off == b.off && a.run < b.run)
+}
+
+// mergeRuns writes the runs' segments over dst in (offset, run) order
+// through a binary min-heap h of their heads, which it consumes. While one
+// run stays ahead of the others it keeps the top at two comparisons a
+// segment.
+func mergeRuns(dst []memberSeg, lists [][]storage.Seg, runs []runCursor, h []runHead) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftRun(h, i)
+	}
+	for k := 0; len(h) > 0; k++ {
+		c := &runs[h[0].run]
+		dst[k] = memberSeg{local: c.local, seg: c.segs[0]}
+		c.segs = c.segs[1:]
+		if c.next(lists) {
+			h[0].off = c.segs[0].Off
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftRun(h, 0)
+	}
+}
+
+// siftRun restores the heap order below index i.
+func siftRun(h []runHead, i int) {
+	for {
+		m := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[m]) {
+			m = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // bytesBefore returns how many of the region's data bytes lie in [rg.lo, x).
@@ -271,28 +359,46 @@ func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]s
 	pp.omega = make([]int64, pp.rankN)
 	b.recs = b.recs[:0]
 
-	// Collect and span-sort the partition's segments.
-	msegs := b.msegs[:0]
-	for i := 0; i < pp.rankN; i++ {
-		for _, s := range all[rankLo+i] {
+	// Collect the partition's segments in (offset, local rank) order. Taken
+	// member by member they almost always form one ascending run, or one per
+	// member where members interleave, so the runs are merged rather than
+	// the whole list re-sorted; a list that steps back just starts one more
+	// run. The merge reads the runs from the declared lists and writes over
+	// the collected list.
+	lists := all[rankLo:rankHi]
+	total := 0
+	for _, segs := range lists {
+		total += len(segs)
+	}
+	msegs, runs, heads := slices.Grow(b.msegs[:0], total), b.runs[:0], b.heads[:0]
+	var last int64
+	for i, segs := range lists {
+		for j, s := range segs {
 			if s.Empty() {
 				continue
 			}
+			if len(msegs) == 0 || s.Off < last {
+				if len(runs) > 0 {
+					runs[len(runs)-1].stop(lists, i, j)
+				}
+				heads = append(heads, runHead{off: s.Off, run: int32(len(runs))})
+				runs = append(runs, runCursor{segs: segs[j:], local: int32(i)})
+			}
+			last = s.Off
 			msegs = append(msegs, memberSeg{local: int32(i), seg: s})
 			pp.omega[i] += s.Bytes()
-			pp.bytes += s.Bytes()
 		}
+		pp.bytes += pp.omega[i]
 	}
-	b.msegs = msegs
+	if len(runs) > 1 {
+		runs[len(runs)-1].stop(lists, len(lists)-1, len(lists[len(lists)-1]))
+		mergeRuns(msegs, lists, runs, heads)
+	}
+	b.msegs, b.runs, b.heads = msegs, runs[:0], heads[:0]
 	if pp.bytes == 0 {
 		return
 	}
-	sort.Slice(msegs, func(a, c int) bool {
-		if msegs[a].seg.Off != msegs[c].seg.Off {
-			return msegs[a].seg.Off < msegs[c].seg.Off
-		}
-		return msegs[a].local < msegs[c].local
-	})
+	b.recs = slices.Grow(b.recs, len(msegs)) // most segments become one piece
 
 	// Merge overlapping/adjacent spans into regions. The sorted order means
 	// each region's members are one consecutive index range.

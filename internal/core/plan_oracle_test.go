@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -304,16 +305,25 @@ func TestPlanMatchesReference(t *testing.T) {
 }
 
 // fuzzDecl decodes a declared pattern from fuzz bytes, four per rank: a
-// kind (nothing, one block, a strided run, or two blocks) and its sizes.
-// Every rank declares inside its own 64 KiB region, so ranks never overlap.
+// kind and its sizes. Kinds 0 and 7 declare nothing. Kinds 1–3 (one block,
+// a strided run, two blocks) declare inside the rank's own 64 KiB region.
+// Kinds 4 and 5 put blocks in a shared banded area, rank r's block j in
+// slot r of band j, so ranks interleave band by band (and merge into one
+// region where full slots abut); kind 5 lists its blocks in descending
+// order with an empty segment after the first. Kind 6 is a sparse strided
+// run starting at one offset shared by every kind-6 rank, so those ranks
+// tie on offset (they overlap there, but never declare more bytes than
+// their span).
 func fuzzDecl(data []byte) [][]storage.Seg {
 	const region, half = 1 << 16, 1 << 15
+	const slot, bands = 1 << 8, 16 * region // banded area: 16 slots a band
+	const ties = bands + 16*16*slot
 	all := make([][]storage.Seg, max(1, len(data)/4))
 	for r := range all {
 		if 4*r+3 >= len(data) {
 			break
 		}
-		kind, a, c := data[4*r]%4, int64(data[4*r+1])<<8|int64(data[4*r+2]), int64(data[4*r+3])
+		kind, a, c := data[4*r]%8, int64(data[4*r+1])<<8|int64(data[4*r+2]), int64(data[4*r+3])
 		base := int64(r) * region
 		switch kind {
 		case 1:
@@ -324,6 +334,17 @@ func fuzzDecl(data []byte) [][]storage.Seg {
 			all[r] = []storage.Seg{storage.Strided(base, length, stride, 1+(a>>6)%(region/stride))}
 		case 3:
 			all[r] = []storage.Seg{storage.Contig(base, 1+a%(half-1)), storage.Contig(base+half, 1+c*97%(half-1))}
+		case 4, 5:
+			n, length := 1+a%16, 1+c%slot
+			for j := int64(0); j < n; j++ {
+				all[r] = append(all[r], storage.Contig(bands+(j*16+int64(r))*slot, length))
+			}
+			if kind == 5 {
+				slices.Reverse(all[r])
+				all[r] = slices.Insert(all[r], 1, storage.Contig(bands, 0))
+			}
+		case 6:
+			all[r] = []storage.Seg{storage.Strided(ties, 1, 32+int64(r), 2+c%8)}
 		}
 	}
 	return all
@@ -337,6 +358,11 @@ func FuzzBuildPlan(f *testing.F) {
 	f.Add([]byte{1, 255, 255, 0, 1, 0, 10, 0, 1, 128, 0, 0}, uint8(2), uint16(3), uint8(1))
 	f.Add([]byte{2, 7, 3, 9, 0, 0, 0, 0, 3, 40, 1, 200, 2, 255, 0, 31}, uint8(3), uint16(40), uint8(2))
 	f.Add([]byte{3, 1, 2, 3, 3, 4, 5, 6, 3, 7, 8, 9, 1, 0, 0, 0, 2, 1, 1, 1}, uint8(7), uint16(62), uint8(0))
+	// Banded ranks, full slots (one region across ranks) and partial ones.
+	f.Add([]byte{4, 0, 15, 255, 4, 0, 15, 255, 4, 0, 15, 255, 4, 0, 7, 100}, uint8(1), uint16(900), uint8(0))
+	// A descending banded rank between ascending ones, and offset ties.
+	f.Add([]byte{4, 0, 9, 255, 5, 0, 9, 255, 4, 0, 9, 255, 6, 0, 0, 3, 6, 0, 0, 5, 6, 0, 0, 0}, uint8(1), uint16(1000), uint8(1))
+	f.Add([]byte{5, 0, 15, 40, 6, 0, 0, 7, 5, 0, 3, 255, 6, 0, 0, 1, 1, 0, 10, 0}, uint8(2), uint16(300), uint8(0))
 	aligns := []int64{0, 4096, 32768}
 	f.Fuzz(func(t *testing.T, data []byte, aggrs uint8, buf uint16, align uint8) {
 		if len(data) > 64 {

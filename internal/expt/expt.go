@@ -117,11 +117,10 @@ type Counts struct {
 	// (sim.Engine.Parks), and Switches the engine's context switches
 	// between procs (sim.Engine.Switches).
 	Parks, Switches int64
-	// PeakHeapBytes is the largest heap-object reading
-	// (/memory/classes/heap/objects:bytes) sampled at cell boundaries. It
-	// counts live objects and dead ones the GC has not swept yet, so it
-	// follows GC timing: it bounds the footprint from above and varies run
-	// to run.
+	// PeakHeapBytes is the largest live-heap reading (/gc/heap/live:bytes)
+	// sampled at cell boundaries: the bytes the most recent GC cycle marked
+	// live. It leaves out garbage not yet swept, so it tracks the footprint
+	// rather than GC timing, though it lags by up to one GC cycle.
 	PeakHeapBytes uint64
 }
 
@@ -131,14 +130,13 @@ type tally struct {
 	peakHeap                               atomic.Uint64
 }
 
-const heapMetricName = "/memory/classes/heap/objects:bytes"
+const heapMetricName = "/gc/heap/live:bytes"
 
 // add books one finished cell's fabric and engine counters and samples the
-// heap-object bytes. The sample is taken inline as the cell completes,
-// while its whole simulated platform is still reachable, so the reading
-// includes the figure's footprint, plus whatever garbage the GC has not
-// swept by then; a ticker goroutine's armed runtime timer would measurably
-// slow the simulation's scheduler on a busy machine.
+// live-heap bytes. The sample is taken inline as the cell completes, while
+// its whole simulated platform is still reachable, so the last GC before it
+// marked the figure's footprint live; a ticker goroutine's armed runtime
+// timer would measurably slow the simulation's scheduler on a busy machine.
 func (t *tally) add(fab *netsim.Fabric, eng *sim.Engine) {
 	if t == nil {
 		return

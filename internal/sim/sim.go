@@ -32,7 +32,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"tapioca/internal/obs"
@@ -770,7 +770,7 @@ func sortProcsByID(s []*Proc) {
 	if sorted {
 		return
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i].id < s[j].id })
+	slices.SortFunc(s, func(a, b *Proc) int { return a.id - b.id })
 }
 
 // procLess is the scheduling order: (virtual time, proc id) ascending.

@@ -54,8 +54,9 @@ func Search(m *cost.Model, parts []Partition, g Grouper, opt SearchOptions) Resu
 	}
 
 	type prepped struct {
+		Partition
 		leaders []Leader
-		root    int
+		root    int // the root's leader index
 	}
 	pp := make([]prepped, 0, len(parts))
 	for _, p := range parts {
@@ -63,13 +64,13 @@ func Search(m *cost.Model, parts []Partition, g Grouper, opt SearchOptions) Resu
 			continue
 		}
 		leaders, starts := Leaders(p.Members)
-		pp = append(pp, prepped{leaders: leaders, root: RootLeader(starts, p.Root)})
+		pp = append(pp, prepped{Partition: p, leaders: leaders, root: RootLeader(starts, p.Root)})
 	}
 	price := func(s Shape) Result {
 		r := Result{Shape: s}
-		for i, p := range pp {
+		for _, p := range pp {
 			t := Build(s, p.leaders, p.root, g)
-			r.Seconds += Price(m, t, p.leaders, parts[i].Members, parts[i].Root, opt.Price)
+			r.Seconds += Price(m, t, p.leaders, p.Members, p.Root, opt.Price)
 			if t.Levels > r.Levels {
 				r.Levels = t.Levels
 			}

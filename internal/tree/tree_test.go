@@ -192,6 +192,22 @@ func TestSearchPicksTreeUnderLoss(t *testing.T) {
 	}
 }
 
+// TestSearchSkipsEmptyPartitions: a partition without members prices
+// nothing, so it must not shift the others — each partition's leaders are
+// priced against its own members and root.
+func TestSearchSkipsEmptyPartitions(t *testing.T) {
+	topo := topology.ThetaDragonfly(768, topology.RouteMinimal)
+	m := cost.NewModel(topo)
+	rng := rand.New(rand.NewSource(5))
+	a, b := randMembers(rng, 32, 4, 0), randMembers(rng, 12, 2, 40)
+	opt := SearchOptions{Price: PriceOptions{PerMessageSeconds: 5e-5, FenceSeconds: 1e-4}}
+	want := Search(m, []Partition{{Members: a, Root: 3}, {Members: b, Root: 7}}, GrouperOf(topo), opt)
+	got := Search(m, []Partition{{}, {Members: a, Root: 3}, {}, {Members: b, Root: 7}}, GrouperOf(topo), opt)
+	if got != want {
+		t.Fatalf("with empty partitions: %+v, want %+v", got, want)
+	}
+}
+
 // TestParseShape round-trips the textual forms.
 func TestParseShape(t *testing.T) {
 	for _, s := range []string{"flat", "staged", "fanin:2", "fanin:16", "group", "chain"} {

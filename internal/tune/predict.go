@@ -135,55 +135,54 @@ func (pr *predictor) buildTree(sh tree.Shape, members []cost.Member, win int) (*
 	return tree.Build(sh, leaders, tree.RootLeader(starts, win), tree.GrouperOf(pr.p.Topo)), leaders
 }
 
-// elect builds partition pi's member table from its estimate and runs the
-// session's election over it, so the predicted aggregator is the one the
-// live session elects.
-func (pr *predictor) elect(cfg core.Config, pe *core.PartEstimate, pi int) (members []cost.Member, win int) {
-	members = make([]cost.Member, pe.Ranks)
-	for i := range members {
-		members[i] = cost.Member{Node: pr.nodes[pe.FirstRank+i], Bytes: pe.MemberBytes[i]}
-	}
-	win = cfg.Placement.Elect(&cost.Election{
-		Model:     pr.model,
-		Members:   members,
-		IOBytes:   pe.Bytes,
-		Partition: pi,
-	})
-	return members, win
+// pointPlan is one grid point's schedule and, per partition, its member
+// table and elected aggregator (no members where the partition has no
+// rounds). Neither depends on the aggregation shape, so the shape search and
+// every shape's prediction share one.
+type pointPlan struct {
+	est   *core.PlanEstimate
+	parts []tree.Partition
 }
 
-// searchShape runs the aggregation-tree shape search for one grid point. The
-// partitions and elections come from the same plan/election path predict
-// uses, so the searched shape is priced against exactly the partitions the
-// live session would build. Per-message and fence charges are scaled by the
-// deepest partition's round count: tree.Price books them once per session,
-// the pipeline pays them every round. Reports ok=false when the search comes
-// back degenerate (flat or staged already wins) — the plain candidates cover
-// that point.
-func (pr *predictor) searchShape(cfg core.Config, fopt storage.FileOptions) (tree.Shape, bool) {
+// plan runs the declared-I/O planner under cfg/fopt and the session's
+// election on every partition with data, so the predicted aggregator is the
+// one the live session elects.
+func (pr *predictor) plan(cfg core.Config, fopt storage.FileOptions) pointPlan {
 	cfg.ApplyDefaults(len(pr.all))
 	est := core.EstimatePlan(pr.all, cfg, pr.alignUnit(fopt))
-	var parts []tree.Partition
-	maxRounds, maxRanks := 0, 0
-	for pi := range est.Parts {
-		pe := &est.Parts[pi]
+	parts := make([]tree.Partition, len(est.Parts))
+	for pi, pe := range est.Parts {
 		if pe.Bytes == 0 || pe.Rounds == 0 {
 			continue
 		}
-		members, win := pr.elect(cfg, pe, pi)
-		parts = append(parts, tree.Partition{Members: members, Root: win})
-		if pe.Rounds > maxRounds {
-			maxRounds = pe.Rounds
+		members := make([]cost.Member, pe.Ranks)
+		for i := range members {
+			members[i] = cost.Member{Node: pr.nodes[pe.FirstRank+i], Bytes: pe.MemberBytes[i]}
 		}
-		if pe.Ranks > maxRanks {
-			maxRanks = pe.Ranks
-		}
+		parts[pi] = tree.Partition{Members: members, Root: cfg.Placement.Elect(&cost.Election{
+			Model: pr.model, Members: members, IOBytes: pe.Bytes, Partition: pi,
+		})}
 	}
-	if len(parts) == 0 {
+	return pointPlan{est: est, parts: parts}
+}
+
+// searchShape runs the aggregation-tree shape search over one grid point's
+// partitions and elections, so the searched shape is priced against exactly
+// the partitions the live session would build. Per-message and fence charges
+// are scaled by the deepest partition's round count: tree.Price books them
+// once per session, the pipeline pays them every round. Reports ok=false
+// when the search comes back degenerate (flat or staged already wins) — the
+// plain candidates cover that point.
+func (pr *predictor) searchShape(pl pointPlan) (tree.Shape, bool) {
+	maxRounds, maxRanks := pl.est.Rounds, 0
+	if maxRounds == 0 {
 		return tree.Shape{}, false
 	}
+	for _, pt := range pl.parts {
+		maxRanks = max(maxRanks, len(pt.Members))
+	}
 	fence := 2 * math.Log2(float64(maxRanks)+1) * pr.alpha()
-	res := tree.Search(pr.model, parts, tree.GrouperOf(pr.p.Topo), tree.SearchOptions{
+	res := tree.Search(pr.model, pl.parts, tree.GrouperOf(pr.p.Topo), tree.SearchOptions{
 		Price: tree.PriceOptions{
 			PerMessageSeconds: pr.msgPenalty * float64(maxRounds),
 			FenceSeconds:      fence * float64(maxRounds),
@@ -205,11 +204,10 @@ func (pr *predictor) flushSeconds(fopt storage.FileOptions, bytes, runs int64, a
 
 // predict returns the estimated end-to-end seconds of the collective phase
 // under cfg/fopt, for both pipeline variants (double-buffered and the
-// single-buffer ablation) in one pass.
-func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions) (double, single float64) {
+// single-buffer ablation) in one pass over pl, its grid point's plan.
+func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions, pl pointPlan) (double, single float64) {
 	cfg.ApplyDefaults(len(pr.all))
-	est := core.EstimatePlan(pr.all, cfg, pr.alignUnit(fopt))
-	n := est.Rounds
+	n := pl.est.Rounds
 	if n == 0 {
 		return 0, 0
 	}
@@ -231,12 +229,11 @@ func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions) (double,
 	aggRound := make([]float64, n)    // slowest partition's aggregation per round
 	flushStream := make([]float64, n) // slowest single aggregator stream per round
 	flushBytes := make([]int64, n)    // system-wide payload per round
-	for pi := range est.Parts {
-		pe := &est.Parts[pi]
-		if pe.Bytes == 0 || pe.Rounds == 0 {
+	for pi, pt := range pl.parts {
+		if pt.Members == nil {
 			continue
 		}
-		members, win := pr.elect(cfg, pe, pi)
+		pe, members, win := &pl.est.Parts[pi], pt.Members, pt.Root
 		fence := 2 * math.Log2(float64(pe.Ranks)+1) * pr.alpha()
 		aggSecs, interior := pr.aggregationSeconds(cfg, members, win, pe.Rounds)
 		perRound := aggSecs/float64(pe.Rounds) + fence*float64(1+interior)

@@ -290,8 +290,8 @@ func key(a int, b int64, pl cost.Placement, cd dataplane.Codec) string {
 // (RanksPerNode > 1) node-staged plus — with TreeSearch — the shape search's
 // pick when it has interior levels (a degenerate pick is already covered).
 // At one rank per node every node group is a singleton, so staging and
-// trees are structural no-ops and only flat is priced. Every shape yields a
-// double- and a single-buffered candidate from one prediction pass.
+// trees are structural no-ops and only flat is priced. The shapes share one
+// plan, and each yields a double- and a single-buffered candidate.
 func (s *search) evaluate(a int, b int64, pl cost.Placement, cd dataplane.Codec) {
 	if a < 1 || b < 1 {
 		return
@@ -306,11 +306,12 @@ func (s *search) evaluate(a int, b int64, pl cost.Placement, cd dataplane.Codec)
 	s.seen[k] = true
 	fopt := s.fileOptions(b, a)
 	base := core.Config{Aggregators: a, BufferSize: b, Placement: pl, Codec: cd}
+	point := s.pr.plan(base, fopt)
 	shapes := []*tree.Shape{nil}
 	if s.p.RanksPerNode > 1 {
 		shapes = append(shapes, &tree.Shape{Kind: tree.NodeStaged})
 		if s.treeSearch {
-			if sh, ok := s.pr.searchShape(base, fopt); ok {
+			if sh, ok := s.pr.searchShape(point); ok {
 				shapes = append(shapes, &sh)
 			}
 		}
@@ -318,7 +319,7 @@ func (s *search) evaluate(a int, b int64, pl cost.Placement, cd dataplane.Codec)
 	for _, sh := range shapes {
 		cfg := base
 		cfg.Tree = sh
-		double, single := s.pr.predict(cfg, fopt)
+		double, single := s.pr.predict(cfg, fopt, point)
 		s.cands = append(s.cands, Candidate{Config: cfg, FileOptions: fopt, Predicted: double, Corrected: double})
 		cfg.SingleBuffer = true
 		s.cands = append(s.cands, Candidate{Config: cfg, FileOptions: fopt, Predicted: single, Corrected: single})
@@ -400,7 +401,7 @@ func (s *search) probe(w workload.Pattern, k int) {
 			return
 		}
 		probePr.msgPenalty = s.pr.msgPenalty
-		predicted, predictedSingle := probePr.predict(c.Config, c.FileOptions)
+		predicted, predictedSingle := probePr.predict(c.Config, c.FileOptions, probePr.plan(c.Config, c.FileOptions))
 		if c.Config.SingleBuffer {
 			predicted = predictedSingle
 		}
