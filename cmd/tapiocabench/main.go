@@ -78,8 +78,9 @@ type jsonResult struct {
 	Parks    int64 `json:"parks"`
 	Switches int64 `json:"switches"`
 	// PeakHeapBytes is the largest live-heap reading sampled as the figure's
-	// cells completed (expt.Counts.PeakHeapBytes): the bytes the latest GC
-	// marked live, without garbage not yet swept.
+	// cells completed (expt.Counts.PeakHeapBytes): the bytes the most
+	// recent completed GC mark found live, which leaves out unswept garbage
+	// and anything allocated after that mark.
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 	// Verified reports that this binary's data-plane round-trip smoke
 	// (-verify: real payload bytes written through the aggregation pipeline

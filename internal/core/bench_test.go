@@ -8,14 +8,19 @@ import (
 	"tapioca/internal/workload"
 )
 
+// iorBench marks an IOR run in benchDeclared's layout argument.
+const iorBench = -1
+
 // benchDeclared builds the flattened per-rank declarations the planner sees
-// for a HACC-IO run (AoS: 9 strided variables per rank) or an IOR run (one
-// contiguous block per rank).
-func benchDeclared(ranks int, hacc bool) [][]storage.Seg {
+// for a HACC-IO run (AoS: 9 strided variables per rank, one ascending run;
+// SoA: 9 variables in 9 file-wide regions, so each rank's list steps back to
+// the first region after the previous rank's) or, with layout iorBench, an
+// IOR run (one contiguous block per rank).
+func benchDeclared(ranks, layout int) [][]storage.Seg {
 	all := make([][]storage.Seg, ranks)
 	for r := 0; r < ranks; r++ {
-		if hacc {
-			for _, segs := range workload.HACCDeclared(r, ranks, 25000, workload.AoS) {
+		if layout != iorBench {
+			for _, segs := range workload.HACCDeclared(r, ranks, 25000, layout) {
 				all[r] = append(all[r], segs...)
 			}
 		} else {
@@ -31,16 +36,18 @@ func benchDeclared(ranks int, hacc bool) [][]storage.Seg {
 // window accumulation keep this linear in declared segments.
 func BenchmarkPlanBuild(b *testing.B) {
 	for _, tc := range []struct {
-		name  string
-		ranks int
-		hacc  bool
+		name   string
+		ranks  int
+		layout int
 	}{
-		{"hacc-aos-16k", 16384, true},
-		{"ior-16k", 16384, false},
-		{"hacc-aos-2k", 2048, true},
+		{"hacc-aos-16k", 16384, workload.AoS},
+		{"hacc-soa-16k", 16384, workload.SoA},
+		{"ior-16k", 16384, iorBench},
+		{"hacc-aos-2k", 2048, workload.AoS},
+		{"hacc-soa-2k", 2048, workload.SoA},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			all := benchDeclared(tc.ranks, tc.hacc)
+			all := benchDeclared(tc.ranks, tc.layout)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"tapioca/internal/cost"
 	"tapioca/internal/mpi"
@@ -129,6 +130,18 @@ type memberSeg struct {
 	seg   storage.Seg
 }
 
+// bySpan orders a partition's segments by (offset, local rank). A typed
+// sort.Interface compares by index, where slices.SortFunc would copy two
+// memberSegs into every comparison and sort.Slice swaps by reflection; both
+// measured slower on banded and HACC SoA partitions.
+type bySpan []memberSeg
+
+func (s bySpan) Len() int      { return len(s) }
+func (s bySpan) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s bySpan) Less(i, j int) bool {
+	return s[i].seg.Off < s[j].seg.Off || s[i].seg.Off == s[j].seg.Off && s[i].local < s[j].local
+}
+
 // pieceRec is a piece before distribution into the plan's rank-major arena.
 type pieceRec struct {
 	local int32
@@ -151,96 +164,7 @@ type planBuilder struct {
 	touched []int32
 	fill    []int64
 	counts  []int32
-	runs    []runCursor   // the partition's ascending declared runs
-	heads   []runHead     // their merge heap
 	lruns   []storage.Seg // per-member layout scratch (data-plane builds)
-}
-
-// runCursor walks one ascending run of a partition's declared segments,
-// taken in member order. A run may span members: segs is the rest of member
-// local's list, and the run ends in member last's list before index lastEnd.
-type runCursor struct {
-	segs                 []storage.Seg
-	local, last, lastEnd int32
-}
-
-// stop ends the cursor's run before segment j of member i's list.
-func (c *runCursor) stop(lists [][]storage.Seg, i, j int) {
-	c.last, c.lastEnd = int32(i), int32(j)
-	if int(c.local) == i {
-		c.segs = lists[i][len(lists[i])-len(c.segs) : j]
-	}
-}
-
-// next moves the cursor to its run's next non-empty segment, segs[0], and
-// reports false at the run's end.
-func (c *runCursor) next(lists [][]storage.Seg) bool {
-	for {
-		for ; len(c.segs) > 0; c.segs = c.segs[1:] {
-			if !c.segs[0].Empty() {
-				return true
-			}
-		}
-		if c.local == c.last {
-			return false
-		}
-		c.local++
-		if c.segs = lists[c.local]; c.local == c.last {
-			c.segs = c.segs[:c.lastEnd]
-		}
-	}
-}
-
-// runHead is a merge-heap entry: a run's next offset and the run's number.
-// Runs are numbered in member order, so the number breaks offset ties by
-// local rank.
-type runHead struct {
-	off int64
-	run int32
-}
-
-func (a runHead) before(b runHead) bool {
-	return a.off < b.off || (a.off == b.off && a.run < b.run)
-}
-
-// mergeRuns writes the runs' segments over dst in (offset, run) order
-// through a binary min-heap h of their heads, which it consumes. While one
-// run stays ahead of the others it keeps the top at two comparisons a
-// segment.
-func mergeRuns(dst []memberSeg, lists [][]storage.Seg, runs []runCursor, h []runHead) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftRun(h, i)
-	}
-	for k := 0; len(h) > 0; k++ {
-		c := &runs[h[0].run]
-		dst[k] = memberSeg{local: c.local, seg: c.segs[0]}
-		c.segs = c.segs[1:]
-		if c.next(lists) {
-			h[0].off = c.segs[0].Off
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		siftRun(h, 0)
-	}
-}
-
-// siftRun restores the heap order below index i.
-func siftRun(h []runHead, i int) {
-	for {
-		m := i
-		if l := 2*i + 1; l < len(h) && h[l].before(h[m]) {
-			m = l
-		}
-		if r := 2*i + 2; r < len(h) && h[r].before(h[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
 }
 
 // bytesBefore returns how many of the region's data bytes lie in [rg.lo, x).
@@ -360,43 +284,36 @@ func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]s
 	b.recs = b.recs[:0]
 
 	// Collect the partition's segments in (offset, local rank) order. Taken
-	// member by member they almost always form one ascending run, or one per
-	// member where members interleave, so the runs are merged rather than
-	// the whole list re-sorted; a list that steps back just starts one more
-	// run. The merge reads the runs from the declared lists and writes over
-	// the collected list.
+	// member by member they already are where each member's bytes follow the
+	// previous member's (IOR blocks, HACC AoS), so the list is sorted only
+	// when it steps back somewhere: members interleave (banded blocks),
+	// write into several file-wide regions (HACC SoA) or list segments out
+	// of order.
 	lists := all[rankLo:rankHi]
 	total := 0
 	for _, segs := range lists {
 		total += len(segs)
 	}
-	msegs, runs, heads := slices.Grow(b.msegs[:0], total), b.runs[:0], b.heads[:0]
-	var last int64
+	msegs, sorted := slices.Grow(b.msegs[:0], total), true
 	for i, segs := range lists {
-		for j, s := range segs {
+		for _, s := range segs {
 			if s.Empty() {
 				continue
 			}
-			if len(msegs) == 0 || s.Off < last {
-				if len(runs) > 0 {
-					runs[len(runs)-1].stop(lists, i, j)
-				}
-				heads = append(heads, runHead{off: s.Off, run: int32(len(runs))})
-				runs = append(runs, runCursor{segs: segs[j:], local: int32(i)})
+			if n := len(msegs); n > 0 && s.Off < msegs[n-1].seg.Off {
+				sorted = false
 			}
-			last = s.Off
 			msegs = append(msegs, memberSeg{local: int32(i), seg: s})
 			pp.omega[i] += s.Bytes()
 		}
 		pp.bytes += pp.omega[i]
 	}
-	if len(runs) > 1 {
-		runs[len(runs)-1].stop(lists, len(lists)-1, len(lists[len(lists)-1]))
-		mergeRuns(msegs, lists, runs, heads)
-	}
-	b.msegs, b.runs, b.heads = msegs, runs[:0], heads[:0]
+	b.msegs = msegs
 	if pp.bytes == 0 {
 		return
+	}
+	if !sorted {
+		sort.Sort(bySpan(msegs))
 	}
 	b.recs = slices.Grow(b.recs, len(msegs)) // most segments become one piece
 

@@ -363,6 +363,9 @@ func FuzzBuildPlan(f *testing.F) {
 	// A descending banded rank between ascending ones, and offset ties.
 	f.Add([]byte{4, 0, 9, 255, 5, 0, 9, 255, 4, 0, 9, 255, 6, 0, 0, 3, 6, 0, 0, 5, 6, 0, 0, 0}, uint8(1), uint16(1000), uint8(1))
 	f.Add([]byte{5, 0, 15, 40, 6, 0, 0, 7, 5, 0, 3, 255, 6, 0, 0, 1, 1, 0, 10, 0}, uint8(2), uint16(300), uint8(0))
+	// Offset ties across ranks in a list that steps back, so the order
+	// between tied ranks comes from the sort's tie-break.
+	f.Add([]byte{6, 0, 0, 0, 6, 0, 0, 0, 1, 0, 0, 0}, uint8(0), uint16(0), uint8(2))
 	aligns := []int64{0, 4096, 32768}
 	f.Fuzz(func(t *testing.T, data []byte, aggrs uint8, buf uint16, align uint8) {
 		if len(data) > 64 {

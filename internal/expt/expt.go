@@ -118,9 +118,10 @@ type Counts struct {
 	// between procs (sim.Engine.Switches).
 	Parks, Switches int64
 	// PeakHeapBytes is the largest live-heap reading (/gc/heap/live:bytes)
-	// sampled at cell boundaries: the bytes the most recent GC cycle marked
-	// live. It leaves out garbage not yet swept, so it tracks the footprint
-	// rather than GC timing, though it lags by up to one GC cycle.
+	// sampled at cell boundaries: the bytes the most recent completed GC
+	// mark found live. It leaves out garbage not yet swept, but also
+	// whatever was allocated after that mark, so it can read well below
+	// the heap in use at the sample and still depends on GC timing.
 	PeakHeapBytes uint64
 }
 
@@ -133,10 +134,11 @@ type tally struct {
 const heapMetricName = "/gc/heap/live:bytes"
 
 // add books one finished cell's fabric and engine counters and samples the
-// live-heap bytes. The sample is taken inline as the cell completes, while
-// its whole simulated platform is still reachable, so the last GC before it
-// marked the figure's footprint live; a ticker goroutine's armed runtime
-// timer would measurably slow the simulation's scheduler on a busy machine.
+// live-heap bytes. The sample is taken inline as the cell completes; it
+// reports the most recent completed GC mark, which may precede the cell's
+// own allocations, so a cell whose platform was built after that GC is not
+// counted in it. A ticker goroutine's armed runtime timer would sample more
+// often but measurably slow the simulation's scheduler on a busy machine.
 func (t *tally) add(fab *netsim.Fabric, eng *sim.Engine) {
 	if t == nil {
 		return
