@@ -58,12 +58,6 @@ func TierOf(sys any) TierCost {
 	return nil
 }
 
-// DefaultLocalBandwidth is the intra-node (shared-memory) bandwidth the
-// model assumes when the caller does not override it — the same 8 GB/s the
-// network simulator uses for its LocalRate default, so predicted staging
-// copies and simulated ones move at one speed.
-const DefaultLocalBandwidth = 8e9
-
 // Model evaluates the paper's cost formulas over one topology.
 type Model struct {
 	topo     topology.Topology
@@ -72,7 +66,6 @@ type Model struct {
 	latency  float64 // seconds per hop
 	fabricBW float64
 	uplinkBW float64
-	localBW  float64 // intra-node memory bandwidth (staging copies)
 	tier     TierCost
 }
 
@@ -96,17 +89,6 @@ func WithTier(t TierCost) Option {
 	return func(m *Model) { m.tier = t }
 }
 
-// WithLocalBandwidth overrides the intra-node memory bandwidth used to price
-// staging copies (defaults to DefaultLocalBandwidth). Pass the fabric's
-// configured LocalRate so the predictor and the simulator agree.
-func WithLocalBandwidth(bw float64) Option {
-	return func(m *Model) {
-		if bw > 0 {
-			m.localBW = bw
-		}
-	}
-}
-
 // NewModel builds a cost model over the topology. Without options it owns a
 // private distance cache.
 func NewModel(topo topology.Topology, opts ...Option) *Model {
@@ -115,7 +97,6 @@ func NewModel(topo topology.Topology, opts ...Option) *Model {
 		latency:  sim.ToSeconds(topo.Latency()),
 		fabricBW: topo.Bandwidth(topology.LevelFabric),
 		uplinkBW: topo.Bandwidth(topology.LevelIOUplink),
-		localBW:  DefaultLocalBandwidth,
 	}
 	for _, o := range opts {
 		o(m)
@@ -146,7 +127,7 @@ func (m *Model) distance(a, b int) int {
 // helper, so intra-node memory-bandwidth pricing cannot drift between them.
 func (m *Model) EdgeCost(a, b int, bytes int64) float64 {
 	if a == b {
-		return float64(bytes) / m.localBW
+		return float64(bytes) / topology.LocalBandwidth
 	}
 	d := float64(m.distance(a, b))
 	return m.latency*d + float64(bytes)/m.fabricBW
@@ -227,10 +208,10 @@ func groupByNode(members []Member) []nodeGroup {
 // shared-memory copy at the local (memory) bandwidth, zero hops — then each
 // remote node ships one aggregate message over the fabric, then C2. This is
 // the paper's C1 with the per-member fabric terms collapsed to one per node:
-// the merge term moves at localBW, not fabricBW (a memory copy is not fabric
-// traffic), and a node whose leader is the only member merges nothing — with
-// one rank per node every group is a singleton, every merge term vanishes,
-// and TwoLevelCost degenerates to exactly C1. The candidate must be its
+// the merge term moves at topology.LocalBandwidth, not fabricBW (a memory
+// copy is not fabric traffic), and a node whose leader is the only member
+// merges nothing — with one rank per node every group is a singleton, every
+// merge term vanishes, and TwoLevelCost degenerates to exactly C1. The candidate must be its
 // node's leader for the price to be meaningful; callers restrict the
 // electorate to leaders.
 func (m *Model) TwoLevelCost(members []Member, candidate int, ioBytes int64) float64 {

@@ -133,7 +133,7 @@ func TestTwoLevelCostCollapsesNodes(t *testing.T) {
 	// at memory bandwidth, then ONE fabric message carries the node's 1200
 	// bytes. Staging copies move at the local (memory) bandwidth, never the
 	// fabric rate.
-	want := 300/DefaultLocalBandwidth + 700/DefaultLocalBandwidth + (lat + 1200/bw) + m.IOCost(0, 0)
+	want := 300/topology.LocalBandwidth + 700/topology.LocalBandwidth + (lat + 1200/bw) + m.IOCost(0, 0)
 	if got := m.TwoLevelCost(members, 0, 0); !almost(got, want) {
 		t.Fatalf("two-level cost = %v, want %v", got, want)
 	}

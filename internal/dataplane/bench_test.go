@@ -53,7 +53,7 @@ func BenchmarkDataPlane(b *testing.B) {
 	})
 	b.Run("gather-twocopy", func(b *testing.B) {
 		// PR-5 path: gather into an intermediate buffer, then copy it into
-		// the window (the PutAsync payload copy).
+		// the window (the copy a pre-gathered put payload paid).
 		b.SetBytes(window)
 		staging := make([]byte, window)
 		for i := 0; i < b.N; i++ {

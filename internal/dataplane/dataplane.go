@@ -206,12 +206,6 @@ func (pl *Plane) checksumRange(runIdx int, skip, n int64) uint64 {
 	return crc
 }
 
-// ChecksumBytes extends a running CRC-64/ECMA with p (the storage-side hook,
-// shared so both ends of the pipeline agree on the polynomial).
-func ChecksumBytes(crc uint64, p []byte) uint64 {
-	return crc64.Update(crc, crcTable, p)
-}
-
 func minI64(a, b int64) int64 {
 	if a < b {
 		return a

@@ -7,12 +7,6 @@ import (
 	"tapioca/internal/sim"
 )
 
-type simMsg = sim.Message
-
-func simMessage(arrival, key, bytes int64, payload any) sim.Message {
-	return sim.Message{Arrival: arrival, Key: key, Bytes: bytes, Payload: payload}
-}
-
 // collState accumulates one in-flight collective on a communicator. States
 // are recycled through commShared.collFree: a reference count tracks how
 // many ranks still need to read the shared result, and the last reader
@@ -333,63 +327,6 @@ func (c *Comm) AllreduceMaxLoc(v float64, loc int) (float64, int) {
 	return m.val, m.loc
 }
 
-// Allgather gathers bytes-sized payloads from every rank to every rank.
-// The result is indexed by comm rank.
-func (c *Comm) Allgather(bytes int64, payload any) []any {
-	res := c.collective("mpi:allgather", payload, func(contribs []any, maxT int64) (any, int64) {
-		out := make([]any, len(contribs))
-		copy(out, contribs)
-		total := int64(len(contribs)-1) * bytes
-		inject := c.s.w.fabric.Config().InjectRate
-		return out, maxT + logRounds(c.Size())*c.alpha() + sim.TransferTime(total, inject)
-	})
-	return res.([]any)
-}
-
-// AllgatherI64 gathers one int64 per rank.
-func (c *Comm) AllgatherI64(v int64) []int64 {
-	anyVals := c.Allgather(8, v)
-	out := make([]int64, len(anyVals))
-	for i, x := range anyVals {
-		out[i] = x.(int64)
-	}
-	return out
-}
-
-// Gather collects payloads at root (result indexed by comm rank; nil on
-// non-root ranks).
-func (c *Comm) Gather(root int, bytes int64, payload any) []any {
-	res := c.collective("mpi:gather", payload, func(contribs []any, maxT int64) (any, int64) {
-		out := make([]any, len(contribs))
-		copy(out, contribs)
-		total := int64(len(contribs)-1) * bytes
-		inject := c.s.w.fabric.Config().InjectRate
-		return out, maxT + logRounds(c.Size())*c.alpha() + sim.TransferTime(total, inject)
-	})
-	if c.rank != root {
-		return nil
-	}
-	return res.([]any)
-}
-
-// Scatter distributes root's per-rank payloads; every rank receives its
-// element. payloads is only read on root.
-func (c *Comm) Scatter(root int, bytes int64, payloads []any) any {
-	var contrib any
-	if c.rank == root {
-		if len(payloads) != c.Size() {
-			panic(fmt.Sprintf("mpi: Scatter with %d payloads for %d ranks", len(payloads), c.Size()))
-		}
-		contrib = payloads
-	}
-	res := c.collective("mpi:scatter", contrib, func(contribs []any, maxT int64) (any, int64) {
-		total := int64(c.Size()-1) * bytes
-		inject := c.s.w.fabric.Config().InjectRate
-		return contribs[root], maxT + logRounds(c.Size())*c.alpha() + sim.TransferTime(total, inject)
-	})
-	return res.([]any)[c.rank]
-}
-
 // splitEntry carries one rank's Split arguments.
 type splitEntry struct {
 	color, key, rank int
@@ -471,9 +408,4 @@ func (c *Comm) Adopt(h *Comm) *Comm {
 	}
 	h.p = c.p
 	return h
-}
-
-// Dup duplicates the communicator (a collective call).
-func (c *Comm) Dup() *Comm {
-	return c.Split(0, c.rank)
 }

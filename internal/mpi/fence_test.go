@@ -37,7 +37,7 @@ func runFenceSchedule(t *testing.T, sparse bool) ([]int64, int64) {
 			}
 			var free int64
 			if puts(c.Rank(), e) {
-				free = w.PutAsync(0, int64(c.Rank())<<10, int64(c.Rank())<<10, nil)
+				free = w.PutGather(0, int64(c.Rank())<<10, int64(c.Rank())<<10, nil)
 			}
 			var rel int64
 			if sparse {

@@ -2,21 +2,22 @@
 // engine in internal/sim.
 //
 // Each MPI rank is a sim proc with its own virtual clock. The package
-// provides the subset of MPI-2/MPI-3 that two-phase I/O libraries consume:
+// provides the subset of MPI-2/MPI-3 that the two I/O paths consume:
 //
-//   - communicators with Dup and Split;
-//   - blocking and non-blocking point-to-point with tag matching and
-//     wildcards, moving virtual bytes through a netsim.Fabric (so
-//     congestion is real);
-//   - collectives (Barrier, Bcast, Gather, Allgather, Scatter, and
-//     Allreduce with MINLOC and MAXLOC) with LogP-style analytic costs —
-//     collectives are the control plane, the measured data plane always
-//     moves through the fabric;
-//   - one-sided communication: windows with Put/Get and fence epochs, the
-//     transport TAPIOCA uses for aggregation.
+//   - communicators with Split, plus Carve for a communicator built inside
+//     a rendezvous the members already pay for;
+//   - collectives (Barrier, Bcast, Allreduce with MINLOC and MAXLOC, and
+//     user-defined Collective/CollectivePriced) with LogP-style analytic
+//     costs — collectives are the control plane, the measured data plane
+//     always moves through the fabric;
+//   - one-sided communication: windows with PutGather, StagePut,
+//     Get/GetScatter and fence epochs, the transport TAPIOCA uses for
+//     aggregation, moving virtual bytes through a netsim.Fabric (so
+//     congestion is real).
 //
-// Payloads are optional: small control values ride along for algorithmic
-// correctness (e.g. election costs), while bulk data is virtual byte counts.
+// Collective payloads are small control values that ride along for
+// algorithmic correctness (e.g. election costs); bulk data is a virtual byte
+// count, with real bytes only when a put's fill writes them.
 package mpi
 
 import (
@@ -29,12 +30,6 @@ import (
 	"tapioca/internal/topology"
 )
 
-// AnySource and AnyTag are wildcards for Recv.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // Config describes a simulated MPI job.
 type Config struct {
 	// Ranks is the total number of MPI processes.
@@ -44,7 +39,7 @@ type Config struct {
 	RanksPerNode int
 	// NodeOf overrides the rank→node mapping.
 	NodeOf func(rank int) int
-	// Fabric carries all point-to-point and one-sided traffic. Required.
+	// Fabric carries all one-sided traffic. Required.
 	Fabric *netsim.Fabric
 	// Engine to run on; one is created if nil.
 	Engine *sim.Engine
@@ -166,9 +161,7 @@ func (w *World) NodeOf(rank int) int { return w.nodeOf[rank] }
 type commShared struct {
 	w        *World
 	id       int
-	ranks    []int          // comm rank → world rank
-	boxes    []*sim.Mailbox // lazily created by box()
-	boxName  string
+	ranks    []int // comm rank → world rank
 	coll     *collState
 	collFree *collState // recycled state for the next collective
 	member   []*Comm    // comm rank → handle
@@ -200,25 +193,8 @@ func (s *commShared) membership() {
 func (w *World) newCommShared(worldRanks []int) *commShared {
 	s := &commShared{w: w, id: w.nextID, ranks: worldRanks}
 	w.nextID++
-	s.boxes = make([]*sim.Mailbox, len(worldRanks))
 	s.member = make([]*Comm, len(worldRanks))
 	return s
-}
-
-// box returns comm rank r's point-to-point mailbox, created on first use —
-// collective- and RMA-only workloads (the common case at scale) never pay
-// for per-rank mailboxes. All boxes of a comm share one diagnostic name:
-// a parked receiver's deadlock listing identifies the rank via its proc id.
-func (s *commShared) box(r int) *sim.Mailbox {
-	mb := s.boxes[r]
-	if mb == nil {
-		if s.boxName == "" {
-			s.boxName = fmt.Sprintf("comm%d", s.id)
-		}
-		mb = sim.NewMailbox(s.boxName)
-		s.boxes[r] = mb
-	}
-	return mb
 }
 
 // handle returns the Comm handle for comm rank r, creating it if needed.

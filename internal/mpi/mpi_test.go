@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -56,101 +57,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.NodeOf = func(rank int) int { return 99 }
 	if _, _, err := NewWorld(cfg); err == nil {
 		t.Error("expected error for out-of-range node mapping")
-	}
-}
-
-func TestSendRecvPayload(t *testing.T) {
-	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 5, 1024, "hello")
-		} else {
-			st := c.Recv(0, 5)
-			if st.Payload.(string) != "hello" {
-				t.Errorf("payload = %v", st.Payload)
-			}
-			if st.Source != 0 || st.Tag != 5 || st.Bytes != 1024 {
-				t.Errorf("status = %+v", st)
-			}
-			if c.Now() == 0 {
-				t.Error("recv completed with no elapsed virtual time")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvWildcards(t *testing.T) {
-	_, err := Run(testConfig(3, 1), func(c *Comm) {
-		switch c.Rank() {
-		case 0:
-			c.Send(2, 1, 10, "from0")
-		case 1:
-			c.Send(2, 2, 10, "from1")
-		case 2:
-			a := c.Recv(AnySource, AnyTag)
-			b := c.Recv(AnySource, AnyTag)
-			got := map[string]bool{a.Payload.(string): true, b.Payload.(string): true}
-			if !got["from0"] || !got["from1"] {
-				t.Errorf("got %v", got)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNonOvertakingSameSource(t *testing.T) {
-	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		if c.Rank() == 0 {
-			for i := 0; i < 5; i++ {
-				c.Send(1, 9, 100, i)
-			}
-		} else {
-			for i := 0; i < 5; i++ {
-				st := c.Recv(0, 9)
-				if st.Payload.(int) != i {
-					t.Errorf("message %d overtaken: got %v", i, st.Payload)
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecvByTag(t *testing.T) {
-	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 1, 10, "tag1")
-			c.Send(1, 2, 10, "tag2")
-		} else {
-			st := c.Recv(0, 2) // out of order by tag
-			if st.Payload.(string) != "tag2" {
-				t.Errorf("got %v", st.Payload)
-			}
-			st = c.Recv(0, 1)
-			if st.Payload.(string) != "tag1" {
-				t.Errorf("got %v", st.Payload)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSendToInvalidRankPanics(t *testing.T) {
-	_, err := Run(testConfig(2, 1), func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(7, 0, 1, nil)
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "invalid rank") {
-		t.Fatalf("err = %v", err)
 	}
 }
 
@@ -223,53 +129,6 @@ func TestAllreduceMinLoc(t *testing.T) {
 		vm, lm := c.AllreduceMaxLoc(costs[c.Rank()], c.Rank())
 		if vm != 9 || lm != 2 {
 			t.Errorf("maxloc = (%v, %d), want (9, 2)", vm, lm)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllgather(t *testing.T) {
-	_, err := Run(testConfig(4, 2), func(c *Comm) {
-		vals := c.AllgatherI64(int64(c.Rank() * 10))
-		for i, v := range vals {
-			if v != int64(i*10) {
-				t.Errorf("vals[%d] = %d", i, v)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGatherOnlyRootGets(t *testing.T) {
-	_, err := Run(testConfig(4, 1), func(c *Comm) {
-		res := c.Gather(1, 8, c.Rank()*2)
-		if c.Rank() == 1 {
-			if len(res) != 4 || res[3].(int) != 6 {
-				t.Errorf("root got %v", res)
-			}
-		} else if res != nil {
-			t.Errorf("non-root rank %d got %v", c.Rank(), res)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestScatter(t *testing.T) {
-	_, err := Run(testConfig(4, 1), func(c *Comm) {
-		var payloads []any
-		if c.Rank() == 0 {
-			payloads = []any{"a", "b", "c", "d"}
-		}
-		got := c.Scatter(0, 4, payloads)
-		want := string(rune('a' + c.Rank()))
-		if got.(string) != want {
-			t.Errorf("rank %d got %v, want %v", c.Rank(), got, want)
 		}
 	})
 	if err != nil {
@@ -441,32 +300,6 @@ func TestNodeMembership(t *testing.T) {
 	}
 }
 
-func TestDup(t *testing.T) {
-	_, err := Run(testConfig(4, 1), func(c *Comm) {
-		d := c.Dup()
-		if d.Rank() != c.Rank() || d.Size() != c.Size() {
-			t.Errorf("dup mismatch: %d/%d vs %d/%d", d.Rank(), d.Size(), c.Rank(), c.Size())
-		}
-		// P2P on the dup must not interfere with the parent comm.
-		if c.Rank() == 0 {
-			d.Send(1, 3, 8, "dup")
-			c.Send(1, 3, 8, "parent")
-		} else if c.Rank() == 1 {
-			st := c.Recv(0, 3)
-			if st.Payload.(string) != "parent" {
-				t.Errorf("parent comm got %v", st.Payload)
-			}
-			st = d.Recv(0, 3)
-			if st.Payload.(string) != "dup" {
-				t.Errorf("dup comm got %v", st.Payload)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCollectiveTimeAdvances(t *testing.T) {
 	_, err := Run(testConfig(16, 4), func(c *Comm) {
 		before := c.Now()
@@ -484,14 +317,14 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() int64 {
 		eng, err := Run(testConfig(12, 3), func(c *Comm) {
 			c.Compute(int64(c.Rank()%3) * 500)
-			vals := c.AllgatherI64(int64(c.Rank()))
-			_ = vals
+			c.AllreduceI64(OpSum, int64(c.Rank()))
+			w := c.WinCreate(4096)
+			// Every rank but the first puts into its left neighbour's window.
+			var free int64
 			if c.Rank() > 0 {
-				c.Send(c.Rank()-1, 0, 4096, nil)
+				free = w.PutGather(c.Rank()-1, 0, 4096, nil)
 			}
-			if c.Rank() < c.Size()-1 {
-				c.Recv(c.Rank()+1, 0)
-			}
+			w.FenceAfter(free)
 			c.Barrier()
 		})
 		if err != nil {
@@ -508,15 +341,24 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	}
 }
 
+// TestWinPutFence: ranks 1 and 2 put real bytes with a copy fill and rank 3
+// a phantom put with a nil fill. After the fence the real bytes sit in rank
+// 0's window memory, and the captured spans carry them; the phantom span
+// carries none.
 func TestWinPutFence(t *testing.T) {
 	_, err := Run(testConfig(4, 1), func(c *Comm) {
 		w := c.WinCreate(1 << 20)
 		w.SetCapture(true)
-		if c.Rank() != 0 {
-			off := int64(c.Rank()-1) * 1000
-			w.Put(0, off, 1000, c.Rank())
+		var free int64
+		if r := c.Rank(); r != 0 {
+			var fill func([]byte)
+			if r != 3 {
+				src := bytes.Repeat([]byte{byte(r)}, 1000)
+				fill = func(dst []byte) { copy(dst, src) }
+			}
+			free = w.PutGather(0, int64(r-1)*1000, 1000, fill)
 		}
-		w.Fence()
+		w.FenceAfter(free)
 		if c.Rank() == 0 {
 			if got := w.LastEpochFill(0); got != 3000 {
 				t.Errorf("fill = %d, want 3000", got)
@@ -525,9 +367,23 @@ func TestWinPutFence(t *testing.T) {
 			if len(spans) != 3 {
 				t.Fatalf("captured %d spans", len(spans))
 			}
+			mem := w.LocalData()
 			for i, s := range spans {
 				if s.Offset != int64(i)*1000 || s.Bytes != 1000 || s.From != i+1 {
 					t.Errorf("span %d = %+v", i, s)
+				}
+				if s.From == 3 {
+					if s.Payload != nil || mem[s.Offset] != 0 {
+						t.Errorf("phantom put carried bytes: span payload %d bytes, window byte %d", len(s.Payload), mem[s.Offset])
+					}
+					continue
+				}
+				want := bytes.Repeat([]byte{byte(s.From)}, 1000)
+				if !bytes.Equal(s.Payload, want) {
+					t.Errorf("span %d payload does not hold rank %d's bytes", i, s.From)
+				}
+				if !bytes.Equal(mem[s.Offset:s.Offset+s.Bytes], want) {
+					t.Errorf("window memory at %d does not hold rank %d's bytes", s.Offset, s.From)
 				}
 			}
 		}
@@ -542,10 +398,11 @@ func TestFenceWaitsForPutArrival(t *testing.T) {
 	const bytes = 50_000_000 // 50 MB over 1 GB/s links: 50 ms
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
 		w := c.WinCreate(bytes)
+		var free int64
 		if c.Rank() == 1 {
-			w.Put(0, 0, bytes, nil)
+			free = w.PutGather(0, 0, bytes, nil)
 		}
-		release := w.Fence()
+		release := w.FenceAfter(free)
 		if release < sim.TransferTime(bytes, 1e9) {
 			t.Errorf("fence released at %d, before put arrival", release)
 		}
@@ -555,20 +412,27 @@ func TestFenceWaitsForPutArrival(t *testing.T) {
 	}
 }
 
+// TestPutIsAsyncForSender: a put leaves the sender's clock alone and
+// returns when its injection ends; the fence entered at that instant
+// releases no earlier.
 func TestPutIsAsyncForSender(t *testing.T) {
 	const bytes = 100_000_000
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
 		w := c.WinCreate(bytes)
+		var free int64
 		if c.Rank() == 1 {
 			before := c.Now()
-			w.Put(0, 0, bytes, nil)
-			// Sender blocks for injection (bytes/1GB/s) but not for the
-			// network latency; mostly we check it doesn't block forever.
-			if c.Now() < before {
-				t.Error("clock went backwards")
+			free = w.PutGather(0, 0, bytes, nil)
+			if c.Now() != before {
+				t.Errorf("put moved the sender's clock from %d to %d", before, c.Now())
+			}
+			if free < before+sim.TransferTime(bytes, 1e9) {
+				t.Errorf("sender free at %d, before its injection ends", free)
 			}
 		}
-		w.Fence()
+		if rel := w.FenceAfter(free); rel < free {
+			t.Errorf("fence released at %d, before the sender was free at %d", rel, free)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -579,7 +443,7 @@ func TestPutOutOfWindowPanics(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
 		w := c.WinCreate(100)
 		if c.Rank() == 1 {
-			w.Put(0, 50, 100, nil)
+			w.PutGather(0, 50, 100, nil)
 		}
 		w.Fence()
 	})
@@ -609,10 +473,11 @@ func TestMultipleEpochs(t *testing.T) {
 	_, err := Run(testConfig(3, 1), func(c *Comm) {
 		w := c.WinCreate(1 << 16)
 		for r := 0; r < rounds; r++ {
+			var free int64
 			if c.Rank() != 0 {
-				w.Put(0, 0, 1<<10, nil)
+				free = w.PutGather(0, 0, 1<<10, nil)
 			}
-			w.Fence()
+			w.FenceAfter(free)
 			if c.Rank() == 0 {
 				if got := w.LastEpochFill(0); got != 2<<10 {
 					t.Errorf("round %d fill = %d", r, got)
@@ -636,11 +501,13 @@ func TestRanksOnTorusNodes(t *testing.T) {
 		if c.Node() != c.Rank()/2 {
 			t.Errorf("rank %d node %d", c.Rank(), c.Node())
 		}
-		// Neighbor exchange across the whole torus.
+		// Neighbour puts across the whole torus, closed by one fence.
+		w := c.WinCreate(1024)
 		next := (c.Rank() + 1) % c.Size()
-		prev := (c.Rank() + c.Size() - 1) % c.Size()
-		c.Send(next, 0, 1024, nil)
-		c.Recv(prev, 0)
+		w.FenceAfter(w.PutGather(next, 0, 1024, nil))
+		if got := w.LastEpochFill(c.Rank()); got != 1024 {
+			t.Errorf("rank %d window fill %d, want 1024", c.Rank(), got)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)

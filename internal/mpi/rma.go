@@ -2,14 +2,15 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"tapioca/internal/sim"
 )
 
 // Win is one rank's handle on an RMA window: a per-rank exposed buffer that
-// other ranks of the communicator target with one-sided Put/Get. Epochs are
-// delimited by Fence calls, as in MPI_Win_fence active-target
+// other ranks of the communicator target with one-sided PutGather/Get.
+// Epochs are delimited by Fence calls, as in MPI_Win_fence active-target
 // synchronization — the paper's Algorithm 3 rides exactly on this.
 type Win struct {
 	s *winShared
@@ -59,8 +60,8 @@ func (s *winShared) memOf(r int) []byte {
 // WinSpan records one captured one-sided access for verification.
 type WinSpan struct {
 	Offset, Bytes int64
-	From          int // origin comm rank
-	Payload       any
+	From          int    // origin comm rank
+	Payload       []byte // the written bytes; nil for a phantom write
 }
 
 // WinCreate exposes size bytes on every rank of the communicator and returns
@@ -105,41 +106,8 @@ func (w *Win) SetCapture(on bool) {
 // Size returns the per-rank exposed size.
 func (w *Win) Size() int64 { return w.s.size }
 
-// Put transfers bytes from the caller into target's window at offset.
-// The call blocks only for local injection (the origin buffer is reusable);
-// remote completion is deferred to the next Fence — MPI_Put semantics.
-func (w *Win) Put(target int, offset, bytes int64, payload any) {
-	c := w.c
-	senderFree := w.PutAsync(target, offset, bytes, payload)
-	c.p.HoldUntil(senderFree)
-}
-
-// PutAsync is Put without the local-injection block: the transfer is booked
-// at the caller's current time and the sender-free instant is returned
-// instead of held for. The caller must either HoldUntil the returned time
-// before its next booking, or hand it to FenceAfter when the put is the
-// round's last — the Algorithm 3 pattern, which saves one context switch
-// per rank per round.
-func (w *Win) PutAsync(target int, offset, bytes int64, payload any) (senderFree int64) {
-	senderFree = w.bookPut(target, offset, bytes)
-	if b, ok := payload.([]byte); ok && len(b) > 0 {
-		// Data plane: the put carries real bytes into the target's window
-		// memory. The copy happens at issue time (the origin buffer is
-		// reusable immediately, MPI_Put semantics), and the fence's
-		// happens-before edge publishes it to the target.
-		copy(w.s.memOf(target)[offset:], b)
-		if w.s.capture {
-			payload = append([]byte(nil), b...) // capture a stable snapshot
-		}
-	}
-	if w.s.capture {
-		w.s.writes[target] = append(w.s.writes[target], WinSpan{Offset: offset, Bytes: bytes, From: w.c.rank, Payload: payload})
-	}
-	return senderFree
-}
-
 // bookPut performs a one-sided put's fabric reservation and epoch
-// bookkeeping (shared by PutAsync and PutGather); it moves no bytes.
+// bookkeeping; it moves no bytes.
 func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
 	c := w.c
 	if target < 0 || target >= c.Size() {
@@ -159,29 +127,38 @@ func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
 	return senderFree
 }
 
-// PutGather is PutAsync with a zero-copy payload: instead of receiving a
-// pre-gathered buffer (which PutAsync must copy into window memory — two
-// copies per payload byte), the caller's fill function writes the payload
-// directly into the target's exposed window slice [offset, offset+bytes).
-// Timing, epoch bookkeeping and MPI_Put semantics are identical to PutAsync
-// over the same byte count; fill runs at issue time, so — as with PutAsync's
-// issue-time copy — the fence's happens-before edge publishes the bytes to
-// the target.
+// PutGather transfers bytes from the caller into target's window at offset
+// — MPI_Put. The transfer is booked at the caller's current time and the
+// sender-free instant (local injection done, origin buffer reusable) is
+// returned instead of held for: the caller must either HoldUntil it before
+// its next booking, or hand it to FenceAfter when the put is the round's
+// last — the Algorithm 3 pattern, which saves one context switch per rank
+// per round. Remote completion is deferred to the next fence.
+//
+// A nil fill makes a phantom put that moves a virtual byte count. Otherwise
+// fill writes the payload directly into the target's exposed window slice
+// [offset, offset+bytes), with no intermediate buffer. fill runs at issue
+// time, and the fence's happens-before edge publishes the bytes to the
+// target.
 func (w *Win) PutGather(target int, offset, bytes int64, fill func(dst []byte)) (senderFree int64) {
 	senderFree = w.bookPut(target, offset, bytes)
+	w.write(target, offset, bytes, fill)
+	return senderFree
+}
+
+// write runs a put's or a staging deposit's fill into target's window
+// memory [offset, offset+bytes) and, under SetCapture, records the span
+// with a snapshot of the written bytes (none for a phantom write).
+func (w *Win) write(target int, offset, bytes int64, fill func(dst []byte)) {
+	var dst []byte
 	if bytes > 0 && fill != nil {
-		dst := w.s.memOf(target)[offset : offset+bytes]
+		dst = w.s.memOf(target)[offset : offset+bytes]
 		fill(dst)
-		if w.s.capture {
-			w.s.writes[target] = append(w.s.writes[target],
-				WinSpan{Offset: offset, Bytes: bytes, From: w.c.rank, Payload: append([]byte(nil), dst...)})
-		}
-		return senderFree
 	}
 	if w.s.capture {
-		w.s.writes[target] = append(w.s.writes[target], WinSpan{Offset: offset, Bytes: bytes, From: w.c.rank})
+		w.s.writes[target] = append(w.s.writes[target],
+			WinSpan{Offset: offset, Bytes: bytes, From: w.c.rank, Payload: slices.Clone(dst)})
 	}
-	return senderFree
 }
 
 // StagePut deposits bytes into a co-located leader's window memory at
@@ -207,18 +184,7 @@ func (w *Win) StagePut(leader int, offset, bytes int64, fill func(dst []byte)) (
 	}
 	senderFree, arrival = c.s.w.fabric.ReserveLocal(c.p.Now(), c.Node(), bytes)
 	c.p.TraceSpan("rma", "stage", c.p.Now(), senderFree, bytes)
-	if bytes > 0 && fill != nil {
-		dst := w.s.memOf(leader)[offset : offset+bytes]
-		fill(dst)
-		if w.s.capture {
-			w.s.writes[leader] = append(w.s.writes[leader],
-				WinSpan{Offset: offset, Bytes: bytes, From: w.c.rank, Payload: append([]byte(nil), dst...)})
-		}
-		return senderFree, arrival
-	}
-	if w.s.capture {
-		w.s.writes[leader] = append(w.s.writes[leader], WinSpan{Offset: offset, Bytes: bytes, From: w.c.rank})
-	}
+	w.write(leader, offset, bytes, fill)
 	return senderFree, arrival
 }
 
@@ -269,7 +235,7 @@ func (w *Win) LocalData() []byte { return w.s.memOf(w.c.rank) }
 func (w *Win) Fence() int64 { return w.fence(w.c.Size()) }
 
 // FenceAfter is Fence entered at virtual time senderFree — the deferred
-// completion of the round's last PutAsync. The clock jumps without an extra
+// completion of the round's last PutGather. The clock jumps without an extra
 // scheduling point; the fence's park supplies the ordered yield
 // (sim.Proc.JumpTo's contract: the fence entry bookkeeping is commutative
 // and books nothing).

@@ -4,7 +4,7 @@
 // fabric link) of a topology.Topology and books transfers through them in
 // virtual time. The transfer model is cut-through/wormhole style: a message
 // occupies its whole path for bytes/bottleneck-bandwidth, pays per-hop
-// latency once, and queues FIFO wherever it meets a busy resource. Incast
+// latency once, and queues wherever it meets a busy resource. Incast
 // (many-to-one aggregation traffic, the heart of two-phase I/O) therefore
 // serializes naturally at the receiver NIC, and neighboring aggregators
 // sharing torus links contend with each other under the link-level model —
@@ -43,9 +43,6 @@ type Config struct {
 	// EjectRate is the per-node NIC ejection bandwidth (bytes/sec).
 	// Default: InjectRate.
 	EjectRate float64
-	// LocalRate is the intra-node (shared-memory) transfer bandwidth.
-	// Default: 8 GB/s.
-	LocalRate float64
 	// PerHopLatency overrides the topology's per-hop latency (ns).
 	PerHopLatency int64
 	// SoftwareOverhead is the per-message sender-side software cost (ns).
@@ -130,9 +127,6 @@ func New(topo topology.Topology, cfg Config) *Fabric {
 	if cfg.EjectRate <= 0 {
 		cfg.EjectRate = cfg.InjectRate
 	}
-	if cfg.LocalRate <= 0 {
-		cfg.LocalRate = 8e9
-	}
 	if cfg.PerHopLatency <= 0 {
 		cfg.PerHopLatency = topo.Latency()
 	}
@@ -203,9 +197,6 @@ func (f *Fabric) FabricMessages() int64 { return f.fabricMsgs }
 // LocalTransfers returns the number of staging copies booked via
 // ReserveLocal.
 func (f *Fabric) LocalTransfers() int64 { return f.localTransfers }
-
-// LocalBytes returns the bytes moved by ReserveLocal staging copies.
-func (f *Fabric) LocalBytes() int64 { return f.localBytes }
 
 func (f *Fabric) link(id int) *sim.GapResource {
 	r := f.links[id]
@@ -298,7 +289,7 @@ func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arri
 
 	if src == dst {
 		// Intra-node: shared-memory copy, no NIC involvement.
-		dur := sim.TransferTime(bytes, f.cfg.LocalRate)
+		dur := sim.TransferTime(bytes, topology.LocalBandwidth)
 		return start + dur, start + dur
 	}
 	f.fabricMsgs++
@@ -373,8 +364,8 @@ func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arri
 
 // ReserveLocal books an intra-node staging copy of bytes on node, starting
 // no earlier than now, and returns when it completes (the copier is busy for
-// the whole copy, so senderFree == arrival). The copy moves at the
-// configured LocalRate — memory bandwidth, never a fabric link or NIC — and
+// the whole copy, so senderFree == arrival). The copy moves at
+// topology.LocalBandwidth — memory bandwidth, never a fabric link or NIC — and
 // is counted separately from Reserve's transfer counters: it is the
 // member-to-leader hop of intra-node pre-aggregation, not a message. The
 // fault plane does not reach in here; shared-memory copies are outside the
@@ -383,7 +374,7 @@ func (f *Fabric) ReserveLocal(now int64, node int, bytes int64) (senderFree, arr
 	f.localTransfers++
 	f.localBytes += bytes
 	start := now + f.cfg.SoftwareOverhead
-	end := start + sim.TransferTime(bytes, f.cfg.LocalRate)
+	end := start + sim.TransferTime(bytes, topology.LocalBandwidth)
 	if f.rec.Tracing() {
 		// Staging copies share the node's NIC timeline rows (they are node
 		// activity) under their own span name, so Perfetto separates them
@@ -486,14 +477,6 @@ func (f *Fabric) SnapshotMetrics(reg *obs.Registry, horizon int64) {
 // small control message such as a read RPC request.
 func (f *Fabric) LatencyTo(src, dst int) int64 {
 	return f.cfg.SoftwareOverhead + int64(f.topo.Distance(src, dst))*f.cfg.PerHopLatency
-}
-
-// Send books a transfer and blocks the proc until the sender side completes
-// (buffer reusable). It returns the arrival time at dst.
-func (f *Fabric) Send(p *sim.Proc, src, dst int, bytes int64) (arrival int64) {
-	senderFree, arrival := f.Reserve(p.Now(), src, dst, bytes)
-	p.HoldUntil(senderFree)
-	return arrival
 }
 
 // MaxNICUtilization returns the highest busy-time fraction across NICs up to

@@ -40,7 +40,7 @@ func TestIntraNodeTransfer(t *testing.T) {
 		if sf != arr {
 			t.Errorf("intra-node senderFree %d != arrival %d", sf, arr)
 		}
-		if arr != 1000+sim.TransferTime(8_000_000, 8e9) {
+		if arr != 1000+sim.TransferTime(8_000_000, topology.LocalBandwidth) {
 			t.Errorf("arrival = %d", arr)
 		}
 	})
@@ -143,7 +143,8 @@ func TestSendBlocksSender(t *testing.T) {
 	e := sim.NewEngine()
 	f := flatFabric(4)
 	e.Spawn("tx", func(p *sim.Proc) {
-		arr := f.Send(p, 0, 1, 2_000_000)
+		senderFree, arr := f.Reserve(p.Now(), 0, 1, 2_000_000)
+		p.HoldUntil(senderFree)
 		if p.Now() < sim.TransferTime(2_000_000, 1e9) {
 			t.Errorf("sender not blocked for injection: now=%d", p.Now())
 		}

@@ -65,19 +65,20 @@ func BenchmarkEnginePingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineFanIn measures heap churn: 256 procs all requesting the
+// BenchmarkEngineFanIn measures heap churn: 256 procs all booking the
 // same resource back-to-back, so every scheduling point pushes and pops
 // through a populated run queue (the collective fan-in shape of two-phase
 // aggregation).
 func BenchmarkEngineFanIn(b *testing.B) {
 	const procs = 256
 	e := NewEngine()
-	r := NewResource("sink", 1e9)
+	r := NewGapResource("sink", 1e9)
 	per := b.N/procs + 1
 	for i := 0; i < procs; i++ {
 		e.Spawn(fmt.Sprintf("src%d", i), func(p *Proc) {
 			for j := 0; j < per; j++ {
-				r.Use(p, 4096)
+				_, end := r.Reserve(p.Now(), 4096)
+				p.HoldUntil(end)
 			}
 		})
 	}

@@ -13,20 +13,19 @@ import (
 func runChaos(seed int64, procs, steps int) []int64 {
 	rng := rand.New(rand.NewSource(seed))
 	e := NewEngine()
-	res := []*Resource{
-		NewResource("r0", 1000),
-		NewResource("r1", 5000),
-		NewResource("r2", 250),
+	res := []*GapResource{
+		NewGapResource("r0", 1000),
+		NewGapResource("r1", 5000),
+		NewGapResource("r2", 250),
 	}
-	b := NewBarrier("b", procs, nil)
-	mb := NewMailbox("mb")
+	rv := &rendezvous{n: procs}
 	var trace []int64
 
-	// Pre-generate each proc's action script so goroutine scheduling cannot
-	// perturb random number consumption. Kind 2 (barrier) appears a fixed
-	// number of times per proc so the barrier cannot deadlock.
+	// Pre-generate each proc's action script so scheduling cannot perturb
+	// random number consumption. Kind 2 (rendezvous) appears a fixed number
+	// of times per proc so the rendezvous cannot deadlock.
 	type action struct{ kind, arg int }
-	const barriersPerProc = 3
+	const meetsPerProc = 3
 	scripts := make([][]action, procs)
 	for i := range scripts {
 		scripts[i] = make([]action, steps)
@@ -34,9 +33,9 @@ func runChaos(seed int64, procs, steps int) []int64 {
 			kind := []int{0, 1, 3}[rng.Intn(3)]
 			scripts[i][j] = action{kind: kind, arg: rng.Intn(1000) + 1}
 		}
-		// Overwrite fixed slots with barrier waits, aligned across procs.
-		for k := 0; k < barriersPerProc; k++ {
-			scripts[i][k*steps/barriersPerProc] = action{kind: 2}
+		// Overwrite fixed slots with rendezvous waits, aligned across procs.
+		for k := 0; k < meetsPerProc; k++ {
+			scripts[i][k*steps/meetsPerProc] = action{kind: 2}
 		}
 	}
 
@@ -49,12 +48,14 @@ func runChaos(seed int64, procs, steps int) []int64 {
 				case 0:
 					p.Hold(int64(a.arg))
 				case 1:
-					res[a.arg%len(res)].Use(p, int64(a.arg))
+					_, end := res[a.arg%len(res)].Reserve(p.Now(), int64(a.arg))
+					p.HoldUntil(end)
 				case 2:
-					b.Wait(p)
+					rv.wait(p)
 				case 3:
-					mb.Deliver(Message{Arrival: p.Now() + int64(a.arg), Key: id})
-					p.Hold(1)
+					ev := NewEvent("chaos")
+					CompleteAt(p, ev, p.Now()+int64(a.arg))
+					ev.Wait(p)
 				}
 				trace = append(trace, id, p.Now())
 			}
@@ -65,7 +66,7 @@ func runChaos(seed int64, procs, steps int) []int64 {
 		trace = append(trace, int64(len(err.Error())))
 	}
 	for _, r := range res {
-		trace = append(trace, r.NextFree(), r.BusyTime(), r.BytesServed())
+		trace = append(trace, r.Horizon(), r.BusyTime(), r.BytesServed())
 	}
 	return trace
 }
@@ -95,7 +96,7 @@ func TestTimeMonotonicProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
-		r := NewResource("r", float64(rng.Intn(10000)+1))
+		r := NewGapResource("r", float64(rng.Intn(10000)+1))
 		ok := true
 		const procs = 6
 		scripts := make([][]int, procs)
@@ -113,7 +114,8 @@ func TestTimeMonotonicProperty(t *testing.T) {
 					if v%2 == 0 {
 						p.Hold(int64(v))
 					} else {
-						r.Use(p, int64(v))
+						_, end := r.Reserve(p.Now(), int64(v))
+						p.HoldUntil(end)
 					}
 					if p.Now() < last {
 						ok = false
@@ -133,13 +135,14 @@ func TestTimeMonotonicProperty(t *testing.T) {
 }
 
 // TestResourceConservationProperty: busy time equals the sum of service
-// durations, and bytes served equals the sum of requested bytes.
+// times and bytes served equals the sum of request sizes, however the
+// engine interleaves the procs that reserve the resource.
 func TestResourceConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rate := float64(rng.Intn(9999) + 1)
 		e := NewEngine()
-		r := NewResource("r", rate)
+		r := NewGapResource("r", rate)
 		var wantBytes, wantBusy int64
 		const procs = 5
 		reqs := make([][]int64, procs)
@@ -156,7 +159,8 @@ func TestResourceConservationProperty(t *testing.T) {
 			mine := reqs[i]
 			e.Spawn("u", func(p *Proc) {
 				for _, b := range mine {
-					r.Use(p, b)
+					_, end := r.Reserve(p.Now(), b)
+					p.HoldUntil(end)
 				}
 			})
 		}
@@ -170,66 +174,12 @@ func TestResourceConservationProperty(t *testing.T) {
 	}
 }
 
-// TestNoIdleWhileQueueProperty: with a single always-busy resource fed by
-// procs that request back-to-back, total busy time equals makespan (the
-// resource never idles while work is queued).
-func TestNoIdleWhileQueueProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewEngine()
-		r := NewResource("r", 1000)
-		const procs = 4
-		var total int64
-		sizes := make([][]int64, procs)
-		for i := range sizes {
-			sizes[i] = make([]int64, 8)
-			for j := range sizes[i] {
-				b := int64(rng.Intn(900) + 100)
-				sizes[i][j] = b
-				total += TransferTime(b, 1000)
-			}
-		}
-		for i := 0; i < procs; i++ {
-			mine := sizes[i]
-			e.Spawn("u", func(p *Proc) {
-				for _, b := range mine {
-					r.Use(p, b)
-				}
-			})
-		}
-		if err := e.Run(); err != nil {
-			return false
-		}
-		// All procs start at t=0 and re-request immediately, so the resource
-		// serves continuously: makespan == total busy time.
-		return e.Now() == total && r.BusyTime() == total
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkContextSwitch(b *testing.B) {
 	e := NewEngine()
 	n := b.N
 	e.Spawn("spinner", func(p *Proc) {
 		for i := 0; i < n; i++ {
 			p.Hold(1)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkResourceUse(b *testing.B) {
-	e := NewEngine()
-	r := NewResource("r", 1e9)
-	n := b.N
-	e.Spawn("user", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			r.Use(p, 1024)
 		}
 	})
 	b.ResetTimer()

@@ -139,11 +139,11 @@ func TestCarriersAreReused(t *testing.T) {
 	}
 	run := func() {
 		e := NewEngine()
-		b := NewBarrier("all", 8, nil)
+		rv := &rendezvous{n: 8}
 		for i := 0; i < 8; i++ {
 			e.Spawn(fmt.Sprint("p", i), func(p *Proc) {
 				p.Hold(int64(i))
-				b.Wait(p)
+				rv.wait(p)
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -168,12 +168,12 @@ func TestConcurrentEnginesShareCarriers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				e := NewEngine()
-				b := NewBarrier("all", 8, nil)
+				rv := &rendezvous{n: 8}
 				sum := 0
 				for j := 0; j < 8; j++ {
 					e.Spawn(fmt.Sprint("p", j), func(p *Proc) {
 						p.Hold(int64(j))
-						b.Wait(p)
+						rv.wait(p)
 						sum += j
 					})
 				}

@@ -2,12 +2,14 @@ package sim
 
 import "fmt"
 
-// GapResource is a rate-limited resource that, unlike Resource, back-fills
-// idle gaps left by earlier reservations. It models servers whose clients
-// are latency-bound (e.g. a Lustre OST driven by RPC round-trips): one
-// client's stream leaves the device idle between RPCs, and concurrent
-// streams slot into those gaps, so aggregate throughput grows with
-// concurrency up to the device ceiling.
+// GapResource is the engine's rate-limited resource: a network link, a NIC
+// port, a disk server. Reservations are pure virtual-time bookkeeping (the
+// caller decides whether and how long to block on the returned times), and
+// they back-fill idle gaps left by earlier reservations. That models
+// servers whose clients are latency-bound (e.g. a Lustre OST driven by RPC
+// round-trips): one client's stream leaves the device idle between RPCs,
+// and concurrent streams slot into those gaps, so aggregate throughput
+// grows with concurrency up to the device ceiling.
 type GapResource struct {
 	name    string
 	rate    float64

@@ -98,17 +98,19 @@ func TestGapResourceNoOverlapProperty(t *testing.T) {
 	}
 }
 
-// Property: with gap-filling, total busy time is conserved.
+// Property: with gap-filling, total busy time and bytes served are
+// conserved.
 func TestGapResourceBusyConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	r := NewGapResource("g", 1e6)
-	var want int64
+	var want, wantBytes int64
 	for i := 0; i < 500; i++ {
 		b := rng.Int63n(5000)
 		want += TransferTime(b, 1e6)
+		wantBytes += b
 		r.Reserve(rng.Int63n(1000000), b)
 	}
-	if r.BusyTime() != want {
-		t.Fatalf("busy = %d, want %d", r.BusyTime(), want)
+	if r.BusyTime() != want || r.BytesServed() != wantBytes {
+		t.Fatalf("busy = %d, bytes = %d, want %d and %d", r.BusyTime(), r.BytesServed(), want, wantBytes)
 	}
 }

@@ -11,10 +11,10 @@
 //
 // The engine enforces a conservative causality rule: every operation that
 // advances a proc's clock is a scheduling point, and operations on shared
-// state (resources, mailboxes, barriers) always take effect at the calling
-// proc's current virtual time, which is guaranteed to be minimal among all
-// runnable procs. Procs therefore can never observe effects "from the
-// future".
+// state (resource bookings, events, park/unpark rendezvous) always take
+// effect at the calling proc's current virtual time, which is guaranteed to
+// be minimal among all runnable procs. Procs therefore can never observe
+// effects "from the future".
 //
 // Scheduling is built for throughput: the run queue is a concrete 4-ary
 // min-heap over *Proc, a proc still strictly earliest after advancing its
@@ -129,10 +129,6 @@ type Proc struct {
 	// Timer-node fields (coroutine-less run-queue entries).
 	timerEv   *Event // event to complete when dispatched
 	timerNext *Proc  // engine free list
-
-	// mailw is the proc's reusable mailbox-waiter node: a proc parks while
-	// receiving, so it never needs more than one.
-	mailw mailWaiter
 }
 
 // ID returns the proc's unique id (strictly increasing in spawn order;
@@ -657,10 +653,6 @@ func (p *Proc) JumpTo(t int64) {
 		p.now = t
 	}
 }
-
-// Traced reports whether this proc emits trace spans (SetTraceID was called
-// under a tracing recorder).
-func (p *Proc) Traced() bool { return p.traceOn }
 
 // TraceSpan records a completed interval on this proc's own trace track.
 // No-op (one predicted branch, zero allocations) when the proc is untraced.

@@ -137,6 +137,87 @@ func TestUnparkNeverRewindsClock(t *testing.T) {
 	}
 }
 
+// rendezvous is a reusable meeting point for n procs built on the engine's
+// park primitives, the way the mpi collectives use them: the last arrival
+// releases the others with one UnparkBatch at the latest arrival time.
+type rendezvous struct {
+	n       int
+	waiters []*Proc
+	maxT    int64
+}
+
+func (r *rendezvous) wait(p *Proc) {
+	if p.Now() > r.maxT {
+		r.maxT = p.Now()
+	}
+	if len(r.waiters) < r.n-1 {
+		r.waiters = append(r.waiters, p)
+		p.Park("rendezvous")
+		return
+	}
+	release := r.maxT
+	p.Engine().UnparkBatch(r.waiters, release)
+	clear(r.waiters)
+	r.waiters = r.waiters[:0]
+	r.maxT = 0
+	p.HoldUntil(release)
+}
+
+func TestUnparkBatchReleasesAtMaxArrival(t *testing.T) {
+	e := NewEngine()
+	const n = 5
+	r := &rendezvous{n: n}
+	release := make([]int64, n)
+	var order []int
+	for i := 0; i < n; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			p.Hold(int64(n-1-i) * 100) // proc 0 arrives last
+			r.wait(p)
+			release[i] = p.Now()
+			order = append(order, i)
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, at := range release {
+		if at != 400 {
+			t.Errorf("proc %d released at %d, want 400", i, at)
+		}
+	}
+	// Waiters parked in reverse id order; the batch resumes them by id.
+	if fmt.Sprint(order) != "[0 1 2 3 4]" {
+		t.Errorf("resume order %v, want ascending proc ids", order)
+	}
+}
+
+func TestUnparkBatchReusable(t *testing.T) {
+	e := NewEngine()
+	const n, rounds = 3, 4
+	r := &rendezvous{n: n}
+	counts := make([]int, n)
+	for i := 0; i < n; i++ {
+		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
+			for k := 0; k < rounds; k++ {
+				p.Hold(int64(i + 1)) // desynchronize
+				r.wait(p)
+				counts[i]++
+			}
+		})
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range counts {
+		if c != rounds {
+			t.Errorf("proc %d completed %d rounds, want %d", i, c, rounds)
+		}
+	}
+	if want := int64(rounds * n); e.Now() != want {
+		t.Errorf("end at %d, want %d (each round released at its last arrival)", e.Now(), want)
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("stuck", func(p *Proc) { p.Park("never woken") })

@@ -157,17 +157,6 @@ func (g *GPFS) nearestBridge(node int) int {
 // Config returns the effective configuration.
 func (g *GPFS) Config() GPFSConfig { return g.cfg }
 
-// StageBusy reports cumulative busy time (ns) of the storage-path stages
-// for diagnostics: per-Pset bridge links, per-Pset ION uplinks, and the
-// global backend.
-func (g *GPFS) StageBusy() (bridge, ion []int64, backend int64) {
-	for i := range g.ionUplink {
-		bridge = append(bridge, g.bridgeLinks[i][0].BusyTime()+g.bridgeLinks[i][1].BusyTime())
-		ion = append(ion, g.ionUplink[i].BusyTime())
-	}
-	return bridge, ion, g.backend.BusyTime()
-}
-
 func (g *GPFS) Name() string { return "gpfs" }
 
 func (g *GPFS) Create(name string, opt FileOptions) *File {

@@ -25,6 +25,12 @@ const (
 	LevelStorage          // I/O node ↔ storage servers
 )
 
+// LocalBandwidth is the intra-node (shared-memory) copy bandwidth in
+// bytes/second on every machine model. The fabric moves same-node transfers
+// and staging copies at it, and the cost model prices co-located moves with
+// it, so predicted and simulated copies run at one speed.
+const LocalBandwidth = 8e9
+
 // IONUnknown is returned by IONodeOf when the platform does not expose
 // I/O-node locality to applications (e.g. Lustre LNET mapping on Theta). The
 // TAPIOCA cost model sets the I/O-phase cost C2 to zero in that case, as in
