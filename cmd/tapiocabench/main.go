@@ -22,10 +22,10 @@
 // (results are identical to the serial order); -faults, -recovery, -short
 // and -tree set Env.Faults, Env.NoRecovery, Env.Short and Env.Tree; and
 // -trace, -json and -phases attach an expt.Observer. Each Run returns its
-// own transfer, fabric-message and peak-heap counters.
+// own transfer, fabric-message, park and switch counters.
 //
 // -json writes one machine-readable file covering every experiment run —
-// including per-figure wall-clock seconds, peak heap bytes, simulated
+// including per-figure wall-clock seconds, the process's peak RSS, simulated
 // transfer counts, a flight-recorder metrics snapshot, and a per-phase time
 // breakdown — so benchmark trajectories capture simulator speed and
 // footprint, not just simulated GB/s. -trace writes the whole run's flight
@@ -77,11 +77,11 @@ type jsonResult struct {
 	// context switches between them.
 	Parks    int64 `json:"parks"`
 	Switches int64 `json:"switches"`
-	// PeakHeapBytes is the largest live-heap reading sampled as the figure's
-	// cells completed (expt.Counts.PeakHeapBytes): the bytes the most
-	// recent completed GC mark found live, which leaves out unswept garbage
-	// and anything allocated after that mark.
-	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
+	// PeakRSSBytes is the process's peak resident set size when the figure
+	// finished (getrusage ru_maxrss). It is a high-water mark of the whole
+	// process, so under -experiment all a figure reads at least the
+	// figures before it.
+	PeakRSSBytes uint64 `json:"peak_rss_bytes"`
 	// Verified reports that this binary's data-plane round-trip smoke
 	// (-verify: real payload bytes written through the aggregation pipeline
 	// and read back checksum-identical) passed before the experiments ran.
@@ -353,8 +353,9 @@ func run() int {
 		res, counts := s.Run(env)
 		elapsed := time.Since(start).Seconds()
 		fmt.Print(expt.Render(res))
-		fmt.Printf("(wall time %.1fs, %d workers, %d transfers, %d fabric messages, %d parks, %d switches, peak heap %.0f MiB)\n",
-			elapsed, env.Width(), counts.Transfers, counts.FabricMessages, counts.Parks, counts.Switches, mb(counts.PeakHeapBytes))
+		rss := peakRSSBytes()
+		fmt.Printf("(wall time %.1fs, %d workers, %d transfers, %d fabric messages, %d parks, %d switches, peak RSS %.0f MiB)\n",
+			elapsed, env.Width(), counts.Transfers, counts.FabricMessages, counts.Parks, counts.Switches, mb(rss))
 		snap := env.Observer.Metrics(s.ID).Snapshot()
 		if levels, fanin, perLevel := treeStats(&snap); levels > 0 {
 			fmt.Printf("(aggregation tree: %d levels, max fan-in %d, per-level fabric messages %s)\n",
@@ -390,7 +391,7 @@ func run() int {
 				FabricMessages: counts.FabricMessages,
 				Parks:          counts.Parks,
 				Switches:       counts.Switches,
-				PeakHeapBytes:  counts.PeakHeapBytes,
+				PeakRSSBytes:   rss,
 				Verified:       verified,
 			}
 			if verified {

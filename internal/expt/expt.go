@@ -11,7 +11,6 @@ package expt
 import (
 	"fmt"
 	"runtime"
-	"runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -103,8 +102,7 @@ func (e Env) cellBudget() int64 {
 	return defaultCellBudget
 }
 
-// Counts are one run's deterministic work counters plus its sampled peak
-// heap.
+// Counts are one run's deterministic work counters.
 type Counts struct {
 	// Transfers counts every simulated transfer the run's measurement cells
 	// booked, intra-node ones included.
@@ -117,28 +115,14 @@ type Counts struct {
 	// (sim.Engine.Parks), and Switches the engine's context switches
 	// between procs (sim.Engine.Switches).
 	Parks, Switches int64
-	// PeakHeapBytes is the largest live-heap reading (/gc/heap/live:bytes)
-	// sampled at cell boundaries: the bytes the most recent completed GC
-	// mark found live. It leaves out garbage not yet swept, but also
-	// whatever was allocated after that mark, so it can read well below
-	// the heap in use at the sample and still depends on GC timing.
-	PeakHeapBytes uint64
 }
 
 // tally accumulates a run's Counts from concurrently completing cells.
 type tally struct {
 	transfers, fabricMsgs, parks, switches atomic.Int64
-	peakHeap                               atomic.Uint64
 }
 
-const heapMetricName = "/gc/heap/live:bytes"
-
-// add books one finished cell's fabric and engine counters and samples the
-// live-heap bytes. The sample is taken inline as the cell completes; it
-// reports the most recent completed GC mark, which may precede the cell's
-// own allocations, so a cell whose platform was built after that GC is not
-// counted in it. A ticker goroutine's armed runtime timer would sample more
-// often but measurably slow the simulation's scheduler on a busy machine.
+// add books one finished cell's fabric and engine counters.
 func (t *tally) add(fab *netsim.Fabric, eng *sim.Engine) {
 	if t == nil {
 		return
@@ -147,15 +131,6 @@ func (t *tally) add(fab *netsim.Fabric, eng *sim.Engine) {
 	t.fabricMsgs.Add(fab.FabricMessages())
 	t.parks.Add(eng.Parks())
 	t.switches.Add(eng.Switches())
-	s := []metrics.Sample{{Name: heapMetricName}}
-	metrics.Read(s)
-	v := s[0].Value.Uint64()
-	for {
-		cur := t.peakHeap.Load()
-		if v <= cur || t.peakHeap.CompareAndSwap(cur, v) {
-			return
-		}
-	}
 }
 
 // Spec is a runnable experiment.
@@ -176,7 +151,6 @@ func (s Spec) Run(env Env) (Result, Counts) {
 		FabricMessages: t.fabricMsgs.Load(),
 		Parks:          t.parks.Load(),
 		Switches:       t.switches.Load(),
-		PeakHeapBytes:  t.peakHeap.Load(),
 	}
 }
 

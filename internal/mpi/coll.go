@@ -7,130 +7,81 @@ import (
 	"tapioca/internal/sim"
 )
 
-// collState accumulates one in-flight collective on a communicator. States
-// are recycled through commShared.collFree: a reference count tracks how
-// many ranks still need to read the shared result, and the last reader
-// resets the state for reuse — steady-state collectives allocate nothing.
-type collState struct {
-	kind     string
-	arrived  int
-	refs     int
-	maxT     int64
-	contribs []any
-	hasData  bool // any non-nil contribution stored this round
-	waiters  []*sim.Proc
-	result   any
-	release  int64
-}
-
 // collective runs one bulk-synchronous collective call. Every rank of the
 // communicator must call it with the same kind, in the same order (matched
 // collectives, as the MPI standard requires — mismatches panic, surfacing
 // real bugs). finish runs once, on the last-arriving rank, and returns the
 // shared result plus the common release time.
 func (c *Comm) collective(kind string, contrib any, finish func(contribs []any, maxT int64) (any, int64)) any {
-	return c.collectiveImpl(kind, contrib, finish, nil, 0)
+	return c.collectiveImpl(kind, contrib, finish, nil, 0, false)
 }
 
 // collectiveImpl carries both finish shapes: the internal (contribs, maxT)
 // form, and the user (contribs)-only form whose release is the tree cost
 // over bytes — passed directly so the hot Collective path does not allocate
 // a wrapper closure per call. With neither, the collective is a barrier.
-func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []any, maxT int64) (any, int64), userFinish func(contribs []any) any, bytes int64) any {
-	s := c.s
-	if s.coll == nil {
-		st := s.collFree
-		if st != nil {
-			s.collFree = nil
-			st.kind = kind
-		} else {
-			st = &collState{kind: kind, waiters: make([]*sim.Proc, 0, c.Size()-1)}
-		}
-		st.refs = c.Size()
-		s.coll = st
-	}
-	st := s.coll
-	if st.kind != kind {
-		panic(fmt.Sprintf("mpi: mismatched collectives on comm %d: %s vs %s", s.id, st.kind, kind))
+// With carry, a Barrier follows the collective, and a rank that waits at
+// the collective waits out the barrier in the same park.
+func (c *Comm) collectiveImpl(kind string, contrib any, finish func(contribs []any, maxT int64) (any, int64), userFinish func(contribs []any) any, bytes int64, carry bool) any {
+	rv, p := &c.s.rv, c.p
+	// Waiters read the result after the release, so a gate with one stays
+	// out of the free list until they have; a barrier's is recycled at once.
+	reads := finish != nil || userFinish != nil || carry
+	entry := p.Now()
+	g, last := rv.arrive(kind, c.epoch, c.Size(), entry)
+	c.epoch++
+	if reads && g.contribs == nil {
+		g.contribs = make([]any, g.n)
 	}
 	if contrib != nil {
-		st.contributions(c.Size())[c.rank] = contrib
-		st.hasData = true
+		g.contribs[c.rank] = contrib
+		g.hasData = true
 	}
-	st.arrived++
-	if c.p.Now() > st.maxT {
-		st.maxT = c.p.Now()
-	}
-	if st.arrived < c.Size() {
-		entry := c.p.Now()
-		st.waiters = append(st.waiters, c.p)
-		c.p.Park(kind)
-		c.p.TraceSpan("mpi", kind, entry, c.p.Now(), 0)
-		res := st.result
-		s.recycleColl(st)
+	if last {
+		// Last arriver: compute, then release everyone at the common time.
+		var res any
+		var release int64
+		if finish != nil {
+			res, release = finish(g.contribs, g.maxT)
+		} else {
+			if userFinish != nil {
+				res = userFinish(g.contribs)
+			}
+			release = c.TreeCost(g.maxT, bytes)
+		}
+		release = max(release, g.maxT)
+		g.result = res
+		if reads {
+			g.readers = len(g.waiters) + len(g.carried)
+		}
+		rv.release(p.Engine(), g, release)
+		p.HoldUntil(release)
+		p.TraceSpan("mpi", kind, entry, p.Now(), 0)
+		if carry {
+			c.Barrier()
+		}
 		return res
 	}
-	// Last arriver: compute, reset comm state for the next collective,
-	// release everyone at the common time.
-	entry := c.p.Now()
-	switch {
-	case finish != nil:
-		st.result, st.release = finish(st.contributions(c.Size()), st.maxT)
-	case userFinish != nil:
-		st.result = userFinish(st.contributions(c.Size()))
-		st.release = c.TreeCost(st.maxT, bytes)
-	default: // a barrier: no result, the tree cost over bytes
-		st.release = c.TreeCost(st.maxT, bytes)
+	if carry {
+		g.carried = append(g.carried, p)
+	} else {
+		g.waiters = append(g.waiters, p)
 	}
-	if st.release < st.maxT {
-		st.release = st.maxT
-	}
-	s.coll = nil
-	c.p.Engine().UnparkBatch(st.waiters, st.release)
-	c.p.HoldUntil(st.release)
-	c.p.TraceSpan("mpi", kind, entry, c.p.Now(), 0)
-	res := st.result
-	s.recycleColl(st)
-	return res
-}
-
-// contributions returns the per-rank contribution table, allocated on first
-// use: barriers never need one.
-func (st *collState) contributions(n int) []any {
-	if st.contribs == nil {
-		st.contribs = make([]any, n)
-	}
-	return st.contribs
-}
-
-// recycleColl releases one rank's reference on a finished collective state;
-// the last reference clears the state (dropping payload references) and
-// parks it for reuse. The comm may already be running its next collective
-// on a fresh state by then — the free slot only holds one spare.
-func (s *commShared) recycleColl(st *collState) {
-	st.refs--
-	if st.refs > 0 {
-		return
-	}
-	// Barriers contribute nothing; skip their O(P) clear.
-	if st.hasData {
-		for i := range st.contribs {
-			st.contribs[i] = nil
+	p.Park(kind)
+	var res any
+	if reads {
+		res = g.result
+		if carry {
+			c.epoch++ // the barrier it was carried into
+			p.TraceSpan("mpi", kind, entry, g.release, 0)
+			kind, entry = barrierKind, g.release
 		}
-		st.hasData = false
+		if g.readers--; g.readers == 0 {
+			rv.recycle(g)
+		}
 	}
-	for i := range st.waiters {
-		st.waiters[i] = nil
-	}
-	st.waiters = st.waiters[:0]
-	st.kind = ""
-	st.arrived = 0
-	st.maxT = 0
-	st.result = nil
-	st.release = 0
-	if s.collFree == nil {
-		s.collFree = st
-	}
+	p.TraceSpan("mpi", kind, entry, p.Now(), 0)
+	return res
 }
 
 // Collective runs a user-defined collective operation: every rank's contrib
@@ -146,7 +97,17 @@ func (s *commShared) recycleColl(st *collState) {
 // allocation, unlike the prefix concatenation this replaces.
 func (c *Comm) Collective(kind string, contrib any, bytes int64, finish func(contribs []any) any) any {
 	checkUserKind(kind)
-	return c.collectiveImpl(kind, contrib, nil, finish, bytes)
+	return c.collectiveImpl(kind, contrib, nil, finish, bytes, false)
+}
+
+// CollectiveThenBarrier is Collective followed by Barrier. A rank that waits
+// at the collective is entered into the barrier at the collective's release
+// without being resumed, so it parks once for both. Its clock and the
+// barrier's release are those of the two calls in sequence, which holds
+// because the rank does nothing between them.
+func (c *Comm) CollectiveThenBarrier(kind string, contrib any, bytes int64, finish func(contribs []any) any) any {
+	checkUserKind(kind)
+	return c.collectiveImpl(kind, contrib, nil, finish, bytes, true)
 }
 
 // CollectivePriced is Collective with the release time priced by the
@@ -160,7 +121,7 @@ func (c *Comm) Collective(kind string, contrib any, bytes int64, finish func(con
 // TreeCost).
 func (c *Comm) CollectivePriced(kind string, contrib any, finish func(contribs []any, maxT int64) (any, int64)) any {
 	checkUserKind(kind)
-	return c.collectiveImpl(kind, contrib, finish, nil, 0)
+	return c.collectiveImpl(kind, contrib, finish, nil, 0, false)
 }
 
 func checkUserKind(kind string) {
@@ -182,7 +143,7 @@ func (c *Comm) TreeCost(maxT int64, bytes int64) int64 {
 // Barrier blocks until all ranks of the communicator arrive, and releases
 // them at the tree cost of a zero-byte collective.
 func (c *Comm) Barrier() {
-	c.collectiveImpl("mpi:barrier", nil, nil, nil, 0)
+	c.collectiveImpl(barrierKind, nil, nil, nil, 0, false)
 }
 
 // FenceLocal is a node-scoped rendezvous with leader-fence semantics: every

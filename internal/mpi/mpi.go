@@ -7,13 +7,17 @@
 //   - communicators with Split, plus Carve for a communicator built inside
 //     a rendezvous the members already pay for;
 //   - collectives (Barrier, Bcast, Allreduce with MINLOC and MAXLOC, and
-//     user-defined Collective/CollectivePriced) with LogP-style analytic
-//     costs — collectives are the control plane, the measured data plane
-//     always moves through the fabric;
+//     user-defined Collective/CollectivePriced/CollectiveThenBarrier) with
+//     LogP-style analytic costs — collectives are the control plane, the
+//     measured data plane always moves through the fabric;
 //   - one-sided communication: windows with PutGather, StagePut,
 //     Get/GetScatter and fence epochs, the transport TAPIOCA uses for
 //     aggregation, moving virtual bytes through a netsim.Fabric (so
 //     congestion is real).
+//
+// Collectives and fences wait at one rendezvous, the epoch-numbered gate
+// (gate.go): the last arriver computes and releases every waiter at one
+// time. A waiter can be carried, still parked, into the next barrier.
 //
 // Collective payloads are small control values that ride along for
 // algorithmic correctness (e.g. election costs); bulk data is a virtual byte
@@ -148,23 +152,16 @@ func defaultCollectiveHops(t topology.Topology) int {
 	}
 }
 
-// Engine returns the simulation engine.
-func (w *World) Engine() *sim.Engine { return w.eng }
-
 // Fabric returns the interconnect fabric.
 func (w *World) Fabric() *netsim.Fabric { return w.fabric }
 
-// NodeOf returns the compute node hosting a world rank.
-func (w *World) NodeOf(rank int) int { return w.nodeOf[rank] }
-
 // commShared is the per-communicator state shared by all member handles.
 type commShared struct {
-	w        *World
-	id       int
-	ranks    []int // comm rank → world rank
-	coll     *collState
-	collFree *collState // recycled state for the next collective
-	member   []*Comm    // comm rank → handle
+	w      *World
+	id     int
+	ranks  []int      // comm rank → world rank
+	rv     rendezvous // the collectives' gates
+	member []*Comm    // comm rank → handle
 
 	// Node membership, computed on first use (see membership).
 	nodePeers []int32 // comm rank → ranks of this comm on its node
@@ -191,7 +188,7 @@ func (s *commShared) membership() {
 }
 
 func (w *World) newCommShared(worldRanks []int) *commShared {
-	s := &commShared{w: w, id: w.nextID, ranks: worldRanks}
+	s := &commShared{w: w, id: w.nextID, ranks: worldRanks, rv: rendezvous{comm: w.nextID}}
 	w.nextID++
 	s.member = make([]*Comm, len(worldRanks))
 	return s
@@ -208,9 +205,10 @@ func (s *commShared) handle(r int) *Comm {
 // Comm is one rank's handle on a communicator. Handles are only valid inside
 // the owning rank's proc.
 type Comm struct {
-	s    *commShared
-	rank int
-	p    *sim.Proc
+	s     *commShared
+	rank  int
+	p     *sim.Proc
+	epoch int64 // the caller's next collective on this comm
 }
 
 // Rank returns the caller's rank in this communicator.

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-
-	"tapioca/internal/sim"
 )
 
 // Win is one rank's handle on an RMA window: a per-rank exposed buffer that
@@ -24,16 +22,8 @@ type winShared struct {
 	size    int64 // bytes exposed per rank
 	capture bool
 
-	epochArrival int64 // completion horizon of the current epoch's ops
-	epochOps     int
-	epochBytes   int64
-
-	// Fence gates: open holds the gates of epochs with arrivals but no
-	// release yet (a few at most), gateFree the recycled ones; released
-	// counts the epochs closed so far.
-	open     []*fenceGate
-	gateFree []*fenceGate
-	released int64
+	epochArrival int64      // completion horizon of the current epoch's ops
+	rv           rendezvous // the fences' gates, one per epoch
 
 	fill     []int64     // bytes put into each rank's window this epoch
 	lastFill []int64     // fill of the epoch closed by the last Fence
@@ -80,6 +70,7 @@ func (c *Comm) WinCreate(size int64) *Win {
 func (c *Comm) CarveWin(size int64) *Win {
 	return &Win{s: &winShared{
 		comm:     c.s,
+		rv:       rendezvous{comm: c.s.id},
 		size:     size,
 		fill:     make([]int64, c.Size()),
 		lastFill: make([]int64, c.Size()),
@@ -103,9 +94,6 @@ func (w *Win) SetCapture(on bool) {
 	}
 }
 
-// Size returns the per-rank exposed size.
-func (w *Win) Size() int64 { return w.s.size }
-
 // bookPut performs a one-sided put's fabric reservation and epoch
 // bookkeeping; it moves no bytes.
 func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
@@ -121,8 +109,6 @@ func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
 	if arrival > w.s.epochArrival {
 		w.s.epochArrival = arrival
 	}
-	w.s.epochOps++
-	w.s.epochBytes += bytes
 	w.s.fill[target] += bytes
 	return senderFree
 }
@@ -204,8 +190,6 @@ func (w *Win) Get(target int, offset, bytes int64) {
 	if arrival > w.s.epochArrival {
 		w.s.epochArrival = arrival
 	}
-	w.s.epochOps++
-	w.s.epochBytes += bytes
 	c.p.Hold(c.s.w.cfg.Overhead)
 }
 
@@ -263,101 +247,27 @@ func (w *Win) FenceOf(n int, senderFree int64) int64 {
 // the epochs are closed by the ranks that do.
 func (w *Win) SkipFences(k int) { w.epoch += int64(k) }
 
-// fenceGate collects the arrivals of one epoch's fence. Gates are keyed by
-// epoch, so a rank that skipped ahead can arrive at a later epoch's gate
-// while an earlier one is still open; gates release strictly in epoch order.
-// Closed gates are recycled through winShared.gateFree, so steady-state
-// fences allocate nothing.
-type fenceGate struct {
-	epoch   int64
-	n       int // arrivals that close the gate
-	arrived int
-	maxT    int64
-	waiters []*sim.Proc
-}
-
 // fence attends the caller's next epoch fence, which n ranks attend.
 func (w *Win) fence(n int) int64 {
 	s, c, p := w.s, w.c, w.c.p
-	epoch := w.epoch
-	w.epoch++
-	g := s.gate(epoch, n)
-	g.arrived++
 	entry := p.Now()
-	if entry > g.maxT {
-		g.maxT = entry
-	}
-	if g.arrived < g.n {
+	g, last := s.rv.arrive(fenceKind, w.epoch, n, entry)
+	w.epoch++
+	if !last {
 		g.waiters = append(g.waiters, p)
 		p.Park(fenceKind)
 		p.TraceSpan("mpi", fenceKind, entry, p.Now(), 0)
 		return p.Now() // the release: no waiter's clock is past maxT
 	}
 	// Last arriver: close the epoch and release everyone at the common time.
-	if epoch != s.released {
-		panic(fmt.Sprintf("mpi: window fence epoch %d complete before epoch %d released", epoch, s.released))
-	}
-	s.released++
-	release := c.TreeCost(g.maxT, 0)
-	if s.epochArrival > release {
-		release = s.epochArrival
-	}
+	release := max(c.TreeCost(g.maxT, 0), s.epochArrival)
 	s.epochArrival = 0
-	s.epochOps = 0
-	s.epochBytes = 0
 	copy(s.lastFill, s.fill)
 	clear(s.fill)
-	p.Engine().UnparkBatch(g.waiters, release)
-	s.closeGate(g)
+	s.rv.release(p.Engine(), g, release)
 	p.HoldUntil(release)
 	p.TraceSpan("mpi", fenceKind, entry, p.Now(), 0)
 	return release
-}
-
-const fenceKind = "mpi:win-fence"
-
-// gate returns the open gate of epoch, opening it (from the free list) on
-// the epoch's first arrival.
-func (s *winShared) gate(epoch int64, n int) *fenceGate {
-	for _, g := range s.open {
-		if g.epoch == epoch {
-			if g.n != n {
-				panic(fmt.Sprintf("mpi: window fence epoch %d attended with counts %d and %d", epoch, g.n, n))
-			}
-			return g
-		}
-	}
-	if epoch < s.released {
-		panic(fmt.Sprintf("mpi: arrival at window fence epoch %d, already released (arrival count too small?)", epoch))
-	}
-	var g *fenceGate
-	if k := len(s.gateFree); k > 0 {
-		g = s.gateFree[k-1]
-		s.gateFree = s.gateFree[:k-1]
-	} else {
-		g = &fenceGate{}
-	}
-	g.epoch, g.n = epoch, n
-	if cap(g.waiters) < n-1 {
-		g.waiters = make([]*sim.Proc, 0, n-1)
-	}
-	s.open = append(s.open, g)
-	return g
-}
-
-// closeGate removes a released gate from the open set and recycles it.
-func (s *winShared) closeGate(g *fenceGate) {
-	for i, o := range s.open {
-		if o == g {
-			s.open = append(s.open[:i], s.open[i+1:]...)
-			break
-		}
-	}
-	clear(g.waiters)
-	g.waiters = g.waiters[:0]
-	g.arrived = 0
-	g.maxT = 0
-	s.gateFree = append(s.gateFree, g)
 }
 
 // EpochFill returns the bytes put into rank r's window during the current

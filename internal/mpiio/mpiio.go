@@ -163,7 +163,7 @@ type File struct {
 	degraded storage.System
 }
 
-// Open creates (on rank 0) and opens a file collectively.
+// Open creates (once) and opens a file collectively.
 func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions, hints Hints) *File {
 	var shape tree.Shape
 	var treeErr error
@@ -174,24 +174,25 @@ func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions,
 		}
 	}
 	hints.setDefaults(c)
-	res := c.Bcast(0, 64, func() any {
-		if c.Rank() != 0 {
-			return nil
-		}
+	// One rendezvous shares the file handle and the aggregator set, priced
+	// as the two broadcasts it replaces: the handle's 64 bytes, then the set
+	// from that broadcast's release. Neither result depends on the rank
+	// that computes it.
+	res := c.CollectivePriced("mpiio-open", nil, func(_ []any, maxT int64) (any, int64) {
 		f := sys.Lookup(name)
 		if f == nil {
 			f = sys.Create(name, opt)
 		}
-		return f
-	}())
-	f := res.(*storage.File)
-	set := chooseAggregators(c, hints, sys)
-	fh := &File{c: c, sys: sys, f: f, hints: hints, aggrs: set.ranks, myAgg: -1,
-		order: set.order, shape: shape, treeErr: treeErr}
-	for i, a := range set.ranks {
+		aggrs := chooseAggregators(c, hints, sys)
+		return &opened{f: f, aggrs: aggrs, comms: c.Carve(aggrs), order: bookingOrder(c)},
+			c.TreeCost(c.TreeCost(maxT, 64), int64(8*hints.CBNodes))
+	}).(*opened)
+	fh := &File{c: c, sys: sys, f: res.f, hints: hints, aggrs: res.aggrs, myAgg: -1,
+		order: res.order, shape: shape, treeErr: treeErr}
+	for i, a := range res.aggrs {
 		if a == c.Rank() {
 			fh.myAgg = i
-			fh.ac = c.Adopt(set.comms[i])
+			fh.ac = c.Adopt(res.comms[i])
 		}
 	}
 	return fh
@@ -267,11 +268,13 @@ func (fh *File) Storage() *storage.File { return fh.f }
 // aggregators.
 func (fh *File) Aggregators() []int { return append([]int(nil), fh.aggrs...) }
 
-// aggSet is what Open learns from rank 0: the collective-buffering
-// aggregators, the handles of their sub-communicator (one per aggregator,
-// in aggregator order), and the round driver's booking order.
-type aggSet struct {
-	ranks []int
+// opened is what Open's rendezvous computes once for every rank: the file,
+// the collective-buffering aggregators, the handles of their
+// sub-communicator (one per aggregator, in aggregator order), and the round
+// driver's booking order.
+type opened struct {
+	f     *storage.File
+	aggrs []int
 	comms []*mpi.Comm
 	order []int
 }
@@ -279,31 +282,19 @@ type aggSet struct {
 // chooseAggregators picks the collective-buffering aggregator set. Every
 // strategy — the classic ROMIO heuristics (cost.SetStrategy) and the
 // cost-model elections alike — is deterministic and communicator-wide, so
-// rank 0 computes the set once and broadcasts it: recomputing the O(P)
-// selection on all P ranks would cost O(P²) work per open, and the Bcast's
-// virtual time lands at open, outside every experiment's timed phase (real
-// ROMIO likewise exchanges hints collectively at open). The aggregators'
-// sub-communicator rides in the same payload, so it costs no extra
-// collective.
-func chooseAggregators(c *mpi.Comm, h Hints, sys storage.System) *aggSet {
-	res := c.Bcast(0, int64(8*h.CBNodes), func() any {
-		if c.Rank() != 0 {
-			return nil
-		}
-		set := &aggSet{order: bookingOrder(c)}
-		if ss, ok := h.Strategy.(cost.SetStrategy); ok {
-			set.ranks = ss.SelectSet(&cost.SetElection{
-				Nodes:  rankNodes(c),
-				Want:   h.CBNodes,
-				Bridge: bridgeFn(c),
-			})
-		} else {
-			set.ranks = electAggregators(c, h, sys)
-		}
-		set.comms = c.Carve(set.ranks)
-		return set
-	}())
-	return res.(*aggSet)
+// Open computes the set once, in its rendezvous: recomputing the O(P)
+// selection on all P ranks would cost O(P²) work per open, and the virtual
+// time lands at open, outside every experiment's timed phase (real ROMIO
+// likewise exchanges hints collectively at open).
+func chooseAggregators(c *mpi.Comm, h Hints, sys storage.System) []int {
+	if ss, ok := h.Strategy.(cost.SetStrategy); ok {
+		return ss.SelectSet(&cost.SetElection{
+			Nodes:  rankNodes(c),
+			Want:   h.CBNodes,
+			Bridge: bridgeFn(c),
+		})
+	}
+	return electAggregators(c, h, sys)
 }
 
 // bookingOrder returns the comm ranks in ascending world rank — the order

@@ -121,7 +121,7 @@ func TestBuildScheduleEmpty(t *testing.T) {
 
 func TestChooseAggregatorsNodeSpread(t *testing.T) {
 	runFlat(t, 8, 2, func(c *mpi.Comm, sys storage.System) {
-		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrNodeSpread}, sys).ranks
+		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrNodeSpread}, sys)
 		want := []int{0, 2, 4, 6} // first rank of each node
 		for i, a := range aggrs {
 			if a != want[i] {
@@ -134,7 +134,7 @@ func TestChooseAggregatorsNodeSpread(t *testing.T) {
 
 func TestChooseAggregatorsRankOrder(t *testing.T) {
 	runFlat(t, 8, 2, func(c *mpi.Comm, sys storage.System) {
-		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrRankOrder}, sys).ranks
+		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrRankOrder}, sys)
 		for i, a := range aggrs {
 			if a != i {
 				t.Errorf("aggrs = %v, want 0..3", aggrs)
@@ -149,7 +149,7 @@ func TestChooseAggregatorsBridgeFirstOnTorus(t *testing.T) {
 	fab := netsim.New(topo, netsim.Config{})
 	sys := storage.NewNullFS()
 	_, err := mpi.Run(mpi.Config{Ranks: 512, RanksPerNode: 2, Fabric: fab}, func(c *mpi.Comm) {
-		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrBridgeFirst}, sys).ranks
+		aggrs := chooseAggregators(c, Hints{CBNodes: 4, Strategy: AggrBridgeFirst}, sys)
 		tor := topo
 		for _, a := range aggrs {
 			node := c.NodeOfRank(a)
@@ -175,7 +175,7 @@ func TestChooseAggregatorsTopologyAware(t *testing.T) {
 	for trial := 0; trial < 2; trial++ {
 		var got []int
 		_, err := mpi.Run(mpi.Config{Ranks: 256, RanksPerNode: 2, Fabric: fab}, func(c *mpi.Comm) {
-			aggrs := chooseAggregators(c, Hints{CBNodes: 8, Strategy: AggrTopologyAware}, sys).ranks
+			aggrs := chooseAggregators(c, Hints{CBNodes: 8, Strategy: AggrTopologyAware}, sys)
 			if c.Rank() == 0 {
 				got = aggrs
 			} else if len(aggrs) != 8 {
@@ -369,10 +369,10 @@ func TestWriteAtAllUnevenSizes(t *testing.T) {
 }
 
 // TestParksScaleWithAggregatorRounds pins who waits in a two-phase call:
-// a non-aggregator parks a fixed number of times per collective call (the
-// plan exchange and the closing barrier) however many rounds the call runs,
-// so the engine's park count grows only with aggregators × rounds — one
-// sub-communicator sync per round, plus the final round barrier on writes.
+// a non-aggregator parks a fixed number of times per collective call however
+// many rounds the call runs, so the engine's park count grows only with
+// aggregators × rounds — one sub-communicator sync per round, plus the final
+// round barrier on writes.
 func TestParksScaleWithAggregatorRounds(t *testing.T) {
 	const ranks, rpn, nAggr = 16, 4, 4
 	const chunk = 64 << 10 // 1 MiB file over 4 aggregators: 256 KiB domains
@@ -386,10 +386,15 @@ func TestParksScaleWithAggregatorRounds(t *testing.T) {
 		})
 		return eng.Parks()
 	}
-	// Every collective parks all members but the last to arrive: the world
-	// collectives — Open's two Bcasts, each call's plan and closing barrier,
-	// Close's barrier — cost ranks-1 parks whatever the round count.
-	world := int64(2+2+2+1) * (ranks - 1)
+	// Every rendezvous parks all members but the last to arrive. Open's and
+	// Close's cost ranks-1 parks each. In each call, the plan and the
+	// closing barrier cost ranks-1 each, less one park per carried rank: a
+	// non-aggregator that waits at the plan waits out the barrier in the
+	// same park. Ranks arrive at the plan together, so the last to arrive
+	// is the highest rank, a non-aggregator, and the other
+	// ranks-nAggr-1 non-aggregators are carried.
+	perCall := 2*(ranks-1) - (ranks - nAggr - 1)
+	world := int64(2*(ranks-1) + 2*perCall)
 	for _, rounds := range []int64{1, 4, 16} {
 		got := parks(256 << 10 / rounds)
 		want := world + (nAggr-1)*(rounds+1) + (nAggr-1)*rounds

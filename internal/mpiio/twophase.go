@@ -138,46 +138,73 @@ func buildSchedule(allSegs [][]storage.Seg, nAggr int, bufSize, alignTo int64, c
 	}
 	sub := int((w + bufSize - 1) / bufSize)
 	s.rounds = int((s.hi-1-origin)/w/n+1) * sub
-	s.sendPieces = make([][]sendPiece, len(allSegs))
-	s.aggRounds = make([][]roundData, nAggr)
-	for a := range s.aggRounds {
-		s.aggRounds[a] = make([]roundData, s.rounds)
-	}
-	for r, segs := range allSegs {
-		for _, sg := range segs {
-			if sg.Empty() {
-				continue
-			}
-			glo, ghi := sg.Span()
-			for c, cLast := (glo-origin)/w, (ghi-1-origin)/w; c <= cLast; c++ {
-				agg, k := int(c%n), int(c/n)
-				clo := origin + c*w
-				j := 0
-				if glo > clo {
-					j = int((glo - clo) / bufSize)
+	// eachWindow calls visit for every (segment, buffer window) pair with
+	// bytes in it, in build order: rank by rank, segment by segment.
+	eachWindow := func(visit func(r, agg, round int, sg storage.Seg, wlo, whi int64)) {
+		for r, segs := range allSegs {
+			for _, sg := range segs {
+				if sg.Empty() {
+					continue
 				}
-				for ; j < sub; j++ {
-					wlo := clo + int64(j)*bufSize
-					whi := min(wlo+bufSize, clo+w, s.hi)
-					if whi <= wlo || wlo >= ghi {
-						break
+				glo, ghi := sg.Span()
+				for c, cLast := (glo-origin)/w, (ghi-1-origin)/w; c <= cLast; c++ {
+					agg, k := int(c%n), int(c/n)
+					clo := origin + c*w
+					j := 0
+					if glo > clo {
+						j = int((glo - clo) / bufSize)
 					}
-					pieces := sg.Intersect(wlo, whi)
-					b := storage.TotalBytes(pieces)
-					if b == 0 {
-						continue
+					for ; j < sub; j++ {
+						wlo := clo + int64(j)*bufSize
+						whi := min(wlo+bufSize, clo+w, s.hi)
+						if whi <= wlo || wlo >= ghi {
+							break
+						}
+						visit(r, agg, k*sub+j, sg, wlo, whi)
 					}
-					round := k*sub + j
-					s.sendPieces[r] = append(s.sendPieces[r], sendPiece{agg: agg, round: round, bytes: b})
-					rd := &s.aggRounds[agg][round]
-					rd.segs = append(rd.segs, pieces...)
-					rd.bytes += b
-					rd.pieces++
-					rd.wlo, rd.whi = wlo, whi
 				}
 			}
 		}
 	}
+	// Count each rank's pieces and each round's segments, then fill lists
+	// allocated at those sizes.
+	perRank := make([]int, len(allSegs))
+	perRound := make([]int, nAggr*s.rounds)
+	var scratch [3]storage.Seg // Intersect yields at most three segments
+	eachWindow(func(r, agg, round int, sg storage.Seg, wlo, whi int64) {
+		if k := len(sg.AppendIntersect(scratch[:0], wlo, whi)); k > 0 {
+			perRank[r]++
+			perRound[agg*s.rounds+round] += k
+		}
+	})
+	s.sendPieces = make([][]sendPiece, len(allSegs))
+	for r, k := range perRank {
+		if k > 0 {
+			s.sendPieces[r] = make([]sendPiece, 0, k)
+		}
+	}
+	s.aggRounds = make([][]roundData, nAggr)
+	for a := range s.aggRounds {
+		s.aggRounds[a] = make([]roundData, s.rounds)
+		for k := range s.aggRounds[a] {
+			if m := perRound[a*s.rounds+k]; m > 0 {
+				s.aggRounds[a][k].segs = make([]storage.Seg, 0, m)
+			}
+		}
+	}
+	eachWindow(func(r, agg, round int, sg storage.Seg, wlo, whi int64) {
+		rd := &s.aggRounds[agg][round]
+		before := len(rd.segs)
+		rd.segs = sg.AppendIntersect(rd.segs, wlo, whi)
+		b := storage.TotalBytes(rd.segs[before:])
+		if b == 0 {
+			return
+		}
+		s.sendPieces[r] = append(s.sendPieces[r], sendPiece{agg: agg, round: round, bytes: b})
+		rd.bytes += b
+		rd.pieces++
+		rd.wlo, rd.whi = wlo, whi
+	})
 	s.sortPieces()
 	return s
 }
@@ -237,7 +264,7 @@ func (fh *File) collectiveIO(segs []storage.Seg, data []byte, read bool) error {
 	cyclic := fh.hints.CyclicDomains && alignTo > 0
 	// Gather every rank's pattern and build the plan exactly once.
 	bytes := int64(32*len(segs) + 16)
-	plan := c.Collective("mpiio-plan", segs, bytes, func(contribs []any) any {
+	build := func(contribs []any) any {
 		allSegs := make([][]storage.Seg, len(contribs))
 		for i, x := range contribs {
 			if x != nil {
@@ -245,7 +272,15 @@ func (fh *File) collectiveIO(segs []storage.Seg, data []byte, read bool) error {
 			}
 		}
 		return buildSchedule(allSegs, len(fh.aggrs), fh.hints.CBBufferSize, alignTo, cyclic)
-	}).(*schedule)
+	}
+	if fh.ac == nil && pl == nil {
+		// A phantom non-aggregator does nothing between the plan and the
+		// call's closing barrier: it waits out both, and every round, in a
+		// single park.
+		plan := c.CollectiveThenBarrier("mpiio-plan", segs, bytes, build).(*schedule)
+		return plan.errs[c.Rank()]
+	}
+	plan := c.Collective("mpiio-plan", segs, bytes, build).(*schedule)
 	// Data plane: share every rank's payload plane — the simulated transport
 	// of the two-phase sends' payload slices. The extra collective exists
 	// only in data-plane calls, so a rank passing payload bytes while
@@ -265,7 +300,6 @@ func (fh *File) collectiveIO(segs []storage.Seg, data []byte, read bool) error {
 	if plan.rounds > 0 && plan.hi > plan.lo && fh.ac != nil {
 		fh.runRounds(plan, planes, read)
 	}
-	// Non-aggregators wait out every round here, in a single park.
 	c.Barrier()
 	return plan.errs[c.Rank()]
 }

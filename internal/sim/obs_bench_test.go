@@ -8,8 +8,9 @@ package sim
 //	                             predicted-false bool check)
 //	BenchmarkEngineStepTraced    the same loop with tracing live
 //
-// TestRecorderDisabledNoAllocs asserts the 0 allocs/op contract directly, so
-// a regression fails the suite rather than only skewing benchmark numbers.
+// TestRecorderDisabledNoAllocs asserts the 0 allocs per step contract
+// directly, over the same loops, so a regression fails the suite rather than
+// only skewing benchmark numbers.
 
 import (
 	"testing"
@@ -85,12 +86,10 @@ func enginePingPong(b *testing.B, rec *obs.Recorder) {
 func BenchmarkEnginePingPongTraced(b *testing.B) { enginePingPong(b, obs.NewRecorder(true)) }
 
 // TestRecorderDisabledNoAllocs asserts the disabled-recorder contract: both
-// the Hold fast path and the Park handoff path run at 0 allocs/op with a nil
-// recorder and with a metrics-only recorder attached.
+// the Hold fast path and the Park handoff path run at 0 allocs per step with
+// a nil recorder and with a metrics-only recorder attached.
 func TestRecorderDisabledNoAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark harness")
-	}
+	const steps = 1000
 	for _, tc := range []struct {
 		name string
 		rec  *obs.Recorder
@@ -98,11 +97,58 @@ func TestRecorderDisabledNoAllocs(t *testing.T) {
 		{"nil", nil},
 		{"metrics-only", obs.NewRecorder(false)},
 	} {
-		if res := testing.Benchmark(func(b *testing.B) { engineStep(b, tc.rec) }); res.AllocsPerOp() != 0 {
-			t.Errorf("%s recorder: Hold path %d allocs/op, want 0", tc.name, res.AllocsPerOp())
+		if a := holdAllocs(t, tc.rec, steps); a != 0 {
+			t.Errorf("%s recorder: Hold path %.2f allocs/step, want 0", tc.name, a)
 		}
-		if res := testing.Benchmark(func(b *testing.B) { enginePingPong(b, tc.rec) }); res.AllocsPerOp() != 0 {
-			t.Errorf("%s recorder: Park path %d allocs/op, want 0", tc.name, res.AllocsPerOp())
+		if a := parkAllocs(t, tc.rec, steps); a != 0 {
+			t.Errorf("%s recorder: Park path %.2f allocs/step, want 0", tc.name, a)
 		}
 	}
+}
+
+// holdAllocs measures the engineStep loop's allocations per Hold, over steps
+// Holds, inside the running proc.
+func holdAllocs(t *testing.T, rec *obs.Recorder, steps int) float64 {
+	e := NewEngine()
+	e.SetRecorder(rec)
+	var allocs float64
+	e.Spawn("stepper", func(p *Proc) {
+		p.SetTraceID(0, 0)
+		allocs = testing.AllocsPerRun(steps, func() { p.Hold(1) })
+	})
+	e.Spawn("horizon", func(p *Proc) {
+		p.SetTraceID(0, 1)
+		p.HoldUntil(1 << 40)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
+// parkAllocs measures the enginePingPong loop's allocations per Park/Unpark
+// handoff, over steps handoffs, inside the running proc.
+func parkAllocs(t *testing.T, rec *obs.Recorder, steps int) float64 {
+	e := NewEngine()
+	e.SetRecorder(rec)
+	var allocs float64
+	var ping, pong *Proc
+	ping = e.Spawn("ping", func(p *Proc) {
+		p.SetTraceID(0, 0)
+		allocs = testing.AllocsPerRun(steps, func() {
+			p.Park("ping")
+			e.Unpark(pong, p.Now())
+		})
+	})
+	pong = e.Spawn("pong", func(p *Proc) {
+		p.SetTraceID(0, 1)
+		for i := 0; i <= steps; i++ { // AllocsPerRun's warm-up call, then steps
+			e.Unpark(ping, p.Now())
+			p.Park("pong")
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return allocs
 }

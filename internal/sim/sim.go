@@ -695,6 +695,17 @@ func (p *Proc) parkTraced(reason string) {
 	p.runStart = p.now
 }
 
+// Rewait records that a parked proc now waits for another reason, without
+// waking it: its park goes on, and deadlock diagnostics name the new reason.
+// The caller rules of Unpark apply. Rewaiting a proc that is not parked
+// panics.
+func (e *Engine) Rewait(target *Proc, reason string) {
+	if target.state != stateParked {
+		panic(fmt.Sprintf("sim: Rewait of proc %d (%s) in state %v", target.id, target.name, target.state))
+	}
+	target.parkReason = reason
+}
+
 // Unpark makes a parked proc runnable at virtual time at (or the target's
 // own clock, whichever is later). It must only be called by the currently
 // running proc, with at >= the caller's current time; the engine's causality

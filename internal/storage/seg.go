@@ -55,17 +55,21 @@ func (s Seg) Empty() bool { return s.Count <= 0 || s.Len <= 0 }
 
 // Intersect clips the segment to the window [lo, hi), returning at most
 // three segments (clipped head run, strided middle, clipped tail run).
-func (s Seg) Intersect(lo, hi int64) []Seg {
+func (s Seg) Intersect(lo, hi int64) []Seg { return s.AppendIntersect(nil, lo, hi) }
+
+// AppendIntersect appends the segments of Intersect(lo, hi) to out and
+// returns the extended slice.
+func (s Seg) AppendIntersect(out []Seg, lo, hi int64) []Seg {
 	if s.Empty() || hi <= lo || s.End() <= lo || s.Off >= hi {
-		return nil
+		return out
 	}
 	if s.Count == 1 {
 		o := maxI64(s.Off, lo)
 		e := minI64(s.Off+s.Len, hi)
 		if e <= o {
-			return nil
+			return out
 		}
-		return []Seg{Contig(o, e-o)}
+		return append(out, Contig(o, e-o))
 	}
 	// First run index whose end is after lo: run i spans
 	// [Off+i*Stride, Off+i*Stride+Len).
@@ -82,9 +86,8 @@ func (s Seg) Intersect(lo, hi int64) []Seg {
 		i1 = s.Count - 1
 	}
 	if i0 > i1 {
-		return nil
+		return out
 	}
-	var out []Seg
 	// Head run, possibly clipped at lo.
 	headOff := s.Off + i0*s.Stride
 	headEnd := minI64(headOff+s.Len, hi)
@@ -98,9 +101,9 @@ func (s Seg) Intersect(lo, hi int64) []Seg {
 
 	if i0 == i1 {
 		if headEnd <= headOffClip {
-			return nil
+			return out
 		}
-		return []Seg{Contig(headOffClip, headEnd-headOffClip)}
+		return append(out, Contig(headOffClip, headEnd-headOffClip))
 	}
 	midFirst, midLast := i0, i1
 	if headClipped {
