@@ -10,7 +10,8 @@
 //
 // -probes enables the closed-loop mode (short simulated probe rounds
 // re-ground the model before the final pick); the probes are independent
-// simulations and run on a bounded worker pool by default (-parallel).
+// simulations and run on a GOMAXPROCS-wide worker pool by default;
+// -parallel=false runs them one at a time (the pick is identical).
 // -verify additionally runs the tuned and default configurations end to end
 // and reports both bandwidths.
 package main
@@ -23,7 +24,7 @@ import (
 	"os"
 
 	"tapioca"
-	"tapioca/internal/par"
+	"tapioca/internal/tune"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -61,10 +62,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *trace != "" {
 		*verify = true
-	}
-
-	if !*parallel {
-		par.SetLimit(1)
 	}
 
 	if *degraded {
@@ -107,6 +104,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *degraded {
 		opts = append(opts, tapioca.WithDegraded())
+	}
+	if !*parallel {
+		opts = append(opts, func(o *tune.Options) { o.Workers = 1 })
 	}
 	// TryAutotune plumbs -rpn through to the tuner's ranks-per-node density
 	// (tune.Platform.RanksPerNode) and reports an infeasible rank/node/rpn

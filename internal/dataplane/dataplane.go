@@ -17,6 +17,7 @@ package dataplane
 import (
 	"fmt"
 	"hash/crc64"
+	"runtime"
 	"sort"
 
 	"tapioca/internal/par"
@@ -144,11 +145,11 @@ const checksumShardBytes = 4 << 20
 // order), a write session's checksum equals both the storage checksum over
 // the same extents and the checksum of a read session that declared the same
 // pattern — the end-to-end verification contract. Large payloads shard
-// across the worker pool and merge with storage.CRC64Combine; the result is
-// identical to the serial scan.
+// across up to GOMAXPROCS goroutines and merge with storage.CRC64Combine;
+// the result is identical to the serial scan.
 func (pl *Plane) Checksum() uint64 {
 	k := int(pl.total / checksumShardBytes)
-	if lim := par.Limit(); k > lim {
+	if lim := runtime.GOMAXPROCS(0); k > lim {
 		k = lim
 	}
 	if k <= 1 || len(pl.runs) == 0 {
@@ -179,7 +180,7 @@ func (pl *Plane) Checksum() uint64 {
 		remaining -= n
 	}
 	crcs := make([]uint64, len(shards))
-	par.Map(par.Limit(), len(shards), func(i int) {
+	par.Map(k, len(shards), func(i int) {
 		crcs[i] = pl.checksumRange(shards[i].run, shards[i].skip, shards[i].n)
 	})
 	var crc uint64

@@ -628,6 +628,15 @@ func AblationTree(env Env) Result {
 	return res
 }
 
+// contentionRig builds abl-contention's Theta platform under the given
+// contention model, on a private topology and without fault arming.
+func contentionRig(env Env, nodes, rpn, osts, contention int) *rig {
+	topo := topology.ThetaDragonfly(nodes, topology.RouteMinimal)
+	fab := netsim.New(topo, netsim.Config{Contention: contention, Reference: env.reference})
+	sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: osts})
+	return &rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn}
+}
+
 // AblationContention compares the per-link and endpoint-only network
 // contention models (a simulator-fidelity knob, not a paper experiment).
 func AblationContention(env Env) Result {
@@ -643,12 +652,8 @@ func AblationContention(env Env) Result {
 	size := int64(2 << 20)
 	modes := []int{netsim.ContentionLinks, netsim.ContentionEndpoint}
 	res.Rows = runGrid(env, []float64{2}, len(modes), func(_, col int) float64 {
-		topo := topology.ThetaDragonfly(nodes, topology.RouteMinimal)
-		fab := netsim.New(topo, netsim.Config{Contention: modes[col]})
-		sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: osts})
-		r := &rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn}
 		j := ioJob{
-			r:       r,
+			r:       contentionRig(env, nodes, rpn, osts, modes[col]),
 			fileOpt: storage.FileOptions{StripeCount: osts, StripeSize: 8 << 20},
 			cfg:     core.Config{Aggregators: osts, BufferSize: 8 << 20},
 			declared: func(rank, ranks int) [][]storage.Seg {

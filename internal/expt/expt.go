@@ -77,8 +77,9 @@ type Env struct {
 	// totals, keyed by figure id; nil runs unobserved (and pays nothing).
 	Observer *Observer
 
-	label string // the observer label of the run's cells (the spec ID)
-	tally *tally // the run's work counters; nil when nobody reads them
+	reference bool   // build every fabric with netsim.Config.Reference (tests)
+	label     string // the observer label of the run's cells (the spec ID)
+	tally     *tally // the run's work counters; nil when nobody reads them
 }
 
 // Width returns the worker-pool width the run's grids use.
@@ -340,6 +341,7 @@ func miraRig(env Env, nodes, rpn, lockMode int) *rig {
 	fab := netsim.New(topo, netsim.Config{
 		Contention: netsim.ContentionLinks,
 		InjectRate: 2 * topo.TorusLinkBW,
+		Reference:  env.reference,
 	})
 	fab.ShareDistances(dc)
 	sys := storage.NewGPFS(topo, fab, storage.GPFSConfig{LockMode: lockMode})
@@ -351,7 +353,7 @@ func miraRig(env Env, nodes, rpn, lockMode int) *rig {
 // aggregator-per-OST and domain-per-stripe ratios match the paper's).
 func thetaRig(env Env, nodes, rpn, routing, numOST int) *rig {
 	topo, dc := sharedTheta(nodes, routing)
-	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks, Reference: env.reference})
 	fab.ShareDistances(dc)
 	sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: numOST})
 	return armFaults(&rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})

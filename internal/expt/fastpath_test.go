@@ -8,21 +8,22 @@ import (
 	"tapioca/internal/fault"
 	"tapioca/internal/netsim"
 	"tapioca/internal/storage"
+	"tapioca/internal/topology"
 	"tapioca/internal/tree"
 )
 
 // TestFastPathsMatchReference is the equivalence contract of the transfer
-// fast paths: with the netsim path cache and storage segment compaction
-// disabled (the uncoalesced reference behaviour), every figure must produce
-// a byte-identical Result to the optimized run. The covered subset spans
-// both platforms (torus/GPFS, dragonfly/Lustre), both I/O stacks (TAPIOCA,
-// MPI-IO), reads and writes, and both contention models. The two toggles
-// are process-wide, so this is the one test in the package that does not
-// run in parallel: Go runs it before it releases the parallel ones.
+// fast paths: with the netsim path cache and segment compaction disabled
+// (the uncoalesced reference behaviour of a netsim.Config.Reference fabric),
+// every figure must produce a byte-identical Result to the optimized run.
+// The covered subset spans both platforms (torus/GPFS, dragonfly/Lustre),
+// both I/O stacks (TAPIOCA, MPI-IO), reads and writes, and both contention
+// models.
 func TestFastPathsMatchReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
+	t.Parallel()
 	subset := []string{"fig7", "fig10", "fig11", "table1", "abl-contention"}
 	if raceEnabled {
 		subset = []string{"fig10"}
@@ -33,11 +34,7 @@ func TestFastPathsMatchReference(t *testing.T) {
 			t.Fatalf("unknown spec %q", id)
 		}
 		t.Run(id, func(t *testing.T) {
-			prevCache := netsim.SetPathCache(false)
-			prevCompact := storage.SetSegCompaction(false)
-			reference, _ := s.Run(Env{Workers: 1})
-			netsim.SetPathCache(prevCache)
-			storage.SetSegCompaction(prevCompact)
+			reference, _ := s.Run(Env{Workers: 1, reference: true})
 
 			// The optimized run executes with the flight recorder live and a
 			// zero-rate fault profile armed, so this equivalence also asserts
@@ -58,6 +55,28 @@ func TestFastPathsMatchReference(t *testing.T) {
 				t.Fatalf("degenerate flat tree shape diverged from reference:\nref: %+v\ntree: %+v", reference, treed)
 			}
 		})
+	}
+}
+
+// TestRigsWireReference guards the expt half of the reference wiring: every
+// rig builder hands Env.reference to its fabric. A builder that dropped it
+// would make TestFastPathsMatchReference compare a figure's optimized run
+// with itself.
+func TestRigsWireReference(t *testing.T) {
+	t.Parallel()
+	for _, ref := range []bool{false, true} {
+		env := Env{reference: ref}
+		rigs := map[string]*rig{
+			"mira":           miraRig(env, 256, 1, storage.LockShared),
+			"theta":          thetaRig(env, 64, 2, topology.RouteMinimal, 8),
+			"chaos":          chaosRig(env, 64, 2, 8),
+			"abl-contention": contentionRig(env, 64, 2, 8, netsim.ContentionEndpoint),
+		}
+		for name, r := range rigs {
+			if got := r.fab.Config().Reference; got != ref {
+				t.Errorf("%s rig: fabric Reference = %v, want %v", name, got, ref)
+			}
+		}
 	}
 }
 

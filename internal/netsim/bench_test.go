@@ -27,9 +27,7 @@ func benchPairs(nodes, n int) [][2]int {
 }
 
 func benchmarkReserve(b *testing.B, topo topology.Topology, contention int, cached bool) {
-	prev := SetPathCache(cached)
-	defer SetPathCache(prev)
-	f := benchFabric(topo, contention)
+	f := New(topo, Config{Contention: contention, Reference: !cached})
 	pairs := benchPairs(topo.Nodes(), 64)
 	// Warm: create NICs, links, and (cached mode) the path entries.
 	for _, p := range pairs {
@@ -90,10 +88,11 @@ func TestFabricReserveZeroAlloc(t *testing.T) {
 // TestReserveScratchReuse is the aliasing regression net for the reused
 // resource scratch and interned path arena: a long random sequence of
 // Reserve calls on one fabric must produce exactly the same (senderFree,
-// arrival) stream as the same sequence on a twin fabric running with the
-// path cache disabled (which rebuilds every route from scratch). Stale or
+// arrival) stream as the same sequence on a twin Reference fabric, which
+// caches no paths and rebuilds every route from scratch. Stale or
 // prematurely-reset scratch entries, or arena spans clobbered by growth,
-// would corrupt the resource list of some call and diverge the streams.
+// would corrupt the resource list of some call and diverge the streams. The
+// twin must really be uncached, or the test compares the cache with itself.
 func TestReserveScratchReuse(t *testing.T) {
 	topos := []topology.Topology{
 		topology.MiraTorus(512),
@@ -103,9 +102,7 @@ func TestReserveScratchReuse(t *testing.T) {
 	for _, topo := range topos {
 		for _, contention := range []int{ContentionEndpoint, ContentionLinks} {
 			cached := New(topo, Config{Contention: contention})
-			prev := SetPathCache(false)
-			uncached := New(topo, Config{Contention: contention})
-			SetPathCache(prev)
+			uncached := New(topo, Config{Contention: contention, Reference: true})
 
 			pairs := benchPairs(topo.Nodes(), 200)
 			now := int64(0)
@@ -118,6 +115,10 @@ func TestReserveScratchReuse(t *testing.T) {
 						topo.Name(), contention, i, p[0], p[1], sf1, ar1, sf2, ar2)
 				}
 				now += 500
+			}
+			if len(cached.paths) == 0 || len(uncached.paths) != 0 {
+				t.Fatalf("%s contention=%d: %d cached paths, %d on the reference fabric; want some and none",
+					topo.Name(), contention, len(cached.paths), len(uncached.paths))
 			}
 		}
 	}

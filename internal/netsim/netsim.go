@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"tapioca/internal/fault"
 	"tapioca/internal/obs"
@@ -48,20 +47,13 @@ type Config struct {
 	// SoftwareOverhead is the per-message sender-side software cost (ns).
 	// Default: 1 µs.
 	SoftwareOverhead int64
+	// Reference runs the machine on its unoptimized reference paths: the
+	// fabric re-derives every route per transfer instead of caching paths,
+	// and the storage models and the TAPIOCA planner on this fabric leave
+	// segment lists uncompacted. Results are identical either way; the
+	// equivalence tests compare the optimized paths against this one.
+	Reference bool
 }
-
-// pathCacheEnabled gates the per-pair path cache on newly built fabrics.
-// It exists so equivalence tests can run the uncached reference path; the
-// cache never changes results, only the cost of computing them.
-var pathCacheEnabled atomic.Bool
-
-func init() { pathCacheEnabled.Store(true) }
-
-// SetPathCache enables or disables path caching for subsequently constructed
-// fabrics and returns the previous setting. Results are identical either
-// way; the uncached mode re-derives every route per transfer (the reference
-// behaviour equivalence tests compare against).
-func SetPathCache(on bool) (prev bool) { return pathCacheEnabled.Swap(on) }
 
 // pathEntry is one cached node pair: the route length, the minimum link rate
 // along the route, and (link-contention mode) the route's link resources
@@ -87,11 +79,10 @@ type Fabric struct {
 
 	scratch []*sim.GapResource // reusable per-transfer resource list
 
-	cachePaths bool
-	stater     topology.PathStater // non-nil when topo supports PathStats
-	paths      map[int64]pathEntry // (src*Nodes + dst) → cached path facts
-	resArena   []*sim.GapResource  // interned link resources (links mode)
-	resIDs     []int32             // topology link ids parallel to resArena
+	stater   topology.PathStater // non-nil when topo supports PathStats
+	paths    map[int64]pathEntry // (src*Nodes + dst) → cached path facts
+	resArena []*sim.GapResource  // interned link resources (links mode)
+	resIDs   []int32             // topology link ids parallel to resArena
 
 	// rec is the optional flight recorder: reservation spans on the NIC and
 	// link timelines plus stride-sampled rolling-utilization counters. nil
@@ -135,16 +126,15 @@ func New(topo topology.Topology, cfg Config) *Fabric {
 	}
 	n := topo.Nodes()
 	f := &Fabric{
-		topo:       topo,
-		cfg:        cfg,
-		minNIC:     math.Min(cfg.InjectRate, cfg.EjectRate),
-		nicIn:      make([]*sim.GapResource, n),
-		nicOut:     make([]*sim.GapResource, n),
-		links:      make([]*sim.GapResource, topo.NumLinks()),
-		cachePaths: pathCacheEnabled.Load(),
+		topo:   topo,
+		cfg:    cfg,
+		minNIC: math.Min(cfg.InjectRate, cfg.EjectRate),
+		nicIn:  make([]*sim.GapResource, n),
+		nicOut: make([]*sim.GapResource, n),
+		links:  make([]*sim.GapResource, topo.NumLinks()),
 	}
 	f.stater, _ = topo.(topology.PathStater)
-	if f.cachePaths {
+	if !cfg.Reference {
 		f.paths = make(map[int64]pathEntry)
 	}
 	return f
@@ -233,7 +223,7 @@ func (f *Fabric) nicInFor(i int) *sim.GapResource {
 // them on first use. With caching disabled it returns a zero entry and
 // ok = false; the caller re-derives the route per transfer.
 func (f *Fabric) path(src, dst int) (pathEntry, bool) {
-	if !f.cachePaths {
+	if f.paths == nil {
 		return pathEntry{}, false
 	}
 	key := int64(src)*int64(f.topo.Nodes()) + int64(dst)

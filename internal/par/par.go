@@ -10,30 +10,9 @@
 package par
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// limit holds the configured pool width; <=0 means "use GOMAXPROCS".
-var limit atomic.Int32
-
-// SetLimit bounds the pool width Limit reports. n = 1 forces serial
-// execution; n <= 0 restores the default (GOMAXPROCS).
-func SetLimit(n int) {
-	if n < 0 {
-		n = 0
-	}
-	limit.Store(int32(n))
-}
-
-// Limit returns the process-wide default pool width.
-func Limit() int {
-	if n := limit.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // Map runs fn(0), fn(1), …, fn(n-1) on up to workers goroutines (serially
 // when workers <= 1) and returns once every call has finished. Work is

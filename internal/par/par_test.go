@@ -39,15 +39,3 @@ func TestMapPanicIsLowestIndex(t *testing.T) {
 		}
 	}
 }
-
-func TestSetLimitClamps(t *testing.T) {
-	SetLimit(-7)
-	if Limit() <= 0 {
-		t.Fatalf("Limit() = %d, want positive default", Limit())
-	}
-	SetLimit(2)
-	if Limit() != 2 {
-		t.Fatalf("Limit() = %d, want 2", Limit())
-	}
-	SetLimit(0)
-}

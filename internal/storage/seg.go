@@ -1,9 +1,6 @@
 package storage
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // Seg describes a (possibly strided) file access pattern compactly: Count
 // runs of Len bytes, the i-th starting at Off + i*Stride. A contiguous
@@ -170,17 +167,6 @@ func IntersectAll(segs []Seg, lo, hi int64) []Seg {
 	return out
 }
 
-// segCompaction gates Compact/CompactInto. It exists so equivalence tests
-// can run the uncompacted reference path; compaction never changes priced
-// results (the run set is identical), only the fragment count carrying them.
-var segCompaction atomic.Bool
-
-func init() { segCompaction.Store(true) }
-
-// SetSegCompaction enables or disables segment-list compaction and returns
-// the previous setting (test hook; results are identical either way).
-func SetSegCompaction(on bool) (prev bool) { return segCompaction.Swap(on) }
-
 // Compact merges consecutive segments whose runs continue a single arithmetic
 // pattern, in place. It is purely representational: the merged list describes
 // exactly the same set of contiguous runs, so TotalBytes, TotalRuns, SpanAll,
@@ -189,7 +175,7 @@ func SetSegCompaction(on bool) (prev bool) { return segCompaction.Swap(on) }
 // at stripe boundaries and reassembled) collapse back into single segments,
 // which keeps downstream stripe math linear in runs rather than fragments.
 func Compact(segs []Seg) []Seg {
-	if len(segs) < 2 || !segCompaction.Load() {
+	if len(segs) < 2 {
 		return segs
 	}
 	out := segs[:1]

@@ -5,6 +5,7 @@ import (
 	"hash/crc64"
 	"io"
 	"os"
+	"runtime"
 	"sync"
 
 	"tapioca/internal/par"
@@ -348,13 +349,13 @@ const checksumShardBytes = 4 << 20
 // StoreChecksum returns the CRC-64/ECMA of the stored bytes over the given
 // extents, enumerated in offset order per segment list — the storage end of
 // the pipeline's end-to-end verification (dataplane.Plane.Checksum computes
-// the application end over the same extents). Large extents shard across
-// the worker pool and merge with CRC64Combine; the result is identical to
-// the serial scan.
+// the application end over the same extents). Large extents shard across up
+// to GOMAXPROCS goroutines and merge with CRC64Combine; the result is
+// identical to the serial scan.
 func (f *File) StoreChecksum(segs []Seg) (uint64, error) {
 	total := TotalBytes(segs)
 	shards := int(total / checksumShardBytes)
-	if lim := par.Limit(); shards > lim {
+	if lim := runtime.GOMAXPROCS(0); shards > lim {
 		shards = lim
 	}
 	if shards <= 1 {
@@ -363,7 +364,7 @@ func (f *File) StoreChecksum(segs []Seg) (uint64, error) {
 	parts := SplitSegs(segs, shards)
 	crcs := make([]uint64, len(parts))
 	errs := make([]error, len(parts))
-	par.Map(par.Limit(), len(parts), func(i int) { crcs[i], errs[i] = f.storeChecksumSerial(parts[i]) })
+	par.Map(shards, len(parts), func(i int) { crcs[i], errs[i] = f.storeChecksumSerial(parts[i]) })
 	var crc uint64
 	for i := range parts {
 		if errs[i] != nil {

@@ -18,6 +18,7 @@ package tune
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"tapioca/internal/core"
@@ -78,6 +79,9 @@ type Options struct {
 	// run a short simulated probe and the final pick minimizes the
 	// probe-corrected prediction. Requires Platform.Probe.
 	Probes int
+	// Workers bounds the worker pool the probes run on: 1 runs them
+	// serially, <= 0 means GOMAXPROCS. The pick is identical at any width.
+	Workers int
 	// Degraded tunes for the degraded-mode configuration: the platform's
 	// burst-buffer tier is assumed down and the search prices candidates
 	// against the fallback tier behind it (storage.DegradedSystemOf). The
@@ -225,7 +229,7 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 
 	// Closed loop: re-ground the top candidates with short probe rounds.
 	if opt.Probes > 0 && p.Probe != nil {
-		s.probe(w, opt.Probes)
+		s.probe(w, opt.Probes, opt.Workers)
 		s.rank()
 	}
 
@@ -378,16 +382,19 @@ func shapeClass(sh tree.Shape) int {
 // incast) are pulled back toward reality before the final pick.
 //
 // Probes are independent simulations (the Probe hook builds a fresh machine
-// per call), so they run on the shared bounded worker pool; the ratios are
-// applied in candidate order afterwards, keeping the pick identical to a
+// per call), so they run on a pool of up to workers goroutines; the ratios
+// are applied in candidate order afterwards, keeping the pick identical to a
 // serial probe loop.
-func (s *search) probe(w workload.Pattern, k int) {
+func (s *search) probe(w workload.Pattern, k, workers int) {
 	if k > len(s.cands) {
 		k = len(s.cands)
 	}
 	type outcome struct{ measured, predicted float64 }
 	outs := make([]outcome, k)
-	par.Map(par.Limit(), k, func(i int) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	par.Map(workers, k, func(i int) {
 		c := s.cands[i]
 		perRank := probeRounds * c.Config.BufferSize * int64(c.Config.Aggregators) / int64(w.Ranks)
 		if perRank < 64<<10 {

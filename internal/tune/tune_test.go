@@ -2,6 +2,7 @@ package tune
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,6 +179,11 @@ func TestClosedLoopProbes(t *testing.T) {
 	b := Autotune(p, w, Options{Probes: 3})
 	if a.Config != b.Config || a.Predicted != b.Predicted {
 		t.Fatalf("closed loop non-deterministic: %+v vs %+v", a.Config, b.Config)
+	}
+	// The probes' pool width is a value; a serial pool picks the same.
+	serial := Autotune(p, w, Options{Probes: 3, Workers: 1})
+	if serial.Config != a.Config || serial.FileOptions != a.FileOptions || !reflect.DeepEqual(serial.Candidates, a.Candidates) {
+		t.Fatalf("serial probes picked %+v, default width %+v", serial.Config, a.Config)
 	}
 	if a.Calibration <= 0 {
 		t.Fatalf("calibration = %v", a.Calibration)
