@@ -64,10 +64,9 @@ var (
 	PlacementTwoLevel = cost.TwoLevel()
 )
 
-// ElectionDisabled is the Config.ElectionOverhead sentinel that charges no
-// election compute time at all. A plain zero means "use the default"; before
-// the sentinel existed, zero overhead was unrepresentable.
-const ElectionDisabled = -1
+// ElectionOverhead is the local cost-model computation time charged per rank
+// during Init and again on each failover re-election, in nanoseconds: 50 µs.
+const ElectionOverhead int64 = 50_000
 
 // Config tunes a TAPIOCA writer/reader.
 type Config struct {
@@ -99,10 +98,6 @@ type Config struct {
 	// shape but flat rides on the node-staged base level. Nil, or the flat
 	// shape, defers to IntraNodeStaging.
 	Tree *tree.Shape
-	// ElectionOverhead is the local cost-model computation time charged per
-	// rank during Init, in nanoseconds. Zero selects the 50 µs default;
-	// ElectionDisabled (or any negative value) charges nothing.
-	ElectionOverhead int64
 	// Codec enables the per-round reduction stage: each aggregator
 	// compresses a filled buffer before flushing it, trading compute time
 	// for flush bytes. Virtual time prices the codec's modeled ratio and
@@ -142,9 +137,6 @@ func (c *Config) ApplyDefaults(ranks int) {
 	}
 	if c.Aggregators > ranks {
 		c.Aggregators = ranks
-	}
-	if c.ElectionOverhead == 0 {
-		c.ElectionOverhead = 50_000
 	}
 	if c.Placement == nil {
 		c.Placement = PlacementTopologyAware

@@ -499,47 +499,6 @@ func TestRoundsMatchFormula(t *testing.T) {
 	})
 }
 
-func TestElectionOverheadSentinel(t *testing.T) {
-	// Zero means "default" (50 µs); the ElectionDisabled sentinel charges
-	// nothing — before it existed, zero overhead was unrepresentable.
-	var cfg Config
-	cfg.ApplyDefaults(64)
-	if cfg.ElectionOverhead != 50_000 {
-		t.Fatalf("default overhead = %d, want 50µs", cfg.ElectionOverhead)
-	}
-	cfg = Config{ElectionOverhead: ElectionDisabled}
-	cfg.ApplyDefaults(64)
-	if cfg.ElectionOverhead >= 0 {
-		t.Fatalf("sentinel resolved to %d, must stay disabled", cfg.ElectionOverhead)
-	}
-	// End to end: a disabled election finishes Init strictly earlier.
-	elapsed := func(overhead int64) int64 {
-		var now int64
-		runFlat(t, 4, 2, func(c *mpi.Comm, sys storage.System) {
-			var f *storage.File
-			if c.Rank() == 0 {
-				f = sys.Create("f", storage.FileOptions{})
-			}
-			f = c.Bcast(0, 8, f).(*storage.File)
-			w := New(c, sys, f, Config{Aggregators: 1, ElectionOverhead: overhead})
-			w.Init([][]storage.Seg{{storage.Contig(int64(c.Rank())*100, 100)}})
-			if c.Rank() == 0 {
-				now = c.Now()
-			}
-			w.WriteAll()
-			c.Barrier()
-		})
-		return now
-	}
-	def, disabled := elapsed(0), elapsed(ElectionDisabled)
-	if disabled >= def {
-		t.Fatalf("disabled election Init (%d ns) not earlier than default (%d ns)", disabled, def)
-	}
-	if def-disabled < 50_000 {
-		t.Fatalf("default charged only %d ns over disabled, want >= 50µs", def-disabled)
-	}
-}
-
 func TestEstimatePlanMatchesPlanner(t *testing.T) {
 	const mb = 1 << 20
 	all := make([][]storage.Seg, 8)

@@ -69,10 +69,6 @@ func goldenSetupCases() []setupCase {
 		{name: "fanin2", ranks: 64, rpn: 4, decl: random, cfg: with(func(c *Config) { c.Tree = shape("fanin:2") })},
 		{name: "torus-group", ranks: 64, rpn: 4, torus: true, decl: random,
 			cfg: with(func(c *Config) { c.Tree, c.Aggregators = shape("group"), 3 })},
-		{name: "election-disabled", ranks: 32, rpn: 2, decl: iorDecl,
-			cfg: with(func(c *Config) { c.ElectionOverhead = ElectionDisabled })},
-		{name: "election-overhead", ranks: 32, rpn: 2, decl: iorDecl,
-			cfg: with(func(c *Config) { c.ElectionOverhead = 123_457 })},
 		{name: "straddle-17-16", ranks: 33, rpn: 3, decl: random, cfg: base},
 		{name: "straddle-17-16-fanin2", ranks: 33, rpn: 3, decl: random,
 			cfg: with(func(c *Config) { c.Tree = shape("fanin:2") })},

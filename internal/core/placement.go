@@ -15,10 +15,7 @@ import (
 // WinCreate and the Split by node.
 func (w *Writer) setupPartition(pp *partPlan, maxT int64) int64 {
 	pc := w.pc
-	t := maxT
-	if w.cfg.ElectionOverhead > 0 {
-		t += w.cfg.ElectionOverhead
-	}
+	t := maxT + ElectionOverhead
 	var redBytes int64
 	pp.agg, redBytes = w.electPartition(pp)
 	t = pc.TreeCost(t, redBytes)

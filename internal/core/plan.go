@@ -228,7 +228,7 @@ func (b *planBuilder) extract(rg *region, x0, x1 int64) []storage.Seg {
 		return nil
 	}
 	if rg.dense() {
-		lo, hi := maxI64(x0, rg.lo), minI64(x1, rg.hi)
+		lo, hi := max(x0, rg.lo), min(x1, rg.hi)
 		if hi <= lo {
 			return nil
 		}
@@ -523,18 +523,4 @@ func sortInt32(s []int32) {
 			s[j], s[j-1] = s[j-1], s[j]
 		}
 	}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

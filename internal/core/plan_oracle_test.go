@@ -68,7 +68,7 @@ func (r *refRegion) extract(x0, x1 int64) []storage.Seg {
 		return nil
 	}
 	if r.dense() {
-		lo, hi := maxI64(x0, r.lo), minI64(x1, r.hi)
+		lo, hi := max(x0, r.lo), min(x1, r.hi)
 		if hi <= lo {
 			return nil
 		}

@@ -116,9 +116,8 @@ func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, op storage.Op) *sim.Event
 			return nil
 		}
 		// Transient: bounded retry with deterministic backoff.
-		pol := rc.PolicyFor(sys.Name())
-		if rc != nil && attempt < pol.MaxAttempts && spent < pol.Budget {
-			d := pol.Backoff(attempt)
+		if rc != nil && attempt < fault.RetryAttempts && spent < fault.RetryBudget {
+			d := fault.Backoff(attempt)
 			attempt++
 			spent += d
 			p.Hold(d)
@@ -211,11 +210,7 @@ func (w *Writer) failover(p *sim.Proc, r int, pending *[2]*sim.Event, jobs *stor
 		return nil
 	}
 	// Detection plus the local re-election compute, charged on every member.
-	hold := rc.DetectCost()
-	if w.cfg.ElectionOverhead > 0 {
-		hold += w.cfg.ElectionOverhead
-	}
-	p.Hold(hold)
+	p.Hold(fault.DetectLatency + ElectionOverhead)
 
 	wasAgg := w.isAgg
 	newAgg := w.reelect(w.aggLocal)

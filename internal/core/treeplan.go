@@ -230,7 +230,7 @@ func (w *Writer) buildStaging(shape tree.Shape, pp *partPlan) *staging {
 
 	var t *tree.Tree
 	if !shape.Degenerate() {
-		t = w.buildTree(shape, pp, members)
+		t = w.buildTree(shape, pp, ng)
 	}
 	aggNode := pc.NodeOfRank(pp.agg)
 	roles := make([]groupRole, ng)
@@ -313,24 +313,17 @@ func (w *Writer) buildStaging(shape tree.Shape, pp *partPlan) *staging {
 	return st
 }
 
-// buildTree synthesizes shape over the partition's node groups (members, in
-// first-appearance order), weighted by the planner's per-member volumes, or
-// returns nil when the node mapping defeats it — a node whose members are
-// not one run of local ranks — or it comes out without interior levels.
-func (w *Writer) buildTree(shape tree.Shape, pp *partPlan, members [][]int) *tree.Tree {
-	leaders := make([]tree.Leader, len(members))
-	starts := make([]int, 0, len(members)+1)
-	for g, ms := range members {
-		if ms[len(ms)-1]-ms[0] != len(ms)-1 {
-			return nil
-		}
-		leaders[g].Node = w.pc.NodeOfRank(ms[0])
-		for _, l := range ms {
-			leaders[g].Bytes += pp.omega[l]
-		}
-		starts = append(starts, ms[0])
+// buildTree synthesizes shape over the partition's node groups, weighted by
+// the election table's per-member volumes, or returns nil when the node
+// mapping defeats it — a node whose members are not one run of local ranks,
+// so the runs outnumber the groups — or it comes out without interior
+// levels. When every node is one run, the runs are the groups in
+// first-appearance order.
+func (w *Writer) buildTree(shape tree.Shape, pp *partPlan, groups int) *tree.Tree {
+	leaders, starts := tree.Leaders(pp.members)
+	if len(leaders) > groups {
+		return nil
 	}
-	starts = append(starts, pp.rankN)
 	var grouper tree.Grouper
 	if fab := w.c.World().Fabric(); fab != nil {
 		grouper = tree.GrouperOf(fab.Topology())

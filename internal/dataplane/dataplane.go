@@ -105,7 +105,7 @@ func (pl *Plane) first(lo int64) int {
 func (pl *Plane) Each(lo, hi int64, fn func(off int64, chunk []byte)) {
 	for i := pl.first(lo); i < len(pl.runs) && pl.runs[i].off < hi; i++ {
 		r := &pl.runs[i]
-		o, e := maxI64(r.off, lo), minI64(r.end, hi)
+		o, e := max(r.off, lo), min(r.end, hi)
 		if e <= o {
 			continue
 		}
@@ -165,7 +165,7 @@ func (pl *Plane) Checksum() uint64 {
 	shards := make([]shard, 0, k)
 	runIdx, skip, remaining := 0, int64(0), pl.total
 	for remaining > 0 {
-		n := minI64(per, remaining)
+		n := min(per, remaining)
 		shards = append(shards, shard{run: runIdx, skip: skip, n: n})
 		for adv := n; adv > 0; {
 			avail := (pl.runs[runIdx].end - pl.runs[runIdx].off) - skip
@@ -205,18 +205,4 @@ func (pl *Plane) checksumRange(runIdx int, skip, n int64) uint64 {
 		skip = 0
 	}
 	return crc
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

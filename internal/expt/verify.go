@@ -114,9 +114,6 @@ func VerifyDataPlaneStats(env Env) (VerifyStats, error) {
 		total := time.Since(start)
 		stats.VerifySeconds += verifyDur.Seconds()
 		stats.PipelineSeconds += (total - verifyDur).Seconds()
-		if f := r.sys.Lookup("verify"); f != nil {
-			env.Observer.Metrics(env.label).Add("storage.capture_dropped", f.CaptureDropped())
-		}
 		if err == nil {
 			err = failure
 		}

@@ -1,9 +1,9 @@
 // Package fault is the deterministic fault plane: a seed-driven schedule of
 // component failures injected beneath the simulation layers (netsim link
 // degradation and loss, storage transients and latency spikes, tier outages,
-// payload bit flips, aggregator deaths), plus the recovery knobs — retry
-// policies, failover, degraded-mode writes, verify-and-repair — that let the
-// layers above absorb them.
+// payload bit flips, aggregator deaths), plus the recovery mechanisms — a
+// bounded retry policy, failover, degraded-mode writes, verify-and-repair —
+// that let the layers above absorb them.
 //
 // Every decision is a pure function of (seed, injection site, site-local
 // ordinals): the same seed replays the same faults byte for byte, serial or
@@ -54,24 +54,28 @@ const (
 	MetricRepairedExtents = "recovery.repaired_extents"
 )
 
+// Fault severities: what one injected fault costs.
+const (
+	slowPenalty     int64   = 2_000_000 // base spike latency, ns (2ms; spikes are 1-4x)
+	stragglerFactor float64 = 4         // straggler service-time multiplier
+	degradeFactor   float64 = 3         // degraded-window duration multiplier
+)
+
 // Config is the fault schedule. Rates are per-decision probabilities in
-// [0, 1]; a zero Config injects nothing. Zero-valued tuning fields
-// (penalties, factors) take the defaults documented on each.
+// [0, 1]; a zero Config injects nothing. A zero RetransmitPenalty takes its
+// documented default.
 type Config struct {
 	Seed uint64
 
 	// Storage plane.
 	StoreFailRate float64 // transient failure per store op
 	StoreSlowRate float64 // latency spike per store op
-	SlowPenalty   int64   // base spike latency, ns (default 2ms; spikes are 1-4x)
 	TierDownAfter int64   // >0: the wrapped tier fails permanently at this virtual time (ns)
 
 	// Network plane.
 	NetLossRate       float64 // transient loss per transfer (retransmit)
 	LinkDegradeRate   float64 // per (src,dst,window) degraded-bandwidth windows
 	StragglerRate     float64 // fraction of nodes that are stragglers
-	StragglerFactor   float64 // straggler service-time multiplier (default 4)
-	DegradeFactor     float64 // degraded-window duration multiplier (default 3)
 	RetransmitPenalty int64   // fixed retransmit timeout, ns (default 50µs)
 
 	// Data/control plane.
@@ -128,29 +132,12 @@ type Plan struct {
 	taken map[uint64]bool
 }
 
-// NewPlan instantiates cfg, filling zero-valued tuning fields with defaults.
+// NewPlan instantiates cfg, defaulting a zero RetransmitPenalty.
 func NewPlan(cfg Config) *Plan {
-	if cfg.SlowPenalty == 0 {
-		cfg.SlowPenalty = 2_000_000 // 2ms
-	}
-	if cfg.StragglerFactor == 0 {
-		cfg.StragglerFactor = 4
-	}
-	if cfg.DegradeFactor == 0 {
-		cfg.DegradeFactor = 3
-	}
 	if cfg.RetransmitPenalty == 0 {
 		cfg.RetransmitPenalty = 50_000 // 50µs
 	}
 	return &Plan{cfg: cfg, taken: make(map[uint64]bool)}
-}
-
-// Config returns the (default-filled) schedule the plan was built from.
-func (pl *Plan) Config() Config {
-	if pl == nil {
-		return Config{}
-	}
-	return pl.cfg
 }
 
 func mix(h uint64) uint64 {
@@ -205,12 +192,12 @@ func (pl *Plan) Store(tier uint64, op int64) StoreOutcome {
 }
 
 // SlowPenalty is the extra latency (ns) of a StoreSlow spike: 1-4x the
-// configured base, deterministic per op.
+// 2ms base, deterministic per op.
 func (pl *Plan) SlowPenalty(tier uint64, op int64) int64 {
 	if pl == nil {
 		return 0
 	}
-	return pl.cfg.SlowPenalty * int64(1+pl.hash(siteSlowAmount, tier, uint64(op))%4)
+	return slowPenalty * int64(1+pl.hash(siteSlowAmount, tier, uint64(op))%4)
 }
 
 // TierDown reports whether the wrapped tier is past its scheduled outage.
@@ -250,11 +237,11 @@ func (pl *Plan) Transfer(src, dst int, start, dur, transfer int64) (int64, NetEf
 		return dur, e
 	}
 	if pl.Straggler(src) || pl.Straggler(dst) {
-		dur = int64(float64(dur) * pl.cfg.StragglerFactor)
+		dur = int64(float64(dur) * stragglerFactor)
 		e.Straggler = true
 	}
 	if pl.roll(pl.cfg.LinkDegradeRate, siteLinkDegrade, uint64(src), uint64(dst), uint64(start/degradeWindow)) {
-		dur = int64(float64(dur) * pl.cfg.DegradeFactor)
+		dur = int64(float64(dur) * degradeFactor)
 		e.Degraded = true
 	}
 	if pl.roll(pl.cfg.NetLossRate, siteNetLoss, uint64(transfer)) {
@@ -308,81 +295,42 @@ func TierID(name string) uint64 {
 	return h
 }
 
-// RetryPolicy bounds the retry loop for transient store failures. Backoff
-// is charged as virtual-time Hold, so it is deterministic and shows up in
-// traces. The zero value means "use defaults" (4 attempts, 200µs base,
-// 2x growth, 10ms cap, 100ms total budget).
-type RetryPolicy struct {
-	MaxAttempts int     // retries after the first try
-	Base        int64   // first backoff, ns
-	Factor      float64 // growth per attempt
-	Cap         int64   // per-backoff cap, ns
-	Budget      int64   // total backoff budget, ns
-}
-
-// WithDefaults fills zero fields with the documented defaults.
-func (rp RetryPolicy) WithDefaults() RetryPolicy {
-	if rp.MaxAttempts == 0 {
-		rp.MaxAttempts = 4
-	}
-	if rp.Base == 0 {
-		rp.Base = 200_000 // 200µs
-	}
-	if rp.Factor == 0 {
-		rp.Factor = 2
-	}
-	if rp.Cap == 0 {
-		rp.Cap = 10_000_000 // 10ms
-	}
-	if rp.Budget == 0 {
-		rp.Budget = 100_000_000 // 100ms
-	}
-	return rp
-}
+// The retry policy for transient store failures: up to RetryAttempts
+// retries after the first try, each preceded by Backoff(attempt), while the
+// backoff spent stays under RetryBudget. Backoff is charged as virtual-time
+// Hold, so it is deterministic and shows up in traces.
+const (
+	RetryAttempts         = 4           // retries after the first try
+	RetryBase     int64   = 200_000     // first backoff, ns (200µs)
+	RetryFactor   float64 = 2           // growth per attempt
+	RetryCap      int64   = 10_000_000  // per-backoff cap, ns (10ms)
+	RetryBudget   int64   = 100_000_000 // total backoff budget, ns (100ms)
+)
 
 // Backoff is the deterministic virtual-time backoff before retry number
-// attempt (0-based): Base * Factor^attempt, capped at Cap.
-func (rp RetryPolicy) Backoff(attempt int) int64 {
-	d := float64(rp.Base) * math.Pow(rp.Factor, float64(attempt))
-	if d >= float64(rp.Cap) {
-		return rp.Cap
+// attempt (0-based): RetryBase * RetryFactor^attempt, capped at RetryCap.
+func Backoff(attempt int) int64 {
+	d := float64(RetryBase) * math.Pow(RetryFactor, float64(attempt))
+	if d >= float64(RetryCap) {
+		return RetryCap
 	}
 	return int64(d)
 }
+
+// DetectLatency is the virtual time (ns) charged to detect an aggregator
+// failure on failover: 250µs.
+const DetectLatency int64 = 250_000
 
 // Recovery selects which self-healing mechanisms are armed. A nil *Recovery
 // means faults are injected but nothing recovers (losses are counted, dead
 // aggregators stay dead).
 type Recovery struct {
-	Retry         RetryPolicy            // default policy for transient store errors
-	PerTier       map[string]RetryPolicy // per-tier overrides, keyed by System.Name()
-	Failover      bool                   // re-elect + replay on aggregator death
-	Degraded      bool                   // fall back to the backing tier on ErrTierDown
-	Repair        bool                   // targeted re-read/re-write of corrupt extents
-	DetectLatency int64                  // failure-detection cost charged on failover, ns (default 250µs)
+	Failover bool // re-elect + replay on aggregator death
+	Degraded bool // fall back to the backing tier on ErrTierDown
+	Repair   bool // targeted re-read/re-write of corrupt extents
 }
 
-// DefaultRecovery arms everything with default tuning.
+// DefaultRecovery arms everything.
 func DefaultRecovery() *Recovery {
 	return &Recovery{Failover: true, Degraded: true, Repair: true}
-}
-
-// PolicyFor resolves the retry policy for a tier, falling back to the
-// default policy. Safe on nil (returns the all-defaults policy).
-func (r *Recovery) PolicyFor(tier string) RetryPolicy {
-	if r != nil {
-		if p, ok := r.PerTier[tier]; ok {
-			return p.WithDefaults()
-		}
-		return r.Retry.WithDefaults()
-	}
-	return RetryPolicy{}.WithDefaults()
-}
-
-// DetectCost is the virtual time charged to detect an aggregator failure.
-func (r *Recovery) DetectCost() int64 {
-	if r != nil && r.DetectLatency > 0 {
-		return r.DetectLatency
-	}
-	return 250_000 // 250µs
 }

@@ -110,40 +110,22 @@ func TestTakeCorruptionConsumed(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	rp := RetryPolicy{}.WithDefaults()
 	prev := int64(0)
 	for i := 0; i < 10; i++ {
-		d := rp.Backoff(i)
+		d := Backoff(i)
 		if d < prev {
 			t.Fatalf("backoff shrank at attempt %d: %d < %d", i, d, prev)
 		}
-		if d > rp.Cap {
-			t.Fatalf("backoff %d exceeds cap %d", d, rp.Cap)
+		if d > RetryCap {
+			t.Fatalf("backoff %d exceeds cap %d", d, RetryCap)
 		}
 		prev = d
 	}
-	if rp.Backoff(0) != rp.Base {
-		t.Fatalf("first backoff %d != base %d", rp.Backoff(0), rp.Base)
+	if Backoff(0) != RetryBase {
+		t.Fatalf("first backoff %d != base %d", Backoff(0), RetryBase)
 	}
-	if rp.Backoff(9) != rp.Cap {
+	if Backoff(9) != RetryCap {
 		t.Fatal("backoff never reached cap")
-	}
-}
-
-func TestRecoveryPolicyFor(t *testing.T) {
-	r := &Recovery{PerTier: map[string]RetryPolicy{"lustre": {MaxAttempts: 9}}}
-	if got := r.PolicyFor("lustre").MaxAttempts; got != 9 {
-		t.Fatalf("per-tier override ignored: %d", got)
-	}
-	if got := r.PolicyFor("gpfs").MaxAttempts; got != 4 {
-		t.Fatalf("default policy wrong: %d", got)
-	}
-	var nilRec *Recovery
-	if got := nilRec.PolicyFor("x").MaxAttempts; got != 4 {
-		t.Fatalf("nil recovery policy wrong: %d", got)
-	}
-	if nilRec.DetectCost() <= 0 {
-		t.Fatal("nil recovery detect cost must be positive")
 	}
 }
 

@@ -166,7 +166,7 @@ func (c *Comm) FenceLocal(ready int64) int64 {
 				hi = t
 			}
 		}
-		hi += c.s.w.cfg.Overhead
+		hi += callOverhead
 		return hi, hi
 	})
 	return res.(int64)

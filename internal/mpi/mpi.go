@@ -47,16 +47,14 @@ type Config struct {
 	Fabric *netsim.Fabric
 	// Engine to run on; one is created if nil.
 	Engine *sim.Engine
-	// Overhead is the per-call MPI software overhead in ns (default 1.2 µs).
-	Overhead int64
-	// CollectiveHops is the per-round hop estimate used by the analytic
-	// collective cost model (default: topology-dependent).
-	CollectiveHops int
 	// Recorder is the optional flight recorder. When set it is attached to
 	// the engine and fabric, and rank procs are assigned trace tracks
 	// (pid = compute node, tid = world rank).
 	Recorder *obs.Recorder
 }
+
+// callOverhead is the per-call MPI software overhead in ns: 1.2 µs.
+const callOverhead int64 = 1200
 
 // World is the simulated MPI job: the scheduler-facing handle that owns all
 // rank procs and communicator state.
@@ -66,6 +64,9 @@ type World struct {
 	fabric *netsim.Fabric
 	nodeOf []int
 	nextID int
+	// collHops is the per-round hop estimate of the analytic collective
+	// cost model (see collectiveHops).
+	collHops int
 }
 
 // Run spawns cfg.Ranks procs, each executing body with its own world
@@ -103,20 +104,14 @@ func NewWorld(cfg Config) (*World, *commShared, error) {
 	if cfg.RanksPerNode <= 0 {
 		cfg.RanksPerNode = 1
 	}
-	if cfg.Overhead <= 0 {
-		cfg.Overhead = 1200
-	}
 	if cfg.Engine == nil {
 		cfg.Engine = sim.NewEngine()
-	}
-	if cfg.CollectiveHops <= 0 {
-		cfg.CollectiveHops = defaultCollectiveHops(cfg.Fabric.Topology())
 	}
 	if cfg.Recorder != nil {
 		cfg.Engine.SetRecorder(cfg.Recorder)
 		cfg.Fabric.SetRecorder(cfg.Recorder)
 	}
-	w := &World{cfg: cfg, eng: cfg.Engine, fabric: cfg.Fabric}
+	w := &World{cfg: cfg, eng: cfg.Engine, fabric: cfg.Fabric, collHops: collectiveHops(cfg.Fabric.Topology())}
 	w.nodeOf = make([]int, cfg.Ranks)
 	nodes := cfg.Fabric.Topology().Nodes()
 	for r := range w.nodeOf {
@@ -136,15 +131,15 @@ func NewWorld(cfg Config) (*World, *commShared, error) {
 	return w, w.newCommShared(ranks), nil
 }
 
-// defaultCollectiveHops estimates the typical hop count of tree edges.
-func defaultCollectiveHops(t topology.Topology) int {
+// collectiveHops estimates the typical hop count of tree edges.
+func collectiveHops(t topology.Topology) int {
 	switch tt := t.(type) {
 	case *topology.Torus5D:
 		d := 0
 		for _, s := range tt.Dims {
 			d += s / 2
 		}
-		return maxInt(d/2, 1)
+		return max(d/2, 1)
 	case *topology.Dragonfly:
 		return 5
 	default:
@@ -258,7 +253,7 @@ func (c *Comm) Compute(d int64) { c.p.Hold(d) }
 // alpha is the per-round latency term of the analytic collective model.
 func (c *Comm) alpha() int64 {
 	w := c.s.w
-	return w.cfg.Overhead + int64(w.cfg.CollectiveHops)*w.fabric.Config().PerHopLatency
+	return callOverhead + int64(w.collHops)*w.fabric.Topology().Latency()
 }
 
 // logRounds returns ⌈log₂ n⌉ (minimum 1).
@@ -267,11 +262,4 @@ func logRounds(n int) int64 {
 		return 1
 	}
 	return int64(math.Ceil(math.Log2(float64(n))))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -360,7 +360,7 @@ func TestWinPutFence(t *testing.T) {
 		}
 		w.FenceAfter(free)
 		if c.Rank() == 0 {
-			if got := w.LastEpochFill(0); got != 3000 {
+			if got := capturedBytes(w, 0); got != 3000 {
 				t.Errorf("fill = %d, want 3000", got)
 			}
 			spans := w.CapturedWrites(0)
@@ -468,10 +468,22 @@ func TestGetThenFence(t *testing.T) {
 	}
 }
 
+// capturedBytes sums the bytes of every captured span targeting rank r,
+// across all epochs so far.
+func capturedBytes(w *Win, r int) int64 {
+	var n int64
+	for _, s := range w.CapturedWrites(r) {
+		n += s.Bytes
+	}
+	return n
+}
+
 func TestMultipleEpochs(t *testing.T) {
 	const rounds = 4
 	_, err := Run(testConfig(3, 1), func(c *Comm) {
 		w := c.WinCreate(1 << 16)
+		w.SetCapture(true)
+		var before int64 // rank 0's captured bytes before this epoch
 		for r := 0; r < rounds; r++ {
 			var free int64
 			if c.Rank() != 0 {
@@ -479,12 +491,13 @@ func TestMultipleEpochs(t *testing.T) {
 			}
 			w.FenceAfter(free)
 			if c.Rank() == 0 {
-				if got := w.LastEpochFill(0); got != 2<<10 {
+				// Exactly this epoch's two puts, none carried over from the
+				// last epoch and none yet from the next.
+				total := capturedBytes(w, 0)
+				if got := total - before; got != 2<<10 {
 					t.Errorf("round %d fill = %d", r, got)
 				}
-				if w.EpochFill(0) != 0 {
-					t.Error("current epoch fill not reset")
-				}
+				before = total
 			}
 		}
 	})
@@ -503,9 +516,10 @@ func TestRanksOnTorusNodes(t *testing.T) {
 		}
 		// Neighbour puts across the whole torus, closed by one fence.
 		w := c.WinCreate(1024)
+		w.SetCapture(true)
 		next := (c.Rank() + 1) % c.Size()
 		w.FenceAfter(w.PutGather(next, 0, 1024, nil))
-		if got := w.LastEpochFill(c.Rank()); got != 1024 {
+		if got := capturedBytes(w, c.Rank()); got != 1024 {
 			t.Errorf("rank %d window fill %d, want 1024", c.Rank(), got)
 		}
 	})

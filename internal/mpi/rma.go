@@ -25,9 +25,7 @@ type winShared struct {
 	epochArrival int64      // completion horizon of the current epoch's ops
 	rv           rendezvous // the fences' gates, one per epoch
 
-	fill     []int64     // bytes put into each rank's window this epoch
-	lastFill []int64     // fill of the epoch closed by the last Fence
-	writes   [][]WinSpan // per target, captured spans (allocated by SetCapture)
+	writes [][]WinSpan // per target, captured spans (allocated by SetCapture)
 
 	// mem holds each rank's real window memory, allocated lazily on the
 	// first payload-carrying access (the data plane). Phantom sessions —
@@ -39,7 +37,7 @@ type winShared struct {
 // memOf returns (allocating on first use) rank r's real window memory.
 func (s *winShared) memOf(r int) []byte {
 	if s.mem == nil {
-		s.mem = make([][]byte, len(s.fill))
+		s.mem = make([][]byte, len(s.comm.ranks))
 	}
 	if s.mem[r] == nil {
 		s.mem[r] = make([]byte, s.size)
@@ -69,11 +67,9 @@ func (c *Comm) WinCreate(size int64) *Win {
 // Each member binds it with AdoptWin before use.
 func (c *Comm) CarveWin(size int64) *Win {
 	return &Win{s: &winShared{
-		comm:     c.s,
-		rv:       rendezvous{comm: c.s.id},
-		size:     size,
-		fill:     make([]int64, c.Size()),
-		lastFill: make([]int64, c.Size()),
+		comm: c.s,
+		rv:   rendezvous{comm: c.s.id},
+		size: size,
 	}}
 }
 
@@ -90,12 +86,12 @@ func (c *Comm) AdoptWin(w *Win) *Win {
 func (w *Win) SetCapture(on bool) {
 	w.s.capture = on
 	if on && w.s.writes == nil {
-		w.s.writes = make([][]WinSpan, len(w.s.fill))
+		w.s.writes = make([][]WinSpan, len(w.s.comm.ranks))
 	}
 }
 
-// bookPut performs a one-sided put's fabric reservation and epoch
-// bookkeeping; it moves no bytes.
+// bookPut performs a one-sided put's fabric reservation and extends the
+// epoch's completion horizon; it moves no bytes.
 func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
 	c := w.c
 	if target < 0 || target >= c.Size() {
@@ -109,7 +105,6 @@ func (w *Win) bookPut(target int, offset, bytes int64) (senderFree int64) {
 	if arrival > w.s.epochArrival {
 		w.s.epochArrival = arrival
 	}
-	w.s.fill[target] += bytes
 	return senderFree
 }
 
@@ -190,7 +185,7 @@ func (w *Win) Get(target int, offset, bytes int64) {
 	if arrival > w.s.epochArrival {
 		w.s.epochArrival = arrival
 	}
-	c.p.Hold(c.s.w.cfg.Overhead)
+	c.p.Hold(callOverhead)
 }
 
 // GetScatter is Get with a real, zero-copy destination: the scatter
@@ -262,22 +257,11 @@ func (w *Win) fence(n int) int64 {
 	// Last arriver: close the epoch and release everyone at the common time.
 	release := max(c.TreeCost(g.maxT, 0), s.epochArrival)
 	s.epochArrival = 0
-	copy(s.lastFill, s.fill)
-	clear(s.fill)
 	s.rv.release(p.Engine(), g, release)
 	p.HoldUntil(release)
 	p.TraceSpan("mpi", fenceKind, entry, p.Now(), 0)
 	return release
 }
-
-// EpochFill returns the bytes put into rank r's window during the current
-// epoch (diagnostic; TAPIOCA asserts buffers are exactly filled).
-func (w *Win) EpochFill(r int) int64 { return w.s.fill[r] }
-
-// LastEpochFill returns the bytes that had been put into rank r's window in
-// the epoch closed by the most recent Fence — what an aggregator is about to
-// flush.
-func (w *Win) LastEpochFill(r int) int64 { return w.s.lastFill[r] }
 
 // CapturedWrites returns the captured spans targeting rank r, sorted by
 // offset. Only meaningful with SetCapture(true); spans accumulate across

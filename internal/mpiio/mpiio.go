@@ -111,25 +111,22 @@ type Hints struct {
 	// with per-rank messages. An unparsable plan is reported by the first
 	// collective call.
 	TreePlan string
-	// RecvOverhead is the aggregator-side CPU cost per received piece in
+}
+
+const (
+	// recvOverhead is the aggregator-side CPU cost per received piece in
 	// the two-sided aggregation exchange (message matching + unpacking on
 	// the slow A2/KNL cores). TAPIOCA's one-sided puts bypass this — one of
-	// the paper's arguments for RMA. Default 40 µs.
-	RecvOverhead int64
-	// CopyRate is the aggregator's single-core staging-buffer assembly
-	// bandwidth (bytes/s, including datatype processing). Default 0.8 GB/s.
-	CopyRate float64
-}
+	// the paper's arguments for RMA. 40 µs.
+	recvOverhead int64 = 40_000
+	// copyRate is the aggregator's single-core staging-buffer assembly
+	// bandwidth (bytes/s, including datatype processing): 0.8 GB/s.
+	copyRate float64 = 0.8e9
+)
 
 func (h *Hints) setDefaults(c *mpi.Comm) {
 	if h.CBBufferSize <= 0 {
 		h.CBBufferSize = 16 << 20
-	}
-	if h.RecvOverhead <= 0 {
-		h.RecvOverhead = 40_000
-	}
-	if h.CopyRate <= 0 {
-		h.CopyRate = 0.8e9
 	}
 	if h.CBNodes <= 0 {
 		h.CBNodes = c.Nodes()

@@ -25,13 +25,12 @@ func (fh *File) ioSys() storage.System {
 
 // guarded issues one blocking round write (or read) with the recovery loop.
 // On a system without a fault plan this is one plain storage.Do; with one,
-// transients retry under the default policy, a tier outage degrades when a
+// transients retry under the fixed retry policy, a tier outage degrades when a
 // fallback tier exists, and an exhausted budget hands the op back to the
 // self-healing plain path so the collective still completes.
 func (fh *File) guarded(op storage.Op, segs []storage.Seg) {
 	p := fh.c.Proc()
 	node := fh.c.Node()
-	pol := fault.RetryPolicy{}.WithDefaults()
 	for attempt, spent := 0, int64(0); ; {
 		sys := fh.ioSys()
 		tier, err := storage.Try(p, sys)
@@ -49,8 +48,8 @@ func (fh *File) guarded(op storage.Op, segs []storage.Seg) {
 			storage.Do(p, sys, node, fh.f, segs, op) // no fallback tier; the plain path completes the op
 			return
 		}
-		if attempt < pol.MaxAttempts && spent < pol.Budget {
-			d := pol.Backoff(attempt)
+		if attempt < fault.RetryAttempts && spent < fault.RetryBudget {
+			d := fault.Backoff(attempt)
 			attempt++
 			spent += d
 			p.Hold(d)

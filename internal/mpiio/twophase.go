@@ -446,7 +446,7 @@ func (fh *File) aggregate(plan *schedule, rd roundData, horizon int64, planes []
 	}
 	p := fh.c.Proc()
 	p.HoldUntil(horizon)
-	p.Hold(int64(rd.pieces)*fh.hints.RecvOverhead + sim.TransferTime(rd.bytes, fh.hints.CopyRate))
+	p.Hold(int64(rd.pieces)*recvOverhead + sim.TransferTime(rd.bytes, copyRate))
 	if planes != nil {
 		exts := fh.extScratch[:0]
 		for _, rp := range planes {

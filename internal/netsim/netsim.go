@@ -32,21 +32,17 @@ const (
 	ContentionLinks
 )
 
-// Config tunes a Fabric. Zero values take topology-derived defaults.
+// softwareOverhead is the per-message sender-side software cost (ns): 1 µs.
+const softwareOverhead int64 = 1000
+
+// Config tunes a Fabric. The per-hop latency is the topology's, and every
+// NIC ejects at its injection rate.
 type Config struct {
 	// Contention selects ContentionEndpoint or ContentionLinks.
 	Contention int
-	// InjectRate is the per-node NIC injection bandwidth (bytes/sec).
-	// Default: the topology's injection-level bandwidth.
+	// InjectRate is the per-node NIC injection (and ejection) bandwidth
+	// (bytes/sec). Default: the topology's injection-level bandwidth.
 	InjectRate float64
-	// EjectRate is the per-node NIC ejection bandwidth (bytes/sec).
-	// Default: InjectRate.
-	EjectRate float64
-	// PerHopLatency overrides the topology's per-hop latency (ns).
-	PerHopLatency int64
-	// SoftwareOverhead is the per-message sender-side software cost (ns).
-	// Default: 1 µs.
-	SoftwareOverhead int64
 	// Reference runs the machine on its unoptimized reference paths: the
 	// fabric re-derives every route per transfer instead of caching paths,
 	// and the storage models and the TAPIOCA planner on this fabric leave
@@ -68,10 +64,9 @@ type pathEntry struct {
 // All methods must be called from the running sim proc (single-threaded
 // virtual-time discipline).
 type Fabric struct {
-	topo topology.Topology
-	cfg  Config
-
-	minNIC float64 // min(InjectRate, EjectRate), folded once
+	topo   topology.Topology
+	cfg    Config
+	hopLat int64 // the topology's per-hop latency (ns)
 
 	nicIn  []*sim.GapResource // lazily created on first use
 	nicOut []*sim.GapResource
@@ -115,20 +110,11 @@ func New(topo topology.Topology, cfg Config) *Fabric {
 	if cfg.InjectRate <= 0 {
 		cfg.InjectRate = topo.Bandwidth(topology.LevelInjection)
 	}
-	if cfg.EjectRate <= 0 {
-		cfg.EjectRate = cfg.InjectRate
-	}
-	if cfg.PerHopLatency <= 0 {
-		cfg.PerHopLatency = topo.Latency()
-	}
-	if cfg.SoftwareOverhead <= 0 {
-		cfg.SoftwareOverhead = 1000
-	}
 	n := topo.Nodes()
 	f := &Fabric{
 		topo:   topo,
 		cfg:    cfg,
-		minNIC: math.Min(cfg.InjectRate, cfg.EjectRate),
+		hopLat: topo.Latency(),
 		nicIn:  make([]*sim.GapResource, n),
 		nicOut: make([]*sim.GapResource, n),
 		links:  make([]*sim.GapResource, topo.NumLinks()),
@@ -213,7 +199,7 @@ func (f *Fabric) nicOutFor(i int) *sim.GapResource {
 func (f *Fabric) nicInFor(i int) *sim.GapResource {
 	r := f.nicIn[i]
 	if r == nil {
-		r = sim.NewGapResource(fmt.Sprintf("nic-in-%d", i), f.cfg.EjectRate)
+		r = sim.NewGapResource(fmt.Sprintf("nic-in-%d", i), f.cfg.InjectRate)
 		f.nicIn[i] = r
 	}
 	return r
@@ -275,7 +261,7 @@ func (f *Fabric) buildPath(src, dst int) pathEntry {
 func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arrival int64) {
 	f.transfers++
 	f.totalBytes += bytes
-	start := now + f.cfg.SoftwareOverhead
+	start := now + softwareOverhead
 
 	if src == dst {
 		// Intra-node: shared-memory copy, no NIC involvement.
@@ -290,7 +276,7 @@ func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arri
 	if tracing {
 		f.traceLinks = f.traceLinks[:0]
 	}
-	bottleneck := f.minNIC
+	bottleneck := f.cfg.InjectRate
 	resources := append(f.scratch[:0], f.nicOutFor(src))
 	var hops int
 	if e, ok := f.path(src, dst); ok {
@@ -348,7 +334,7 @@ func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arri
 	}
 
 	senderFree = end
-	arrival = start + int64(hops)*f.cfg.PerHopLatency + dur
+	arrival = start + int64(hops)*f.hopLat + dur
 	return senderFree, arrival
 }
 
@@ -363,7 +349,7 @@ func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arri
 func (f *Fabric) ReserveLocal(now int64, node int, bytes int64) (senderFree, arrival int64) {
 	f.localTransfers++
 	f.localBytes += bytes
-	start := now + f.cfg.SoftwareOverhead
+	start := now + softwareOverhead
 	end := start + sim.TransferTime(bytes, topology.LocalBandwidth)
 	if f.rec.Tracing() {
 		// Staging copies share the node's NIC timeline rows (they are node
@@ -466,7 +452,7 @@ func (f *Fabric) SnapshotMetrics(reg *obs.Registry, horizon int64) {
 // overhead plus per-hop latency), with no resource booking — the cost of a
 // small control message such as a read RPC request.
 func (f *Fabric) LatencyTo(src, dst int) int64 {
-	return f.cfg.SoftwareOverhead + int64(f.topo.Distance(src, dst))*f.cfg.PerHopLatency
+	return softwareOverhead + int64(f.topo.Distance(src, dst))*f.hopLat
 }
 
 // MaxNICUtilization returns the highest busy-time fraction across NICs up to

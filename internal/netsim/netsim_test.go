@@ -179,10 +179,14 @@ func TestDefaultsFromTopology(t *testing.T) {
 	if cfg.InjectRate != tor.Bandwidth(topology.LevelInjection) {
 		t.Errorf("inject rate = %v", cfg.InjectRate)
 	}
-	if cfg.PerHopLatency != tor.Latency() {
-		t.Errorf("hop latency = %v", cfg.PerHopLatency)
+	// A control message pays the 1 µs software overhead plus the
+	// topology's per-hop latency on every hop.
+	src, dst := 0, tor.Nodes()-1
+	want := 1000 + int64(tor.Distance(src, dst))*tor.Latency()
+	if got := f.LatencyTo(src, dst); got != want {
+		t.Errorf("latency %d→%d = %v, want %v", src, dst, got, want)
 	}
-	if cfg.SoftwareOverhead != 1000 {
-		t.Errorf("software overhead = %v", cfg.SoftwareOverhead)
+	if got := f.LatencyTo(src, src); got != 1000 {
+		t.Errorf("same-node latency = %v, want the 1 µs software overhead", got)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // rec.Registry().Add(...) without guards.
 //
 // Metric names are dotted paths, "layer.metric": "net.bytes",
-// "tapioca.rounds", "storage.capture_dropped". Host-side wall-clock
+// "tapioca.rounds", "storage.bytes_written". Host-side wall-clock
 // measurements use the "host." prefix — they are the only
 // non-deterministic values in a snapshot.
 type Registry struct {

@@ -19,91 +19,58 @@ const (
 	LockShared
 )
 
-// GPFSConfig calibrates the Mira-like GPFS model. Zero values take defaults
-// chosen so a Pset's measured peak matches the paper (≈2.8 GB/s per Pset;
-// 89.6 GB/s on 4,096 nodes).
+// GPFS calibration of the Mira-like model, chosen so a Pset's measured peak
+// matches the paper (≈2.8 GB/s per Pset; 89.6 GB/s on 4,096 nodes).
+const (
+	// gpfsBlockSize is the GPFS block (and lock) granularity: 8 MB.
+	gpfsBlockSize int64 = 8 << 20
+	// gpfsIONBandwidth is the effective per-ION bandwidth to storage,
+	// including forwarding overheads: 2.8 GB/s.
+	gpfsIONBandwidth float64 = 2.8e9
+	// gpfsBridgeLinkBW is the bandwidth of each of the two bridge-node→ION
+	// links of a Pset: 1.8 GB/s.
+	gpfsBridgeLinkBW float64 = 1.8e9
+	// gpfsFileBW is the per-file backend ceiling: a single shared file
+	// cannot exceed it regardless of Pset count (GPFS allocation maps one
+	// file onto a bounded NSD set), which is why the paper's Mira
+	// experiments use file-per-Pset subfiling. 13 GB/s.
+	gpfsFileBW float64 = 13e9
+	// gpfsBackendBW is the global file system ceiling: 240 GB/s.
+	gpfsBackendBW float64 = 240e9
+	// gpfsPerOpOverhead is the server-side cost per write/read call: 250 µs.
+	gpfsPerOpOverhead int64 = 250 * sim.Microsecond
+	// gpfsPerRunCost is the client/forwarder cost per contiguous run within
+	// a call (marshaling tiny strided runs is what makes unsieved AoS
+	// writes catastrophic): 1.5 µs.
+	gpfsPerRunCost int64 = 1500
+	// gpfsLockRevocation is the per-block token-bounce penalty: 500 µs.
+	gpfsLockRevocation int64 = 500 * sim.Microsecond
+	// gpfsTokenRevoke is paid in exclusive mode whenever the writing node
+	// of a file changes: the previous holder's write token is revoked and
+	// its cached dirty data written back. With many aggregators
+	// interleaving rounds this dominates — the contention the paper's "lock
+	// sharing" tuning removes. 10 ms.
+	gpfsTokenRevoke int64 = 10 * sim.Millisecond
+	// gpfsReadTokenGrant is paid in exclusive mode for each (node, block)
+	// read token acquisition: 500 µs.
+	gpfsReadTokenGrant int64 = 500 * sim.Microsecond
+	// gpfsReadFactor scales read bandwidth relative to write: 1.25.
+	gpfsReadFactor float64 = 1.25
+)
+
+// GPFSConfig selects the Mira-like GPFS model's lock behaviour; the rest of
+// its calibration is fixed.
 type GPFSConfig struct {
-	// BlockSize is the GPFS block (and lock) granularity. Default 8 MB.
-	BlockSize int64
-	// IONBandwidth is the effective per-ION bandwidth to storage,
-	// including forwarding overheads. Default 2.8 GB/s.
-	IONBandwidth float64
-	// BridgeLinkBW is the bandwidth of each of the two bridge-node→ION
-	// links of a Pset. Default 1.8 GB/s.
-	BridgeLinkBW float64
-	// FileBW is the per-file backend ceiling: a single shared file cannot
-	// exceed it regardless of Pset count (GPFS allocation maps one file
-	// onto a bounded NSD set), which is why the paper's Mira experiments
-	// use file-per-Pset subfiling. Default 13 GB/s.
-	FileBW float64
-	// BackendBW is the global file system ceiling. Default 240 GB/s.
-	BackendBW float64
-	// PerOpOverhead is the server-side cost per write/read call. Default
-	// 250 µs.
-	PerOpOverhead int64
-	// PerRunCost is the client/forwarder cost per contiguous run within a
-	// call (marshaling tiny strided runs is what makes unsieved AoS writes
-	// catastrophic). Default 1.5 µs.
-	PerRunCost int64
 	// LockMode is LockExclusive (default) or LockShared.
 	LockMode int
-	// LockRevocation is the per-block token-bounce penalty. Default 500 µs.
-	LockRevocation int64
-	// TokenRevoke is paid in exclusive mode whenever the writing node of a
-	// file changes: the previous holder's write token is revoked and its
-	// cached dirty data written back. With many aggregators interleaving
-	// rounds this dominates — the contention the paper's "lock sharing"
-	// tuning removes. Default 10 ms.
-	TokenRevoke int64
-	// ReadTokenGrant is paid in exclusive mode for each (node, block) read
-	// token acquisition. Default 500 µs.
-	ReadTokenGrant int64
-	// ReadFactor scales read bandwidth relative to write. Default 1.25.
-	ReadFactor float64
-}
-
-func (c *GPFSConfig) setDefaults() {
-	if c.BlockSize <= 0 {
-		c.BlockSize = 8 << 20
-	}
-	if c.IONBandwidth <= 0 {
-		c.IONBandwidth = 2.8e9
-	}
-	if c.BridgeLinkBW <= 0 {
-		c.BridgeLinkBW = 1.8e9
-	}
-	if c.FileBW <= 0 {
-		c.FileBW = 13e9
-	}
-	if c.BackendBW <= 0 {
-		c.BackendBW = 240e9
-	}
-	if c.PerOpOverhead <= 0 {
-		c.PerOpOverhead = 250 * sim.Microsecond
-	}
-	if c.PerRunCost <= 0 {
-		c.PerRunCost = 1500
-	}
-	if c.LockRevocation <= 0 {
-		c.LockRevocation = 500 * sim.Microsecond
-	}
-	if c.TokenRevoke <= 0 {
-		c.TokenRevoke = 10 * sim.Millisecond
-	}
-	if c.ReadTokenGrant <= 0 {
-		c.ReadTokenGrant = 500 * sim.Microsecond
-	}
-	if c.ReadFactor <= 0 {
-		c.ReadFactor = 1.25
-	}
 }
 
 // GPFS models the Mira storage path: compute node → (torus) → bridge node →
 // ION → GPFS backend, with block-granular write tokens.
 type GPFS struct {
-	cfg  GPFSConfig
-	topo *topology.Torus5D
-	fab  *netsim.Fabric
+	lockMode int
+	topo     *topology.Torus5D
+	fab      *netsim.Fabric
 
 	bridgeLinks [][2]*sim.GapResource // per Pset
 	ionUplink   []*sim.GapResource    // per Pset
@@ -124,17 +91,16 @@ type gpfsFile struct {
 
 // NewGPFS builds a GPFS model attached to a BG/Q torus and its fabric.
 func NewGPFS(topo *topology.Torus5D, fab *netsim.Fabric, cfg GPFSConfig) *GPFS {
-	cfg.setDefaults()
-	g := &GPFS{cfg: cfg, topo: topo, fab: fab, files: map[string]*File{}}
+	g := &GPFS{lockMode: cfg.LockMode, topo: topo, fab: fab, files: map[string]*File{}}
 	psets := topo.IONodes()
 	g.bridgeLinks = make([][2]*sim.GapResource, psets)
 	g.ionUplink = make([]*sim.GapResource, psets)
 	for i := 0; i < psets; i++ {
-		g.bridgeLinks[i][0] = sim.NewGapResource(fmt.Sprintf("bridge-%d-0", i), cfg.BridgeLinkBW)
-		g.bridgeLinks[i][1] = sim.NewGapResource(fmt.Sprintf("bridge-%d-1", i), cfg.BridgeLinkBW)
-		g.ionUplink[i] = sim.NewGapResource(fmt.Sprintf("ion-%d", i), cfg.IONBandwidth)
+		g.bridgeLinks[i][0] = sim.NewGapResource(fmt.Sprintf("bridge-%d-0", i), gpfsBridgeLinkBW)
+		g.bridgeLinks[i][1] = sim.NewGapResource(fmt.Sprintf("bridge-%d-1", i), gpfsBridgeLinkBW)
+		g.ionUplink[i] = sim.NewGapResource(fmt.Sprintf("ion-%d", i), gpfsIONBandwidth)
 	}
-	g.backend = sim.NewGapResource("gpfs-backend", cfg.BackendBW)
+	g.backend = sim.NewGapResource("gpfs-backend", gpfsBackendBW)
 	g.bridgeOf = make([]int32, topo.Nodes())
 	for i := range g.bridgeOf {
 		g.bridgeOf[i] = -1
@@ -154,14 +120,11 @@ func (g *GPFS) nearestBridge(node int) int {
 	return b
 }
 
-// Config returns the effective configuration.
-func (g *GPFS) Config() GPFSConfig { return g.cfg }
-
 func (g *GPFS) Name() string { return "gpfs" }
 
 func (g *GPFS) Create(name string, opt FileOptions) *File {
 	f := &File{Name: name, Opt: opt, impl: &gpfsFile{
-		fileRes:    sim.NewGapResource("gpfs-file-"+name, g.cfg.FileBW),
+		fileRes:    sim.NewGapResource("gpfs-file-"+name, gpfsFileBW),
 		blockOwner: map[int64]int{},
 		lastWriter: -1,
 		readGrants: map[int64]bool{},
@@ -173,7 +136,7 @@ func (g *GPFS) Create(name string, opt FileOptions) *File {
 func (g *GPFS) Lookup(name string) *File { return g.files[name] }
 
 // OptimalUnit is the GPFS block size.
-func (g *GPFS) OptimalUnit(f *File) int64 { return g.cfg.BlockSize }
+func (g *GPFS) OptimalUnit(f *File) int64 { return gpfsBlockSize }
 
 // reserve books one transfer (write or read) through the storage path and
 // returns its completion time.
@@ -181,7 +144,7 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 	gf := f.impl.(*gpfsFile)
 	bytes := TotalBytes(segs)
 	if bytes == 0 {
-		return now + g.cfg.PerOpOverhead
+		return now + gpfsPerOpOverhead
 	}
 	// Compaction keeps the block-token walk and per-run marshaling over whole
 	// patterns rather than window-clipping fragments; the run set (hence the
@@ -194,7 +157,7 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 	pset := g.topo.PsetOf(node)
 
 	// Client-side marshaling of the runs.
-	t := now + runs*g.cfg.PerRunCost
+	t := now + runs*gpfsPerRunCost
 
 	// Torus hop to the nearest bridge node (contends with application
 	// traffic on the fabric).
@@ -212,26 +175,26 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 	// (token negotiation stalls the forwarding pipeline), so it costs
 	// throughput, not just latency.
 	var lockDelay int64
-	if g.cfg.LockMode == LockExclusive {
+	if g.lockMode == LockExclusive {
 		lo, hi := SpanAll(segs)
 		if read {
-			for b := lo / g.cfg.BlockSize; b <= (hi-1)/g.cfg.BlockSize; b++ {
+			for b := lo / gpfsBlockSize; b <= (hi-1)/gpfsBlockSize; b++ {
 				key := b<<20 | int64(node)
 				if !gf.readGrants[key] {
 					gf.readGrants[key] = true
-					lockDelay += g.cfg.ReadTokenGrant
+					lockDelay += gpfsReadTokenGrant
 				}
 			}
 		} else {
 			if gf.lastWriter != node {
 				if gf.lastWriter >= 0 {
-					lockDelay += g.cfg.TokenRevoke
+					lockDelay += gpfsTokenRevoke
 				}
 				gf.lastWriter = node
 			}
-			for b := lo / g.cfg.BlockSize; b <= (hi-1)/g.cfg.BlockSize; b++ {
+			for b := lo / gpfsBlockSize; b <= (hi-1)/gpfsBlockSize; b++ {
 				if owner, ok := gf.blockOwner[b]; ok && owner != node {
-					lockDelay += g.cfg.LockRevocation
+					lockDelay += gpfsLockRevocation
 				}
 				gf.blockOwner[b] = node
 			}
@@ -239,19 +202,19 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 	}
 
 	// ION uplink: per-op overhead plus token stalls plus forwarded bytes.
-	rate := g.cfg.IONBandwidth
+	rate := gpfsIONBandwidth
 	if read {
-		rate *= g.cfg.ReadFactor
+		rate *= gpfsReadFactor
 	}
-	dur := g.cfg.PerOpOverhead + lockDelay + sim.TransferTime(bytes, rate)
+	dur := gpfsPerOpOverhead + lockDelay + sim.TransferTime(bytes, rate)
 	_, t2 := g.ionUplink[pset].ReserveDur(t1, dur, bytes)
 
 	// Per-file ceiling, then the global backend.
-	fileRate := g.cfg.FileBW
-	backRate := g.cfg.BackendBW
+	fileRate := gpfsFileBW
+	backRate := gpfsBackendBW
 	if read {
-		fileRate *= g.cfg.ReadFactor
-		backRate *= g.cfg.ReadFactor
+		fileRate *= gpfsReadFactor
+		backRate *= gpfsReadFactor
 	}
 	_, t3 := gf.fileRes.ReserveDur(t2, sim.TransferTime(bytes, fileRate), bytes)
 	_, t4 := g.backend.ReserveDur(t3, sim.TransferTime(bytes, backRate), bytes)
@@ -265,17 +228,17 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 // aligned configurations where it vanishes. (The storage.FlushModel hook.)
 func (g *GPFS) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64 {
 	if bytes <= 0 {
-		return sim.ToSeconds(g.cfg.PerOpOverhead)
+		return sim.ToSeconds(gpfsPerOpOverhead)
 	}
-	ion := g.cfg.IONBandwidth
+	ion := gpfsIONBandwidth
 	if read {
-		ion *= g.cfg.ReadFactor
+		ion *= gpfsReadFactor
 	}
-	rate := g.cfg.BridgeLinkBW
+	rate := gpfsBridgeLinkBW
 	if ion < rate {
 		rate = ion
 	}
-	return sim.ToSeconds(runs*g.cfg.PerRunCost+g.cfg.PerOpOverhead) + float64(bytes)/rate
+	return sim.ToSeconds(runs*gpfsPerRunCost+gpfsPerOpOverhead) + float64(bytes)/rate
 }
 
 // AggregateBandwidth is the concurrent-flush ceiling for one shared file:
@@ -284,13 +247,13 @@ func (g *GPFS) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) floa
 // paper's file-per-Pset subfiling. (The storage.FlushModel hook.)
 func (g *GPFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	psets := float64(g.topo.IONodes())
-	ion, file, back := g.cfg.IONBandwidth, g.cfg.FileBW, g.cfg.BackendBW
+	ion, file, back := gpfsIONBandwidth, gpfsFileBW, gpfsBackendBW
 	if read {
-		ion *= g.cfg.ReadFactor
-		file *= g.cfg.ReadFactor
-		back *= g.cfg.ReadFactor
+		ion *= gpfsReadFactor
+		file *= gpfsReadFactor
+		back *= gpfsReadFactor
 	}
-	agg := psets * 2 * g.cfg.BridgeLinkBW
+	agg := psets * 2 * gpfsBridgeLinkBW
 	for _, cap := range []float64{psets * ion, file, back} {
 		if cap < agg {
 			agg = cap
@@ -301,7 +264,7 @@ func (g *GPFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 
 // AlignUnit is the GPFS block size regardless of options. (The
 // storage.FlushModel hook.)
-func (g *GPFS) AlignUnit(opt FileOptions) int64 { return g.cfg.BlockSize }
+func (g *GPFS) AlignUnit(opt FileOptions) int64 { return gpfsBlockSize }
 
 // book prices a sieved write as a read-modify-write of the contiguous span:
 // the span is read and written back while the file records the logical

@@ -8,84 +8,55 @@ import (
 	"tapioca/internal/topology"
 )
 
-// LustreConfig calibrates the Theta-like Lustre model. The defaults give a
-// single write stream ≈145 MB/s to one OST (latency-bound) and an OST
-// ceiling of 0.42 GB/s under concurrency — matching the paper's observation
-// that aggregator counts of 2–8 per OST are needed to approach peak.
-type LustreConfig struct {
-	// NumOST is the object storage target count (56 on Theta).
-	NumOST int
-	// OSTBandwidth is the per-OST write ceiling. Default 0.42 GB/s.
-	OSTBandwidth float64
-	// ReadFactor scales read bandwidth per OST. Default 2.0.
-	ReadFactor float64
-	// RPCSize is the Lustre RPC granularity. Default 1 MB.
-	RPCSize int64
-	// RPCLatency is the per-RPC round-trip seen by one stream; a single
-	// stream is latency-bound while concurrent streams fill the gaps.
-	// Default 4.5 ms.
-	RPCLatency int64
-	// ObjectSetup is the per-object stream setup cost within one flush
-	// (lock + layout work when a write spans OST objects — the Table I
-	// super-stripe penalty). Default 3 ms.
-	ObjectSetup int64
-	// LockRevocation is the extent-lock bounce penalty paid when a stripe
-	// last written by another client is written again (the Table I
-	// sub-stripe penalty). Default 1.5 ms.
-	LockRevocation int64
-	// LNETBandwidth is the per-LNET-router IB bandwidth. Default 7 GB/s.
-	LNETBandwidth float64
-	// PerRunCost is the client cost per contiguous run. Default 1 µs.
-	PerRunCost int64
-	// DefaultStripeCount and DefaultStripeSize apply to files created
-	// without explicit options — stripe count 1 and 1 MB stripes, the
-	// platform defaults whose poor performance Figure 8 demonstrates.
-	DefaultStripeCount int
-	DefaultStripeSize  int64
-}
+// Lustre calibration of the Theta-like model: a single write stream gets
+// ≈145 MB/s to one OST (latency-bound) and an OST tops out at 0.42 GB/s
+// under concurrency — matching the paper's observation that aggregator
+// counts of 2–8 per OST are needed to approach peak.
+const (
+	// lustreNumOST is the object storage target count on Theta: 56.
+	lustreNumOST = 56
+	// lustreOSTBandwidth is the per-OST write ceiling: 0.42 GB/s.
+	lustreOSTBandwidth float64 = 0.42e9
+	// lustreReadFactor scales read bandwidth per OST: 2.0.
+	lustreReadFactor float64 = 2.0
+	// lustreRPCSize is the Lustre RPC granularity: 1 MB.
+	lustreRPCSize int64 = 1 << 20
+	// lustreRPCLatency is the per-RPC round-trip seen by one stream; a
+	// single stream is latency-bound while concurrent streams fill the
+	// gaps. 4.5 ms.
+	lustreRPCLatency int64 = 4500 * sim.Microsecond
+	// lustreObjectSetup is the per-object stream setup cost within one
+	// flush (lock + layout work when a write spans OST objects — the Table
+	// I super-stripe penalty): 3 ms.
+	lustreObjectSetup int64 = 3 * sim.Millisecond
+	// lustreLockRevocation is the extent-lock bounce penalty paid when a
+	// stripe last written by another client is written again (the Table I
+	// sub-stripe penalty): 1.5 ms.
+	lustreLockRevocation int64 = 1500 * sim.Microsecond
+	// lustreLNETBandwidth is the per-LNET-router IB bandwidth: 7 GB/s.
+	lustreLNETBandwidth float64 = 7e9
+	// lustrePerRunCost is the client cost per contiguous run: 1 µs.
+	lustrePerRunCost int64 = 1000
+	// lustreDefaultStripeCount and lustreDefaultStripeSize apply to files
+	// created without explicit options — stripe count 1 and 1 MB stripes,
+	// the platform defaults whose poor performance Figure 8 demonstrates.
+	lustreDefaultStripeCount       = 1
+	lustreDefaultStripeSize  int64 = 1 << 20
+)
 
-func (c *LustreConfig) setDefaults() {
-	if c.NumOST <= 0 {
-		c.NumOST = 56
-	}
-	if c.OSTBandwidth <= 0 {
-		c.OSTBandwidth = 0.42e9
-	}
-	if c.ReadFactor <= 0 {
-		c.ReadFactor = 2.0
-	}
-	if c.RPCSize <= 0 {
-		c.RPCSize = 1 << 20
-	}
-	if c.RPCLatency <= 0 {
-		c.RPCLatency = 4500 * sim.Microsecond
-	}
-	if c.ObjectSetup <= 0 {
-		c.ObjectSetup = 3 * sim.Millisecond
-	}
-	if c.LockRevocation <= 0 {
-		c.LockRevocation = 1500 * sim.Microsecond
-	}
-	if c.LNETBandwidth <= 0 {
-		c.LNETBandwidth = 7e9
-	}
-	if c.PerRunCost <= 0 {
-		c.PerRunCost = 1000
-	}
-	if c.DefaultStripeCount <= 0 {
-		c.DefaultStripeCount = 1
-	}
-	if c.DefaultStripeSize <= 0 {
-		c.DefaultStripeSize = 1 << 20
-	}
+// LustreConfig sizes the Theta-like Lustre model; the rest of its
+// calibration is fixed.
+type LustreConfig struct {
+	// NumOST is the object storage target count. Default 56, Theta's.
+	NumOST int
 }
 
 // Lustre models the Theta storage path: compute node → (dragonfly) → LNET
 // service node → OSS/OST, with per-file striping and extent locks.
 type Lustre struct {
-	cfg  LustreConfig
-	topo *topology.Dragonfly
-	fab  *netsim.Fabric
+	numOST int
+	topo   *topology.Dragonfly
+	fab    *netsim.Fabric
 
 	osts []*sim.GapResource
 	lnet []*sim.GapResource
@@ -112,24 +83,24 @@ type lustreFile struct {
 // NewLustre builds a Lustre model attached to a dragonfly and its fabric.
 // The dragonfly must have service nodes (they carry LNET traffic).
 func NewLustre(topo *topology.Dragonfly, fab *netsim.Fabric, cfg LustreConfig) *Lustre {
-	cfg.setDefaults()
 	if topo.ServiceNodes == 0 {
 		panic("storage: Lustre requires a dragonfly with service nodes")
 	}
-	l := &Lustre{cfg: cfg, topo: topo, fab: fab, files: map[string]*File{}}
-	l.osts = make([]*sim.GapResource, cfg.NumOST)
+	numOST := cfg.NumOST
+	if numOST <= 0 {
+		numOST = lustreNumOST
+	}
+	l := &Lustre{numOST: numOST, topo: topo, fab: fab, files: map[string]*File{}}
+	l.osts = make([]*sim.GapResource, numOST)
 	for i := range l.osts {
-		l.osts[i] = sim.NewGapResource(fmt.Sprintf("ost-%d", i), cfg.OSTBandwidth)
+		l.osts[i] = sim.NewGapResource(fmt.Sprintf("ost-%d", i), lustreOSTBandwidth)
 	}
 	l.lnet = make([]*sim.GapResource, topo.ServiceNodes)
 	for i := range l.lnet {
-		l.lnet[i] = sim.NewGapResource(fmt.Sprintf("lnet-ib-%d", i), cfg.LNETBandwidth)
+		l.lnet[i] = sim.NewGapResource(fmt.Sprintf("lnet-ib-%d", i), lustreLNETBandwidth)
 	}
 	return l
 }
-
-// Config returns the effective configuration.
-func (l *Lustre) Config() LustreConfig { return l.cfg }
 
 func (l *Lustre) Name() string { return "lustre" }
 
@@ -138,7 +109,7 @@ func (l *Lustre) Create(name string, opt FileOptions) *File {
 	f := &File{Name: name, Opt: opt, impl: &lustreFile{
 		stripeCount: opt.StripeCount,
 		stripeSize:  opt.StripeSize,
-		ostOffset:   l.fileSeq % l.cfg.NumOST,
+		ostOffset:   l.fileSeq % l.numOST,
 		stripeOwner: map[int64]int{},
 	}}
 	l.fileSeq++
@@ -157,7 +128,7 @@ func (l *Lustre) OptimalUnit(f *File) int64 {
 // OSTOf returns the global OST index holding the given stripe of the file.
 func (l *Lustre) OSTOf(f *File, stripe int64) int {
 	lf := f.impl.(*lustreFile)
-	return (lf.ostOffset + int(stripe%int64(lf.stripeCount))) % l.cfg.NumOST
+	return (lf.ostOffset + int(stripe%int64(lf.stripeCount))) % l.numOST
 }
 
 // reserve books a write or read through the Lustre path.
@@ -165,7 +136,7 @@ func (l *Lustre) reserve(now int64, node int, f *File, segs []Seg, read bool) in
 	lf := f.impl.(*lustreFile)
 	bytes := TotalBytes(segs)
 	if bytes == 0 {
-		return now + l.cfg.RPCLatency
+		return now + lustreRPCLatency
 	}
 	// Fold window-clipping fragments back into whole patterns before the
 	// stripe math: the per-stripe walk below is then linear in runs, not in
@@ -176,14 +147,14 @@ func (l *Lustre) reserve(now int64, node int, f *File, segs []Seg, read bool) in
 		segs = l.segScratch
 	}
 	runs := TotalRuns(segs)
-	t0 := now + runs*l.cfg.PerRunCost
+	t0 := now + runs*lustrePerRunCost
 
 	// Partition the access by stripe, grouping chunks per OST object.
 	lo, hi := SpanAll(segs)
 	S := lf.stripeSize
 	if l.chunkBytes == nil {
-		l.chunkBytes = make([]int64, l.cfg.NumOST)
-		l.chunkConflict = make([]int64, l.cfg.NumOST)
+		l.chunkBytes = make([]int64, l.numOST)
+		l.chunkConflict = make([]int64, l.numOST)
 	}
 	ostOrder := l.chunkOrder[:0]
 	for s := lo / S; s <= (hi-1)/S; s++ {
@@ -201,7 +172,7 @@ func (l *Lustre) reserve(now int64, node int, f *File, segs []Seg, read bool) in
 		l.chunkBytes[ost] += b
 		if !read {
 			if owner, ok := lf.stripeOwner[s]; ok && owner != node {
-				l.chunkConflict[ost] += l.cfg.LockRevocation
+				l.chunkConflict[ost] += lustreLockRevocation
 			}
 			lf.stripeOwner[s] = node
 		}
@@ -215,9 +186,9 @@ func (l *Lustre) reserve(now int64, node int, f *File, segs []Seg, read bool) in
 	// Within a stream, RPCs are serialized by the round-trip latency, so a
 	// single stream is latency-bound while concurrent clients fill the
 	// OST's idle gaps.
-	ostRate := l.cfg.OSTBandwidth
+	ostRate := lustreOSTBandwidth
 	if read {
-		ostRate *= l.cfg.ReadFactor
+		ostRate *= lustreReadFactor
 	}
 	cur := t0
 	for _, ost := range ostOrder {
@@ -235,13 +206,13 @@ func (l *Lustre) reserve(now int64, node int, f *File, segs []Seg, read bool) in
 			_, arr := l.fab.Reserve(cur, node, lnetNode, ckBytes)
 			_, stageIn = l.lnet[lnetIdx].Reserve(arr, ckBytes)
 		}
-		cur = stageIn + ckConflict + l.cfg.ObjectSetup
+		cur = stageIn + ckConflict + lustreObjectSetup
 		remaining := ckBytes
 		for remaining > 0 {
-			rpc := minI64(remaining, l.cfg.RPCSize)
+			rpc := min(remaining, lustreRPCSize)
 			dur := sim.TransferTime(rpc, ostRate)
 			_, end := l.osts[ost].ReserveDur(cur, dur, rpc)
-			cur = end + l.cfg.RPCLatency
+			cur = end + lustreRPCLatency
 			remaining -= rpc
 		}
 		if read {
@@ -259,13 +230,13 @@ func (l *Lustre) reserve(now int64, node int, f *File, segs []Seg, read bool) in
 func (l *Lustre) resolveOpt(opt FileOptions) (count int, size int64) {
 	count, size = opt.StripeCount, opt.StripeSize
 	if count <= 0 {
-		count = l.cfg.DefaultStripeCount
+		count = lustreDefaultStripeCount
 	}
-	if count > l.cfg.NumOST {
-		count = l.cfg.NumOST
+	if count > l.numOST {
+		count = l.numOST
 	}
 	if size <= 0 {
-		size = l.cfg.DefaultStripeSize
+		size = lustreDefaultStripeSize
 	}
 	return count, size
 }
@@ -275,12 +246,12 @@ func (l *Lustre) resolveOpt(opt FileOptions) (count int, size int64) {
 // setup plus latency-bound serial RPCs. (The storage.FlushModel hook.)
 func (l *Lustre) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64 {
 	if bytes <= 0 {
-		return sim.ToSeconds(l.cfg.RPCLatency)
+		return sim.ToSeconds(lustreRPCLatency)
 	}
 	count, size := l.resolveOpt(opt)
-	ostRate := l.cfg.OSTBandwidth
+	ostRate := lustreOSTBandwidth
 	if read {
-		ostRate *= l.cfg.ReadFactor
+		ostRate *= lustreReadFactor
 	}
 	stripes := (bytes + size - 1) / size
 	objects := stripes
@@ -288,10 +259,10 @@ func (l *Lustre) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) fl
 		objects = int64(count) // reserve groups same-OST stripes into one chunk
 	}
 	perObject := (bytes + objects - 1) / objects
-	rpcs := (perObject + l.cfg.RPCSize - 1) / l.cfg.RPCSize
-	sec := sim.ToSeconds(runs*l.cfg.PerRunCost) + float64(bytes)/l.cfg.LNETBandwidth
-	sec += float64(objects) * (sim.ToSeconds(l.cfg.ObjectSetup) +
-		float64(perObject)/ostRate + float64(rpcs)*sim.ToSeconds(l.cfg.RPCLatency))
+	rpcs := (perObject + lustreRPCSize - 1) / lustreRPCSize
+	sec := sim.ToSeconds(runs*lustrePerRunCost) + float64(bytes)/lustreLNETBandwidth
+	sec += float64(objects) * (sim.ToSeconds(lustreObjectSetup) +
+		float64(perObject)/ostRate + float64(rpcs)*sim.ToSeconds(lustreRPCLatency))
 	return sec
 }
 
@@ -299,12 +270,12 @@ func (l *Lustre) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) fl
 // combined rate, capped by the LNET routers. (The storage.FlushModel hook.)
 func (l *Lustre) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	count, _ := l.resolveOpt(opt)
-	ostRate := l.cfg.OSTBandwidth
+	ostRate := lustreOSTBandwidth
 	if read {
-		ostRate *= l.cfg.ReadFactor
+		ostRate *= lustreReadFactor
 	}
 	agg := float64(count) * ostRate
-	if lnet := float64(len(l.lnet)) * l.cfg.LNETBandwidth; lnet < agg {
+	if lnet := float64(len(l.lnet)) * lustreLNETBandwidth; lnet < agg {
 		agg = lnet
 	}
 	return agg
@@ -323,9 +294,9 @@ func (l *Lustre) AlignUnit(opt FileOptions) int64 {
 // the file stripes across every OST it can keep busy.
 func (l *Lustre) RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions {
 	if bufSize <= 0 {
-		bufSize = l.cfg.DefaultStripeSize
+		bufSize = lustreDefaultStripeSize
 	}
-	count := l.cfg.NumOST
+	count := l.numOST
 	if stripes := (totalBytes + bufSize - 1) / bufSize; stripes > 0 && stripes < int64(count) {
 		count = int(stripes)
 	}

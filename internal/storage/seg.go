@@ -61,8 +61,8 @@ func (s Seg) AppendIntersect(out []Seg, lo, hi int64) []Seg {
 		return out
 	}
 	if s.Count == 1 {
-		o := maxI64(s.Off, lo)
-		e := minI64(s.Off+s.Len, hi)
+		o := max(s.Off, lo)
+		e := min(s.Off+s.Len, hi)
 		if e <= o {
 			return out
 		}
@@ -87,13 +87,13 @@ func (s Seg) AppendIntersect(out []Seg, lo, hi int64) []Seg {
 	}
 	// Head run, possibly clipped at lo.
 	headOff := s.Off + i0*s.Stride
-	headEnd := minI64(headOff+s.Len, hi)
-	headOffClip := maxI64(headOff, lo)
+	headEnd := min(headOff+s.Len, hi)
+	headOffClip := max(headOff, lo)
 	headClipped := headOffClip != headOff || headEnd != headOff+s.Len
 	// Tail run, possibly clipped at hi.
 	tailOff := s.Off + i1*s.Stride
-	tailEnd := minI64(tailOff+s.Len, hi)
-	tailOffClip := maxI64(tailOff, lo)
+	tailEnd := min(tailOff+s.Len, hi)
+	tailOffClip := max(tailOff, lo)
 	tailClipped := tailOffClip != tailOff || tailEnd != tailOff+s.Len
 
 	if i0 == i1 {
@@ -144,7 +144,7 @@ func (s Seg) bytesBefore(x int64) int64 {
 		return s.Bytes()
 	}
 	if s.Count == 1 {
-		return minI64(x-s.Off, s.Len)
+		return min(x-s.Off, s.Len)
 	}
 	// Runs fully below x, plus the clipped portion of the run containing x.
 	i := (x - s.Off) / s.Stride
@@ -153,7 +153,7 @@ func (s Seg) bytesBefore(x int64) int64 {
 	}
 	n := i * s.Len
 	if part := x - (s.Off + i*s.Stride); part > 0 {
-		n += minI64(part, s.Len)
+		n += min(part, s.Len)
 	}
 	return n
 }
@@ -292,18 +292,4 @@ func PageFootprint(segs []Seg, page int64) int64 {
 func pageSpan(segs []Seg) []Seg {
 	lo, _ := SpanAll(segs)
 	return []Seg{Contig(lo, PageFootprint(segs, 4096))}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

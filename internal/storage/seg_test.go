@@ -115,7 +115,7 @@ func TestIntersectBytesProperty(t *testing.T) {
 		got := TotalBytes(s.Intersect(lo, hi))
 		var want int64
 		Enumerate([]Seg{s}, 1<<20, func(o, l int64) {
-			a, b := maxI64(o, lo), minI64(o+l, hi)
+			a, b := max(o, lo), min(o+l, hi)
 			if b > a {
 				want += b - a
 			}

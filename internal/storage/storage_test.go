@@ -164,13 +164,13 @@ func TestGPFSLockRevocationCost(t *testing.T) {
 }
 
 func TestGPFSSubfilingBeatsSharedFile(t *testing.T) {
-	// Writers across 4 Psets: one shared file is capped by the per-file
-	// ceiling; per-Pset files scale with ION count.
-	const nodes = 512
+	// Writers across 16 Psets: one shared file is capped by the 13 GB/s
+	// per-file ceiling; per-Pset files scale with ION count (2.8 GB/s each).
+	const nodes = 2048
 	const chunk = 256 << 20
 	run := func(subfile bool) float64 {
 		topo, fab := miraRig(nodes)
-		g := NewGPFS(topo, fab, GPFSConfig{LockMode: LockShared, FileBW: 4e9})
+		g := NewGPFS(topo, fab, GPFSConfig{LockMode: LockShared})
 		e := sim.NewEngine()
 		var files []*File
 		if subfile {

@@ -101,7 +101,7 @@ func (m *MemStore) readLocked(p []byte, off int64, cci *int64, cc *[]byte) {
 		if c := *cc; c != nil {
 			n += copy(p[n:], c[co:])
 		} else {
-			z := minI64(int64(len(p)-n), memChunk-co)
+			z := min(int64(len(p)-n), memChunk-co)
 			clear(p[n : n+int(z)])
 			n += int(z)
 		}
@@ -385,7 +385,7 @@ func (f *File) storeChecksumSerial(segs []Seg) (uint64, error) {
 		for i := int64(0); i < s.Count; i++ {
 			off, remaining := s.Off+i*s.Stride, s.Len
 			for remaining > 0 {
-				n := minI64(remaining, int64(len(buf)))
+				n := min(remaining, int64(len(buf)))
 				if err := f.StoreReadAt(buf[:n], off); err != nil {
 					return 0, err
 				}

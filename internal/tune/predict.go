@@ -270,9 +270,7 @@ func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions, pl point
 
 	// Init: the plan collective and election, then the pipeline.
 	init := 4 * math.Log2(float64(len(pr.all))+1) * pr.alpha()
-	if cfg.ElectionOverhead > 0 {
-		init += sim.ToSeconds(cfg.ElectionOverhead)
-	}
+	init += sim.ToSeconds(core.ElectionOverhead)
 	double, single = init, init
 	double += aggRound[0]
 	for r := 1; r < n; r++ {

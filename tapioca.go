@@ -21,6 +21,11 @@
 //	    ctx.Barrier()
 //	})
 //
+// The two presets carry the paper's calibration of each platform (storage,
+// network and MPI costs) as fixed constants. A MachineOption selects only
+// what the paper varies or extends: GPFS lock sharing, dragonfly routing,
+// the contention model, and a burst-buffer tier.
+//
 // All time is virtual: identical programs produce identical timings, and the
 // paper's figures regenerate deterministically (cmd/tapiocabench).
 //
@@ -161,8 +166,6 @@ type machineConfig struct {
 	lockShared    bool
 	adaptiveRoute bool
 	contention    int
-	gpfs          storage.GPFSConfig
-	lustre        storage.LustreConfig
 	burst         *storage.BurstBufferConfig
 }
 
@@ -183,16 +186,6 @@ func WithAdaptiveRouting() MachineOption {
 // contention only (faster, less detailed — an ablation knob).
 func WithEndpointContention() MachineOption {
 	return func(c *machineConfig) { c.contention = netsim.ContentionEndpoint }
-}
-
-// WithGPFS overrides the GPFS model calibration.
-func WithGPFS(cfg storage.GPFSConfig) MachineOption {
-	return func(c *machineConfig) { c.gpfs = cfg }
-}
-
-// WithLustre overrides the Lustre model calibration.
-func WithLustre(cfg storage.LustreConfig) MachineOption {
-	return func(c *machineConfig) { c.lustre = cfg }
 }
 
 // WithBurstBuffer stacks an NVMe burst-buffer staging tier in front of the
@@ -231,7 +224,7 @@ func Mira(nodes int, opts ...MachineOption) *Machine {
 		Contention: mc.contention,
 		InjectRate: 2 * topo.TorusLinkBW, // BG/Q injects over multiple links
 	})
-	gcfg := mc.gpfs
+	var gcfg storage.GPFSConfig
 	if mc.lockShared {
 		gcfg.LockMode = storage.LockShared
 	}
@@ -259,7 +252,7 @@ func Theta(nodes int, opts ...MachineOption) *Machine {
 	topo := topology.ThetaDragonfly(nodes, routing)
 	fab := netsim.New(topo, netsim.Config{Contention: mc.contention})
 	m := &Machine{name: fmt.Sprintf("theta-%d", nodes), topo: topo, fab: fab, nodes: nodes}
-	m.sys = storage.NewLustre(topo, fab, mc.lustre)
+	m.sys = storage.NewLustre(topo, fab, storage.LustreConfig{})
 	if mc.burst != nil {
 		m.burst = storage.NewBurstBuffer(m.sys, *mc.burst)
 		m.sys = m.burst
