@@ -6,7 +6,7 @@
 //	tapiocabench -experiment fig10
 //	tapiocabench -experiment all -scale full -csv out/
 //	tapiocabench -experiment all -json results.json
-//	tapiocabench -experiment all -parallel=false   # serial reference run
+//	tapiocabench -experiment all -workers 1   # serial reference run
 //	tapiocabench -experiment fig7 -trace fig7.trace.json -phases
 //
 // At the default -scale reduced, experiments run at ≈1/4 the paper's nodes
@@ -17,9 +17,9 @@
 // minutes on one core.
 //
 // The run settings become one expt.Env value that every experiment's Run
-// takes: -scale sets Env.Full; -parallel and -workers set Env.Workers, the
-// width of the worker pool each figure's independent grid cells execute on
-// (results are identical to the serial order); -faults, -recovery, -short
+// takes: -scale sets Env.Full; -workers sets Env.Workers, the width of the
+// worker pool each figure's independent grid cells execute on (results are
+// identical to the serial order, -workers 1); -faults, -recovery, -short
 // and -tree set Env.Faults, Env.NoRecovery, Env.Short and Env.Tree; and
 // -trace, -json and -phases attach an expt.Observer. Each Run returns its
 // own transfer, fabric-message, park and switch counters.
@@ -31,7 +31,7 @@
 // footprint, not just simulated GB/s. -trace writes the whole run's flight
 // recording as Chrome trace-event JSON (byte-identical across serial and
 // parallel runs; open in Perfetto), and -phases prints each figure's
-// aggregation/exchange/storage/codec rank-seconds table.
+// aggregation/exchange/storage rank-seconds table.
 package main
 
 import (
@@ -95,13 +95,12 @@ type jsonResult struct {
 	VerifyVerifySeconds   float64 `json:"verify_verify_seconds,omitempty"`
 	// Phases breaks the figure's rank-time (virtual seconds summed over
 	// ranks and cells) down by pipeline phase: aggregation, exchange,
-	// storage, codec.
+	// storage.
 	Phases map[string]float64 `json:"phases,omitempty"`
 	// Metrics is the flight recorder's registry snapshot for this figure's
 	// cells: counters (bytes per tier, rounds, transfers), gauges (peak
-	// utilization, codec ratio) and histogram stats (link/NIC utilization
-	// percentiles, host-side store and codec timings under the
-	// nondeterministic "host." prefix).
+	// utilization) and histogram stats (link/NIC utilization percentiles,
+	// host-side store timings under the nondeterministic "host." prefix).
 	Metrics *obs.Snapshot `json:"metrics,omitempty"`
 	// TreeLevels and TreeFanIn describe the deepest synthesized aggregation
 	// tree across the figure's cells (sessions run with Config.Tree or the
@@ -205,13 +204,12 @@ func run() int {
 		scale    = flag.String("scale", "reduced", "experiment scale: reduced or full (paper node counts)")
 		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
 		jsonPath = flag.String("json", "", "also write all results as JSON to this file")
-		parallel = flag.Bool("parallel", true, "run each figure's independent grid cells on a worker pool (identical results)")
-		workers  = flag.Int("workers", 0, "worker-pool width with -parallel (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "width of the worker pool each figure's independent grid cells run on (0 = GOMAXPROCS, 1 = serial; identical results)")
 		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		verify   = flag.Bool("verify", false, "run the data-plane round-trip smoke (real bytes, checksum-verified) before the experiments")
 		trace    = flag.String("trace", "", "write a Chrome trace-event JSON flight recording to this file (open in Perfetto)")
-		phases   = flag.Bool("phases", false, "print a per-figure phase breakdown table (aggregation/exchange/storage/codec rank-seconds)")
+		phases   = flag.Bool("phases", false, "print a per-figure phase breakdown table (aggregation/exchange/storage rank-seconds)")
 		faults   = flag.String("faults", "", "arm deterministic fault injection for every cell as \"seed,rate\" (e.g. 7,0.05)")
 		treePlan = flag.String("tree", "", "arm an aggregation-tree shape for every cell (flat, staged, group, chain, fanin:k)")
 		recovery = flag.Bool("recovery", true, "with -faults: arm the self-healing machinery (retry, failover, degraded writes, repair)")
@@ -220,9 +218,6 @@ func run() int {
 	flag.Parse()
 
 	env := expt.Env{Workers: *workers, NoRecovery: !*recovery, Short: *short}
-	if !*parallel {
-		env.Workers = 1
-	}
 	if *faults != "" {
 		seed, rate, err := parseFaults(*faults)
 		if err != nil {

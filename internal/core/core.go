@@ -98,13 +98,6 @@ type Config struct {
 	// shape but flat rides on the node-staged base level. Nil, or the flat
 	// shape, defers to IntraNodeStaging.
 	Tree *tree.Shape
-	// Codec enables the per-round reduction stage: each aggregator
-	// compresses a filled buffer before flushing it, trading compute time
-	// for flush bytes. Virtual time prices the codec's modeled ratio and
-	// rates (deterministic, data-independent); with the data plane on, the
-	// real bytes additionally round-trip through the codec so a broken
-	// implementation fails verification. Nil disables the stage (default).
-	Codec dataplane.Codec
 	// Faults attaches a deterministic fault plan (see internal/fault):
 	// aggregator deaths and round corruption are decided here; store and
 	// network faults additionally require the fabric/storage wrappers to
@@ -188,10 +181,6 @@ type Writer struct {
 	// flat sessions and for ranks that put directly every round in a
 	// partition without interior tree levels.
 	tp *treeRole
-	// codec is the codec's round scratch, allocated by the first codec
-	// flush: every rank allocates a Writer per session, and most never
-	// compress.
-	codec *codecScratch
 
 	// rec is the engine's flight recorder (nil when observability is off;
 	// cached by InitData so the pipeline pays one nil check per phase
@@ -218,11 +207,6 @@ type Stats struct {
 	BytesFlushed int64
 	// Flushes counts buffer flushes issued by this rank.
 	Flushes int64
-	// BytesCompressed counts the post-codec bytes of this rank's flush
-	// stream (aggregators, codec sessions only): the achieved compressed
-	// sizes when real payload flowed through the codec, the modeled sizes
-	// in phantom mode and on the read path. Zero without a Codec.
-	BytesCompressed int64
 	// AggregatorWorldRank is the elected aggregator's world rank.
 	AggregatorWorldRank int
 	// ElectionCost is this rank's own C1+C2 candidacy cost in seconds

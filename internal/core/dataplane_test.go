@@ -17,7 +17,6 @@ import (
 	"sync"
 	"testing"
 
-	"tapioca/internal/dataplane"
 	"tapioca/internal/mpi"
 	"tapioca/internal/netsim"
 	"tapioca/internal/storage"
@@ -202,12 +201,10 @@ func TestDataPlaneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDataPlaneCodecRoundTrip is the reduction-stage property: with the LZ
-// codec in the flush path, every round's real bytes are compressed and
-// decompressed on their way to the backing store, so the same end-to-end
-// verification (VerifyData + checksum parity against the store) proves the
-// codec lossless under the full pipeline — over both MemStore (default) and
-// an on-disk FileStore.
+// TestDataPlaneCodecRoundTrip writes and reads back real bytes through the
+// full pipeline over both MemStore (default) and an on-disk FileStore, and
+// with a single buffer: VerifyData and checksum parity against the store
+// prove every round's bytes landed intact.
 func TestDataPlaneCodecRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		backing string
@@ -229,7 +226,6 @@ func TestDataPlaneCodecRoundTrip(t *testing.T) {
 			dir := t.TempDir()
 			var mu sync.Mutex
 			var failures []string
-			var aggCompressed int64
 			fail := func(format string, args ...any) {
 				mu.Lock()
 				failures = append(failures, fmt.Sprintf(format, args...))
@@ -238,9 +234,9 @@ func TestDataPlaneCodecRoundTrip(t *testing.T) {
 			_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: rpn, Fabric: fab}, func(c *mpi.Comm) {
 				var f *storage.File
 				if c.Rank() == 0 {
-					f = sys.Create("codec", storage.FileOptions{StripeCount: 4, StripeSize: 16 << 10})
+					f = sys.Create("roundtrip", storage.FileOptions{StripeCount: 4, StripeSize: 16 << 10})
 					if backing == "filestore" {
-						fs, err := storage.NewFileStore(dir + "/codec.bin")
+						fs, err := storage.NewFileStore(dir + "/roundtrip.bin")
 						if err != nil {
 							panic(err)
 						}
@@ -250,7 +246,7 @@ func TestDataPlaneCodecRoundTrip(t *testing.T) {
 				f = c.Bcast(0, 8, f).(*storage.File)
 				mine := decl[c.Rank()]
 				data := workload.FillData(mine, uint64(seed))
-				cfg := Config{Aggregators: 4, BufferSize: 8 << 10, Codec: dataplane.LZ, SingleBuffer: single}
+				cfg := Config{Aggregators: 4, BufferSize: 8 << 10, SingleBuffer: single}
 
 				w := New(c, sys, f, cfg)
 				if err := w.InitData(mine, data); err != nil {
@@ -262,11 +258,6 @@ func TestDataPlaneCodecRoundTrip(t *testing.T) {
 					return
 				}
 				writeCRC := w.DataChecksum()
-				if w.Aggregator() {
-					mu.Lock()
-					aggCompressed += w.Stats().BytesCompressed
-					mu.Unlock()
-				}
 				c.Barrier()
 
 				rbuf := make([][]byte, len(data))
@@ -307,9 +298,6 @@ func TestDataPlaneCodecRoundTrip(t *testing.T) {
 			}
 			if err != nil {
 				t.Fatal(err)
-			}
-			if aggCompressed == 0 {
-				t.Error("no aggregator reported compressed flush bytes")
 			}
 		})
 	}

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"testing"
 
-	"tapioca/internal/dataplane"
 	"tapioca/internal/fault"
 	"tapioca/internal/mpi"
 	"tapioca/internal/netsim"
@@ -234,49 +233,6 @@ func TestAggregatorDeathWithoutRecoveryDiagnosed(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "[phase: tapioca round") {
 		t.Fatalf("deadlock diagnosis lacks the pipeline phase label: %v", err)
-	}
-}
-
-// TestPhantomFailoverCountsCodecBytes: a phantom codec session that fails
-// over must count the modeled compressed bytes of every flush, the
-// replacement aggregator's replayed rounds included.
-func TestPhantomFailoverCountsCodecBytes(t *testing.T) {
-	const ranks, perRank, buf = 8, 256 << 10, 64 << 10
-	plan := fault.NewPlan(fault.Config{Seed: 3, AggrDeathRate: 1})
-	var mu sync.Mutex
-	var sum Stats
-	runFlat(t, ranks, 1, func(c *mpi.Comm, sys storage.System) {
-		var f *storage.File
-		if c.Rank() == 0 {
-			f = sys.Create("phantom-failover", storage.FileOptions{})
-		}
-		f = c.Bcast(0, 8, f).(*storage.File)
-		decl := [][]storage.Seg{{storage.Contig(int64(c.Rank())*perRank, perRank)}}
-		w := New(c, sys, f, Config{Aggregators: 2, BufferSize: buf, Codec: dataplane.LZ,
-			Faults: plan, Recovery: fault.DefaultRecovery()})
-		if err := w.Init(decl); err != nil {
-			panic(err)
-		}
-		if err := w.WriteAll(); err != nil {
-			panic(err)
-		}
-		st := w.Stats()
-		mu.Lock()
-		sum.Flushes += st.Flushes
-		sum.BytesFlushed += st.BytesFlushed
-		sum.BytesCompressed += st.BytesCompressed
-		sum.ReplayedRounds += st.ReplayedRounds
-		mu.Unlock()
-	})
-	if sum.ReplayedRounds == 0 {
-		t.Fatal("no round replayed — the property ran vacuously")
-	}
-	if sum.BytesFlushed != sum.Flushes*buf {
-		t.Fatalf("flushed %d bytes in %d flushes, want full %d-byte buffers", sum.BytesFlushed, sum.Flushes, buf)
-	}
-	if want := sum.Flushes * dataplane.ModeledSize(dataplane.LZ, buf); sum.BytesCompressed != want {
-		t.Errorf("BytesCompressed = %d, want %d (%d flushes, %d replayed)",
-			sum.BytesCompressed, want, sum.Flushes, sum.ReplayedRounds)
 	}
 }
 

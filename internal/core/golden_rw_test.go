@@ -9,10 +9,10 @@ package core
 // cases aim at the per-round participation of the pipelines: IOR-shaped
 // blocks where few members contribute to each of many rounds, a member whose
 // pieces skip a round, ranks with no operations, the single-buffer ablation,
-// a codec, the data plane, a node-interleaving Split and a Mira torus on
-// GPFS. Every case also runs without a flight recorder and must print the
-// same lines, metrics aside. Regenerate (only for an intended change of
-// virtual behaviour) with
+// the data plane, a node-interleaving Split and a Mira torus on GPFS. Every
+// case also runs without a flight recorder and must print the same lines,
+// metrics aside. Regenerate (only for an intended change of virtual
+// behaviour) with
 //
 //	go test ./internal/core -run TestGoldenReadWriteResults -update
 
@@ -23,7 +23,6 @@ import (
 	"sync"
 	"testing"
 
-	"tapioca/internal/dataplane"
 	"tapioca/internal/mpi"
 	"tapioca/internal/obs"
 	"tapioca/internal/storage"
@@ -119,10 +118,8 @@ func goldenRWCases() []rwCase {
 		{name: "ior-skip", rpn: 4, decl: skipDecl, cfg: base},
 		{name: "ior-zero-op", rpn: 4, decl: zeroOpDecl, cfg: base},
 		{name: "ior-single", rpn: 4, decl: skipDecl, cfg: with(func(c *Config) { c.SingleBuffer = true })},
-		{name: "ior-codec", rpn: 4, decl: skipDecl, cfg: with(func(c *Config) { c.Codec = dataplane.LZ })},
 		{name: "ior-staged", rpn: 4, decl: skipDecl, cfg: with(func(c *Config) { c.Tree = &staged })},
 		{name: "dataplane-skip", rpn: 4, decl: skipDecl, data: true, cfg: base},
-		{name: "dataplane-codec", rpn: 4, decl: zeroOpDecl, data: true, cfg: with(func(c *Config) { c.Codec = dataplane.LZ })},
 		{name: "split-interleave", rpn: 4, decl: skipDecl, key: interleaveNodes, cfg: base},
 		{name: "torus-gpfs", rpn: 4, decl: skipDecl, torus: true, cfg: with(func(c *Config) { c.Aggregators = 4 })},
 	}
@@ -261,7 +258,6 @@ func runGoldenRW(t *testing.T, gc rwCase, record bool) []string {
 			sess[i].st.BytesPut += s.BytesPut
 			sess[i].st.BytesFlushed += s.BytesFlushed
 			sess[i].st.Flushes += s.Flushes
-			sess[i].st.BytesCompressed += s.BytesCompressed
 			sess[i].st.Rounds += s.Rounds
 			sess[i].crcs ^= wr.DataChecksum()
 			mu.Unlock()
@@ -294,8 +290,8 @@ func runGoldenRW(t *testing.T, gc rwCase, record bool) []string {
 		gc.name, shape.minRounds, shape.maxContrib, shape.skips)}
 	for i, s := range sess {
 		name := [2]string{"write", "read"}[i]
-		l := fmt.Sprintf("%s %s: end t=%d put=%d flushed=%d flushes=%d compressed=%d rank_rounds=%d | %s",
-			gc.name, name, s.end, s.st.BytesPut, s.st.BytesFlushed, s.st.Flushes, s.st.BytesCompressed, s.st.Rounds, s.line)
+		l := fmt.Sprintf("%s %s: end t=%d put=%d flushed=%d flushes=%d rank_rounds=%d | %s",
+			gc.name, name, s.end, s.st.BytesPut, s.st.BytesFlushed, s.st.Flushes, s.st.Rounds, s.line)
 		if gc.data {
 			l += fmt.Sprintf(" | rank_crcs=%016x", s.crcs)
 		}

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"time"
 
-	"tapioca/internal/dataplane"
 	"tapioca/internal/obs"
 	"tapioca/internal/sim"
 	"tapioca/internal/storage"
 )
 
 // hostClock returns the wall-clock start of a host-side measurement, or the
-// zero time when observability is off. Host timings (real codec and store
-// work on background goroutines) go only to the registry, under the "host."
-// prefix — never into the deterministic virtual-time trace.
+// zero time when observability is off. Host timings (real store work on
+// background goroutines) go only to the registry, under the "host." prefix
+// — never into the deterministic virtual-time trace.
 func hostClock(rec *obs.Recorder) time.Time {
 	if rec == nil {
 		return time.Time{}
@@ -30,56 +29,38 @@ func hostObserve(rec *obs.Recorder, name string, start time.Time) {
 	rec.Registry().Observe(name, time.Since(start).Seconds())
 }
 
-// grow returns scratch with capacity for n bytes (reused across rounds).
-func grow(scratch []byte, n int64) []byte {
-	if int64(cap(scratch)) < n {
-		return make([]byte, n)
-	}
-	return scratch[:n]
-}
-
-// codecScratch is a writer's compress and decompress buffers, reused across
-// rounds. Only the pipeline's single in-flight store job touches them (jobs
-// are joined before the next launch), so plain fields are race-free.
-type codecScratch struct {
-	comp, decomp []byte
-}
-
 // storeJob is one round's real store I/O (a flush, prefetch or replay)
 // running on a background goroutine, off the simulation's critical path:
 // the schedule that overlaps the virtual flush with the next round's
-// aggregation carries the actual bytes too. At most one job per writer is
-// in flight (the join point precedes the next launch), so the writer's
-// codec scratch needs no locking.
+// aggregation carries the actual bytes too. At most one job per buffer is
+// in flight (the join point precedes the next launch).
 type storeJob struct {
-	done   chan struct{}
-	err    error
-	stored int64 // post-codec bytes handed to the store (codec rounds)
+	done chan struct{}
+	err  error
 }
 
 // storeJobs holds a session's store jobs, one slot per aggregation buffer.
 // Every store I/O of a data-plane session runs as a job, whatever the buffer
-// mode; Writer.join is its only completion point.
+// mode; storeJobs.join is its only completion point.
 type storeJobs [2]*storeJob
 
 // launch runs fn on a background goroutine as buffer bufID's job.
 // Everything fn touches must be captured in a synchronized context before
 // the launch (window slices, layouts, the file's attached store).
-func (js *storeJobs) launch(bufID int64, fn func() (int64, error)) {
+func (js *storeJobs) launch(bufID int64, fn func() error) {
 	j := &storeJob{done: make(chan struct{})}
 	go func() {
 		defer close(j.done)
-		j.stored, j.err = fn()
+		j.err = fn()
 	}()
 	js[bufID] = j
 }
 
 // join waits for buffer bufID's store job, if any: the first job error is
-// kept in *errp and the job's stored bytes count toward BytesCompressed.
-// Joining costs no virtual time; it is the host-side happens-before edge
-// that lets the buffer be reused.
-func (w *Writer) join(jobs *storeJobs, bufID int64, errp *error) {
-	j := jobs[bufID]
+// kept in *errp. Joining costs no virtual time; it is the host-side
+// happens-before edge that lets the buffer be reused.
+func (js *storeJobs) join(bufID int64, errp *error) {
+	j := js[bufID]
 	if j == nil {
 		return
 	}
@@ -87,26 +68,7 @@ func (w *Writer) join(jobs *storeJobs, bufID int64, errp *error) {
 	if j.err != nil && *errp == nil {
 		*errp = j.err
 	}
-	w.stats.BytesCompressed += j.stored
-	jobs[bufID] = nil
-}
-
-// codecHold charges the codec's compute for one round of bytes: compress
-// before a flush, decompress (read) after a prefetch lands. Virtual time
-// must not depend on payload content, so the codec's modeled rates — not
-// the achieved ones — are what the simulation charges.
-func (w *Writer) codecHold(p *sim.Proc, bytes int64, read bool) {
-	crate, drate := w.cfg.Codec.ModelRates()
-	rate, span := crate, "compress"
-	if read {
-		rate, span = drate, "decompress"
-	}
-	cd := int64(float64(bytes) * (1e9 / rate))
-	p.Hold(cd)
-	if w.rec != nil {
-		w.rec.Phase(obs.PhaseCodec, cd)
-		p.TraceSpan("tapioca", span, p.Now()-cd, p.Now(), bytes)
-	}
+	js[bufID] = nil
 }
 
 // waitFlush blocks on a flush (or prefetch) event and books the wait to the
@@ -124,70 +86,28 @@ func (w *Writer) waitFlush(p *sim.Proc, ev *sim.Event, span string, bytes int64)
 	}
 }
 
-// flushSegsFor prices a round's flush extent: without a codec the plan's
-// real extents, with one a single contiguous extent of the modeled
-// compressed size at the round's base offset.
-func (w *Writer) flushSegsFor(fl flushInfo) []storage.Seg {
-	if w.cfg.Codec == nil {
-		return fl.segs
-	}
-	lo, _ := storage.SpanAll(fl.segs)
-	return []storage.Seg{storage.Contig(lo, dataplane.ModeledSize(w.cfg.Codec, fl.bytes))}
-}
-
-// storeRound lands one filled buffer in the backing store. With a codec the
-// bytes genuinely round-trip through it (compress, then decompress into the
-// store), so the reduction stage is verified by the same end-to-end
-// checksums as the rest of the pipeline; the achieved compressed size is
-// returned for stats.
-// dmg and repair carry the fault plane's corruption decision for this round
-// (both zero on the fault-free path): after the write lands, applyDamage
-// flips the damaged byte and — with repair on — scrubs it back.
-func (w *Writer) storeRound(buf []byte, layout []storage.Seg, dmg []int64, repair bool) (stored int64, err error) {
-	src := buf
-	if codec := w.cfg.Codec; codec != nil {
-		sc := w.codec
-		if sc == nil {
-			sc = &codecScratch{}
-			w.codec = sc
-		}
-		t := hostClock(w.rec)
-		sc.comp = codec.Compress(sc.comp, buf)
-		hostObserve(w.rec, "host.codec_compress_seconds", t)
-		stored = int64(len(sc.comp))
-		sc.decomp = grow(sc.decomp, int64(len(buf)))
-		t = hostClock(w.rec)
-		if err := codec.Decompress(sc.decomp, sc.comp); err != nil {
-			return stored, fmt.Errorf("core: codec %s round trip on flush: %w", codec.Name(), err)
-		}
-		hostObserve(w.rec, "host.codec_decompress_seconds", t)
-		src = sc.decomp
-	}
+// storeRound lands one filled buffer in the backing store. dmg and repair
+// carry the fault plane's corruption decision for this round (both zero on
+// the fault-free path): after the write lands, applyDamage flips the damaged
+// byte and — with repair on — scrubs it back.
+func (w *Writer) storeRound(buf []byte, layout []storage.Seg, dmg []int64, repair bool) error {
 	t := hostClock(w.rec)
-	err = w.f.StoreWrite(layout, src)
+	err := w.f.StoreWrite(layout, buf)
 	hostObserve(w.rec, "host.store_write_seconds", t)
 	if err == nil && len(dmg) > 0 {
-		err = applyDamage(w.f, layout, src, dmg, repair)
+		err = applyDamage(w.f, layout, buf, dmg, repair)
 	}
-	return stored, err
+	return err
 }
 
 // flushRound is the aggregator's flush of round r's filled buffer bufID —
 // the one flush step of Algorithm 3, shared by the steady-state pipeline
-// and failover replay. In order: the codec's compress hold (and, in
-// phantom mode, the modeled compressed bytes); on a round's first flush
-// under Config.Faults, its corruption decision, whose repair scrub books
-// storage after the codec hold; the data plane's store job; and the
-// non-blocking virtual flush, whose event the caller waits on its own
-// schedule.
+// and failover replay. In order: on a round's first flush under
+// Config.Faults, its corruption decision, whose repair scrub books storage;
+// the data plane's store job; and the non-blocking virtual flush, whose
+// event the caller waits on its own schedule.
 func (w *Writer) flushRound(p *sim.Proc, jobs *storeJobs, r int, bufID int64, first bool) *sim.Event {
 	fl := w.plan.parts[w.part].flush[r]
-	if w.cfg.Codec != nil {
-		w.codecHold(p, fl.bytes, false)
-		if w.pl == nil {
-			w.stats.BytesCompressed += dataplane.ModeledSize(w.cfg.Codec, fl.bytes)
-		}
-	}
 	var dmg []int64
 	var repair bool
 	if first && w.cfg.Faults != nil {
@@ -200,7 +120,7 @@ func (w *Writer) flushRound(p *sim.Proc, jobs *storeJobs, r int, bufID int64, fi
 		buf := w.win.LocalData()[bufID*w.cfg.BufferSize:][:fl.bytes]
 		layout := w.plan.layoutOf(w.part, r)
 		w.f.EnsureStore()
-		jobs.launch(bufID, func() (int64, error) {
+		jobs.launch(bufID, func() error {
 			return w.storeRound(buf, layout, dmg, repair)
 		})
 	}
@@ -352,7 +272,7 @@ func (w *Writer) runWrite() error {
 		// overwrites it. (The virtual flush completion is enforced
 		// separately by pending[…] below — joining here costs no virtual
 		// time, it is the host-side happens-before edge.)
-		w.join(&jobs, 1-bufID, &dataErr)
+		jobs.join(1-bufID, &dataErr)
 		// Buffer-reuse guard: the fence cannot release until the aggregator
 		// has finished the flush that last used this buffer.
 		if w.isAgg {
@@ -410,8 +330,8 @@ func (w *Writer) runWrite() error {
 			w.waitFlush(p, ev, "flush-wait", 0)
 		}
 	}
-	w.join(&jobs, 0, &dataErr)
-	w.join(&jobs, 1, &dataErr)
+	jobs.join(0, &dataErr)
+	jobs.join(1, &dataErr)
 	barStart := p.Now()
 	w.pc.Barrier()
 	if w.interiorTree() != nil {
@@ -446,13 +366,6 @@ func (w *Writer) sessionMetrics(rec *obs.Recorder) {
 	reg.Add("tapioca.rounds", int64(w.stats.Rounds))
 	reg.Add("tapioca.flushes", w.stats.Flushes)
 	reg.Add("tapioca.bytes_flushed", w.stats.BytesFlushed)
-	if w.cfg.Codec != nil {
-		reg.Add("tapioca.bytes_compressed", w.stats.BytesCompressed)
-		if w.stats.BytesFlushed > 0 {
-			reg.SetMax("tapioca.codec_ratio",
-				float64(w.stats.BytesCompressed)/float64(w.stats.BytesFlushed))
-		}
-	}
 }
 
 // runRead executes the reverse pipeline: the aggregator prefetches round
@@ -483,19 +396,16 @@ func (w *Writer) runRead() error {
 				// fence publishes it to the members' gets.
 				buf := w.win.LocalData()[int64(r%2)*w.cfg.BufferSize:][:pp.flush[r].bytes]
 				layout := w.plan.layoutOf(w.part, r)
-				jobs.launch(int64(r%2), func() (int64, error) {
+				jobs.launch(int64(r%2), func() error {
 					t := hostClock(rec)
 					err := w.f.StoreRead(layout, buf)
 					hostObserve(rec, "host.store_read_seconds", t)
-					return 0, err
+					return err
 				})
 			}
 			pending[r%2] = w.flushAsync(p, pp.flush[r], storage.OpRead)
 			w.stats.BytesFlushed += pp.flush[r].bytes
 			w.stats.Flushes++
-			if w.cfg.Codec != nil {
-				w.stats.BytesCompressed += dataplane.ModeledSize(w.cfg.Codec, pp.flush[r].bytes)
-			}
 		}
 	}
 	if !w.cfg.SingleBuffer {
@@ -518,16 +428,13 @@ func (w *Writer) runRead() error {
 			// Ablation: no prefetch — read this round's data synchronously.
 			prefetch(r)
 		}
-		// The aggregator publishes the buffer once its read (and, with a
-		// codec, the decompress compute) lands; the background byte job for
-		// this buffer must be joined before the publishing fence.
-		w.join(&jobs, bufID, &prefetchErr)
+		// The aggregator publishes the buffer once its read lands; the
+		// background byte job for this buffer must be joined before the
+		// publishing fence.
+		jobs.join(bufID, &prefetchErr)
 		if w.isAgg && pending[bufID] != nil {
 			w.waitFlush(p, pending[bufID], "read-wait", pp.flush[r].bytes)
 			pending[bufID] = nil
-			if w.cfg.Codec != nil {
-				w.codecHold(p, pp.flush[r].bytes, true)
-			}
 		}
 		fenceStart := p.Now()
 		w.win.FenceOf(attend, 0)
@@ -540,21 +447,20 @@ func (w *Writer) runRead() error {
 		if rec != nil {
 			getStart = p.Now()
 		}
+		var scatter func(src []byte) // nil: phantom gets
+		if w.pl != nil {
+			lo, hi := storage.SpanAll(pp.flush[r].segs)
+			scatter = func(src []byte) {
+				if n := w.pl.Scatter(src, lo, hi); n != int64(len(src)) && prefetchErr == nil {
+					// Deferred like prefetch errors: the round structure
+					// must complete on every rank.
+					prefetchErr = fmt.Errorf("core: round %d scatter consumed %d bytes, plan expects %d", r, n, len(src))
+				}
+			}
+		}
 		for idx < len(myPieces) && myPieces[idx].round == r {
 			pc := myPieces[idx]
-			if w.pl != nil {
-				lo, hi := storage.SpanAll(pp.flush[r].segs)
-				round := r
-				w.win.GetScatter(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, func(src []byte) {
-					if n := w.pl.Scatter(src, lo, hi); n != int64(len(src)) && prefetchErr == nil {
-						// Deferred like prefetch errors: the round structure
-						// must complete on every rank.
-						prefetchErr = fmt.Errorf("core: round %d scatter consumed %d bytes, plan expects %d", round, n, len(src))
-					}
-				})
-			} else {
-				w.win.Get(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes)
-			}
+			w.win.GetScatter(w.aggLocal, bufID*w.cfg.BufferSize+pc.bufOff, pc.bytes, scatter)
 			w.stats.BytesPut += pc.bytes
 			idx++
 		}
@@ -572,8 +478,8 @@ func (w *Writer) runRead() error {
 			p.TraceSpan("tapioca", "round", roundStart, p.Now(), w.stats.BytesPut-roundPut)
 		}
 	}
-	w.join(&jobs, 0, &prefetchErr)
-	w.join(&jobs, 1, &prefetchErr)
+	jobs.join(0, &prefetchErr)
+	jobs.join(1, &prefetchErr)
 	barStart := p.Now()
 	w.pc.Barrier()
 	if rec != nil {

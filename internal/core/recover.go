@@ -86,7 +86,7 @@ func (w *Writer) loseFlush(fl flushInfo) {
 // anything unrecoverable is absorbed as a lost flush and returns nil.
 // Without Config.Faults it is one plain storage.Start.
 func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, op storage.Op) *sim.Event {
-	segs := w.flushSegsFor(fl)
+	segs := fl.segs
 	node := w.pc.Node()
 	sys := w.ioSys()
 	if w.cfg.Faults == nil {
@@ -234,8 +234,8 @@ func (w *Writer) failover(p *sim.Proc, r int, pending *[2]*sim.Event, jobs *stor
 		// timer with no waiter; its background store jobs are joined here,
 		// in proc context, so the replacement's replay rewrites are ordered
 		// after them on the host side (the engine serializes procs).
-		w.join(jobs, 0, dataErr)
-		w.join(jobs, 1, dataErr)
+		jobs.join(0, dataErr)
+		jobs.join(1, dataErr)
 		pending[0], pending[1] = nil, nil
 	}
 	for _, q := range w.lostRounds(r) {
@@ -278,7 +278,7 @@ func (w *Writer) replayRound(p *sim.Proc, jobs *storeJobs, q int, dataErr *error
 		return
 	}
 	ev := w.flushRound(p, jobs, q, bufID, false)
-	w.join(jobs, bufID, dataErr)
+	jobs.join(bufID, dataErr)
 	if ev != nil {
 		ev.Wait(p)
 	}

@@ -10,7 +10,7 @@ import (
 // BenchmarkDataPlane measures the host byte path in MB/s (b.SetBytes): the
 // zero-copy gather/scatter against the PR-5 two-copy baseline, coalesced
 // store I/O against the per-run baseline, the parallel checksum against the
-// serial walk, the codec, and the composed write path (gather + store) the
+// serial walk, and the composed write path (gather + store) the
 // ≥2x acceptance criterion is judged on. The "-pr5" variants reconstruct the
 // previous data path in-benchmark so both sides run on identical inputs.
 func BenchmarkDataPlane(b *testing.B) {
@@ -174,24 +174,6 @@ func BenchmarkDataPlane(b *testing.B) {
 		}
 		for i := 0; i < b.N; i++ {
 			if _, err := f.StoreChecksum(bigDecl[0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("codec-compress", func(b *testing.B) {
-		b.SetBytes(window)
-		comp := make([]byte, 0, CompressBound(window))
-		for i := 0; i < b.N; i++ {
-			comp = LZ.Compress(comp, win)
-		}
-	})
-	b.Run("codec-decompress", func(b *testing.B) {
-		b.SetBytes(window)
-		comp := LZ.Compress(nil, win)
-		dst := make([]byte, window)
-		for i := 0; i < b.N; i++ {
-			if err := LZ.Decompress(dst, comp); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -116,3 +116,25 @@ func TestGatherWindowsPartitionStream(t *testing.T) {
 		}
 	}
 }
+
+func TestPlaneChecksumParallelMatchesSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	// Two declared ops, enough bytes to cross the parallel threshold, with
+	// strided runs so shard cuts land mid-run and mid-stream.
+	declared := [][]storage.Seg{
+		{storage.Contig(0, 6<<20), storage.Strided(32<<20, 96<<10, 256<<10, 64)},
+		{storage.Strided(8<<20, 1<<20, 2<<20, 6)},
+	}
+	data := make([][]byte, len(declared))
+	for i, segs := range declared {
+		data[i] = make([]byte, storage.TotalBytes(segs))
+		rng.Read(data[i])
+	}
+	pl, err := New(declared, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := pl.Checksum(), pl.checksumRange(0, 0, pl.total); got != want {
+		t.Fatalf("parallel checksum %#x != serial %#x", got, want)
+	}
+}

@@ -115,9 +115,15 @@ func TestEndToEndMesh2D(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	mesh := workload.Mesh2D{P: 8, Q: 16, TileRows: 16, TileCols: 64, ElemSize: 8}
+	// A row-major 2-D array checkpoint over an 8x16 process grid: each rank
+	// owns one 16x64 tile of 8-byte elements, one strided run per tile row.
+	const p, q, tileRows, tileCols, elem = 8, 16, 16, 64, 8
+	const rowBytes = q * tileCols * elem
 	r := thetaRig(Env{}, 64, 2, topology.RouteMinimal, 8)
 	verifyJob(t, r, false, storage.FileOptions{StripeCount: 8, StripeSize: 1 << 18}, methodTapioca,
-		func(rank, ranks int) [][]storage.Seg { return [][]storage.Seg{mesh.Segs(rank)} },
-		func(ranks int) int64 { return mesh.Bytes() })
+		func(rank, ranks int) [][]storage.Seg {
+			start := int64(rank/q)*tileRows*rowBytes + int64(rank%q)*tileCols*elem
+			return [][]storage.Seg{{storage.Strided(start, tileCols*elem, rowBytes, tileRows)}}
+		},
+		func(ranks int) int64 { return p * q * tileRows * tileCols * elem })
 }

@@ -11,7 +11,7 @@
 //     LogP-style analytic costs — collectives are the control plane, the
 //     measured data plane always moves through the fabric;
 //   - one-sided communication: windows with PutGather, StagePut,
-//     Get/GetScatter and fence epochs, the transport TAPIOCA uses for
+//     GetScatter and fence epochs, the transport TAPIOCA uses for
 //     aggregation, moving virtual bytes through a netsim.Fabric (so
 //     congestion is real).
 //

@@ -456,7 +456,7 @@ func TestGetThenFence(t *testing.T) {
 	_, err := Run(testConfig(2, 1), func(c *Comm) {
 		w := c.WinCreate(4096)
 		if c.Rank() == 0 {
-			w.Get(1, 0, 4096)
+			w.GetScatter(1, 0, 4096, nil)
 		}
 		rel := w.Fence()
 		if rel <= 0 {

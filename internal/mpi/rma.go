@@ -169,10 +169,16 @@ func (w *Win) StagePut(leader int, offset, bytes int64, fill func(dst []byte)) (
 	return senderFree, arrival
 }
 
-// Get transfers bytes from target's window at offset to the caller. The data
-// is usable only after the next Fence (active-target semantics), so Get
-// blocks just for issuing overhead.
-func (w *Win) Get(target int, offset, bytes int64) {
+// GetScatter transfers bytes from target's window at offset to the caller
+// — MPI_Get. The data is usable only after the next Fence (active-target
+// semantics), so GetScatter blocks just for issuing overhead.
+//
+// A nil scatter makes a phantom get that moves a virtual byte count.
+// Otherwise scatter receives the target's window slice [offset,
+// offset+bytes) directly and distributes it into the final payload buffers,
+// with no intermediate buffer. The slice is read at issue time, so issue
+// GetScatter after the fence that published the buffer.
+func (w *Win) GetScatter(target int, offset, bytes int64, scatter func(src []byte)) {
 	c := w.c
 	if target < 0 || target >= c.Size() {
 		panic(fmt.Sprintf("mpi: Get from invalid rank %d", target))
@@ -186,17 +192,6 @@ func (w *Win) Get(target int, offset, bytes int64) {
 		w.s.epochArrival = arrival
 	}
 	c.p.Hold(callOverhead)
-}
-
-// GetScatter is Get with a real, zero-copy destination: the scatter
-// function receives the target's window slice [offset, offset+bytes)
-// directly and distributes it into the final payload buffers. Timing
-// matches Get over the same byte count. As with Get, the data is only
-// guaranteed published once the preceding Fence closed the exposing epoch:
-// issue GetScatter after the fence that published the buffer, so the slice
-// observed at issue time holds the exposed bytes.
-func (w *Win) GetScatter(target int, offset, bytes int64, scatter func(src []byte)) {
-	w.Get(target, offset, bytes)
 	if bytes > 0 && scatter != nil {
 		scatter(w.s.memOf(target)[offset : offset+bytes])
 	}

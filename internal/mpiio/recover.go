@@ -27,7 +27,8 @@ func (fh *File) ioSys() storage.System {
 // On a system without a fault plan this is one plain storage.Do; with one,
 // transients retry under the fixed retry policy, a tier outage degrades when a
 // fallback tier exists, and an exhausted budget hands the op back to the
-// self-healing plain path so the collective still completes.
+// self-healing plain path so the collective still completes. Every round I/O
+// served by the fallback tier counts as one degraded round, as in core.
 func (fh *File) guarded(op storage.Op, segs []storage.Seg) {
 	p := fh.c.Proc()
 	node := fh.c.Node()
@@ -36,13 +37,15 @@ func (fh *File) guarded(op storage.Op, segs []storage.Seg) {
 		tier, err := storage.Try(p, sys)
 		if err == nil {
 			storage.Do(p, tier, node, fh.f, segs, op)
+			if fh.degraded != nil {
+				p.Recorder().Registry().Add(fault.MetricDegradedRounds, 1)
+			}
 			return
 		}
 		reg := p.Recorder().Registry()
 		if errors.Is(err, fault.ErrTierDown) {
 			if d := storage.DegradedSystemOf(sys); d != nil {
 				fh.degraded = d
-				reg.Add(fault.MetricDegradedRounds, 1)
 				continue
 			}
 			storage.Do(p, sys, node, fh.f, segs, op) // no fallback tier; the plain path completes the op

@@ -1,0 +1,101 @@
+package mpiio
+
+import (
+	"sync"
+	"testing"
+
+	"tapioca/internal/fault"
+	"tapioca/internal/mpi"
+	"tapioca/internal/netsim"
+	"tapioca/internal/obs"
+	"tapioca/internal/storage"
+	"tapioca/internal/topology"
+)
+
+// TestRecoveryLadder drives the guarded round I/O through its whole ladder
+// on a fault-injected burst buffer over NullFS: transient failures retry
+// with backoff until the tier goes down in the middle of a collective write,
+// the rest of that write and the read-back that follows degrade to the
+// backing file system, and every round still completes. Every round is one
+// dense buffer-sized write, so the rounds that landed on the fallback tier
+// are the written bytes the burst buffer never staged.
+func TestRecoveryLadder(t *testing.T) {
+	const (
+		ranks   = 8
+		aggrs   = 4
+		buf     = 64 << 10
+		perRank = 4 * buf
+		total   = ranks * perRank
+		rounds  = total / buf // round I/Os per collective call, over all aggregators
+		down    = 2_000_000   // the tier's outage, inside the write call (ns)
+	)
+	topo := topology.NewFlat(ranks)
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
+	bb := storage.NewBurstBuffer(storage.NewNullFS(), storage.BurstBufferConfig{})
+	plan := fault.NewPlan(fault.Config{Seed: 11, StoreFailRate: 0.3, TierDownAfter: down})
+	sys := storage.NewFaulty(bb, plan)
+	rec := obs.NewRecorder(false)
+
+	var mu sync.Mutex
+	var writeStart, writeEnd int64
+	var f *storage.File
+	_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: 1, Fabric: fab, Recorder: rec}, func(c *mpi.Comm) {
+		fh := Open(c, sys, "ladder", storage.FileOptions{}, Hints{CBNodes: aggrs, CBBufferSize: buf})
+		mine := []storage.Seg{storage.Contig(int64(c.Rank())*perRank, perRank)}
+		start := c.Proc().Now()
+		if err := fh.WriteAtAll(mine); err != nil {
+			t.Errorf("rank %d WriteAtAll: %v", c.Rank(), err)
+		}
+		end := c.Proc().Now()
+		if err := fh.ReadAtAll(mine); err != nil {
+			t.Errorf("rank %d ReadAtAll: %v", c.Rank(), err)
+		}
+		mu.Lock()
+		if c.Rank() == 0 {
+			writeStart, writeEnd, f = start, end, fh.Storage()
+		}
+		mu.Unlock()
+		fh.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if writeStart >= down || writeEnd <= down {
+		t.Fatalf("write call ran [%d, %d] ns, want the outage at %d ns inside it", writeStart, writeEnd, down)
+	}
+
+	// Every round of both calls completed.
+	if f.WriteOps() != rounds || f.BytesWritten() != total {
+		t.Errorf("wrote %d bytes in %d ops, want %d in %d", f.BytesWritten(), f.WriteOps(), total, rounds)
+	}
+	if f.ReadOps() != rounds || f.BytesRead() != total {
+		t.Errorf("read %d bytes in %d ops, want %d in %d", f.BytesRead(), f.ReadOps(), total, rounds)
+	}
+
+	// The outage split the write: some rounds staged, the rest degraded.
+	staged := bb.StagedBytes()
+	if staged == 0 || staged == total || staged%buf != 0 {
+		t.Fatalf("burst buffer staged %d of %d bytes, want a whole number of rounds short of all", staged, total)
+	}
+	reg := rec.Registry()
+	counter := func(name string) int64 { return reg.Counter(name).Value() }
+	if counter(fault.MetricTierDown) != 1 {
+		t.Errorf("tier_down = %d, want 1", counter(fault.MetricTierDown))
+	}
+	unstaged := (total - staged) / buf
+	if got, want := counter(fault.MetricDegradedRounds), unstaged+rounds; got != want {
+		t.Errorf("degraded_rounds = %d, want %d (%d write rounds past the outage, %d read rounds)",
+			got, want, unstaged, rounds)
+	}
+
+	// Every transient was retried, and no op retried more than the policy
+	// allows: the ops that reached the primary tier are the staged rounds
+	// and at most one per aggregator that met the outage.
+	retries, transients := counter(fault.MetricRetries), counter(fault.MetricStoreTransients)
+	if transients == 0 || retries != transients {
+		t.Errorf("retries = %d, transients = %d, want equal and > 0", retries, transients)
+	}
+	if primaryOps := staged/buf + aggrs; retries > fault.RetryAttempts*primaryOps {
+		t.Errorf("retries = %d, want at most %d per op over %d ops", retries, fault.RetryAttempts, primaryOps)
+	}
+}

@@ -13,8 +13,8 @@
 //  2. Deterministic output. Recorded spans carry virtual time only, and
 //     within one simulation the engine runs exactly one proc at a time, so
 //     each simulation's event stream is identical on every run. Host-side
-//     wall-clock measurements (codec time, store I/O) go to the metrics
-//     registry under the "host." prefix, never into the trace.
+//     wall-clock measurements (store I/O) go to the metrics registry under
+//     the "host." prefix, never into the trace.
 //
 // A Recorder observes ONE simulation (one engine + fabric + storage). Runs
 // that span many independent simulations (the experiment grid) use one
@@ -37,14 +37,11 @@ const (
 	// PhaseStorage is time aggregators spend blocked on flush (write path)
 	// or prefetch (read path) completions.
 	PhaseStorage
-	// PhaseCodec is compute time charged by the per-round reduction stage
-	// (compress before flush, decompress after prefetch).
-	PhaseCodec
 	// NumPhases is the phase count (array sizing).
 	NumPhases
 )
 
-var phaseNames = [NumPhases]string{"aggregation", "exchange", "storage", "codec"}
+var phaseNames = [NumPhases]string{"aggregation", "exchange", "storage"}
 
 func (ph Phase) String() string {
 	if ph < 0 || ph >= NumPhases {

@@ -42,7 +42,7 @@ func TestRecorderDisabledZeroAlloc(t *testing.T) {
 		t.Errorf("counter x = %d, want 3", got)
 	}
 	// Nil recorder: the whole chain is a no-op, not a panic.
-	nilRec.Phase(PhaseCodec, 5)
+	nilRec.Phase(PhaseStorage, 5)
 	nilRec.Registry().Add("x", 1)
 	nilRec.Registry().Observe("y", 1)
 }
@@ -66,7 +66,7 @@ func TestRecorderEventCap(t *testing.T) {
 func fillRegistry(reg *Registry) {
 	reg.Add("net.bytes", 1<<30)
 	reg.Add("net.transfers", 4096)
-	reg.SetMax("codec.ratio", 0.41)
+	reg.SetMax("net.util", 0.41)
 	for i := 1; i <= 100; i++ {
 		reg.Observe("lat", float64(i)*0.001)
 	}

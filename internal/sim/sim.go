@@ -155,9 +155,6 @@ func (p *Proc) Recorder() *obs.Recorder { return p.eng.rec }
 // are wanted (e.g. a recorder is attached); the fast path pays nothing.
 func (p *Proc) SetPhaseLabel(label string) { p.phase = label }
 
-// PhaseLabel returns the current phase label ("" when unset).
-func (p *Proc) PhaseLabel() string { return p.phase }
-
 // SetTraceID assigns the proc's trace track — (pid, tid) in the Chrome
 // trace's process/thread convention (compute node id, world rank) — and
 // starts its first run interval. Until called, the proc emits no scheduler

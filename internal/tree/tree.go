@@ -191,17 +191,6 @@ type Tree struct {
 // build guarantees the span is exactly the subtree (contiguity invariant).
 func (t *Tree) Span(v int) (lo, hi int) { return t.spanLo[v], t.spanHi[v] }
 
-// Children returns the child vertices of v in ascending leader order.
-func (t *Tree) Children(v int) []int {
-	var out []int
-	for c, p := range t.Parent {
-		if p == v {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Build constructs the concrete tree for a shape over a partition's leader
 // list, rooted at leader index root. g supplies topology locality groups for
 // GroupTree/Chain; a nil g collapses those shapes to one global group (the

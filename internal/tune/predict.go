@@ -6,7 +6,6 @@ import (
 
 	"tapioca/internal/core"
 	"tapioca/internal/cost"
-	"tapioca/internal/dataplane"
 	"tapioca/internal/sim"
 	"tapioca/internal/storage"
 	"tapioca/internal/topology"
@@ -212,20 +211,6 @@ func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions, pl point
 		return 0, 0
 	}
 
-	// Codec pricing mirrors the pipeline exactly: the aggregator's stream
-	// time gains the modeled compress (write) or decompress (read) compute,
-	// and the bytes that hit storage shrink to the modeled compressed size
-	// as one contiguous extent per round.
-	var codecRate float64 // bytes/second of the priced codec stage
-	if cfg.Codec != nil {
-		crate, drate := cfg.Codec.ModelRates()
-		if pr.read {
-			codecRate = drate
-		} else {
-			codecRate = crate
-		}
-	}
-
 	aggRound := make([]float64, n)    // slowest partition's aggregation per round
 	flushStream := make([]float64, n) // slowest single aggregator stream per round
 	flushBytes := make([]int64, n)    // system-wide payload per round
@@ -241,13 +226,8 @@ func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions, pl point
 			if perRound > aggRound[r] {
 				aggRound[r] = perRound
 			}
-			fb, fruns := pe.FlushBytes[r], pe.FlushRuns[r]
-			var codecSecs float64
-			if cfg.Codec != nil && fb > 0 {
-				codecSecs = float64(fb) / codecRate
-				fb, fruns = dataplane.ModeledSize(cfg.Codec, fb), 1
-			}
-			if fs := codecSecs + pr.flushSeconds(fopt, fb, fruns, members[win].Node); fs > flushStream[r] {
+			fb := pe.FlushBytes[r]
+			if fs := pr.flushSeconds(fopt, fb, pe.FlushRuns[r], members[win].Node); fs > flushStream[r] {
 				flushStream[r] = fs
 			}
 			flushBytes[r] += fb

@@ -23,7 +23,6 @@ import (
 
 	"tapioca/internal/core"
 	"tapioca/internal/cost"
-	"tapioca/internal/dataplane"
 	"tapioca/internal/mpiio"
 	"tapioca/internal/par"
 	"tapioca/internal/storage"
@@ -67,10 +66,6 @@ type Options struct {
 	// Placements lists the election strategies to consider; nil selects
 	// topology-aware and two-level.
 	Placements []cost.Placement
-	// Codecs lists the reduction stages to consider; a nil entry means no
-	// compression. Nil (the default) searches only the uncompressed path, so
-	// the codec dimension is strictly opt-in.
-	Codecs []dataplane.Codec
 	// NoRefine restricts the search to the exact grid — what an exhaustive
 	// sweep over the same space evaluates, so ablations compare
 	// like-for-like.
@@ -191,18 +186,12 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 	if len(placements) == 0 {
 		placements = []cost.Placement{cost.TopologyAware(), cost.TwoLevel()}
 	}
-	codecs := opt.Codecs
-	if len(codecs) == 0 {
-		codecs = []dataplane.Codec{nil}
-	}
 
 	s := &search{p: p, pr: pr, advisor: advisor, seen: map[string]bool{}, treeSearch: opt.TreeSearch}
 	for _, a := range aggGrid {
 		for _, b := range bufGrid {
 			for _, pl := range placements {
-				for _, cd := range codecs {
-					s.evaluate(a, b, pl, cd)
-				}
+				s.evaluate(a, b, pl)
 			}
 		}
 	}
@@ -212,16 +201,16 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 	s.rank()
 
 	// Local refinement: probe the geometric neighborhood of the best grid
-	// point along each axis, twice, keeping the winner's placement and codec.
+	// point along each axis, twice, keeping the winner's placement.
 	if !opt.NoRefine {
 		for iter := 0; iter < 2; iter++ {
 			best := s.cands[0]
 			a, b := best.Config.Aggregators, best.Config.BufferSize
 			for _, na := range neighborInts(a, aggGrid) {
-				s.evaluate(na, b, best.Config.Placement, best.Config.Codec)
+				s.evaluate(na, b, best.Config.Placement)
 			}
 			for _, nb := range neighborSizes(b, bufGrid) {
-				s.evaluate(a, nb, best.Config.Placement, best.Config.Codec)
+				s.evaluate(a, nb, best.Config.Placement)
 			}
 			s.rank()
 		}
@@ -276,40 +265,31 @@ func (s *search) fileOptions(bufSize int64, aggregators int) storage.FileOptions
 	return s.advisor.RecommendStripe(s.pr.totalBytes, bufSize, aggregators)
 }
 
-// codecName labels a codec grid entry in search keys and rank tie-breaks;
-// nil (no reduction) sorts before every named codec.
-func codecName(cd dataplane.Codec) string {
-	if cd == nil {
-		return ""
-	}
-	return cd.Name()
+func key(a int, b int64, pl cost.Placement) string {
+	return fmt.Sprintf("%d/%d/%s", a, b, pl.Name())
 }
 
-func key(a int, b int64, pl cost.Placement, cd dataplane.Codec) string {
-	return fmt.Sprintf("%d/%d/%s/%s", a, b, pl.Name(), codecName(cd))
-}
-
-// evaluate scores one (aggregators, buffer, placement, codec) point under
+// evaluate scores one (aggregators, buffer, placement) point under
 // each aggregation shape: flat, and on platforms with co-located ranks
 // (RanksPerNode > 1) node-staged plus — with TreeSearch — the shape search's
 // pick when it has interior levels (a degenerate pick is already covered).
 // At one rank per node every node group is a singleton, so staging and
 // trees are structural no-ops and only flat is priced. The shapes share one
 // plan, and each yields a double- and a single-buffered candidate.
-func (s *search) evaluate(a int, b int64, pl cost.Placement, cd dataplane.Codec) {
+func (s *search) evaluate(a int, b int64, pl cost.Placement) {
 	if a < 1 || b < 1 {
 		return
 	}
 	if a > len(s.pr.all) {
 		a = len(s.pr.all)
 	}
-	k := key(a, b, pl, cd)
+	k := key(a, b, pl)
 	if s.seen[k] {
 		return
 	}
 	s.seen[k] = true
 	fopt := s.fileOptions(b, a)
-	base := core.Config{Aggregators: a, BufferSize: b, Placement: pl, Codec: cd}
+	base := core.Config{Aggregators: a, BufferSize: b, Placement: pl}
 	point := s.pr.plan(base, fopt)
 	shapes := []*tree.Shape{nil}
 	if s.p.RanksPerNode > 1 {
@@ -333,8 +313,8 @@ func (s *search) evaluate(a int, b int64, pl cost.Placement, cd dataplane.Codec)
 // rank orders candidates best-first, deterministically: corrected time, then
 // fewer aggregators, smaller buffers, double-buffered before single, the
 // simpler aggregation shape (flat, then node-staged, then interior shapes by
-// name — ties mean the extra hops bought nothing), no codec before a named
-// one, and placement name as the last resort.
+// name — ties mean the extra hops bought nothing), and placement name as
+// the last resort.
 func (s *search) rank() {
 	sort.SliceStable(s.cands, func(i, j int) bool {
 		a, b := s.cands[i], s.cands[j]
@@ -355,9 +335,6 @@ func (s *search) rank() {
 				return ac < bc
 			}
 			return as.String() < bs.String()
-		}
-		if an, bn := codecName(a.Config.Codec), codecName(b.Config.Codec); an != bn {
-			return an < bn
 		}
 		return a.Config.Placement.Name() < b.Config.Placement.Name()
 	})

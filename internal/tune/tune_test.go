@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"tapioca/internal/core"
-	"tapioca/internal/dataplane"
 	"tapioca/internal/mpi"
 	"tapioca/internal/netsim"
 	"tapioca/internal/sim"
@@ -217,50 +216,6 @@ func TestReadTuning(t *testing.T) {
 	}
 }
 
-// nullPlatform is a rig whose storage is (nearly) free: NullFS charges a
-// fixed per-op latency and no per-byte cost.
-func nullPlatform(nodes, rpn int) Platform {
-	topo := topology.NewFlat(nodes)
-	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
-	return Platform{Topo: topo, Dist: fab.Distances(), Sys: storage.NewNullFS(), RanksPerNode: rpn}
-}
-
-// TestCodecDimension pins the reduction stage's place in the search: opt-in
-// only, picked when flush bandwidth is the bottleneck, and rejected when
-// storage is free and compression is pure compute overhead.
-func TestCodecDimension(t *testing.T) {
-	w := workload.IOR(128, 1<<19)
-	codecs := []dataplane.Codec{nil, dataplane.LZ}
-
-	// The codec dimension is strictly opt-in: a default search never
-	// considers (or picks) a codec.
-	if def := Autotune(thetaPlatform(32, 4, 8), w, Options{}); def.Config.Codec != nil {
-		t.Fatalf("default search picked codec %q", def.Config.Codec.Name())
-	}
-
-	// One starved OST: every aggregator shares a 0.42 GB/s ceiling, so
-	// halving the flushed bytes buys far more than the modeled compression
-	// compute costs.
-	slow := Autotune(thetaPlatform(32, 4, 1), w, Options{Codecs: codecs})
-	if slow.Config.Codec == nil {
-		t.Fatal("bandwidth-starved storage: expected the reduction stage to win")
-	}
-
-	// Free storage: a codec only adds compute to the critical path.
-	fast := Autotune(nullPlatform(32, 4), w, Options{Codecs: codecs})
-	if fast.Config.Codec != nil {
-		t.Fatalf("free storage: codec %q picked over none", fast.Config.Codec.Name())
-	}
-
-	// Both variants of every grid point were scored: the codec grid doubles
-	// the candidate count relative to a codec-free search of the same space.
-	base := Autotune(thetaPlatform(32, 4, 1), w, Options{NoRefine: true})
-	both := Autotune(thetaPlatform(32, 4, 1), w, Options{NoRefine: true, Codecs: codecs})
-	if both.Evaluated != 2*base.Evaluated {
-		t.Fatalf("codec grid scored %d candidates, want %d", both.Evaluated, 2*base.Evaluated)
-	}
-}
-
 func TestTruncatePattern(t *testing.T) {
 	w := workload.HACC(8, 10_000, workload.AoS)
 	full := w.TotalBytes()
@@ -390,7 +345,7 @@ func distinctShapes(t *testing.T, res Result) {
 	for _, c := range res.Candidates {
 		cfg := c.Config
 		k := fmt.Sprintf("%s/%v/%s", cfg.Shape(), cfg.SingleBuffer,
-			key(cfg.Aggregators, cfg.BufferSize, cfg.Placement, cfg.Codec))
+			key(cfg.Aggregators, cfg.BufferSize, cfg.Placement))
 		if seen[k] {
 			t.Fatalf("candidate %s emitted twice (%+v)", k, cfg)
 		}

@@ -44,17 +44,6 @@ func HACC(ranks int, particles int64, layout int) Pattern {
 	}
 }
 
-// Mesh returns the 2-D array checkpoint pattern of a Mesh2D decomposition.
-func Mesh(m Mesh2D) Pattern {
-	return Pattern{
-		Name:  "mesh2d",
-		Ranks: m.Ranks(),
-		Declared: func(rank, _ int) [][]storage.Seg {
-			return [][]storage.Seg{m.Segs(rank)}
-		},
-	}
-}
-
 // AllSegs materializes every rank's declared segments, flattened per rank —
 // the planner-facing view (per-call boundaries don't matter to the round
 // schedule).

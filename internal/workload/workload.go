@@ -78,30 +78,3 @@ func HACCFileBytes(ranks int, particles int64) int64 {
 func ParticlesForMB(mb float64) int64 {
 	return int64(mb * (1 << 20) / ParticleBytes)
 }
-
-// Mesh2D describes a 2-D array checkpoint decomposed into a PxQ process
-// grid (the paper's §VI future-work data layout). The global array is
-// (P*TileRows) × (Q*TileCols) elements of ElemSize bytes, stored row-major;
-// each rank owns one tile, whose file pattern is TileRows strided runs.
-type Mesh2D struct {
-	P, Q               int   // process grid
-	TileRows, TileCols int64 // per-rank tile shape (elements)
-	ElemSize           int64 // bytes per element
-}
-
-// Segs returns the file pattern of one rank's tile.
-func (m Mesh2D) Segs(rank int) []storage.Seg {
-	pr := rank / m.Q // tile row in the process grid
-	pc := rank % m.Q // tile column
-	globalRowBytes := int64(m.Q) * m.TileCols * m.ElemSize
-	start := int64(pr)*m.TileRows*globalRowBytes + int64(pc)*m.TileCols*m.ElemSize
-	return []storage.Seg{storage.Strided(start, m.TileCols*m.ElemSize, globalRowBytes, m.TileRows)}
-}
-
-// Bytes returns the total array size.
-func (m Mesh2D) Bytes() int64 {
-	return int64(m.P) * int64(m.Q) * m.TileRows * m.TileCols * m.ElemSize
-}
-
-// Ranks returns the process-grid size.
-func (m Mesh2D) Ranks() int { return m.P * m.Q }

@@ -83,41 +83,6 @@ func TestHACCAoSIsStrided(t *testing.T) {
 	}
 }
 
-func TestMesh2DTilesExactly(t *testing.T) {
-	m := Mesh2D{P: 3, Q: 4, TileRows: 5, TileCols: 7, ElemSize: 8}
-	total := m.Bytes()
-	seen := make([]bool, total)
-	var bytes int64
-	for r := 0; r < m.Ranks(); r++ {
-		storage.Enumerate(m.Segs(r), 1<<20, func(off, length int64) {
-			for i := off; i < off+length; i++ {
-				if i < 0 || i >= total || seen[i] {
-					t.Fatalf("rank %d byte %d invalid or duplicated", r, i)
-				}
-				seen[i] = true
-			}
-			bytes += length
-		})
-	}
-	if bytes != total {
-		t.Fatalf("covered %d of %d bytes", bytes, total)
-	}
-}
-
-func TestMesh2DRowStructure(t *testing.T) {
-	m := Mesh2D{P: 2, Q: 2, TileRows: 4, TileCols: 8, ElemSize: 4}
-	segs := m.Segs(3) // bottom-right tile
-	if len(segs) != 1 || segs[0].Count != 4 {
-		t.Fatalf("segs = %+v", segs)
-	}
-	if segs[0].Len != 8*4 {
-		t.Fatalf("row length = %d", segs[0].Len)
-	}
-	if segs[0].Stride != 2*8*4 {
-		t.Fatalf("stride = %d, want global row", segs[0].Stride)
-	}
-}
-
 func TestHACCSoAIsContiguous(t *testing.T) {
 	decl := HACCDeclared(1, 2, 50, SoA)
 	for v, segs := range decl {

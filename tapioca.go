@@ -43,7 +43,6 @@ import (
 
 	"tapioca/internal/core"
 	"tapioca/internal/cost"
-	"tapioca/internal/dataplane"
 	"tapioca/internal/mpi"
 	"tapioca/internal/mpiio"
 	"tapioca/internal/netsim"
@@ -110,16 +109,6 @@ const (
 // ParseTreeShape parses a TreePlan string ("flat", "staged", "group",
 // "chain", "fanin:k").
 func ParseTreeShape(s string) (TreeShape, error) { return tree.ParseShape(s) }
-
-// Codec is a pluggable per-round reduction (compression) stage for the
-// flush path (see internal/dataplane.Codec). Set Config.Codec to enable it;
-// nil means no reduction.
-type Codec = dataplane.Codec
-
-// LZCodec is the reference reduction codec: a fast byte-oriented LZ77 with
-// an LZ4-style block format. Real payload bytes genuinely round-trip through
-// it, so a broken codec fails end-to-end verification.
-var LZCodec = dataplane.LZ
 
 // Writer is a TAPIOCA collective I/O session handle.
 type Writer = core.Writer
@@ -470,15 +459,6 @@ type AutotuneOption func(*tune.Options)
 // prediction.
 func WithProbes(n int) AutotuneOption {
 	return func(o *tune.Options) { o.Probes = n }
-}
-
-// WithCodecs adds the reduction stage as a searched dimension: every grid
-// point is additionally priced under each listed codec (a nil entry means no
-// compression), using the codec's modeled ratio and rates — the same terms
-// the pipeline charges in virtual time. Typical use:
-// WithCodecs(nil, LZCodec).
-func WithCodecs(codecs ...Codec) AutotuneOption {
-	return func(o *tune.Options) { o.Codecs = codecs }
 }
 
 // WithTreeSearch adds the aggregation-tree shape as a searched dimension:
