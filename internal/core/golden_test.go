@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"hash/crc64"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -160,7 +159,7 @@ func metricsDigest(s obs.Snapshot) (digest uint64, n int) {
 			fmt.Fprintf(&b, "h %s %d %v %v %v\n", name, h.Count, h.Sum, h.Min, h.Max)
 		}
 	}
-	return crc64.Checksum([]byte(b.String()), crc64.MakeTable(crc64.ECMA)), n
+	return storage.CRC64(0, []byte(b.String())), n
 }
 
 // goldenPlatform builds a golden case's fabric and storage: a 16-node BG/Q

@@ -16,16 +16,12 @@ package dataplane
 
 import (
 	"fmt"
-	"hash/crc64"
 	"runtime"
 	"sort"
 
 	"tapioca/internal/par"
 	"tapioca/internal/storage"
 )
-
-// crcTable is the shared CRC-64/ECMA table for payload checksums.
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // maxRuns bounds a Plane's run-index size: the data plane targets
 // correctness-verified scenarios at moderate scale, not the paper-scale
@@ -200,7 +196,7 @@ func (pl *Plane) checksumRange(runIdx int, skip, n int64) uint64 {
 		if int64(len(p)) > n {
 			p = p[:n]
 		}
-		crc = crc64.Update(crc, crcTable, p)
+		crc = storage.CRC64(crc, p)
 		n -= int64(len(p))
 		skip = 0
 	}

@@ -9,10 +9,11 @@ import (
 
 // This file gives the MPI-IO baseline the same storage-fault hygiene a real
 // ROMIO stack has: bounded retry with virtual-time backoff on transient
-// errors and a fall-back to the tier behind a dead burst buffer. Only the
-// coalesced round flushes and round reads go through the guarded path — the
-// sieved write (OpSieve) stays on the plain storage.Do path, where the
-// modeled client library absorbs transients internally.
+// errors and a fall-back to the tier behind a dead burst buffer. Every round
+// flush (dense, sieved or run by run) and every round read goes through the
+// guarded path; the independent (non-collective) calls stay on the plain
+// storage.Do path, where the modeled client library absorbs transients
+// internally.
 
 // ioSys is the tier the handle's round I/O currently targets: the opened
 // system, or the degraded fallback once the primary tier went down.

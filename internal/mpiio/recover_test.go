@@ -99,3 +99,53 @@ func TestRecoveryLadder(t *testing.T) {
 		t.Errorf("retries = %d, want at most %d per op over %d ops", retries, fault.RetryAttempts, primaryOps)
 	}
 }
+
+// TestSievedRoundsDegrade pins that sparse rounds' sieved writes run the
+// recovery ladder like every other round flush: on a burst buffer that goes
+// down at the start of the run, each aggregator's read-modify-write lands on
+// the backing file system and counts as one degraded round.
+func TestSievedRoundsDegrade(t *testing.T) {
+	const (
+		ranks  = 8
+		aggrs  = 4
+		block  = 1 << 10
+		slot   = 2 * block // each rank writes the first half of its slot
+		blocks = 16        // per rank
+		total  = ranks * blocks * block
+		rounds = 32 // round writes over all aggregators
+	)
+	topo := topology.NewFlat(ranks)
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
+	bb := storage.NewBurstBuffer(storage.NewNullFS(), storage.BurstBufferConfig{})
+	sys := storage.NewFaulty(bb, fault.NewPlan(fault.Config{Seed: 11, TierDownAfter: 1}))
+	rec := obs.NewRecorder(false)
+
+	var f *storage.File
+	_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: 1, Fabric: fab, Recorder: rec}, func(c *mpi.Comm) {
+		fh := Open(c, sys, "sieved", storage.FileOptions{}, Hints{CBNodes: aggrs, CBBufferSize: 8 << 10})
+		mine := []storage.Seg{storage.Strided(int64(c.Rank())*slot, block, ranks*slot, blocks)}
+		if err := fh.WriteAtAll(mine); err != nil {
+			t.Errorf("rank %d WriteAtAll: %v", c.Rank(), err)
+		}
+		if c.Rank() == 0 {
+			f = fh.Storage()
+		}
+		fh.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.WriteOps() != rounds || f.BytesWritten() != total {
+		t.Errorf("wrote %d bytes in %d ops, want %d in %d", f.BytesWritten(), f.WriteOps(), total, rounds)
+	}
+	if staged := bb.StagedBytes(); staged != 0 {
+		t.Errorf("burst buffer staged %d bytes past its outage, want 0", staged)
+	}
+	reg := rec.Registry()
+	if got := reg.Counter(fault.MetricTierDown).Value(); got != 1 {
+		t.Errorf("tier_down = %d, want 1", got)
+	}
+	if got := reg.Counter(fault.MetricDegradedRounds).Value(); got != rounds {
+		t.Errorf("degraded_rounds = %d, want %d (every sieved round write)", got, rounds)
+	}
+}

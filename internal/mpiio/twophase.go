@@ -468,8 +468,6 @@ func (fh *File) aggregate(plan *schedule, rd roundData, horizon int64, planes []
 // (read-modify-write of the touched span, ROMIO's default) or are written
 // run by run.
 func (fh *File) flush(rd roundData) {
-	p := fh.c.Proc()
-	node := fh.c.Node()
 	lo, hi := storage.SpanAll(rd.segs)
 	if rd.bytes >= hi-lo {
 		// Fully dense: one contiguous write.
@@ -477,7 +475,7 @@ func (fh *File) flush(rd roundData) {
 		return
 	}
 	if !fh.hints.DisableSieving {
-		storage.Do(p, fh.sys, node, fh.f, rd.segs, storage.OpSieve)
+		fh.guarded(storage.OpSieve, rd.segs)
 		return
 	}
 	fh.guarded(storage.OpWrite, rd.segs)

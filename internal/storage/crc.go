@@ -2,9 +2,17 @@ package storage
 
 import "hash/crc64"
 
+// ecmaTable is the CRC-64/ECMA byte table: the whole scan on inputs
+// too short for the carry-less-multiply kernel (or CPUs without one), and
+// the kernel's finish on the folded remainder and the tail.
+var ecmaTable = crc64.MakeTable(crc64.ECMA)
+
 // CRC64 extends a running CRC-64/ECMA with p — the polynomial every end of
-// the data plane agrees on (dataplane.Plane.Checksum, File.StoreChecksum).
-func CRC64(crc uint64, p []byte) uint64 { return crc64.Update(crc, storeCRCTable, p) }
+// the data plane agrees on (dataplane.Plane.Checksum, File.StoreChecksum),
+// and the one checksum kernel both ends run. On amd64 with PCLMULQDQ it
+// folds inputs of 64 bytes and more by carry-less multiply; the result
+// always equals hash/crc64.Update with the ECMA table.
+func CRC64(crc uint64, p []byte) uint64 { return crc64Update(crc, p) }
 
 // crc64Poly is the reflected CRC-64/ECMA polynomial (the bit order
 // hash/crc64 computes in), needed to build the combine operator matrices.

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"hash/crc64"
 	"io"
 	"os"
 	"runtime"
@@ -10,11 +9,6 @@ import (
 
 	"tapioca/internal/par"
 )
-
-// storeCRCTable is the CRC-64/ECMA table for StoreChecksum — the same
-// polynomial dataplane.Plane.Checksum uses on the application end, so the
-// two ends of the pipeline can be compared directly.
-var storeCRCTable = crc64.MakeTable(crc64.ECMA)
 
 // Store is a pluggable backing byte store for a simulated file — the data
 // plane's durable end. Timing stays with the System models; a Store only
@@ -389,7 +383,7 @@ func (f *File) storeChecksumSerial(segs []Seg) (uint64, error) {
 				if err := f.StoreReadAt(buf[:n], off); err != nil {
 					return 0, err
 				}
-				crc = crc64.Update(crc, storeCRCTable, buf[:n])
+				crc = CRC64(crc, buf[:n])
 				off += n
 				remaining -= n
 			}
