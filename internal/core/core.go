@@ -108,10 +108,10 @@ type Config struct {
 	// Recovery arms the self-healing machinery under Faults: bounded retry
 	// with virtual-time backoff, aggregator failover with §IV-B re-election
 	// and round replay, degraded-mode writes past a dead burst-buffer tier,
-	// and verify-and-repair of corrupted extents. Nil with Faults set means
-	// faults inject but nothing recovers: losses are counted, and a dead
-	// aggregator deadlocks its partition (diagnosed by the engine).
-	Recovery *fault.Recovery
+	// and verify-and-repair of corrupted extents. False with Faults set
+	// means faults inject but nothing recovers: losses are counted, and a
+	// dead aggregator deadlocks its partition (diagnosed by the engine).
+	Recovery bool
 }
 
 // ApplyDefaults resolves the zero-value fields to the library defaults for a
@@ -187,10 +187,9 @@ type Writer struct {
 	// boundary, never a lookup).
 	rec *obs.Recorder
 
-	// degradedSys, once set, replaces sys for the rest of the session's
-	// flush traffic: the degraded-mode fallback tier a writer switches to
-	// when Config.Faults takes the primary tier down (see recover.go).
-	degradedSys storage.System
+	// ladder resolves the tier each flush is issued on under Config.Faults,
+	// holding the sticky switch to the fallback tier (see recover.go).
+	ladder storage.Ladder
 
 	stats Stats
 }
@@ -246,7 +245,7 @@ type Stats struct {
 // New creates a TAPIOCA session on comm for the given storage file.
 func New(c *mpi.Comm, sys storage.System, f *storage.File, cfg Config) *Writer {
 	cfg.setDefaults(c)
-	return &Writer{c: c, sys: sys, f: f, cfg: cfg}
+	return &Writer{c: c, sys: sys, f: f, cfg: cfg, ladder: storage.NewLadder(sys, cfg.Recovery)}
 }
 
 // Stats returns this rank's session statistics.

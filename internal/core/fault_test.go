@@ -39,7 +39,7 @@ type faultEvents struct {
 // runFaultTrip runs one write+read round trip over a faulty backend and
 // returns the recovery-event profile. All data checks (VerifyData, session
 // checksum parity, store checksum parity) report through fail.
-func runFaultTrip(t *testing.T, be backend, fc fault.Config, rec *fault.Recovery, seed int64) faultEvents {
+func runFaultTrip(t *testing.T, be backend, fc fault.Config, recovery bool, seed int64) faultEvents {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	decl := genDeclared(rng, be.ranks, be.ranks*3)
@@ -65,7 +65,7 @@ func runFaultTrip(t *testing.T, be backend, fc fault.Config, rec *fault.Recovery
 		f = c.Bcast(0, 8, f).(*storage.File)
 		mine := decl[c.Rank()]
 		data := workload.FillData(mine, uint64(seed))
-		cfg := Config{Aggregators: 4, BufferSize: 8 << 10, Faults: plan, Recovery: rec}
+		cfg := Config{Aggregators: 4, BufferSize: 8 << 10, Faults: plan, Recovery: recovery}
 
 		w := New(c, fsys, f, cfg)
 		if err := w.InitData(mine, data); err != nil {
@@ -154,7 +154,7 @@ func TestFaultRecoveryRoundTrip(t *testing.T) {
 				// path runs under the same verification.
 				fc.TierDownAfter = 5 * sim.Millisecond
 			}
-			ev := runFaultTrip(t, be, fc, fault.DefaultRecovery(), 0xC0FFEE)
+			ev := runFaultTrip(t, be, fc, true, 0xC0FFEE)
 			if ev.lostBytes != 0 {
 				t.Errorf("recovery-enabled write lost %d bytes (%d flushes)", ev.lostBytes, ev.lostFlushes)
 			}
@@ -171,8 +171,8 @@ func TestFaultRecoveryRoundTrip(t *testing.T) {
 func TestFaultSameSeedSameEvents(t *testing.T) {
 	be := dataPlaneBackends()[1] // lustre
 	fc := fault.Profile(0xD5EED, 0.2)
-	a := runFaultTrip(t, be, fc, fault.DefaultRecovery(), 7)
-	b := runFaultTrip(t, be, fc, fault.DefaultRecovery(), 7)
+	a := runFaultTrip(t, be, fc, true, 7)
+	b := runFaultTrip(t, be, fc, true, 7)
 	if a.retries != b.retries || a.failovers != b.failovers || a.replayed != b.replayed ||
 		a.degraded != b.degraded || a.repaired != b.repaired ||
 		a.lostFlushes != b.lostFlushes || a.lostBytes != b.lostBytes {
@@ -257,10 +257,6 @@ func TestCorruptionRepair(t *testing.T) {
 			sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: 4})
 			plan := fault.NewPlan(fault.Config{Seed: 99, CorruptRate: 1})
 			recorder := obs.NewRecorder(false)
-			var rec *fault.Recovery
-			if repair {
-				rec = &fault.Recovery{Repair: true}
-			}
 			var mu sync.Mutex
 			mismatches, matches := 0, 0
 			_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: rpn, Fabric: fab, Recorder: recorder}, func(c *mpi.Comm) {
@@ -271,7 +267,7 @@ func TestCorruptionRepair(t *testing.T) {
 				f = c.Bcast(0, 8, f).(*storage.File)
 				mine := decl[c.Rank()]
 				data := workload.FillData(mine, uint64(seed))
-				w := New(c, sys, f, Config{Aggregators: 2, BufferSize: 8 << 10, SingleBuffer: single, Faults: plan, Recovery: rec})
+				w := New(c, sys, f, Config{Aggregators: 2, BufferSize: 8 << 10, SingleBuffer: single, Faults: plan, Recovery: repair})
 				if err := w.InitData(mine, data); err != nil {
 					panic(err)
 				}
@@ -318,5 +314,51 @@ func TestCorruptionRepair(t *testing.T) {
 				t.Errorf("repair disarmed, but all %d rank checksums still match — damage invisible", matches)
 			}
 		})
+	}
+}
+
+// TestFallbackTierDownLosesFlush: when the tier behind a dead burst buffer is
+// down too, the recovery ladder has no rung left. Every flush is counted as
+// lost and the session completes, instead of retrying the dead fallback tier
+// forever without advancing virtual time.
+func TestFallbackTierDownLosesFlush(t *testing.T) {
+	const ranks = 4
+	topo := topology.NewFlat(ranks)
+	fab := netsim.New(topo, netsim.Config{})
+	plan := fault.NewPlan(fault.Config{Seed: 5, TierDownAfter: 1})
+	inner := storage.NewFaulty(storage.NewNullFS(), plan)
+	sys := storage.NewFaulty(storage.NewBurstBuffer(inner, storage.BurstBufferConfig{}), plan)
+	var mu sync.Mutex
+	var st Stats
+	_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: 1, Fabric: fab}, func(c *mpi.Comm) {
+		var f *storage.File
+		if c.Rank() == 0 {
+			f = sys.Create("nested", storage.FileOptions{})
+		}
+		f = c.Bcast(0, 8, f).(*storage.File)
+		decl := [][]storage.Seg{{storage.Contig(int64(c.Rank())*32<<10, 32<<10)}}
+		w := New(c, sys, f, Config{Aggregators: 1, BufferSize: 16 << 10, Faults: plan, Recovery: true})
+		if err := w.Init(decl); err != nil {
+			t.Errorf("rank %d Init: %v", c.Rank(), err)
+			return
+		}
+		if err := w.WriteAll(); err != nil {
+			t.Errorf("rank %d WriteAll: %v", c.Rank(), err)
+		}
+		s := w.Stats()
+		mu.Lock()
+		st.Flushes += s.Flushes
+		st.LostFlushes += s.LostFlushes
+		st.DegradedFlushes += s.DegradedFlushes
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.LostFlushes == 0 || st.LostFlushes != st.Flushes {
+		t.Errorf("lost %d of %d flushes, want every flush lost", st.LostFlushes, st.Flushes)
+	}
+	if st.DegradedFlushes != 0 {
+		t.Errorf("%d flushes counted as served by the dead fallback tier", st.DegradedFlushes)
 	}
 }

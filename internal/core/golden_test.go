@@ -101,7 +101,7 @@ func goldenCases() []goldenCase {
 	}
 	death := func(c *Config) {
 		c.Faults = fault.NewPlan(fault.Config{Seed: 17, AggrDeathRate: 1})
-		c.Recovery = fault.DefaultRecovery()
+		c.Recovery = true
 	}
 	// pairs interleaves two nodes' ranks pairwise (node 0's first two, node
 	// 1's first two, node 0's next two, ...), so a node's ranks form two

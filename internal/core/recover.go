@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-
 	"tapioca/internal/cost"
 	"tapioca/internal/fault"
 	"tapioca/internal/sim"
@@ -10,37 +8,13 @@ import (
 )
 
 // This file is the recovery side of the deterministic fault plane
-// (internal/fault): bounded retry with virtual-time backoff for transient
-// store errors, aggregator failover (re-election over the survivors plus
-// replay of the dead aggregator's un-flushed rounds from rank-side payload
-// buffers), degraded-mode writes past a dead burst-buffer tier, and
-// verify-and-repair of corrupted flush extents. Every path here is gated on
-// Config.Faults; a nil plan leaves the pipeline on its original code path.
-
-// ioSys is the tier the session's flush traffic currently targets: the
-// configured system, or the degraded fallback once the primary went down.
-func (w *Writer) ioSys() storage.System {
-	if w.degradedSys != nil {
-		return w.degradedSys
-	}
-	return w.sys
-}
-
-// degrade switches the session's flush traffic to the fallback tier (the
-// file system behind the burst buffer), reporting whether one exists. The
-// switch is per-writer and sticky: once the primary tier is down it stays
-// down for the session.
-func (w *Writer) degrade() bool {
-	if w.degradedSys != nil {
-		return true
-	}
-	d := storage.DegradedSystemOf(w.sys)
-	if d == nil {
-		return false
-	}
-	w.degradedSys = d
-	return true
-}
+// (internal/fault): storage faults climb the shared storage.Ladder (bounded
+// retry with virtual-time backoff, then degraded-mode writes past a dead
+// burst-buffer tier), and a flush the ladder cannot place is lost; aggregator
+// failover re-elects over the survivors and replays the dead aggregator's
+// un-flushed rounds from rank-side payload buffers; and verify-and-repair
+// scrubs corrupted flush extents. Every path here is gated on Config.Faults;
+// a nil plan leaves the pipeline on its original code path.
 
 // restripe re-cuts flush extents for the degraded tier: contiguous runs are
 // split at the fallback system's optimal-unit boundaries, so the direct-to-
@@ -68,68 +42,35 @@ func restripe(segs []storage.Seg, unit int64) []storage.Seg {
 	return out
 }
 
-// loseFlush absorbs an unrecoverable flush failure as counted data loss:
-// without recovery armed (or with the retry budget exhausted and no
-// fallback tier), the round's bytes never land. The chaos experiment's
-// goodput subtracts LostBytes; correctness tests run with recovery armed
-// and assert this stays zero.
-func (w *Writer) loseFlush(fl flushInfo) {
-	w.stats.LostFlushes++
-	w.stats.LostBytes += fl.bytes
-	w.rec.Registry().Add(fault.MetricLostFlushes, 1)
-}
-
 // flushAsync issues one round's virtual flush (write, or read-path
-// prefetch) against the current tier, owning the recovery loop: transient
-// errors retry under the tier's policy with deterministic virtual-time
-// backoff; a tier outage degrades to the fallback tier when armed;
-// anything unrecoverable is absorbed as a lost flush and returns nil.
-// Without Config.Faults it is one plain storage.Start.
+// prefetch) on the tier the recovery ladder resolves. A write served by the
+// fallback tier is re-cut for it. A flush the ladder exhausts on (recovery
+// off, retry budget spent, or no working fallback tier) is counted as lost
+// and returns nil: its bytes never land. The chaos experiment's goodput
+// subtracts LostBytes; correctness tests run with recovery armed and assert
+// it stays zero. Stats mirror the ladder's outcome. Without Config.Faults it
+// is one plain storage.Start.
 func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, op storage.Op) *sim.Event {
-	segs := fl.segs
-	node := w.pc.Node()
-	sys := w.ioSys()
 	if w.cfg.Faults == nil {
-		return storage.Start(p, sys, node, w.f, segs, op)
+		return storage.Start(p, w.sys, w.pc.Node(), w.f, fl.segs, op)
 	}
-	reg := w.rec.Registry()
-	rc := w.cfg.Recovery
-	attempt, spent := 0, int64(0)
-	for {
-		tier, err := storage.Try(p, sys)
-		if err == nil {
-			if w.degradedSys != nil {
-				w.stats.DegradedFlushes++
-				reg.Add(fault.MetricDegradedRounds, 1)
-			}
-			return storage.Start(p, tier, node, w.f, segs, op)
-		}
-		if errors.Is(err, fault.ErrTierDown) {
-			if rc != nil && rc.Degraded && w.degrade() {
-				sys = w.ioSys()
-				if op == storage.OpWrite {
-					segs = restripe(segs, sys.OptimalUnit(w.f))
-				}
-				continue
-			}
-			w.loseFlush(fl)
-			return nil
-		}
-		// Transient: bounded retry with deterministic backoff.
-		if rc != nil && attempt < fault.RetryAttempts && spent < fault.RetryBudget {
-			d := fault.Backoff(attempt)
-			attempt++
-			spent += d
-			p.Hold(d)
-			w.stats.Retries++
-			w.stats.BackoffNs += d
-			reg.Add(fault.MetricRetries, 1)
-			reg.Add(fault.MetricBackoffNs, d)
-			continue
-		}
-		w.loseFlush(fl)
+	tier, out := w.ladder.Resolve(p)
+	w.stats.Retries += out.Retries
+	w.stats.BackoffNs += out.BackoffNs
+	segs := fl.segs
+	switch out.Verdict {
+	case storage.Exhausted:
+		w.stats.LostFlushes++
+		w.stats.LostBytes += fl.bytes
+		w.rec.Registry().Add(fault.MetricLostFlushes, 1)
 		return nil
+	case storage.IssuedOnFallback:
+		w.stats.DegradedFlushes++
+		if op == storage.OpWrite {
+			segs = restripe(segs, tier.OptimalUnit(w.f))
+		}
 	}
+	return storage.Start(p, tier, w.pc.Node(), w.f, segs, op)
 }
 
 // deathRound resolves this partition's scheduled aggregator death, or -1.
@@ -187,12 +128,12 @@ func (w *Writer) reelect(dead int) int {
 // Collective over the partition: every member pays detection and election
 // time, computes the same replacement and the same replay set.
 //
-// Without Failover armed, the death is terminal: the demoted aggregator
+// Without Config.Recovery, the death is terminal: the demoted aggregator
 // returns ErrAggregatorDead and its members, with nobody left to fence
 // with, park until the engine's deadlock detector names them (with their
 // phase labels) — the diagnosable no-recovery baseline.
 //
-// With Failover armed: the survivors re-elect over the remaining
+// With Config.Recovery: the survivors re-elect over the remaining
 // candidates, the dead aggregator's un-flushed rounds are replayed from the
 // members' rank-side payload buffers into the new aggregator's window, and
 // the new aggregator flushes them synchronously (with retry) before normal
@@ -201,8 +142,7 @@ func (w *Writer) reelect(dead int) int {
 // are fenced off) — so its own declared data still lands.
 func (w *Writer) failover(p *sim.Proc, r int, pending *[2]*sim.Event, jobs *storeJobs, dataErr *error) error {
 	reg := w.rec.Registry()
-	rc := w.cfg.Recovery
-	if rc == nil || !rc.Failover {
+	if !w.cfg.Recovery {
 		if w.isAgg {
 			reg.Add(fault.MetricAggrDeaths, 1)
 			return fault.ErrAggregatorDead
@@ -308,7 +248,7 @@ func locateByte(segs []storage.Seg, k int64) (off, runOff, runLen int64, ok bool
 
 // checkCorruption consumes round r's corruption decision (proc context). It
 // returns the damaged positional byte indexes to hand to storeRound. With
-// Repair armed it also prices the targeted scrub — a blocking re-read and
+// Config.Recovery it also prices the targeted scrub — a blocking re-read and
 // re-write of a repairBlock-sized window of the damaged extent against the
 // current tier — and counts the repair; the host-side job then performs the
 // real verify-and-rewrite (see applyDamage).
@@ -320,8 +260,7 @@ func (w *Writer) checkCorruption(p *sim.Proc, r int, fl flushInfo) (dmg []int64,
 	reg := w.rec.Registry()
 	reg.Add(fault.MetricCorruptions, 1)
 	dmg = []int64{k}
-	rc := w.cfg.Recovery
-	if rc == nil || !rc.Repair {
+	if !w.cfg.Recovery {
 		return dmg, false
 	}
 	if off, runOff, runLen, ok := locateByte(fl.segs, k); ok {
@@ -332,7 +271,7 @@ func (w *Writer) checkCorruption(p *sim.Proc, r int, fl flushInfo) (dmg []int64,
 			n = repairBlock
 		}
 		scrub := []storage.Seg{storage.Contig(lo, n)}
-		sys := w.ioSys()
+		sys := w.ladder.Sys()
 		node := w.pc.Node()
 		storage.Do(p, sys, node, w.f, scrub, storage.OpRead)
 		storage.Do(p, sys, node, w.f, scrub, storage.OpWrite)

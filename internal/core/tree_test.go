@@ -232,7 +232,7 @@ func TestTreeFailoverCollapse(t *testing.T) {
 	cfg := Config{
 		Aggregators: 2, BufferSize: 8 << 10, Tree: &sh,
 		Faults:   fault.NewPlan(fault.Config{Seed: 17, AggrDeathRate: 1}),
-		Recovery: fault.DefaultRecovery(),
+		Recovery: true,
 	}
 	sys, fab := be.build()
 	var interior, engaged, failovers, collapsed, lostBytes int64

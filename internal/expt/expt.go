@@ -261,16 +261,14 @@ type rig struct {
 
 func (r *rig) ranks() int { return r.nodes * r.rpn }
 
-// session injects the rig's fault plan (with the default recovery policy
-// unless the Env disarms it) and the Env's tree shape into a TAPIOCA session
+// session injects the rig's fault plan (with recovery armed unless the Env
+// disarms it) and the Env's tree shape into a TAPIOCA session
 // config. A shape the cell pinned wins; a rig without a plan and an Env
 // without a shape leave cfg untouched — the byte-identical original path.
 func (r *rig) session(cfg core.Config) core.Config {
 	if r.fplan != nil {
 		cfg.Faults = r.fplan
-		if !r.env.NoRecovery {
-			cfg.Recovery = fault.DefaultRecovery()
-		}
+		cfg.Recovery = !r.env.NoRecovery
 	}
 	if cfg.Tree == nil {
 		cfg.Tree = r.env.Tree

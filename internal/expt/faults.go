@@ -110,10 +110,7 @@ func chaosCell(env Env, nodes, rpn, numOST int, rate float64, withRec bool) chao
 		}
 		sum := c.AllreduceI64(mpi.OpSum, mine)
 		f := openShared(c, r.sys, "chaos", storage.FileOptions{StripeCount: numOST, StripeSize: 1 << 20})
-		cfg := core.Config{Aggregators: 8, BufferSize: 1 << 20, Faults: r.fplan}
-		if withRec && r.fplan != nil {
-			cfg.Recovery = fault.DefaultRecovery()
-		}
+		cfg := core.Config{Aggregators: 8, BufferSize: 1 << 20, Faults: r.fplan, Recovery: withRec && r.fplan != nil}
 		w := core.New(c, r.sys, f, cfg)
 		tm.Start(c)
 		must(w.Init(decl))

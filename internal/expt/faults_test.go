@@ -10,6 +10,8 @@ package expt
 
 import (
 	"errors"
+	"flag"
+	"os"
 	"reflect"
 	"testing"
 
@@ -38,6 +40,37 @@ func TestChaosDeterminism(t *testing.T) {
 	}
 	if sc.FabricMessages <= 0 || sc.FabricMessages > sc.Transfers {
 		t.Fatalf("abl-faults counted %d fabric messages over %d transfers", sc.FabricMessages, sc.Transfers)
+	}
+}
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/abl-faults.golden from the current code")
+
+const ablFaultsGolden = "testdata/abl-faults.golden"
+
+// TestAblationFaultsGolden pins the chaos figure's values: the rendered rows
+// and notes (goodput, p99 round latency, lost bytes and recovery-event
+// totals) at reduced scale. TestChaosDeterminism shows the figure repeats;
+// this shows it does not drift. Regenerate with -update only for an intended
+// change of recovery behaviour.
+func TestAblationFaultsGolden(t *testing.T) {
+	t.Parallel()
+	res, _ := ByID("abl-faults").Run(Env{})
+	got := Render(res)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ablFaultsGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(ablFaultsGolden)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("abl-faults drifted from %s:\ngot:\n%swant:\n%s", ablFaultsGolden, got, want)
 	}
 }
 

@@ -320,17 +320,3 @@ func Backoff(attempt int) int64 {
 // DetectLatency is the virtual time (ns) charged to detect an aggregator
 // failure on failover: 250µs.
 const DetectLatency int64 = 250_000
-
-// Recovery selects which self-healing mechanisms are armed. A nil *Recovery
-// means faults are injected but nothing recovers (losses are counted, dead
-// aggregators stay dead).
-type Recovery struct {
-	Failover bool // re-elect + replay on aggregator death
-	Degraded bool // fall back to the backing tier on ErrTierDown
-	Repair   bool // targeted re-read/re-write of corrupt extents
-}
-
-// DefaultRecovery arms everything.
-func DefaultRecovery() *Recovery {
-	return &Recovery{Failover: true, Degraded: true, Repair: true}
-}

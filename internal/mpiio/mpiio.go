@@ -155,9 +155,9 @@ type File struct {
 	shape      tree.Shape       // parsed Hints.TreePlan (zero value: flat)
 	treeErr    error            // deferred Hints.TreePlan parse error
 
-	// degraded, once set, replaces sys for round I/O: the fallback tier the
-	// handle switches to when a fault plan takes the primary down (recover.go).
-	degraded storage.System
+	// ladder resolves the tier each round I/O is issued on, holding the
+	// sticky switch to the fallback tier behind a dead primary (recover.go).
+	ladder storage.Ladder
 }
 
 // Open creates (once) and opens a file collectively.
@@ -185,7 +185,7 @@ func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions,
 			c.TreeCost(c.TreeCost(maxT, 64), int64(8*hints.CBNodes))
 	}).(*opened)
 	fh := &File{c: c, sys: sys, f: res.f, hints: hints, aggrs: res.aggrs, myAgg: -1,
-		order: res.order, shape: shape, treeErr: treeErr}
+		order: res.order, shape: shape, treeErr: treeErr, ladder: storage.NewLadder(sys, true)}
 	for i, a := range res.aggrs {
 		if a == c.Rank() {
 			fh.myAgg = i

@@ -149,3 +149,50 @@ func TestSievedRoundsDegrade(t *testing.T) {
 		t.Errorf("degraded_rounds = %d, want %d (every sieved round write)", got, rounds)
 	}
 }
+
+// TestFallbackTierDownCompletes: when the tier behind a dead burst buffer is
+// down too, the recovery ladder is exhausted and every round completes
+// through the plain self-healing path. No round counts as degraded: none was
+// served by a working fallback tier.
+func TestFallbackTierDownCompletes(t *testing.T) {
+	const (
+		ranks   = 4
+		aggrs   = 2
+		buf     = 16 << 10
+		perRank = 2 * buf
+		total   = ranks * perRank
+		rounds  = total / buf
+	)
+	topo := topology.NewFlat(ranks)
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
+	plan := fault.NewPlan(fault.Config{Seed: 5, TierDownAfter: 1})
+	inner := storage.NewFaulty(storage.NewNullFS(), plan)
+	sys := storage.NewFaulty(storage.NewBurstBuffer(inner, storage.BurstBufferConfig{}), plan)
+	rec := obs.NewRecorder(false)
+
+	var f *storage.File
+	_, err := mpi.Run(mpi.Config{Ranks: ranks, RanksPerNode: 1, Fabric: fab, Recorder: rec}, func(c *mpi.Comm) {
+		fh := Open(c, sys, "nested", storage.FileOptions{}, Hints{CBNodes: aggrs, CBBufferSize: buf})
+		mine := []storage.Seg{storage.Contig(int64(c.Rank())*perRank, perRank)}
+		if err := fh.WriteAtAll(mine); err != nil {
+			t.Errorf("rank %d WriteAtAll: %v", c.Rank(), err)
+		}
+		if err := fh.ReadAtAll(mine); err != nil {
+			t.Errorf("rank %d ReadAtAll: %v", c.Rank(), err)
+		}
+		if c.Rank() == 0 {
+			f = fh.Storage()
+		}
+		fh.Close()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.WriteOps() != rounds || f.BytesWritten() != total || f.ReadOps() != rounds || f.BytesRead() != total {
+		t.Errorf("wrote %d B in %d ops, read %d B in %d ops; want %d B in %d ops each way",
+			f.BytesWritten(), f.WriteOps(), f.BytesRead(), f.ReadOps(), total, rounds)
+	}
+	if got := rec.Registry().Counter(fault.MetricDegradedRounds).Value(); got != 0 {
+		t.Errorf("degraded_rounds = %d, want 0", got)
+	}
+}

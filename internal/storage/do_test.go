@@ -111,7 +111,7 @@ func TestDoStartPerModel(t *testing.T) {
 	}
 }
 
-// TestTryAndFaultWrapper covers Try's fault decisions and the views through
+// TestTryAndFaultWrapper covers try's fault decisions and the views through
 // the fault wrapper: the degraded tier, the tuning hooks and the absorbing
 // plain path once a burst-buffer tier is down.
 func TestTryAndFaultWrapper(t *testing.T) {
@@ -143,17 +143,17 @@ func TestTryAndFaultWrapper(t *testing.T) {
 	e.SetRecorder(rec)
 	e.Spawn("w", func(p *sim.Proc) {
 		t0 := p.Now()
-		if got, err := Try(p, plain); got != System(plain) || err != nil || p.Now() != t0 {
-			t.Errorf("Try(plain) = %v, %v after %d ns; want the system itself, nil, no hold", got, err, p.Now()-t0)
+		if got, err := try(p, plain); got != System(plain) || err != nil || p.Now() != t0 {
+			t.Errorf("try(plain) = %v, %v after %d ns; want the system itself, nil, no hold", got, err, p.Now()-t0)
 		}
-		if got, err := Try(p, unplanned); got != System(plain) || err != nil || p.Now() != t0 {
-			t.Errorf("Try(Faulty without plan) = %v, %v after %d ns; want the backing tier, nil, no hold", got, err, p.Now()-t0)
+		if got, err := try(p, unplanned); got != System(plain) || err != nil || p.Now() != t0 {
+			t.Errorf("try(Faulty without plan) = %v, %v after %d ns; want the backing tier, nil, no hold", got, err, p.Now()-t0)
 		}
-		if got, err := Try(p, transient); got != nil || !errors.Is(err, fault.ErrTransient) || p.Now()-t0 != 500_000 {
-			t.Errorf("Try(StoreFailRate 1) = %v, %v after %d ns; want nil, ErrTransient after 500000 ns", got, err, p.Now()-t0)
+		if got, err := try(p, transient); got != nil || !errors.Is(err, fault.ErrTransient) || p.Now()-t0 != 500_000 {
+			t.Errorf("try(StoreFailRate 1) = %v, %v after %d ns; want nil, ErrTransient after 500000 ns", got, err, p.Now()-t0)
 		}
-		if _, err := Try(p, stack); !errors.Is(err, fault.ErrTierDown) {
-			t.Errorf("Try past TierDownAfter = %v, want ErrTierDown", err)
+		if _, err := try(p, stack); !errors.Is(err, fault.ErrTierDown) {
+			t.Errorf("try past TierDownAfter = %v, want ErrTierDown", err)
 		}
 		Do(p, stack, 3, f, segs, OpWrite)
 	})

@@ -13,8 +13,7 @@ const transientLatency = 500_000 // 500µs
 // transient op failures, latency spikes, and a scheduled permanent tier
 // outage. Through Do and Start the wrapper is self-healing (transients cost
 // latency but the op proceeds, so fault-oblivious callers stay correct);
-// through Try the errors surface and the caller owns retry, backoff and
-// degraded-mode policy.
+// through a Ladder the errors surface and its recovery policy applies.
 //
 // All decisions are consumed in proc context — the engine's serialization
 // makes the op counter deterministic, serial or parallel grid runs alike.
@@ -31,15 +30,15 @@ func NewFaulty(backing System, plan *fault.Plan) *Faulty {
 	return &Faulty{backing: backing, plan: plan, tierID: fault.TierID(backing.Name())}
 }
 
-// Try consumes one fault decision for an op about to be issued against sys
+// try consumes one fault decision for an op about to be issued against sys
 // and returns the system to issue it on. On a fault-injected system it
 // either returns the tier beneath the wrapper (nil error), or charges the
 // failure-detection latency and returns fault.ErrTransient (retryable) or
 // fault.ErrTierDown (degrade or lose). A system without a fault plan comes
 // back unchanged and never fails. The plain interface has no error returns
-// — the happy-path layers stay oblivious — so recovery-aware callers (core,
-// mpiio) drive their retry/degrade loops through Try.
-func Try(p *sim.Proc, sys System) (System, error) {
+// — the happy-path layers stay oblivious — so recovery-aware callers climb
+// a Ladder, which drives its retries and degrade through try.
+func try(p *sim.Proc, sys System) (System, error) {
 	fy, ok := sys.(*Faulty)
 	if !ok {
 		return sys, nil
