@@ -36,8 +36,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -185,12 +187,7 @@ type jsonRow struct {
 // mb formats bytes as mebibytes for the console line.
 func mb(b uint64) float64 { return float64(b) / (1 << 20) }
 
-func main() { os.Exit(run()) }
-
-// run is main's body; returning the exit code (instead of os.Exit inline)
-// lets the profile writers' defers fire on error paths, so -cpuprofile and
-// -memprofile files are valid even when a flag or output path is bad.
-func run() int {
+func main() {
 	// Batch workload: trade heap headroom for fewer GC cycles (simulations
 	// churn short-lived per-round state across tens of thousands of
 	// goroutine stacks, and every cycle re-scans them). An explicit GOGC
@@ -198,30 +195,46 @@ func run() int {
 	if os.Getenv("GOGC") == "" {
 		debug.SetGCPercent(400)
 	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main's body over explicit arguments and output streams; it returns
+// the exit code: 2 for a bad flag value, 1 for a failed run or output.
+// Returning it (instead of os.Exit inline) lets the profile writers' defers
+// fire on error paths, so -cpuprofile and -memprofile files are valid even
+// when a flag or output path is bad.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tapiocabench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list available experiments")
-		id       = flag.String("experiment", "all", "experiment id (fig7…fig14, table1, abl-*, a *-full variant, or all)")
-		scale    = flag.String("scale", "reduced", "experiment scale: reduced or full (paper node counts)")
-		csvDir   = flag.String("csv", "", "also write CSV files into this directory")
-		jsonPath = flag.String("json", "", "also write all results as JSON to this file")
-		workers  = flag.Int("workers", 0, "width of the worker pool each figure's independent grid cells run on (0 = GOMAXPROCS, 1 = serial; identical results)")
-		profile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprof  = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		verify   = flag.Bool("verify", false, "run the data-plane round-trip smoke (real bytes, checksum-verified) before the experiments")
-		trace    = flag.String("trace", "", "write a Chrome trace-event JSON flight recording to this file (open in Perfetto)")
-		phases   = flag.Bool("phases", false, "print a per-figure phase breakdown table (aggregation/exchange/storage rank-seconds)")
-		faults   = flag.String("faults", "", "arm deterministic fault injection for every cell as \"seed,rate\" (e.g. 7,0.05)")
-		treePlan = flag.String("tree", "", "arm an aggregation-tree shape for every cell (flat, staged, group, chain, fanin:k)")
-		recovery = flag.Bool("recovery", true, "with -faults: arm the self-healing machinery (retry, failover, degraded writes, repair)")
-		short    = flag.Bool("short", false, "shrink the abl-faults chaos sweep to its CI smoke subset")
+		list     = fs.Bool("list", false, "list available experiments")
+		id       = fs.String("experiment", "all", "experiment id (fig7…fig14, table1, abl-*, a *-full variant, or all)")
+		scale    = fs.String("scale", "reduced", "experiment scale: reduced or full (paper node counts)")
+		csvDir   = fs.String("csv", "", "also write CSV files into this directory")
+		jsonPath = fs.String("json", "", "also write all results as JSON to this file")
+		workers  = fs.Int("workers", 0, "width of the worker pool each figure's independent grid cells run on (0 = GOMAXPROCS, 1 = serial; identical results)")
+		profile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprof  = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+		verify   = fs.Bool("verify", false, "run the data-plane round-trip smoke (real bytes, checksum-verified) before the experiments")
+		trace    = fs.String("trace", "", "write a Chrome trace-event JSON flight recording to this file (open in Perfetto)")
+		phases   = fs.Bool("phases", false, "print a per-figure phase breakdown table (aggregation/exchange/storage rank-seconds)")
+		faults   = fs.String("faults", "", "arm deterministic fault injection for every cell as \"seed,rate\" (e.g. 7,0.05)")
+		treePlan = fs.String("tree", "", "arm an aggregation-tree shape for every cell (flat, staged, group, chain, fanin:k)")
+		recovery = fs.Bool("recovery", true, "with -faults: arm the self-healing machinery (retry, failover, degraded writes, repair)")
+		short    = fs.Bool("short", false, "shrink the abl-faults chaos sweep to its CI smoke subset")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	env := expt.Env{Workers: *workers, NoRecovery: !*recovery, Short: *short}
 	if *faults != "" {
 		seed, rate, err := parseFaults(*faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		cfg := fault.Profile(seed, rate)
@@ -230,7 +243,7 @@ func run() int {
 	if *treePlan != "" {
 		sh, err := tree.ParseShape(*treePlan)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "-tree: %v\n", err)
+			fmt.Fprintf(stderr, "-tree: %v\n", err)
 			return 2
 		}
 		env.Tree = &sh
@@ -241,18 +254,18 @@ func run() int {
 	case "full":
 		env.Full = true
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -scale %q (want reduced or full)\n", *scale)
+		fmt.Fprintf(stderr, "unknown -scale %q (want reduced or full)\n", *scale)
 		return 2
 	}
 
 	if *profile != "" {
 		pf, err := os.Create(*profile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(pf); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -261,28 +274,28 @@ func run() int {
 		defer func() {
 			pf, err := os.Create(*memprof)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer pf.Close()
 			if err := pprof.Lookup("allocs").WriteTo(pf, 0); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
 
 	if *list {
 		for _, s := range expt.All() {
-			fmt.Printf("%-16s %s\n", s.ID, s.Title)
+			fmt.Fprintf(stdout, "%-16s %s\n", s.ID, s.Title)
 		}
 		for _, s := range expt.FullScale() {
-			fmt.Printf("%-16s %s\n", s.ID, s.Title)
+			fmt.Fprintf(stdout, "%-16s %s\n", s.ID, s.Title)
 		}
 		for _, s := range expt.DataPlane() {
-			fmt.Printf("%-16s %s\n", s.ID, s.Title)
+			fmt.Fprintf(stdout, "%-16s %s\n", s.ID, s.Title)
 		}
 		for _, s := range expt.Chaos() {
-			fmt.Printf("%-16s %s\n", s.ID, s.Title)
+			fmt.Fprintf(stdout, "%-16s %s\n", s.ID, s.Title)
 		}
 		return 0
 	}
@@ -299,7 +312,7 @@ func run() int {
 	} else {
 		s := expt.ByID(*id)
 		if s == nil {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *id)
+			fmt.Fprintf(stderr, "unknown experiment %q (try -list)\n", *id)
 			return 2
 		}
 		specs = []expt.Spec{*s}
@@ -319,11 +332,11 @@ func run() int {
 	if *verify {
 		var err error
 		if verifyStats, err = expt.VerifyDataPlaneStats(env); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		verified = true
-		fmt.Printf("data plane verified: write→read round trip checksum-identical on both platforms (pipeline %.2fs, verification %.2fs)\n\n",
+		fmt.Fprintf(stdout, "data plane verified: write→read round trip checksum-identical on both platforms (pipeline %.2fs, verification %.2fs)\n\n",
 			verifyStats.PipelineSeconds, verifyStats.VerifySeconds)
 	}
 
@@ -345,31 +358,35 @@ func run() int {
 	}
 	for _, s := range specs {
 		start := time.Now()
-		res, counts := s.Run(env)
+		res, counts, err := runSpec(s, env)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
 		elapsed := time.Since(start).Seconds()
-		fmt.Print(expt.Render(res))
+		fmt.Fprint(stdout, expt.Render(res))
 		rss := peakRSSBytes()
-		fmt.Printf("(wall time %.1fs, %d workers, %d transfers, %d fabric messages, %d parks, %d switches, peak RSS %.0f MiB)\n",
+		fmt.Fprintf(stdout, "(wall time %.1fs, %d workers, %d transfers, %d fabric messages, %d parks, %d switches, peak RSS %.0f MiB)\n",
 			elapsed, env.Width(), counts.Transfers, counts.FabricMessages, counts.Parks, counts.Switches, mb(rss))
 		snap := env.Observer.Metrics(s.ID).Snapshot()
 		if levels, fanin, perLevel := treeStats(&snap); levels > 0 {
-			fmt.Printf("(aggregation tree: %d levels, max fan-in %d, per-level fabric messages %s)\n",
+			fmt.Fprintf(stdout, "(aggregation tree: %d levels, max fan-in %d, per-level fabric messages %s)\n",
 				levels, fanin, fmtLevels(perLevel))
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 		if *phases {
 			if tbl := env.Observer.PhaseTable(s.ID); tbl != "" {
-				fmt.Println(tbl)
+				fmt.Fprintln(stdout, tbl)
 			}
 		}
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return 1
 			}
 			path := filepath.Join(*csvDir, res.ID+".csv")
 			if err := os.WriteFile(path, []byte(expt.CSV(res)), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return 1
 			}
 		}
@@ -411,17 +428,36 @@ func run() int {
 			err = os.WriteFile(*jsonPath, append(out, '\n'), 0o644)
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
 	if *trace != "" {
-		if err := writeTrace(*trace, env.Observer.Trace()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+		if err := writeTrace(stdout, *trace, env.Observer.Trace()); err != nil {
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
 	return 0
+}
+
+// runSpec runs one experiment. A measurement cell that fails (a session
+// error such as a dead aggregator without recovery, a deadlock, the
+// watchdog) panics out of the figure with its *expt.CellError; runSpec
+// returns that error, so the run ends on one diagnosed line. Any other
+// panic is a bug and keeps its stack trace.
+func runSpec(s expt.Spec, env expt.Env) (res expt.Result, counts expt.Counts, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ce, ok := r.(*expt.CellError)
+			if !ok {
+				panic(r)
+			}
+			err = ce
+		}
+	}()
+	res, counts = s.Run(env)
+	return res, counts, nil
 }
 
 // parseFaults parses the -faults "seed,rate" argument.
@@ -448,7 +484,7 @@ func parseFaults(s string) (uint64, float64, error) {
 // writeTrace writes the session's merged flight recording in Chrome
 // trace-event JSON, then re-reads the file and parses it — the trace is only
 // reported as written once it is known to be valid JSON with events in it.
-func writeTrace(path string, tr *obs.Trace) error {
+func writeTrace(stdout io.Writer, path string, tr *obs.Trace) error {
 	if tr == nil || tr.NumEvents() == 0 {
 		return fmt.Errorf("tapiocabench: no trace events recorded (nothing ran?)")
 	}
@@ -477,9 +513,9 @@ func writeTrace(path string, tr *obs.Trace) error {
 		return fmt.Errorf("tapiocabench: trace %s has no events", path)
 	}
 	if n := tr.Dropped(); n > 0 {
-		fmt.Printf("trace: %d events over the per-cell cap were dropped\n", n)
+		fmt.Fprintf(stdout, "trace: %d events over the per-cell cap were dropped\n", n)
 	}
-	fmt.Printf("trace: %d events across %d cells -> %s (open in https://ui.perfetto.dev)\n",
+	fmt.Fprintf(stdout, "trace: %d events across %d cells -> %s (open in https://ui.perfetto.dev)\n",
 		tr.NumEvents(), tr.NumCells(), path)
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -33,4 +34,28 @@ func FuzzParseFaults(f *testing.F) {
 			t.Fatalf("parseFaults(%q) accepted rate %g", s, rate)
 		}
 	})
+}
+
+// TestNoRecoveryCellFailureIsOneLine runs README's no-recovery example: the
+// dead aggregator's cell fails, and the run must end on one diagnosed line
+// naming the cell (one "expt:" prefix, no stack dump) with a non-zero exit.
+func TestNoRecoveryCellFailureIsOneLine(t *testing.T) {
+	var stdout, stderr strings.Builder
+	code := run([]string{"-experiment", "fig10", "-faults", "7,0.05", "-recovery=false"}, &stdout, &stderr)
+	if code == 0 {
+		t.Fatalf("exit code 0, want non-zero; stdout:\n%s", stdout.String())
+	}
+	msg := stderr.String()
+	if strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+		t.Fatalf("stderr is not one line:\n%s", msg)
+	}
+	if !strings.HasPrefix(msg, "expt: measurement cell (") || strings.Count(msg, "expt:") != 1 {
+		t.Fatalf("stderr does not name the cell under one expt: prefix: %q", msg)
+	}
+	if !strings.Contains(msg, "fault: aggregator dead") && !strings.Contains(msg, "deadlock") {
+		t.Fatalf("stderr names neither the dead aggregator nor a deadlock: %q", msg)
+	}
+	if strings.Contains(msg+stdout.String(), "goroutine ") {
+		t.Fatalf("output carries a stack dump:\n%s", msg)
+	}
 }

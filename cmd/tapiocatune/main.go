@@ -123,8 +123,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Aggregators, cfg.BufferSize>>20, cfg.Placement.Name(), cfg.SingleBuffer, cfg.Shape())
 	fmt.Fprintf(stdout, "  FileOptions  StripeCount=%d StripeSize=%dMB\n",
 		fopt.StripeCount, fopt.StripeSize>>20)
-	fmt.Fprintf(stdout, "  Hints        CBNodes=%d CBBufferSize=%dMB Strategy=%s AlignDomains=%v CyclicDomains=%v TreePlan=%q\n",
-		hints.CBNodes, hints.CBBufferSize>>20, hints.Strategy.Name(), hints.AlignDomains, hints.CyclicDomains, hints.TreePlan)
+	hintTree := "flat"
+	if hints.Tree != nil {
+		hintTree = hints.Tree.String()
+	}
+	fmt.Fprintf(stdout, "  Hints        CBNodes=%d CBBufferSize=%dMB Strategy=%s AlignDomains=%v CyclicDomains=%v Tree=%s\n",
+		hints.CBNodes, hints.CBBufferSize>>20, hints.Strategy.Name(), hints.AlignDomains, hints.CyclicDomains, hintTree)
 
 	if !*verify {
 		return 0

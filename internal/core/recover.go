@@ -16,40 +16,14 @@ import (
 // scrubs corrupted flush extents. Every path here is gated on Config.Faults;
 // a nil plan leaves the pipeline on its original code path.
 
-// restripe re-cuts flush extents for the degraded tier: contiguous runs are
-// split at the fallback system's optimal-unit boundaries, so the direct-to-
-// PFS stream the degraded path prices sees aligned extents instead of
-// buffer-sized runs aligned to the dead tier.
-func restripe(segs []storage.Seg, unit int64) []storage.Seg {
-	if unit <= 0 {
-		return segs
-	}
-	out := make([]storage.Seg, 0, len(segs))
-	for _, s := range segs {
-		for i := int64(0); i < s.Runs(); i++ {
-			off, length := s.Off+i*s.Stride, s.Len
-			for length > 0 {
-				n := unit - off%unit
-				if n > length {
-					n = length
-				}
-				out = append(out, storage.Contig(off, n))
-				off += n
-				length -= n
-			}
-		}
-	}
-	return out
-}
-
 // flushAsync issues one round's virtual flush (write, or read-path
-// prefetch) on the tier the recovery ladder resolves. A write served by the
-// fallback tier is re-cut for it. A flush the ladder exhausts on (recovery
-// off, retry budget spent, or no working fallback tier) is counted as lost
-// and returns nil: its bytes never land. The chaos experiment's goodput
-// subtracts LostBytes; correctness tests run with recovery armed and assert
-// it stays zero. Stats mirror the ladder's outcome. Without Config.Faults it
-// is one plain storage.Start.
+// prefetch) on the tier the recovery ladder resolves, fallback tier
+// included, with the round's own extents. A flush the ladder exhausts on
+// (recovery off, retry budget spent, or no working fallback tier) is counted
+// as lost and returns nil: its bytes never land. The chaos experiment's
+// goodput subtracts LostBytes; correctness tests run with recovery armed and
+// assert it stays zero. Stats mirror the ladder's outcome. Without
+// Config.Faults it is one plain storage.Start.
 func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, op storage.Op) *sim.Event {
 	if w.cfg.Faults == nil {
 		return storage.Start(p, w.sys, w.pc.Node(), w.f, fl.segs, op)
@@ -57,7 +31,6 @@ func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, op storage.Op) *sim.Event
 	tier, out := w.ladder.Resolve(p)
 	w.stats.Retries += out.Retries
 	w.stats.BackoffNs += out.BackoffNs
-	segs := fl.segs
 	switch out.Verdict {
 	case storage.Exhausted:
 		w.stats.LostFlushes++
@@ -66,11 +39,8 @@ func (w *Writer) flushAsync(p *sim.Proc, fl flushInfo, op storage.Op) *sim.Event
 		return nil
 	case storage.IssuedOnFallback:
 		w.stats.DegradedFlushes++
-		if op == storage.OpWrite {
-			segs = restripe(segs, tier.OptimalUnit(w.f))
-		}
 	}
-	return storage.Start(p, tier, w.pc.Node(), w.f, segs, op)
+	return storage.Start(p, tier, w.pc.Node(), w.f, fl.segs, op)
 }
 
 // deathRound resolves this partition's scheduled aggregator death, or -1.

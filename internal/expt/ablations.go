@@ -212,9 +212,7 @@ func AblationDeclared(env Env) Result {
 			}
 			tm.Stop(c)
 		})
-		if err != nil {
-			panic(err)
-		}
+		must(err)
 		return gbps(totalBytes, elapsed)
 	})
 	res.Notes = append(res.Notes,
@@ -307,7 +305,6 @@ func AblationAutotune(env Env) Result {
 	// The default, tuned and every sweep configuration are independent
 	// simulations: measure them all on the worker pool, then pick the sweep
 	// winner from the index-ordered values (first-best, as the serial loop).
-	advisor := storage.StripeAdvisorOf(r.sys)
 	type cell struct {
 		cfg  core.Config
 		fopt storage.FileOptions
@@ -319,7 +316,7 @@ func AblationAutotune(env Env) Result {
 	for _, a := range aggs {
 		for _, b := range bufs {
 			cfg := core.Config{Aggregators: a, BufferSize: b}
-			cells = append(cells, cell{cfg, advisor.RecommendStripe(w.TotalBytes(), b, a)})
+			cells = append(cells, cell{cfg, r.sys.RecommendStripe(w.TotalBytes(), b, a)})
 		}
 	}
 	vals := runCells(env, len(cells), func(i int) float64 {

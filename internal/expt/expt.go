@@ -143,6 +143,7 @@ type Spec struct {
 
 // Run regenerates the experiment under env, labelling its observed cells
 // with the spec's ID, and returns the figure with the run's own counters.
+// A measurement cell that fails panics out of Run with its *CellError.
 func (s Spec) Run(env Env) (Result, Counts) {
 	t := &tally{}
 	env.label, env.tally = s.ID, t
@@ -277,10 +278,10 @@ func (r *rig) session(cfg core.Config) core.Config {
 }
 
 // hints mirrors session for the MPI-IO stack: the Env's tree shape rides in
-// as a TreePlan hint unless the cell set one.
+// as the Tree hint unless the cell set one.
 func (r *rig) hints(h mpiio.Hints) mpiio.Hints {
-	if h.TreePlan == "" && r.env.Tree != nil {
-		h.TreePlan = r.env.Tree.String()
+	if h.Tree == nil {
+		h.Tree = r.env.Tree
 	}
 	return h
 }

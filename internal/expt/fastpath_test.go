@@ -48,8 +48,8 @@ func TestFastPathsMatchReference(t *testing.T) {
 
 			// The degenerate-tree leg: arming the flat tree shape routes every
 			// cell through the aggregation-tree config path (and the MPI-IO
-			// TreePlan hint parser), which must collapse to exactly the default
-			// pipeline — byte-identical figures.
+			// Tree hint), which must collapse to exactly the default pipeline
+			// — byte-identical figures.
 			treed, _ := s.Run(Env{Workers: 1, Tree: &tree.Shape{Kind: tree.Flat}})
 			if !reflect.DeepEqual(reference, treed) {
 				t.Fatalf("degenerate flat tree shape diverged from reference:\nref: %+v\ntree: %+v", reference, treed)

@@ -97,9 +97,7 @@ func runIO(j ioJob, method int) (float64, error) {
 // mustIO is runIO with panic-on-error (experiment definitions are static).
 func mustIO(j ioJob, method int) float64 {
 	v, err := runIO(j, method)
-	if err != nil {
-		panic(fmt.Sprintf("expt: %v", err))
-	}
+	must(err)
 	return v
 }
 

@@ -26,6 +26,7 @@ import (
 	"tapioca/internal/netsim"
 	"tapioca/internal/storage"
 	"tapioca/internal/topology"
+	"tapioca/internal/tree"
 	"tapioca/internal/workload"
 )
 
@@ -98,6 +99,15 @@ func goldenDecl(shape, rank, ranks int) [][]storage.Seg {
 	return decl
 }
 
+// shapeOf parses a golden case's aggregation shape.
+func shapeOf(s string) *tree.Shape {
+	sh, err := tree.ParseShape(s)
+	if err != nil {
+		panic(err)
+	}
+	return &sh
+}
+
 func goldenCases() []goldenCase {
 	base := Hints{CBNodes: 8, CBBufferSize: 16 << 10}
 	with := func(f func(h *Hints)) Hints {
@@ -111,21 +121,21 @@ func goldenCases() []goldenCase {
 		{name: "contig-aos-unsieved", hints: with(func(h *Hints) { h.DisableSieving = true })},
 		{name: "aligned", hints: with(func(h *Hints) { h.AlignDomains = true }), shape: layoutSoA},
 		{name: "cyclic", hints: with(func(h *Hints) { h.AlignDomains, h.CyclicDomains = true, true })},
-		{name: "staged", hints: with(func(h *Hints) { h.TreePlan = "staged" })},
-		{name: "staged-interleaved", hints: with(func(h *Hints) { h.TreePlan = "staged" }), shape: layoutInterleaved},
-		{name: "tree-fanin2", hints: with(func(h *Hints) { h.TreePlan = "fanin:2" }), shape: layoutInterleaved},
-		{name: "tree-chain", hints: with(func(h *Hints) { h.TreePlan = "chain" }), shape: layoutInterleaved},
-		{name: "dataplane-crc", hints: with(func(h *Hints) { h.TreePlan = "staged" }), data: true},
+		{name: "staged", hints: with(func(h *Hints) { h.Tree = shapeOf("staged") })},
+		{name: "staged-interleaved", hints: with(func(h *Hints) { h.Tree = shapeOf("staged") }), shape: layoutInterleaved},
+		{name: "tree-fanin2", hints: with(func(h *Hints) { h.Tree = shapeOf("fanin:2") }), shape: layoutInterleaved},
+		{name: "tree-chain", hints: with(func(h *Hints) { h.Tree = shapeOf("chain") }), shape: layoutInterleaved},
+		{name: "dataplane-crc", hints: with(func(h *Hints) { h.Tree = shapeOf("staged") }), data: true},
 		{name: "dataplane-cyclic", hints: with(func(h *Hints) { h.AlignDomains, h.CyclicDomains = true, true }), data: true},
 		{name: "net-loss", hints: base, loss: true},
-		{name: "net-loss-tree", hints: with(func(h *Hints) { h.TreePlan = "fanin:2" }), shape: layoutInterleaved, loss: true},
+		{name: "net-loss-tree", hints: with(func(h *Hints) { h.Tree = shapeOf("fanin:2") }), shape: layoutInterleaved, loss: true},
 		{name: "interleaved-flat", hints: base, shape: layoutInterleaved},
 		{name: "file-per-half", hints: with(func(h *Hints) { h.CBNodes = 4 }),
 			split: func(rank, ranks int) (int, int) { return rank * 2 / ranks, rank }},
 		{name: "uneven", hints: base, shape: layoutUneven},
 		{name: "reversed-ranks", hints: base, shape: layoutUneven,
 			split: func(rank, ranks int) (int, int) { return 0, ranks - rank }},
-		{name: "reversed-ranks-staged", hints: with(func(h *Hints) { h.TreePlan = "staged" }), shape: layoutInterleaved,
+		{name: "reversed-ranks-staged", hints: with(func(h *Hints) { h.Tree = shapeOf("staged") }), shape: layoutInterleaved,
 			split: func(rank, ranks int) (int, int) { return 0, ranks - rank }},
 	}
 }

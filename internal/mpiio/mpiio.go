@@ -98,19 +98,18 @@ type Hints struct {
 	// DisableSieving turns off write data sieving (read-modify-write for
 	// sparse rounds); sparse data is then written run-by-run.
 	DisableSieving bool
-	// TreePlan selects the aggregation exchange's shape, in internal/tree
-	// shape syntax. "staged" routes it through a node-local staging hop:
+	// Tree selects the aggregation exchange's shape (core.Config.Tree's
+	// type). NodeStaged routes it through a node-local staging hop:
 	// co-located ranks deposit their round pieces into a node leader's
 	// buffer at memory bandwidth and one coalesced fabric message per (node,
 	// aggregator) carries the node total, instead of one message per rank
 	// (the data-plane counterpart of the AggrTwoLevel election, which prices
-	// candidates assuming node-coalesced traffic). Tree shapes ("fanin:4",
-	// "group", "chain", ...) ride on that staging hop and route the
-	// coalesced node messages through interior relays instead of straight
-	// to the aggregator. Default "" (or "flat"): the classic ROMIO exchange
-	// with per-rank messages. An unparsable plan is reported by the first
-	// collective call.
-	TreePlan string
+	// candidates assuming node-coalesced traffic). Tree shapes (fanin:4,
+	// group, chain, ...) ride on that staging hop and route the coalesced
+	// node messages through interior relays instead of straight to the
+	// aggregator. Default nil (or Flat): the classic ROMIO exchange with
+	// per-rank messages.
+	Tree *tree.Shape
 }
 
 const (
@@ -152,8 +151,7 @@ type File struct {
 	ac         *mpi.Comm        // aggregators' sub-communicator; nil on non-aggregators
 	order      []int            // booking order of comm ranks (nil: comm-rank order)
 	extScratch []storage.Extent // reused per-round batched store extents
-	shape      tree.Shape       // parsed Hints.TreePlan (zero value: flat)
-	treeErr    error            // deferred Hints.TreePlan parse error
+	shape      tree.Shape       // Hints.Tree (zero value: flat)
 
 	// ladder resolves the tier each round I/O is issued on, holding the
 	// sticky switch to the fallback tier behind a dead primary (recover.go).
@@ -163,12 +161,8 @@ type File struct {
 // Open creates (once) and opens a file collectively.
 func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions, hints Hints) *File {
 	var shape tree.Shape
-	var treeErr error
-	if hints.TreePlan != "" {
-		var err error
-		if shape, err = tree.ParseShape(hints.TreePlan); err != nil {
-			treeErr = fmt.Errorf("mpiio: tree plan: %w", err)
-		}
+	if hints.Tree != nil {
+		shape = *hints.Tree
 	}
 	hints.setDefaults(c)
 	// One rendezvous shares the file handle and the aggregator set, priced
@@ -185,7 +179,7 @@ func Open(c *mpi.Comm, sys storage.System, name string, opt storage.FileOptions,
 			c.TreeCost(c.TreeCost(maxT, 64), int64(8*hints.CBNodes))
 	}).(*opened)
 	fh := &File{c: c, sys: sys, f: res.f, hints: hints, aggrs: res.aggrs, myAgg: -1,
-		order: res.order, shape: shape, treeErr: treeErr, ladder: storage.NewLadder(sys, true)}
+		order: res.order, shape: shape, ladder: storage.NewLadder(sys, true)}
 	for i, a := range res.aggrs {
 		if a == c.Rank() {
 			fh.myAgg = i

@@ -244,11 +244,6 @@ func (fh *File) collectiveIO(segs []storage.Seg, data []byte, read bool) error {
 	if fh.closed {
 		return fmt.Errorf("mpiio: collective I/O on closed file %q", fh.f.Name)
 	}
-	if fh.treeErr != nil {
-		// Hints are a collective property: every rank opened with the same
-		// unparsable plan, so every rank reports it.
-		return fh.treeErr
-	}
 	var pl *dataplane.Plane
 	if data != nil {
 		var err error

@@ -74,7 +74,6 @@ type Fabric struct {
 
 	scratch []*sim.GapResource // reusable per-transfer resource list
 
-	stater   topology.PathStater // non-nil when topo supports PathStats
 	paths    map[int64]pathEntry // (src*Nodes + dst) → cached path facts
 	resArena []*sim.GapResource  // interned link resources (links mode)
 	resIDs   []int32             // topology link ids parallel to resArena
@@ -119,7 +118,6 @@ func New(topo topology.Topology, cfg Config) *Fabric {
 		nicOut: make([]*sim.GapResource, n),
 		links:  make([]*sim.GapResource, topo.NumLinks()),
 	}
-	f.stater, _ = topo.(topology.PathStater)
 	if !cfg.Reference {
 		f.paths = make(map[int64]pathEntry)
 	}
@@ -221,12 +219,12 @@ func (f *Fabric) path(src, dst int) (pathEntry, bool) {
 	return e, true
 }
 
-// buildPath computes one pair's path facts. Endpoint-model fabrics over a
-// PathStater topology stay route-free: hops and bottleneck come from the
-// topology's compact tables and no link sequence is ever materialized.
+// buildPath computes one pair's path facts. Endpoint-model fabrics stay
+// route-free wherever the topology answers PathStats: hops and bottleneck
+// come from its compact tables and no link sequence is materialized.
 func (f *Fabric) buildPath(src, dst int) pathEntry {
-	if f.cfg.Contention != ContentionLinks && f.stater != nil {
-		if hops, bn, ok := f.stater.PathStats(src, dst); ok {
+	if f.cfg.Contention != ContentionLinks {
+		if hops, bn, ok := f.topo.PathStats(src, dst); ok {
 			return pathEntry{hops: int32(hops), bottleneck: bn}
 		}
 	}

@@ -103,34 +103,23 @@ func (bb *BurstBuffer) TierIOCost(node int, bytes int64) (float64, bool) {
 
 // EstimateFlush prices the ingest a writer actually waits for: the
 // per-request overhead plus server bandwidth. Reads are served from the
-// buffer at the same rate. (The storage.FlushModel hook.)
+// buffer at the same rate.
 func (bb *BurstBuffer) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64 {
 	return sim.ToSeconds(bb.cfg.PerOp) + float64(bytes)/bb.cfg.ServerBW
 }
 
 // AggregateBandwidth is the combined server ingest rate. Background drains
 // to the backing system are asynchronous and do not bound the foreground.
-// (The storage.FlushModel hook.)
 func (bb *BurstBuffer) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	return float64(bb.cfg.Servers) * bb.cfg.ServerBW
 }
 
-// AlignUnit delegates to the backing system, whose layout the drained file
-// ultimately lands in. (The storage.FlushModel hook.)
-func (bb *BurstBuffer) AlignUnit(opt FileOptions) int64 {
-	if m := FlushModelOf(bb.backing); m != nil {
-		return m.AlignUnit(opt)
-	}
-	return 1 << 20
-}
+// AlignUnit and RecommendStripe are the backing system's: the drained file
+// lands in its layout and still wants backing-friendly striping.
+func (bb *BurstBuffer) AlignUnit(opt FileOptions) int64 { return bb.backing.AlignUnit(opt) }
 
-// RecommendStripe delegates to the backing system's advisor when it has one
-// (the drained file still wants backing-friendly striping).
 func (bb *BurstBuffer) RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions {
-	if a := StripeAdvisorOf(bb.backing); a != nil {
-		return a.RecommendStripe(totalBytes, bufSize, aggregators)
-	}
-	return FileOptions{}
+	return bb.backing.RecommendStripe(totalBytes, bufSize, aggregators)
 }
 
 // book serves reads from the buffer. A write completes at ingest (what the

@@ -126,11 +126,21 @@ func TestTryAndFaultWrapper(t *testing.T) {
 		t.Fatalf("DegradedSystemOf(Faulty(Lustre)) = %v, want nil", d)
 	}
 	twice := NewFaulty(NewFaulty(lustre, nil), nil)
-	if m := FlushModelOf(twice); m != FlushModel(lustre) {
-		t.Fatalf("FlushModelOf through two fault wrappers = %v, want the Lustre model", m)
+	for _, opt := range []FileOptions{{}, {StripeCount: 8, StripeSize: 4 << 20}} {
+		for _, read := range []bool{false, true} {
+			if got, want := twice.EstimateFlush(opt, 3<<20, 5, read), lustre.EstimateFlush(opt, 3<<20, 5, read); got != want {
+				t.Fatalf("EstimateFlush(%+v, read=%v) through two fault wrappers = %g, want Lustre's %g", opt, read, got, want)
+			}
+			if got, want := twice.AggregateBandwidth(opt, read), lustre.AggregateBandwidth(opt, read); got != want {
+				t.Fatalf("AggregateBandwidth(%+v, read=%v) through two fault wrappers = %g, want Lustre's %g", opt, read, got, want)
+			}
+		}
+		if got, want := twice.AlignUnit(opt), lustre.AlignUnit(opt); got != want {
+			t.Fatalf("AlignUnit(%+v) through two fault wrappers = %d, want Lustre's %d", opt, got, want)
+		}
 	}
-	if a := StripeAdvisorOf(twice); a != StripeAdvisor(lustre) {
-		t.Fatalf("StripeAdvisorOf through two fault wrappers = %v, want the Lustre model", a)
+	if got, want := twice.RecommendStripe(1<<30, 8<<20, 16), lustre.RecommendStripe(1<<30, 8<<20, 16); got != want {
+		t.Fatalf("RecommendStripe through two fault wrappers = %+v, want Lustre's %+v", got, want)
 	}
 
 	plain := NewNullFS()

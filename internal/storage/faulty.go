@@ -78,6 +78,20 @@ func (fy *Faulty) Create(name string, opt FileOptions) *File { return fy.backing
 func (fy *Faulty) Lookup(name string) *File                  { return fy.backing.Lookup(name) }
 func (fy *Faulty) OptimalUnit(f *File) int64                 { return fy.backing.OptimalUnit(f) }
 
+func (fy *Faulty) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64 {
+	return fy.backing.EstimateFlush(opt, bytes, runs, read)
+}
+
+func (fy *Faulty) AggregateBandwidth(opt FileOptions, read bool) float64 {
+	return fy.backing.AggregateBandwidth(opt, read)
+}
+
+func (fy *Faulty) AlignUnit(opt FileOptions) int64 { return fy.backing.AlignUnit(opt) }
+
+func (fy *Faulty) RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions {
+	return fy.backing.RecommendStripe(totalBytes, bufSize, aggregators)
+}
+
 // TierIOCost forwards the cost-model tier hook; without one beneath, the
 // generic topology formula applies (ok=false).
 func (fy *Faulty) TierIOCost(node int, bytes int64) (float64, bool) {

@@ -225,7 +225,7 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 // reserve's staged path: per-run marshaling, the per-op server overhead, and
 // the bytes through the slowest stage a lone stream sees (its bridge link).
 // Lock traffic is not charged — the autotuner targets the shared-lock,
-// aligned configurations where it vanishes. (The storage.FlushModel hook.)
+// aligned configurations where it vanishes.
 func (g *GPFS) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64 {
 	if bytes <= 0 {
 		return sim.ToSeconds(gpfsPerOpOverhead)
@@ -244,7 +244,7 @@ func (g *GPFS) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) floa
 // AggregateBandwidth is the concurrent-flush ceiling for one shared file:
 // every Pset's bridge links and ION uplink in parallel, capped by the
 // per-file backend limit — the single-shared-file bound that motivates the
-// paper's file-per-Pset subfiling. (The storage.FlushModel hook.)
+// paper's file-per-Pset subfiling.
 func (g *GPFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	psets := float64(g.topo.IONodes())
 	ion, file, back := gpfsIONBandwidth, gpfsFileBW, gpfsBackendBW
@@ -262,9 +262,14 @@ func (g *GPFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	return agg
 }
 
-// AlignUnit is the GPFS block size regardless of options. (The
-// storage.FlushModel hook.)
+// AlignUnit is the GPFS block size regardless of options.
 func (g *GPFS) AlignUnit(opt FileOptions) int64 { return gpfsBlockSize }
+
+// RecommendStripe returns platform defaults: GPFS stripes every file over
+// its NSDs by block, with nothing to tune at creation.
+func (g *GPFS) RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions {
+	return FileOptions{}
+}
 
 // book prices a sieved write as a read-modify-write of the contiguous span:
 // the span is read and written back while the file records the logical

@@ -243,7 +243,7 @@ func (l *Lustre) resolveOpt(opt FileOptions) (count int, size int64) {
 
 // EstimateFlush prices a single client stream analytically, mirroring
 // reserve: per-run marshaling, LNET staging, then per OST object a stream
-// setup plus latency-bound serial RPCs. (The storage.FlushModel hook.)
+// setup plus latency-bound serial RPCs.
 func (l *Lustre) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64 {
 	if bytes <= 0 {
 		return sim.ToSeconds(lustreRPCLatency)
@@ -267,7 +267,7 @@ func (l *Lustre) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) fl
 }
 
 // AggregateBandwidth is the concurrent-flush ceiling for one file: its OSTs'
-// combined rate, capped by the LNET routers. (The storage.FlushModel hook.)
+// combined rate, capped by the LNET routers.
 func (l *Lustre) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	count, _ := l.resolveOpt(opt)
 	ostRate := lustreOSTBandwidth
@@ -281,17 +281,16 @@ func (l *Lustre) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	return agg
 }
 
-// AlignUnit is OptimalUnit for a file that need not exist yet. (The
-// storage.FlushModel hook.)
+// AlignUnit is OptimalUnit for a file that need not exist yet.
 func (l *Lustre) AlignUnit(opt FileOptions) int64 {
 	_, size := l.resolveOpt(opt)
 	return size
 }
 
-// RecommendStripe implements storage.StripeAdvisor: stripe size matches the
-// aggregation buffer 1:1 (the paper's Table I optimum — every flush is one
-// OST object, no super-stripe setup costs, no sub-stripe lock sharing) and
-// the file stripes across every OST it can keep busy.
+// RecommendStripe matches the stripe size to the aggregation buffer 1:1
+// (the paper's Table I optimum — every flush is one OST object, no
+// super-stripe setup costs, no sub-stripe lock sharing) and stripes the
+// file across every OST it can keep busy.
 func (l *Lustre) RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions {
 	if bufSize <= 0 {
 		bufSize = lustreDefaultStripeSize

@@ -48,6 +48,30 @@ type System interface {
 	// buffer should align with (paper Table I).
 	OptimalUnit(f *File) int64
 
+	// The autotuner's calibration (internal/tune): pure arithmetic over the
+	// model's constants, no reservations and no state, so thousands of
+	// candidate configurations can be scored without touching a machine.
+	// A fault plan changes timing, not calibration, so Faulty forwards these.
+
+	// EstimateFlush returns the single-stream seconds for one client to
+	// write (or read, when read is true) bytes laid out in runs contiguous
+	// file runs, against a file created with opt. It mirrors the
+	// calibration of the system's reservation path without booking anything.
+	EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64
+	// AggregateBandwidth returns the system-wide bytes/second ceiling for
+	// concurrent flushes against one file created with opt (OST ceilings on
+	// Lustre, ION/backend ceilings on GPFS). Concurrency beyond this rate
+	// buys nothing.
+	AggregateBandwidth(opt FileOptions, read bool) float64
+	// AlignUnit returns the optimal write granularity for a file created
+	// with opt — OptimalUnit without needing the file to exist.
+	AlignUnit(opt FileOptions) int64
+	// RecommendStripe returns the FileOptions for a file of totalBytes
+	// written by aggregators clients flushing bufSize-byte buffers. Systems
+	// without tunable striping return the zero FileOptions (platform
+	// defaults).
+	RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions
+
 	// book records one access on f and reserves it through the model from
 	// p's current time. It returns the completion time plus the span name
 	// and segments the flight recorder reports. Callers go through Do and
@@ -259,20 +283,24 @@ func (n *NullFS) Lookup(name string) *File { return n.files[name] }
 
 func (n *NullFS) OptimalUnit(f *File) int64 { return 1 << 20 }
 
-// EstimateFlush prices the fixed per-op latency. (The storage.FlushModel
-// hook; NullFS has no bandwidth to model.)
+// EstimateFlush prices the fixed per-op latency: NullFS has no bandwidth
+// to model.
 func (n *NullFS) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) float64 {
 	return sim.ToSeconds(n.PerOp)
 }
 
-// AggregateBandwidth is unbounded: NullFS absorbs any concurrency. (The
-// storage.FlushModel hook.)
+// AggregateBandwidth is unbounded: NullFS absorbs any concurrency.
 func (n *NullFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	return math.Inf(1)
 }
 
-// AlignUnit matches OptimalUnit. (The storage.FlushModel hook.)
+// AlignUnit matches OptimalUnit.
 func (n *NullFS) AlignUnit(opt FileOptions) int64 { return 1 << 20 }
+
+// RecommendStripe returns platform defaults: NullFS has no striping.
+func (n *NullFS) RecommendStripe(totalBytes, bufSize int64, aggregators int) FileOptions {
+	return FileOptions{}
+}
 
 // book prices a sieved write at two per-op latencies (read, then write).
 func (n *NullFS) book(p *sim.Proc, node int, f *File, segs []Seg, op Op) (int64, string, []Seg) {

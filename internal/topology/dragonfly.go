@@ -339,10 +339,10 @@ func (d *Dragonfly) gatewayIndex(a, b int) int {
 	return int(h % uint64(d.GatewaysPerPair))
 }
 
-// PathStats implements PathStater for minimally-routed pairs: the route is
-// host link → (electrical hops) [→ optical → electrical hops] → host link,
-// so the length is Distance and the bottleneck follows from which link
-// classes the path crosses — no route materialization. Pairs that Valiant
+// PathStats answers minimally-routed pairs: the route is host link →
+// (electrical hops) [→ optical → electrical hops] → host link, so the
+// length is Distance and the bottleneck follows from which link classes
+// the path crosses — no route materialization. Pairs that Valiant
 // routing would detour through an intermediate group return ok = false.
 func (d *Dragonfly) PathStats(a, b int) (hops int, bottleneck float64, ok bool) {
 	if a == b {

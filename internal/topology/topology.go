@@ -74,15 +74,22 @@ type Topology interface {
 	// Route returns the deterministic sequence of link ids from a to b.
 	// An empty route means the endpoints share a node.
 	Route(a, b int) []int
+	// PathStats reports the route length and the minimum link rate along
+	// Route(a, b) without materializing the link sequence — the compact
+	// table endpoint-model simulations use so they never allocate a route.
+	// The answer is exact: hops == len(Route(a, b)) and bottleneck ==
+	// min(LinkRate(l) for l in Route(a, b)). ok = false when the answer
+	// would require walking the actual route (non-minimal routing modes);
+	// callers then walk Route. A same-node pair has an empty route: it
+	// reports zero hops at the injection-level rate.
+	PathStats(a, b int) (hops int, bottleneck float64, ok bool)
 }
 
 // PathInfo returns the hop count and bottleneck bandwidth between two nodes.
 // For same-node paths the bandwidth is reported as the injection-level rate.
 func PathInfo(t Topology, a, b int) (hops int, bottleneck float64) {
-	if ps, ok := t.(PathStater); ok {
-		if hops, bottleneck, ok = ps.PathStats(a, b); ok {
-			return hops, bottleneck
-		}
+	if hops, bottleneck, ok := t.PathStats(a, b); ok {
+		return hops, bottleneck
 	}
 	route := t.Route(a, b)
 	if len(route) == 0 {
@@ -95,20 +102,6 @@ func PathInfo(t Topology, a, b int) (hops int, bottleneck float64) {
 		}
 	}
 	return len(route), bottleneck
-}
-
-// PathStater is an optional Topology extension: PathStats reports the route
-// length and the minimum link rate along the deterministic route from a to b
-// without materializing the link sequence — the compact table endpoint-model
-// simulations use so they never allocate a route. Implementations return
-// ok = false when the answer would require walking the actual route (e.g.
-// non-minimal routing modes); callers then fall back to Route.
-//
-// The contract is exact: hops == len(Route(a, b)) and bottleneck ==
-// min(LinkRate(l) for l in Route(a, b)). Same-node pairs return (0, +Inf not
-// required) — callers never ask, as a == b short-circuits before routing.
-type PathStater interface {
-	PathStats(a, b int) (hops int, bottleneck float64, ok bool)
 }
 
 // Flat is a degenerate single-switch topology: every pair of nodes is one
@@ -168,8 +161,8 @@ func (f *Flat) Route(a, b int) []int {
 	return []int{2 * a, 2*b + 1} // a's uplink, b's downlink
 }
 
-// PathStats implements PathStater: every distinct pair routes over exactly
-// two links of the uniform rate.
+// PathStats: every distinct pair routes over exactly two links of the
+// uniform rate.
 func (f *Flat) PathStats(a, b int) (hops int, bottleneck float64, ok bool) {
 	if a == b {
 		return 0, f.LinkBW, true

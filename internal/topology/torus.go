@@ -173,8 +173,8 @@ func (t *Torus5D) NumLinks() int { return t.n * 5 * 2 }
 
 func (t *Torus5D) LinkRate(link int) float64 { return t.TorusLinkBW }
 
-// PathStats implements PathStater: the dimension-ordered route has exactly
-// Distance(a, b) hops, all at the uniform torus link rate.
+// PathStats: the dimension-ordered route has exactly Distance(a, b) hops,
+// all at the uniform torus link rate.
 func (t *Torus5D) PathStats(a, b int) (hops int, bottleneck float64, ok bool) {
 	return t.Distance(a, b), t.TorusLinkBW, true
 }

@@ -22,9 +22,9 @@ import (
 //   - the §IV-B cost model (internal/cost) supplies the aggregation phase
 //     and runs the same election the live session would, so the predicted
 //     aggregator is the elected aggregator;
-//   - the storage system's FlushModel supplies single-stream flush time and
-//     the concurrency ceiling (falling back to the cost model's C2 uplink
-//     formula when a system has no hook).
+//   - the storage system's calibration (storage.System.EstimateFlush and
+//     AggregateBandwidth) supplies single-stream flush time and the
+//     concurrency ceiling.
 //
 // Rounds then compose exactly like the pipeline in internal/core: double
 // buffering overlaps round r's aggregation with round r-1's flush, the
@@ -32,7 +32,6 @@ import (
 type predictor struct {
 	p          Platform
 	model      *cost.Model
-	fm         storage.FlushModel
 	all        [][]storage.Seg
 	totalBytes int64
 	nodes      []int // rank → compute node (the runtime's block mapping)
@@ -56,7 +55,6 @@ func newPredictor(p Platform, w workload.Pattern) (*predictor, error) {
 	pr := &predictor{
 		p:       p,
 		model:   cost.MachineModel(dist, p.Sys),
-		fm:      storage.FlushModelOf(p.Sys),
 		all:     w.AllSegs(),
 		nodes:   make([]int, w.Ranks),
 		read:    w.Read,
@@ -76,15 +74,6 @@ func newPredictor(p Platform, w workload.Pattern) (*predictor, error) {
 const softwareOverhead = 2e-6
 
 func (pr *predictor) alpha() float64 { return softwareOverhead + 5*pr.latency }
-
-// alignUnit resolves the file system's optimal write granularity for a
-// candidate file without creating it.
-func (pr *predictor) alignUnit(fopt storage.FileOptions) int64 {
-	if pr.fm != nil {
-		return pr.fm.AlignUnit(fopt)
-	}
-	return 0
-}
 
 // aggregationSeconds is the network cost of one partition's full aggregation
 // stream into the elected member, priced through the shape the session runs
@@ -148,7 +137,7 @@ type pointPlan struct {
 // one the live session elects.
 func (pr *predictor) plan(cfg core.Config, fopt storage.FileOptions) pointPlan {
 	cfg.ApplyDefaults(len(pr.all))
-	est := core.EstimatePlan(pr.all, cfg, pr.alignUnit(fopt))
+	est := core.EstimatePlan(pr.all, cfg, pr.p.Sys.AlignUnit(fopt))
 	parts := make([]tree.Partition, len(est.Parts))
 	for pi, pe := range est.Parts {
 		if pe.Bytes == 0 || pe.Rounds == 0 {
@@ -191,14 +180,11 @@ func (pr *predictor) searchShape(pl pointPlan) (tree.Shape, bool) {
 }
 
 // flushSeconds is one aggregator's single-stream time for one round's flush.
-func (pr *predictor) flushSeconds(fopt storage.FileOptions, bytes, runs int64, aggNode int) float64 {
+func (pr *predictor) flushSeconds(fopt storage.FileOptions, bytes, runs int64) float64 {
 	if bytes == 0 {
 		return 0
 	}
-	if pr.fm != nil {
-		return pr.fm.EstimateFlush(fopt, bytes, runs, pr.read)
-	}
-	return pr.model.IOCost(aggNode, bytes)
+	return pr.p.Sys.EstimateFlush(fopt, bytes, runs, pr.read)
 }
 
 // predict returns the estimated end-to-end seconds of the collective phase
@@ -227,7 +213,7 @@ func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions, pl point
 				aggRound[r] = perRound
 			}
 			fb := pe.FlushBytes[r]
-			if fs := pr.flushSeconds(fopt, fb, pe.FlushRuns[r], members[win].Node); fs > flushStream[r] {
+			if fs := pr.flushSeconds(fopt, fb, pe.FlushRuns[r]); fs > flushStream[r] {
 				flushStream[r] = fs
 			}
 			flushBytes[r] += fb
@@ -236,10 +222,7 @@ func (pr *predictor) predict(cfg core.Config, fopt storage.FileOptions, pl point
 
 	// Concurrent streams cannot beat the system ceiling: a round's flush wall
 	// time is the slower of its slowest stream and the saturated rate.
-	aggBW := math.Inf(1)
-	if pr.fm != nil {
-		aggBW = pr.fm.AggregateBandwidth(fopt, pr.read)
-	}
+	aggBW := pr.p.Sys.AggregateBandwidth(fopt, pr.read)
 	flushRound := make([]float64, n)
 	for r := range flushRound {
 		flushRound[r] = flushStream[r]

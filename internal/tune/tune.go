@@ -7,7 +7,7 @@
 //
 // The search is deterministic: a coarse grid over aggregator count × buffer
 // size × placement (striping follows each candidate through the storage
-// system's StripeAdvisor, and both pipeline variants are priced in every
+// system's RecommendStripe, and both pipeline variants are priced in every
 // pass), followed by local refinement around the best grid point. An
 // optional closed-loop mode re-grounds the model before the final pick:
 // the top candidates each run a short simulated probe (a few aggregation
@@ -40,8 +40,8 @@ type Platform struct {
 	// Dist optionally shares the machine-wide memoized distance cache; a
 	// private cache is built when nil.
 	Dist *topology.DistanceCache
-	// Sys is the machine's storage system (its FlushModel / StripeAdvisor
-	// hooks calibrate the flush and striping terms when implemented).
+	// Sys is the machine's storage system (its calibration methods price
+	// the flush and striping terms).
 	Sys storage.System
 	// RanksPerNode is the job's rank→node density. Default 1.
 	RanksPerNode int
@@ -172,11 +172,9 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 			pr.msgPenalty = pr.alpha()
 		}
 	}
-	advisor := storage.StripeAdvisorOf(p.Sys)
-
 	aggGrid := opt.Aggregators
 	if len(aggGrid) == 0 {
-		aggGrid = defaultAggregators(w.Ranks, advisor, pr.totalBytes)
+		aggGrid = defaultAggregators(w.Ranks, p.Sys, pr.totalBytes)
 	}
 	bufGrid := opt.BufferSizes
 	if len(bufGrid) == 0 {
@@ -187,7 +185,7 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 		placements = []cost.Placement{cost.TopologyAware(), cost.TwoLevel()}
 	}
 
-	s := &search{p: p, pr: pr, advisor: advisor, seen: map[string]bool{}, treeSearch: opt.TreeSearch}
+	s := &search{p: p, pr: pr, seen: map[string]bool{}, treeSearch: opt.TreeSearch}
 	for _, a := range aggGrid {
 		for _, b := range bufGrid {
 			for _, pl := range placements {
@@ -231,7 +229,7 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 	}
 	hints := mpiio.TunedHints(best.Config.Aggregators, best.Config.BufferSize, best.Config.Placement)
 	if sh := best.Config.Shape(); sh.Kind != tree.Flat {
-		hints.TreePlan = sh.String()
+		hints.Tree = &sh
 	}
 	return Result{
 		Config:      best.Config,
@@ -248,21 +246,17 @@ func TryAutotune(p Platform, w workload.Pattern, opt Options) (Result, error) {
 type search struct {
 	p          Platform
 	pr         *predictor
-	advisor    storage.StripeAdvisor
 	cands      []Candidate
 	seen       map[string]bool
 	treeSearch bool
 }
 
 // fileOptions derives the candidate's file-creation options: the storage
-// advisor couples striping to the aggregation configuration (stripe size =
-// buffer size, the Table I 1:1 optimum); systems without striping get
+// system couples striping to the aggregation configuration (stripe size =
+// buffer size, the Table I 1:1 optimum); systems without striping return
 // platform defaults.
 func (s *search) fileOptions(bufSize int64, aggregators int) storage.FileOptions {
-	if s.advisor == nil {
-		return storage.FileOptions{}
-	}
-	return s.advisor.RecommendStripe(s.pr.totalBytes, bufSize, aggregators)
+	return s.p.Sys.RecommendStripe(s.pr.totalBytes, bufSize, aggregators)
 }
 
 func key(a int, b int64, pl cost.Placement) string {
@@ -419,9 +413,10 @@ func (s *search) probe(w workload.Pattern, k, workers int) {
 
 // defaultAggregators derives the coarse aggregator grid: powers of two
 // across the plausible range, the library's own default (ranks/16), and the
-// storage advisor's stripe width with 1–8 aggregators per stripe (the
-// paper's 2–8-per-OST observation).
-func defaultAggregators(ranks int, advisor storage.StripeAdvisor, totalBytes int64) []int {
+// storage system's recommended stripe count with 1–8 aggregators per
+// stripe (the paper's 2–8-per-OST observation; none where it has no
+// striping to recommend).
+func defaultAggregators(ranks int, sys storage.System, totalBytes int64) []int {
 	set := map[int]bool{}
 	add := func(a int) {
 		if a >= 1 && a <= ranks {
@@ -436,11 +431,9 @@ func defaultAggregators(ranks int, advisor storage.StripeAdvisor, totalBytes int
 		add(a)
 	}
 	add(ranks / 16)
-	if advisor != nil {
-		c := advisor.RecommendStripe(totalBytes, 8<<20, 0).StripeCount
-		for m := 1; m <= 8; m *= 2 {
-			add(m * c)
-		}
+	c := sys.RecommendStripe(totalBytes, 8<<20, 0).StripeCount
+	for m := 1; m <= 8; m *= 2 {
+		add(m * c)
 	}
 	if len(set) == 0 {
 		add(1)

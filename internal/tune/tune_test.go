@@ -8,6 +8,7 @@ import (
 
 	"tapioca/internal/core"
 	"tapioca/internal/mpi"
+	"tapioca/internal/mpiio"
 	"tapioca/internal/netsim"
 	"tapioca/internal/sim"
 	"tapioca/internal/storage"
@@ -149,11 +150,10 @@ func TestAutotuneWithinSweep(t *testing.T) {
 	p := thetaPlatform(nodes, rpn, osts)
 	res := Autotune(p, w, opt)
 
-	advisor := storage.StripeAdvisorOf(p.Sys)
 	best := -1.0
 	for _, a := range opt.Aggregators {
 		for _, b := range opt.BufferSizes {
-			fopt := advisor.RecommendStripe(w.TotalBytes(), b, a)
+			fopt := p.Sys.RecommendStripe(w.TotalBytes(), b, a)
 			sec := measureTheta(nodes, rpn, osts, core.Config{Aggregators: a, BufferSize: b}, fopt, w)
 			if best < 0 || sec < best {
 				best = sec
@@ -250,7 +250,7 @@ func TestRefinementStaysInsideGrid(t *testing.T) {
 }
 
 func TestDefaultAggregatorGrid(t *testing.T) {
-	grid := defaultAggregators(2048, nil, 1<<31)
+	grid := defaultAggregators(2048, storage.NewNullFS(), 1<<31)
 	if len(grid) == 0 {
 		t.Fatal("empty grid")
 	}
@@ -272,7 +272,7 @@ func TestDefaultAggregatorGrid(t *testing.T) {
 // pick must not duplicate the flat or staged pair), deterministic, and
 // decisive under a heavy per-message penalty — a modeled lossy fabric must
 // hand the pick to a multi-level shape, and the winner's shape must flow into
-// the baseline hints as a TreePlan.
+// the baseline hints as their Tree.
 func TestTreeSearchDimension(t *testing.T) {
 	p := thetaPlatform(64, 4, 8)
 	p.Probe = nil
@@ -289,8 +289,8 @@ func TestTreeSearchDimension(t *testing.T) {
 	if sh := off.Config.Shape(); sh.Kind != tree.Flat {
 		want = sh.String()
 	}
-	if off.Hints.TreePlan != want {
-		t.Fatalf("TreeSearch off: hints carry tree plan %q, want %q", off.Hints.TreePlan, want)
+	if got := hintShape(off.Hints); got != want {
+		t.Fatalf("TreeSearch off: hints carry tree %q, want %q", got, want)
 	}
 
 	on := grid
@@ -321,8 +321,8 @@ func TestTreeSearchDimension(t *testing.T) {
 		t.Fatalf("a %.0fµs-per-message fabric still picked the plain pipeline (%+v)",
 			on.MessagePenalty*1e6, a.Config)
 	}
-	if want := a.Config.Tree.String(); a.Hints.TreePlan != want {
-		t.Fatalf("winner shape %q not mirrored into hints (got %q)", want, a.Hints.TreePlan)
+	if want, got := a.Config.Tree.String(), hintShape(a.Hints); got != want {
+		t.Fatalf("winner shape %q not mirrored into hints (got %q)", want, got)
 	}
 
 	// Penalty-free tree search still ranks shapes (with the control-plane α)
@@ -334,6 +334,15 @@ func TestTreeSearchDimension(t *testing.T) {
 	if !res.Config.Shape().Degenerate() && res.Candidates[0].Corrected == res.Candidates[1].Corrected {
 		t.Fatalf("tie broken toward a tree: %+v", res.Config)
 	}
+}
+
+// hintShape spells the shape a result's hints carry, "" when they carry
+// none (the flat exchange).
+func hintShape(h mpiio.Hints) string {
+	if h.Tree == nil {
+		return ""
+	}
+	return h.Tree.String()
 }
 
 // distinctShapes fails when two candidates share a grid point, buffering
@@ -354,7 +363,7 @@ func distinctShapes(t *testing.T, res Result) {
 }
 
 // TestStagedPickReachesHints: a node-staged pick is a shape like any other,
-// so it rides into the MPI-IO hints as TreePlan "staged" — before staging
+// so it rides into the MPI-IO hints as their Tree — before staging
 // was a shape, the hints dropped it and MPI-IO sent per-rank messages.
 func TestStagedPickReachesHints(t *testing.T) {
 	p := thetaPlatform(64, 4, 8)
@@ -366,8 +375,8 @@ func TestStagedPickReachesHints(t *testing.T) {
 		TreeSearch:     true,
 		MessagePenalty: 2e-4,
 	})
-	if res.Hints.TreePlan != "staged" {
-		t.Fatalf("hints carry TreePlan %q, want %q (%+v)", res.Hints.TreePlan, "staged", res.Config)
+	if got := hintShape(res.Hints); got != "staged" {
+		t.Fatalf("hints carry tree %q, want %q (%+v)", got, "staged", res.Config)
 	}
 	if sh := res.Config.Shape(); sh.Kind != tree.NodeStaged {
 		t.Fatalf("picked shape %s, want staged (%+v)", sh, res.Config)

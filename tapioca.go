@@ -92,7 +92,7 @@ func NewFileStore(path string) (*storage.FileStore, error) { return storage.NewF
 type Config = core.Config
 
 // TreeShape selects a synthesized aggregation-tree shape for Config.Tree and
-// parses from/prints to the Hints.TreePlan wire form (see internal/tree).
+// Hints.Tree, and parses from/prints to a text form (see internal/tree).
 // The degenerate kinds reproduce the fixed pipelines exactly: TreeFlat is
 // the default two-phase data plane, TreeNodeStaged is intra-node staging.
 type TreeShape = tree.Shape
@@ -106,7 +106,7 @@ const (
 	TreeFanIn      = tree.FanIn
 )
 
-// ParseTreeShape parses a TreePlan string ("flat", "staged", "group",
+// ParseTreeShape parses a shape's text form ("flat", "staged", "group",
 // "chain", "fanin:k").
 func ParseTreeShape(s string) (TreeShape, error) { return tree.ParseShape(s) }
 
@@ -471,7 +471,7 @@ func WithProbes(n int) AutotuneOption {
 // unseats today's picks. msgPenalty is the expected extra seconds a receiver
 // spends per incoming fabric message (a lossy fabric's drop rate × retransmit
 // timeout, say); pass 0 to use the model's control-plane α. The winning
-// shape also rides into the returned Hints as TreePlan.
+// shape also rides into the returned Hints as their Tree.
 func WithTreeSearch(msgPenalty float64) AutotuneOption {
 	return func(o *tune.Options) {
 		o.TreeSearch = true
