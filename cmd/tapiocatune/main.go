@@ -22,8 +22,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"tapioca"
+	"tapioca/internal/topology"
 	"tapioca/internal/tune"
 )
 
@@ -79,6 +81,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *nodes < 1 || *rpn < 1 {
 		fmt.Fprintf(stderr, "tapiocatune: -nodes %d and -rpn %d must both be positive\n", *nodes, *rpn)
+		return 2
+	}
+	if sizes := topology.MiraSizes(); *machine == "mira" && !slices.Contains(sizes, *nodes) {
+		fmt.Fprintf(stderr, "tapiocatune: no Mira partition of -nodes %d (want one of %v)\n", *nodes, sizes)
 		return 2
 	}
 	m := build()

@@ -41,3 +41,18 @@ func TestWorkloadFlag(t *testing.T) {
 		t.Fatalf("stderr %q", errOut.String())
 	}
 }
+
+// TestMiraNodesFlag: a -nodes count with no Mira partition shape exits 2
+// with one usage line, not a panic from the machine constructor.
+func TestMiraNodesFlag(t *testing.T) {
+	for _, n := range []string{"64", "100", "3000"} {
+		var out, errOut bytes.Buffer
+		code := run([]string{"-machine", "mira", "-nodes", n}, &out, &errOut)
+		msg := errOut.String()
+		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 ||
+			!strings.Contains(msg, "no Mira partition of -nodes "+n) ||
+			strings.Contains(msg, "panic") || strings.Contains(msg, "goroutine") {
+			t.Errorf("-machine mira -nodes %s exited %d: stdout %q, stderr %q", n, code, out.String(), msg)
+		}
+	}
+}

@@ -49,12 +49,12 @@ func (w *Writer) electPartition(pp *partPlan) (winner int, redBytes int64) {
 		Partition: w.part,
 	}
 	winner = w.cfg.Placement.Elect(e)
-	pp.costs = make([]float64, pp.rankN)
-	if e.Costs != nil {
-		copy(pp.costs, e.Costs)
-		redBytes = 16
+	pp.costs = e.Costs
+	if pp.costs == nil {
+		pp.costs = make([]float64, pp.rankN)
+		return winner, 0
 	}
-	return winner, redBytes
+	return winner, 16
 }
 
 // carvePartitions builds every partition's communicator over c, in

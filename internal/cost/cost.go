@@ -17,10 +17,13 @@
 //
 // Both TAPIOCA proper (internal/core) and the ROMIO-style baseline
 // (internal/mpiio) consume this package, so a single implementation of the
-// arithmetic serves every collective path. Distances are memoized through
-// topology.DistanceCache: an election evaluates the same node pairs once per
-// candidate, and repeated sessions on one machine reuse the cache, so the
-// O(P²) repeated Distance calls of a naive election become cached reads.
+// arithmetic serves every collective path. An election prices every member
+// in one batch over the partition's node classes (prices.go): members on one
+// node share every distance and their C2, so it asks the topology for
+// k² distances and k I/O costs for k distinct nodes, whatever the member
+// count. The single-candidate prices (CandidacyCost, TwoLevelCost, EdgeCost)
+// read distances through topology.DistanceCache and are the reference the
+// batch is tested against, term for term and bit for bit.
 package cost
 
 import (
@@ -61,8 +64,7 @@ func TierOf(sys any) TierCost {
 // Model evaluates the paper's cost formulas over one topology.
 type Model struct {
 	topo     topology.Topology
-	dist     *topology.DistanceCache // nil when uncached
-	uncached bool
+	dist     *topology.DistanceCache
 	latency  float64 // seconds per hop
 	fabricBW float64
 	uplinkBW float64
@@ -76,12 +78,6 @@ type Option func(*Model)
 // machine, so every rank and session reuses the same rows).
 func WithDistanceCache(dc *topology.DistanceCache) Option {
 	return func(m *Model) { m.dist = dc }
-}
-
-// Uncached disables distance memoization: every lookup walks the topology's
-// Distance. Exists to quantify what the cache buys (BenchmarkCostModel).
-func Uncached() Option {
-	return func(m *Model) { m.dist, m.uncached = nil, true }
 }
 
 // WithTier installs a storage-tier hook refining the C2 I/O cost.
@@ -101,7 +97,7 @@ func NewModel(topo topology.Topology, opts ...Option) *Model {
 	for _, o := range opts {
 		o(m)
 	}
-	if m.dist == nil && !m.uncached {
+	if m.dist == nil {
 		m.dist = topology.NewDistanceCache(topo)
 	}
 	return m
@@ -110,12 +106,24 @@ func NewModel(topo topology.Topology, opts ...Option) *Model {
 // Topology returns the model's topology.
 func (m *Model) Topology() topology.Topology { return m.topo }
 
-// distance is the (possibly memoized) hop count.
-func (m *Model) distance(a, b int) int {
-	if m.dist != nil {
-		return m.dist.Distance(a, b)
-	}
-	return m.topo.Distance(a, b)
+// hop is the price of one member's flow to a node d hops away: the paper's
+// λ·d latency term plus xfer, the member's fabric transfer time (transfer).
+// Every inter-node term — C1's, EdgeCost's and the batch pricer's — is this
+// one expression. The explicit conversion rounds the latency product on
+// its own, so no platform fuses it into the sum and the batch stays
+// bit-identical to the single-candidate prices.
+func (m *Model) hop(d int, xfer float64) float64 {
+	return float64(m.latency*float64(d)) + xfer
+}
+
+// transfer is the fabric time of bytes, ω/B_fabric.
+func (m *Model) transfer(bytes int64) float64 {
+	return float64(bytes) / m.fabricBW
+}
+
+// localCopy is the time of a co-located (shared-memory) move of bytes.
+func localCopy(bytes int64) float64 {
+	return float64(bytes) / topology.LocalBandwidth
 }
 
 // EdgeCost prices one hop of an aggregation level: moving bytes from node a
@@ -127,10 +135,9 @@ func (m *Model) distance(a, b int) int {
 // helper, so intra-node memory-bandwidth pricing cannot drift between them.
 func (m *Model) EdgeCost(a, b int, bytes int64) float64 {
 	if a == b {
-		return float64(bytes) / topology.LocalBandwidth
+		return localCopy(bytes)
 	}
-	d := float64(m.distance(a, b))
-	return m.latency*d + float64(bytes)/m.fabricBW
+	return m.hop(m.dist.Distance(a, b), m.transfer(bytes))
 }
 
 // AggregationCost is C1: the cost of every member except the candidate
@@ -146,8 +153,7 @@ func (m *Model) AggregationCost(members []Member, candidate int) float64 {
 		if i == candidate || mb.Bytes == 0 {
 			continue
 		}
-		d := float64(m.distance(mb.Node, candNode))
-		c1 += m.latency*d + float64(mb.Bytes)/m.fabricBW
+		c1 += m.hop(m.dist.Distance(mb.Node, candNode), m.transfer(mb.Bytes))
 	}
 	return c1
 }
@@ -177,8 +183,8 @@ func (m *Model) CandidacyCost(members []Member, candidate int, ioBytes int64) fl
 		m.IOCost(members[candidate].Node, ioBytes)
 }
 
-// nodeGroup is the per-node view used by the two-level placement: members
-// collapsed onto their node, with the first member as leader.
+// nodeGroup is one node class: the members on one node, with the first of
+// them as the class's (two-level) leader.
 type nodeGroup struct {
 	node   int
 	leader int // member index of the node's first member
@@ -186,10 +192,11 @@ type nodeGroup struct {
 }
 
 // groupByNode collapses members into per-node groups, preserving first-seen
-// (member index) order so elections stay deterministic.
-func groupByNode(members []Member) []nodeGroup {
+// (member index) order so elections stay deterministic. class maps each
+// member to its group's index.
+func groupByNode(members []Member) (groups []nodeGroup, class []int) {
 	idx := map[int]int{}
-	var groups []nodeGroup
+	class = make([]int, len(members))
 	for i, mb := range members {
 		g, ok := idx[mb.Node]
 		if !ok {
@@ -198,8 +205,9 @@ func groupByNode(members []Member) []nodeGroup {
 			groups = append(groups, nodeGroup{node: mb.Node, leader: i})
 		}
 		groups[g].bytes += mb.Bytes
+		class[i] = g
 	}
-	return groups
+	return groups, class
 }
 
 // TwoLevelCost prices electing members[candidate] under intra-node
@@ -215,12 +223,7 @@ func groupByNode(members []Member) []nodeGroup {
 // node's leader for the price to be meaningful; callers restrict the
 // electorate to leaders.
 func (m *Model) TwoLevelCost(members []Member, candidate int, ioBytes int64) float64 {
-	return m.twoLevelCost(members, groupByNode(members), candidate, ioBytes)
-}
-
-// twoLevelCost is TwoLevelCost with the node grouping precomputed, so an
-// election over N leaders builds it once instead of once per candidate.
-func (m *Model) twoLevelCost(members []Member, groups []nodeGroup, candidate int, ioBytes int64) float64 {
+	groups, _ := groupByNode(members)
 	candNode := members[candidate].Node
 	var c float64
 	for _, g := range groups {

@@ -97,26 +97,6 @@ func TestCandidacyCostComposes(t *testing.T) {
 	}
 }
 
-func TestModelMatchesUncachedOnRealTopologies(t *testing.T) {
-	for _, topo := range []topology.Topology{
-		topology.MiraTorus(128),
-		topology.ThetaDragonfly(64, topology.RouteMinimal),
-	} {
-		cached := NewModel(topo)
-		raw := NewModel(topo, Uncached())
-		members := make([]Member, 32)
-		for i := range members {
-			members[i] = Member{Node: (i * 7) % topo.Nodes(), Bytes: int64(i+1) * 1000}
-		}
-		for cand := range members {
-			a, b := cached.CandidacyCost(members, cand, 1<<20), raw.CandidacyCost(members, cand, 1<<20)
-			if a != b {
-				t.Fatalf("%s candidate %d: cached %v != uncached %v", topo.Name(), cand, a, b)
-			}
-		}
-	}
-}
-
 func TestTwoLevelCostCollapsesNodes(t *testing.T) {
 	m, topo := flatModel(4)
 	lat := sim.ToSeconds(topo.Latency())

@@ -56,15 +56,13 @@ type SetStrategy interface {
 	SelectSet(e *SetElection) []int
 }
 
-// argBest prices every candidate into e.Costs and returns the extreme-cost
-// member (ties break toward the lowest index, as MINLOC and MAXLOC do).
-// worst flips the objective.
+// argBest prices every member's C1+C2 candidacy into e.Costs in one batch
+// and returns the extreme-cost member (ties break toward the lowest index,
+// as MINLOC and MAXLOC do). worst flips the objective.
 func argBest(e *Election, worst bool) int {
-	e.Costs = make([]float64, len(e.Members))
+	e.Costs = e.Model.candidacies(e.Members, e.IOBytes)
 	best := 0
-	for i := range e.Members {
-		c := e.Model.CandidacyCost(e.Members, i, e.IOBytes)
-		e.Costs[i] = c
+	for i, c := range e.Costs {
 		if (!worst && c < e.Costs[best]) || (worst && c > e.Costs[best]) {
 			best = i
 		}
@@ -94,14 +92,12 @@ type twoLevel struct{}
 func (twoLevel) Name() string { return "two-level" }
 
 func (twoLevel) Elect(e *Election) int {
-	groups := groupByNode(e.Members)
-	e.Costs = make([]float64, len(e.Members))
-	best := groups[0].leader
-	for _, g := range groups {
-		c := e.Model.twoLevelCost(e.Members, groups, g.leader, e.IOBytes)
-		e.Costs[g.leader] = c
-		if c < e.Costs[best] {
-			best = g.leader
+	var leaders []int
+	e.Costs, leaders = e.Model.twoLevelCandidacies(e.Members, e.IOBytes)
+	best := leaders[0]
+	for _, l := range leaders {
+		if e.Costs[l] < e.Costs[best] {
+			best = l
 		}
 	}
 	return best

@@ -4,10 +4,11 @@ import "sync/atomic"
 
 // DistanceCache memoizes Topology.Distance lookups row by row: the first
 // query from node a computes and publishes a's full distance row, and every
-// later (a, *) lookup is an array read. Aggregator election evaluates
-// distances between the same small set of nodes once per candidate and once
-// per session, so the cost model's O(P²) repeated Distance calls collapse
-// into cached reads (see BenchmarkCostModel at the repository root).
+// later (a, *) lookup is an array read. A row costs one Distance call per
+// node of the machine, so it pays off for callers that ask many distances
+// from few sources: the cost model's single-candidate prices and the tree
+// pricer. Elections price every candidate in one batch over node classes
+// and ask the topology directly instead (internal/cost).
 //
 // Rows are published through atomic pointers, so a cache may be shared by
 // every simulated rank of a machine — and by code running outside the
