@@ -44,10 +44,10 @@ func TestValidRunsOutput(t *testing.T) {
 		{nil, `topology: bgq-torus5d-512
 nodes:    512 (dimensions [4 4 4 4 2])
 I/O nodes: 4, per-hop latency 690 ns
-bandwidth[injection] = 1.80 GB/s
+bandwidth[injection] = 3.60 GB/s
 bandwidth[fabric] = 1.80 GB/s
-bandwidth[io-uplink] = 2.00 GB/s
-bandwidth[storage] = 4.00 GB/s
+bandwidth[io-uplink] = 1.80 GB/s
+bandwidth[storage] = 2.80 GB/s
 
 node 0: coordinates [0 0 0 0 0], ION/Pset 0 (distance 1)
 node 1: coordinates [0 0 0 0 1]

@@ -266,9 +266,11 @@ func buildPlan(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64, withDat
 		p.partOf[r] = r * nAggr / nRanks
 	}
 	b := &planBuilder{reference: reference}
+	// Each partition starts at the first rank r with r*nAggr/nRanks == part,
+	// the rank→partition map the MPI-IO baseline's elections share.
 	for part := range p.parts {
-		lo := partStart(part, nAggr, nRanks)
-		hi := partStart(part+1, nAggr, nRanks)
+		lo := cost.PartitionStart(part, nAggr, nRanks)
+		hi := cost.PartitionStart(part+1, nAggr, nRanks)
 		buildPartition(p, b, part, lo, hi, all, bufSize, alignUnit)
 		distributePieces(p, b, lo, hi)
 	}
@@ -279,13 +281,6 @@ func buildPlan(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64, withDat
 // (data-plane plans only).
 func (p *plan) layoutOf(part, round int) []storage.Seg {
 	return p.parts[part].layout[round]
-}
-
-func partStart(part, nAggr, nRanks int) int {
-	// Inverse of partOf: first rank with r*nAggr/nRanks == part. The shared
-	// formula lives in internal/cost so the MPI-IO baseline's per-block
-	// elections use the identical rank→partition map.
-	return cost.PartitionStart(part, nAggr, nRanks)
 }
 
 func buildPartition(p *plan, b *planBuilder, part, rankLo, rankHi int, all [][]storage.Seg, bufSize, alignUnit int64) {

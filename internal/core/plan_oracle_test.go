@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"tapioca/internal/cost"
 	"tapioca/internal/storage"
 )
 
@@ -105,8 +106,8 @@ func buildPlanReference(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64
 		p.partOf[r] = r * nAggr / nRanks
 	}
 	for part := range p.parts {
-		lo := partStart(part, nAggr, nRanks)
-		hi := partStart(part+1, nAggr, nRanks)
+		lo := cost.PartitionStart(part, nAggr, nRanks)
+		hi := cost.PartitionStart(part+1, nAggr, nRanks)
 		buildPartitionReference(p, part, lo, hi, all, bufSize, alignUnit)
 	}
 	return p

@@ -71,36 +71,22 @@ type Model struct {
 	tier     TierCost
 }
 
-// Option customizes a Model.
-type Option func(*Model)
-
-// WithDistanceCache shares an existing memoized distance cache (one per
-// machine, so every rank and session reuses the same rows).
-func WithDistanceCache(dc *topology.DistanceCache) Option {
-	return func(m *Model) { m.dist = dc }
+// NewModel builds a cost model over the topology with a private distance
+// cache and no tier hook.
+func NewModel(topo topology.Topology) *Model {
+	return newModel(topology.NewDistanceCache(topo), nil)
 }
 
-// WithTier installs a storage-tier hook refining the C2 I/O cost.
-func WithTier(t TierCost) Option {
-	return func(m *Model) { m.tier = t }
-}
-
-// NewModel builds a cost model over the topology. Without options it owns a
-// private distance cache.
-func NewModel(topo topology.Topology, opts ...Option) *Model {
-	m := &Model{
+func newModel(dc *topology.DistanceCache, tier TierCost) *Model {
+	topo := dc.Topology()
+	return &Model{
 		topo:     topo,
+		dist:     dc,
 		latency:  sim.ToSeconds(topo.Latency()),
 		fabricBW: topo.Bandwidth(topology.LevelFabric),
 		uplinkBW: topo.Bandwidth(topology.LevelIOUplink),
+		tier:     tier,
 	}
-	for _, o := range opts {
-		o(m)
-	}
-	if m.dist == nil {
-		m.dist = topology.NewDistanceCache(topo)
-	}
-	return m
 }
 
 // Topology returns the model's topology.
@@ -258,13 +244,10 @@ func PartitionStart(part, parts, n int) int {
 }
 
 // MachineModel is the construction both I/O paths share: the machine-wide
-// memoized distance cache plus the storage tier's C2 hook when the system
-// provides one. Keeping the wiring here guarantees TAPIOCA proper and the
-// MPI-IO baseline price candidacies identically.
-func MachineModel(dc *topology.DistanceCache, sys any, extra ...Option) *Model {
-	opts := append([]Option{WithDistanceCache(dc)}, extra...)
-	if tier := TierOf(sys); tier != nil {
-		opts = append(opts, WithTier(tier))
-	}
-	return NewModel(dc.Topology(), opts...)
+// memoized distance cache (one per machine, so every rank and session reuses
+// the same rows) plus the storage tier's C2 hook when the system provides
+// one. Keeping the wiring here guarantees TAPIOCA proper and the MPI-IO
+// baseline price candidacies identically.
+func MachineModel(dc *topology.DistanceCache, sys any) *Model {
+	return newModel(dc, TierOf(sys))
 }

@@ -10,9 +10,9 @@ import (
 
 // flatModel builds a model over a Flat topology with known constants:
 // 1 GB/s links, 1 µs per hop, one I/O node one hop away.
-func flatModel(n int, opts ...Option) (*Model, *topology.Flat) {
+func flatModel(n int) (*Model, *topology.Flat) {
 	topo := topology.NewFlat(n)
-	return NewModel(topo, opts...), topo
+	return NewModel(topo), topo
 }
 
 func almost(a, b float64) bool {
@@ -76,7 +76,7 @@ type fixedTier struct{ s float64 }
 func (f fixedTier) TierIOCost(node int, bytes int64) (float64, bool) { return f.s, true }
 
 func TestIOCostTierHook(t *testing.T) {
-	m, _ := flatModel(4, WithTier(fixedTier{s: 0.25}))
+	m := MachineModel(topology.NewDistanceCache(topology.NewFlat(4)), fixedTier{s: 0.25})
 	if got := m.IOCost(0, 1<<30); got != 0.25 {
 		t.Fatalf("tier C2 = %v, want 0.25", got)
 	}

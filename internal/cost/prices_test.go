@@ -71,7 +71,7 @@ func TestBatchMatchesReference(t *testing.T) {
 			return Member{Node: (i * 7) % 64, Bytes: int64(i+1) * 1000}
 		}), 1 << 20},
 		// A storage tier's C2 hook.
-		{"mira128/tier", NewModel(mira128, WithTier(fixedTier{s: 0.25})), table(40, func(i int) Member {
+		{"mira128/tier", MachineModel(topology.NewDistanceCache(mira128), fixedTier{s: 0.25}), table(40, func(i int) Member {
 			return Member{Node: i / 5, Bytes: int64(i+1) << 10}
 		}), 1 << 20},
 	}
@@ -127,7 +127,7 @@ func TestElectionQueriesOncePerNodePair(t *testing.T) {
 		for _, pl := range []Placement{TopologyAware(), Worst(), TwoLevel()} {
 			topo := &countingTopo{Topology: base}
 			dc := topology.NewDistanceCache(topo)
-			pl.Elect(&Election{Model: NewModel(topo, WithDistanceCache(dc)), Members: members, IOBytes: 1 << 20})
+			pl.Elect(&Election{Model: MachineModel(dc, nil), Members: members, IOBytes: 1 << 20})
 			if topo.distances > k*k || topo.ioNodes > k || dc.Rows() != 0 {
 				t.Errorf("%s %s: %d Distance calls (max %d), %d IONodeOf calls (max %d), %d cache rows (want 0)",
 					base.Name(), pl.Name(), topo.distances, k*k, topo.ioNodes, k, dc.Rows())

@@ -337,11 +337,7 @@ func sharedTheta(nodes, routing int) (*topology.Dragonfly, *topology.DistanceCac
 // miraRig builds a Mira platform. lockMode selects the GPFS token mode.
 func miraRig(env Env, nodes, rpn, lockMode int) *rig {
 	topo, dc := sharedMira(nodes)
-	fab := netsim.New(topo, netsim.Config{
-		Contention: netsim.ContentionLinks,
-		InjectRate: 2 * topo.TorusLinkBW,
-		Reference:  env.reference,
-	})
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks, Reference: env.reference})
 	fab.ShareDistances(dc)
 	sys := storage.NewGPFS(topo, fab, storage.GPFSConfig{LockMode: lockMode})
 	return armFaults(&rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})

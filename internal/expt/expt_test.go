@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"tapioca/internal/storage"
+	"tapioca/internal/topology"
 	"tapioca/internal/tree"
 )
 
@@ -18,6 +20,15 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if ByID("nope") != nil {
 		t.Error("unknown id resolved")
+	}
+}
+
+// TestMiraRigInjectsAtTopologyRate: the Mira rig's NICs run at the torus's
+// injection-level rate, the one value the topology reports for it.
+func TestMiraRigInjectsAtTopologyRate(t *testing.T) {
+	r := miraRig(Env{}, 128, 1, storage.LockShared)
+	if got, want := r.fab.Config().InjectRate, r.topo.Bandwidth(topology.LevelInjection); got != want {
+		t.Fatalf("Mira rig fabric injects at %g B/s, topology answers %g", got, want)
 	}
 }
 

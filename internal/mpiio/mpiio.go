@@ -1,6 +1,6 @@
 // Package mpiio implements ROMIO-style MPI-IO over the simulated MPI runtime
-// and storage systems: independent reads/writes with data sieving, and
-// collective reads/writes with generic two-phase I/O (collective buffering).
+// and storage systems: collective reads and writes with generic two-phase I/O
+// (collective buffering) and data sieving.
 //
 // This is the paper's comparison baseline. Its deliberate limitations are
 // exactly the ones TAPIOCA (internal/core) removes:
@@ -17,7 +17,6 @@
 package mpiio
 
 import (
-	"fmt"
 	"sort"
 
 	"tapioca/internal/cost"
@@ -364,78 +363,9 @@ func electAggregators(c *mpi.Comm, h Hints, sys storage.System) []int {
 	return out
 }
 
-// WriteAt performs an independent write of this rank's segments. Strided
-// patterns use write data sieving (read-modify-write of the span) unless
-// disabled, as ROMIO does for noncontiguous independent writes.
-func (fh *File) WriteAt(segs []storage.Seg) error {
-	return fh.WriteAtData(segs, nil)
-}
-
-// WriteAtData is WriteAt with payload bytes (packed in segment enumeration
-// order) landed in the file's backing store.
-func (fh *File) WriteAtData(segs []storage.Seg, data []byte) error {
-	if fh.closed {
-		return fmt.Errorf("mpiio: WriteAt on closed file %q", fh.f.Name)
-	}
-	if data != nil {
-		if want := storage.TotalBytes(segs); int64(len(data)) != want {
-			return fmt.Errorf("mpiio: WriteAt payload holds %d bytes, segments declare %d", len(data), want)
-		}
-		if err := fh.f.StoreWrite(segs, data); err != nil {
-			return err
-		}
-	}
-	if storage.TotalBytes(segs) == 0 {
-		return nil
-	}
-	p := fh.c.Proc()
-	if !fh.hints.DisableSieving && storage.TotalRuns(segs) > 1 {
-		lo, hi := storage.SpanAll(segs)
-		span := []storage.Seg{storage.Contig(lo, hi-lo)}
-		storage.Do(p, fh.sys, fh.c.Node(), fh.f, span, storage.OpRead)
-		storage.Do(p, fh.sys, fh.c.Node(), fh.f, span, storage.OpWrite)
-		return nil
-	}
-	storage.Do(p, fh.sys, fh.c.Node(), fh.f, segs, storage.OpWrite)
-	return nil
-}
-
-// ReadAt performs an independent read of this rank's segments, with read
-// data sieving for strided patterns.
-func (fh *File) ReadAt(segs []storage.Seg) error {
-	return fh.ReadAtData(segs, nil)
-}
-
-// ReadAtData is ReadAt with dst (packed in segment enumeration order)
-// filled from the file's backing store.
-func (fh *File) ReadAtData(segs []storage.Seg, dst []byte) error {
-	if fh.closed {
-		return fmt.Errorf("mpiio: ReadAt on closed file %q", fh.f.Name)
-	}
-	if dst != nil {
-		if want := storage.TotalBytes(segs); int64(len(dst)) != want {
-			return fmt.Errorf("mpiio: ReadAt buffer holds %d bytes, segments declare %d", len(dst), want)
-		}
-		if err := fh.f.StoreRead(segs, dst); err != nil {
-			return err
-		}
-	}
-	if storage.TotalBytes(segs) == 0 {
-		return nil
-	}
-	p := fh.c.Proc()
-	if storage.TotalRuns(segs) > 1 {
-		lo, hi := storage.SpanAll(segs)
-		storage.Do(p, fh.sys, fh.c.Node(), fh.f, []storage.Seg{storage.Contig(lo, hi-lo)}, storage.OpRead)
-		return nil
-	}
-	storage.Do(p, fh.sys, fh.c.Node(), fh.f, segs, storage.OpRead)
-	return nil
-}
-
 // Close is collective (a barrier; simulated state is garbage-collected).
-// Collective and independent I/O on a closed handle returns a descriptive
-// error instead of running.
+// Collective I/O on a closed handle returns a descriptive error instead of
+// running.
 func (fh *File) Close() {
 	fh.c.Barrier()
 	fh.closed = true

@@ -421,30 +421,6 @@ func TestReadAtAllCompletes(t *testing.T) {
 	})
 }
 
-func TestIndependentWriteSieving(t *testing.T) {
-	runFlat(t, 1, 1, func(c *mpi.Comm, sys storage.System) {
-		fh := Open(c, sys, "s", storage.FileOptions{}, Hints{})
-		fh.WriteAt([]storage.Seg{storage.Strided(0, 4, 38, 100)})
-		// Sieving reads the span before writing.
-		if fh.Storage().BytesRead() == 0 {
-			t.Error("sieving did not read the span")
-		}
-		fh.WriteAt(nil) // no-op
-		fh.Close()
-	})
-}
-
-func TestIndependentWriteNoSieveWhenContig(t *testing.T) {
-	runFlat(t, 1, 1, func(c *mpi.Comm, sys storage.System) {
-		fh := Open(c, sys, "c", storage.FileOptions{}, Hints{})
-		fh.WriteAt([]storage.Seg{storage.Contig(0, 4096)})
-		if fh.Storage().BytesRead() != 0 {
-			t.Error("contiguous write should not sieve")
-		}
-		fh.Close()
-	})
-}
-
 func TestSparseCollectiveUsesSieving(t *testing.T) {
 	// AoS-style sparse round with sieving: physical reads happen; with
 	// sieving disabled they don't.

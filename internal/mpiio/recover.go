@@ -6,9 +6,7 @@ import "tapioca/internal/storage"
 // TAPIOCA pipeline: every round flush (dense, sieved or run by run) and every
 // round read climbs the shared storage.Ladder, with bounded retry and
 // virtual-time backoff on transient errors and a fall-back to the tier behind
-// a dead burst buffer. The independent (non-collective) calls stay on the
-// plain storage.Do path, where the modeled client library absorbs transients
-// internally.
+// a dead burst buffer.
 
 // guarded issues one blocking round write (or read) on the tier the recovery
 // ladder resolves. On a system without a fault plan that is one plain

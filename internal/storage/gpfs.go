@@ -20,16 +20,13 @@ const (
 )
 
 // GPFS calibration of the Mira-like model, chosen so a Pset's measured peak
-// matches the paper (≈2.8 GB/s per Pset; 89.6 GB/s on 4,096 nodes).
+// matches the paper (≈2.8 GB/s per Pset; 89.6 GB/s on 4,096 nodes). The
+// link rates — each bridge-node→ION link and each ION's uplink to storage —
+// are the torus's Bandwidth(LevelIOUplink) and Bandwidth(LevelStorage), the
+// same values the cost model prices.
 const (
 	// gpfsBlockSize is the GPFS block (and lock) granularity: 8 MB.
 	gpfsBlockSize int64 = 8 << 20
-	// gpfsIONBandwidth is the effective per-ION bandwidth to storage,
-	// including forwarding overheads: 2.8 GB/s.
-	gpfsIONBandwidth float64 = 2.8e9
-	// gpfsBridgeLinkBW is the bandwidth of each of the two bridge-node→ION
-	// links of a Pset: 1.8 GB/s.
-	gpfsBridgeLinkBW float64 = 1.8e9
 	// gpfsFileBW is the per-file backend ceiling: a single shared file
 	// cannot exceed it regardless of Pset count (GPFS allocation maps one
 	// file onto a bounded NSD set), which is why the paper's Mira
@@ -93,12 +90,13 @@ type gpfsFile struct {
 func NewGPFS(topo *topology.Torus5D, fab *netsim.Fabric, cfg GPFSConfig) *GPFS {
 	g := &GPFS{lockMode: cfg.LockMode, topo: topo, fab: fab, files: map[string]*File{}}
 	psets := topo.IONodes()
+	bridgeBW, ionBW := topo.Bandwidth(topology.LevelIOUplink), topo.Bandwidth(topology.LevelStorage)
 	g.bridgeLinks = make([][2]*sim.GapResource, psets)
 	g.ionUplink = make([]*sim.GapResource, psets)
 	for i := 0; i < psets; i++ {
-		g.bridgeLinks[i][0] = sim.NewGapResource(fmt.Sprintf("bridge-%d-0", i), gpfsBridgeLinkBW)
-		g.bridgeLinks[i][1] = sim.NewGapResource(fmt.Sprintf("bridge-%d-1", i), gpfsBridgeLinkBW)
-		g.ionUplink[i] = sim.NewGapResource(fmt.Sprintf("ion-%d", i), gpfsIONBandwidth)
+		g.bridgeLinks[i][0] = sim.NewGapResource(fmt.Sprintf("bridge-%d-0", i), bridgeBW)
+		g.bridgeLinks[i][1] = sim.NewGapResource(fmt.Sprintf("bridge-%d-1", i), bridgeBW)
+		g.ionUplink[i] = sim.NewGapResource(fmt.Sprintf("ion-%d", i), ionBW)
 	}
 	g.backend = sim.NewGapResource("gpfs-backend", gpfsBackendBW)
 	g.bridgeOf = make([]int32, topo.Nodes())
@@ -202,7 +200,7 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 	}
 
 	// ION uplink: per-op overhead plus token stalls plus forwarded bytes.
-	rate := gpfsIONBandwidth
+	rate := g.topo.Bandwidth(topology.LevelStorage)
 	if read {
 		rate *= gpfsReadFactor
 	}
@@ -230,11 +228,11 @@ func (g *GPFS) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) floa
 	if bytes <= 0 {
 		return sim.ToSeconds(gpfsPerOpOverhead)
 	}
-	ion := gpfsIONBandwidth
+	ion := g.topo.Bandwidth(topology.LevelStorage)
 	if read {
 		ion *= gpfsReadFactor
 	}
-	rate := gpfsBridgeLinkBW
+	rate := g.topo.Bandwidth(topology.LevelIOUplink)
 	if ion < rate {
 		rate = ion
 	}
@@ -247,13 +245,13 @@ func (g *GPFS) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) floa
 // paper's file-per-Pset subfiling.
 func (g *GPFS) AggregateBandwidth(opt FileOptions, read bool) float64 {
 	psets := float64(g.topo.IONodes())
-	ion, file, back := gpfsIONBandwidth, gpfsFileBW, gpfsBackendBW
+	ion, file, back := g.topo.Bandwidth(topology.LevelStorage), gpfsFileBW, gpfsBackendBW
 	if read {
 		ion *= gpfsReadFactor
 		file *= gpfsReadFactor
 		back *= gpfsReadFactor
 	}
-	agg := psets * 2 * gpfsBridgeLinkBW
+	agg := psets * 2 * g.topo.Bandwidth(topology.LevelIOUplink)
 	for _, cap := range []float64{psets * ion, file, back} {
 		if cap < agg {
 			agg = cap

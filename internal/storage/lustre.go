@@ -11,7 +11,8 @@ import (
 // Lustre calibration of the Theta-like model: a single write stream gets
 // ≈145 MB/s to one OST (latency-bound) and an OST tops out at 0.42 GB/s
 // under concurrency — matching the paper's observation that aggregator
-// counts of 2–8 per OST are needed to approach peak.
+// counts of 2–8 per OST are needed to approach peak. Each LNET router's
+// InfiniBand link runs at the dragonfly's Bandwidth(LevelStorage).
 const (
 	// lustreNumOST is the object storage target count on Theta: 56.
 	lustreNumOST = 56
@@ -33,8 +34,6 @@ const (
 	// stripe last written by another client is written again (the Table I
 	// sub-stripe penalty): 1.5 ms.
 	lustreLockRevocation int64 = 1500 * sim.Microsecond
-	// lustreLNETBandwidth is the per-LNET-router IB bandwidth: 7 GB/s.
-	lustreLNETBandwidth float64 = 7e9
 	// lustrePerRunCost is the client cost per contiguous run: 1 µs.
 	lustrePerRunCost int64 = 1000
 	// lustreDefaultStripeCount and lustreDefaultStripeSize apply to files
@@ -97,7 +96,7 @@ func NewLustre(topo *topology.Dragonfly, fab *netsim.Fabric, cfg LustreConfig) *
 	}
 	l.lnet = make([]*sim.GapResource, topo.ServiceNodes)
 	for i := range l.lnet {
-		l.lnet[i] = sim.NewGapResource(fmt.Sprintf("lnet-ib-%d", i), lustreLNETBandwidth)
+		l.lnet[i] = sim.NewGapResource(fmt.Sprintf("lnet-ib-%d", i), topo.Bandwidth(topology.LevelStorage))
 	}
 	return l
 }
@@ -260,7 +259,7 @@ func (l *Lustre) EstimateFlush(opt FileOptions, bytes, runs int64, read bool) fl
 	}
 	perObject := (bytes + objects - 1) / objects
 	rpcs := (perObject + lustreRPCSize - 1) / lustreRPCSize
-	sec := sim.ToSeconds(runs*lustrePerRunCost) + float64(bytes)/lustreLNETBandwidth
+	sec := sim.ToSeconds(runs*lustrePerRunCost) + float64(bytes)/l.topo.Bandwidth(topology.LevelStorage)
 	sec += float64(objects) * (sim.ToSeconds(lustreObjectSetup) +
 		float64(perObject)/ostRate + float64(rpcs)*sim.ToSeconds(lustreRPCLatency))
 	return sec
@@ -275,7 +274,7 @@ func (l *Lustre) AggregateBandwidth(opt FileOptions, read bool) float64 {
 		ostRate *= lustreReadFactor
 	}
 	agg := float64(count) * ostRate
-	if lnet := float64(len(l.lnet)) * lustreLNETBandwidth; lnet < agg {
+	if lnet := float64(len(l.lnet)) * l.topo.Bandwidth(topology.LevelStorage); lnet < agg {
 		agg = lnet
 	}
 	return agg

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -464,6 +465,42 @@ func TestReferenceFabricKeepsSegFragments(t *testing.T) {
 		}
 		if len(g.segScratch) != want || len(l.segScratch) != want {
 			t.Errorf("reference=%v: compacted segs gpfs %d, lustre %d; want %d", ref, len(g.segScratch), len(l.segScratch), want)
+		}
+	}
+}
+
+// TestStorageBooksTopologyRates guards the one machine calibration: every
+// link the storage models book between the compute fabric and the storage
+// servers runs at the rate the topology answers for its level, the rate the
+// cost model prices. A GPFS flush from a bridge node books its bridge link
+// at Bandwidth(LevelIOUplink) and its ION at the per-op overhead plus
+// Bandwidth(LevelStorage); a Lustre LNET router books at
+// Bandwidth(LevelStorage).
+func TestStorageBooksTopologyRates(t *testing.T) {
+	const bytes = 1 << 30
+	torus, fab := miraRig(512)
+	g := NewGPFS(torus, fab, GPFSConfig{LockMode: LockShared})
+	bridgeDur := sim.TransferTime(bytes, torus.Bandwidth(topology.LevelIOUplink))
+	ionDur := gpfsPerOpOverhead + sim.TransferTime(bytes, torus.Bandwidth(topology.LevelStorage))
+	for pset := 0; pset < torus.IONodes(); pset++ {
+		for i, bridge := range torus.BridgeNodes(pset) {
+			f := g.Create(fmt.Sprintf("f-%d-%d", pset, i), FileOptions{})
+			g.reserve(0, bridge, f, []Seg{Contig(0, bytes)}, false)
+			if got := g.bridgeLinks[pset][i].BusyTime(); got != bridgeDur {
+				t.Errorf("pset %d bridge link %d booked %d ns for %d bytes, want %d", pset, i, got, bytes, bridgeDur)
+			}
+		}
+		if got := g.ionUplink[pset].BusyTime(); got != 2*ionDur {
+			t.Errorf("pset %d ION booked %d ns for two flushes of %d bytes, want %d", pset, got, bytes, 2*ionDur)
+		}
+	}
+
+	dfly, fab := thetaRig(128)
+	l := NewLustre(dfly, fab, LustreConfig{})
+	lnetDur := sim.TransferTime(bytes, dfly.Bandwidth(topology.LevelStorage))
+	for i, r := range l.lnet {
+		if start, end := r.Reserve(0, bytes); end-start != lnetDur {
+			t.Errorf("LNET router %d booked %d ns for %d bytes, want %d", i, end-start, bytes, lnetDur)
 		}
 	}
 }

@@ -47,6 +47,11 @@ type Dragonfly struct {
 	svcRouter []int // router hosting service node i
 }
 
+// thetaLNETBW is each LNET service node's InfiniBand (FDR) link toward the
+// Lustre servers, in bytes/sec: Bandwidth(LevelStorage), which the Lustre
+// model books and prices.
+const thetaLNETBW = 7e9
+
 // DragonflyConfig carries the tunable construction parameters of a
 // Dragonfly; zero fields take Theta-like defaults.
 type DragonflyConfig struct {
@@ -228,7 +233,7 @@ func (d *Dragonfly) Bandwidth(level int) float64 {
 	case LevelIOUplink:
 		return d.OpticalBW
 	case LevelStorage:
-		return 7e9 // IB FDR toward the Lustre servers
+		return thetaLNETBW
 	}
 	return d.ElectricalBW
 }

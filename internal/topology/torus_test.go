@@ -234,10 +234,13 @@ func TestTorusBandwidthLevels(t *testing.T) {
 	if tor.Bandwidth(LevelFabric) != 1.8e9 {
 		t.Fatalf("fabric BW = %v", tor.Bandwidth(LevelFabric))
 	}
-	if tor.Bandwidth(LevelIOUplink) != 2.0e9 {
+	if tor.Bandwidth(LevelInjection) != 3.6e9 {
+		t.Fatalf("injection BW = %v", tor.Bandwidth(LevelInjection))
+	}
+	if tor.Bandwidth(LevelIOUplink) != 1.8e9 {
 		t.Fatalf("uplink BW = %v", tor.Bandwidth(LevelIOUplink))
 	}
-	if tor.Bandwidth(LevelStorage) != 4.0e9 {
+	if tor.Bandwidth(LevelStorage) != 2.8e9 {
 		t.Fatalf("storage BW = %v", tor.Bandwidth(LevelStorage))
 	}
 }
@@ -252,7 +255,7 @@ func TestPathInfoTorus(t *testing.T) {
 		t.Fatalf("bottleneck = %v, want %v", bw, tor.TorusLinkBW)
 	}
 	hops, bw = PathInfo(tor, 7, 7)
-	if hops != 0 || bw <= 0 {
-		t.Fatalf("same-node path = (%d, %v)", hops, bw)
+	if hops != 0 || bw != tor.Bandwidth(LevelInjection) {
+		t.Fatalf("same-node path = (%d, %v), want (0, %v)", hops, bw, tor.Bandwidth(LevelInjection))
 	}
 }

@@ -17,10 +17,6 @@ type Partition struct {
 // SearchOptions configures a shape search.
 type SearchOptions struct {
 	Price PriceOptions
-	// Menu overrides the candidate shapes. Empty means the default menu:
-	// flat, staged, group, chain, and fan-in 2/4/8/16 seeds with greedy
-	// refinement around the best seed.
-	Menu []Shape
 }
 
 // Result is the search's pick.
@@ -32,25 +28,20 @@ type Result struct {
 }
 
 // Search prices candidate shapes over the partitions and returns the best.
-// Ties break toward the earlier menu entry, and the default menu lists the
+// Ties break toward the earlier menu entry, and the menu lists the
 // degenerate shapes first — so on a fabric where trees buy nothing, the
 // search answers "flat" and the session takes exactly today's path. The
 // search is deterministic: same inputs, same pick.
 func Search(m *cost.Model, parts []Partition, g Grouper, opt SearchOptions) Result {
-	menu := opt.Menu
-	refine := false
-	if len(menu) == 0 {
-		menu = []Shape{
-			{Kind: Flat},
-			{Kind: NodeStaged},
-			{Kind: GroupTree},
-			{Kind: Chain},
-			{Kind: FanIn, K: 2},
-			{Kind: FanIn, K: 4},
-			{Kind: FanIn, K: 8},
-			{Kind: FanIn, K: 16},
-		}
-		refine = true
+	menu := []Shape{
+		{Kind: Flat},
+		{Kind: NodeStaged},
+		{Kind: GroupTree},
+		{Kind: Chain},
+		{Kind: FanIn, K: 2},
+		{Kind: FanIn, K: 4},
+		{Kind: FanIn, K: 8},
+		{Kind: FanIn, K: 16},
 	}
 
 	type prepped struct {
@@ -87,7 +78,7 @@ func Search(m *cost.Model, parts []Partition, g Grouper, opt SearchOptions) Resu
 			best = r
 		}
 	}
-	if refine && best.Shape.Kind == FanIn {
+	if best.Shape.Kind == FanIn {
 		// Greedy neighborhood walk around the winning seed: step K by ±1
 		// while it strictly improves.
 		for {

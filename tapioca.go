@@ -209,10 +209,7 @@ func Mira(nodes int, opts ...MachineOption) *Machine {
 		o(&mc)
 	}
 	topo := topology.MiraTorus(nodes)
-	fab := netsim.New(topo, netsim.Config{
-		Contention: mc.contention,
-		InjectRate: 2 * topo.TorusLinkBW, // BG/Q injects over multiple links
-	})
+	fab := netsim.New(topo, netsim.Config{Contention: mc.contention})
 	var gcfg storage.GPFSConfig
 	if mc.lockShared {
 		gcfg.LockMode = storage.LockShared
