@@ -51,7 +51,7 @@ func BenchmarkPlanBuild(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p := buildPlan(all, 192, 16<<20, 16<<20, false, false)
+				p := buildPlan(all, 192, 16<<20, 16<<20, false)
 				if len(p.parts) == 0 {
 					b.Fatal("empty plan")
 				}
@@ -76,7 +76,7 @@ func BenchmarkBuildPlanInterleaved(b *testing.B) {
 		b.Run(fmt.Sprintf("aggr-%d", aggs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if p := buildPlan(all, aggs, 8<<20, 8<<20, false, false); len(p.parts) != aggs {
+				if p := buildPlan(all, aggs, 8<<20, 8<<20, false); len(p.parts) != aggs {
 					b.Fatal("wrong partition count")
 				}
 			}

@@ -329,7 +329,7 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 				all[i] = x.([]storage.Seg)
 			}
 		}
-		p := buildPlan(all, w.cfg.Aggregators, w.cfg.BufferSize, unit, withData, c.World().Fabric().Config().Reference)
+		p := buildPlan(all, w.cfg.Aggregators, w.cfg.BufferSize, unit, withData)
 		carvePartitions(c, p)
 		return p, c.TreeCost(c.TreeCost(maxT, bytes), 8)
 	}).(*plan)

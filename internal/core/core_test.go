@@ -35,7 +35,7 @@ func TestBuildPlanContiguous(t *testing.T) {
 	for r := range all {
 		all[r] = []storage.Seg{storage.Contig(int64(r)*mb, mb)}
 	}
-	p := buildPlan(all, 2, 2*mb, 0, false, false)
+	p := buildPlan(all, 2, 2*mb, 0, false)
 	if len(p.parts) != 2 {
 		t.Fatalf("parts = %d", len(p.parts))
 	}
@@ -77,7 +77,7 @@ func TestBuildPlanBuffersExactlyFilled(t *testing.T) {
 		}
 	}
 	buf := int64(10_000)
-	p := buildPlan(all, 1, buf, 0, false, false)
+	p := buildPlan(all, 1, buf, 0, false)
 	pp := p.parts[0]
 	for r := 0; r < pp.rounds-1; r++ {
 		if pp.flush[r].bytes != buf {
@@ -113,7 +113,7 @@ func TestBuildPlanAoSDenseFlushes(t *testing.T) {
 			all[r] = append(all[r], storage.Strided(base+offs[v], sizes[v], rec, parts))
 		}
 	}
-	p := buildPlan(all, 2, 1000, 0, false, false)
+	p := buildPlan(all, 2, 1000, 0, false)
 	for pi, pp := range p.parts {
 		for r, fl := range pp.flush {
 			if len(fl.segs) != 1 || fl.segs[0].Count != 1 {
@@ -129,7 +129,7 @@ func TestBuildPlanSparseData(t *testing.T) {
 	all := [][]storage.Seg{
 		{storage.Strided(0, 4, 100, 50)}, // 200 bytes over a 5 KB span
 	}
-	p := buildPlan(all, 1, 64, 0, false, false)
+	p := buildPlan(all, 1, 64, 0, false)
 	pp := p.parts[0]
 	var total int64
 	runsTotal := int64(0)
@@ -157,7 +157,7 @@ func TestBuildPlanPieceConservation(t *testing.T) {
 		{storage.Strided(5100, 10, 20, 30)},
 		nil,
 	}
-	p := buildPlan(all, 2, 1024, 0, false, false)
+	p := buildPlan(all, 2, 1024, 0, false)
 	for r, segs := range all {
 		var want int64
 		for _, s := range segs {

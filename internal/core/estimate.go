@@ -48,7 +48,7 @@ type PartEstimate struct {
 // live Init obtains it from storage.System.OptimalUnit.
 func EstimatePlan(all [][]storage.Seg, cfg Config, alignUnit int64) *PlanEstimate {
 	cfg.ApplyDefaults(len(all))
-	p := buildPlan(all, cfg.Aggregators, cfg.BufferSize, alignUnit, false, false)
+	p := buildPlan(all, cfg.Aggregators, cfg.BufferSize, alignUnit, false)
 	est := &PlanEstimate{Aggregators: len(p.parts)}
 	for part := range p.parts {
 		pp := &p.parts[part]

@@ -228,50 +228,3 @@ func TestSessionParks(t *testing.T) {
 		}
 	}
 }
-
-// TestReferenceFabricKeepsPlanFragments guards the planner's half of the
-// reference wiring: on a netsim.Config.Reference fabric, Init leaves the
-// flush and layout segment lists uncompacted. A planner that ignored the
-// flag would let the expt equivalence test compare it with itself.
-func TestReferenceFabricKeepsPlanFragments(t *testing.T) {
-	const l = 64
-	// One non-dense region in one round: rank 0 declares two adjacent runs
-	// as separate segments, rank 1 a strided pair right behind them.
-	decl := [][]storage.Seg{
-		{storage.Contig(0, l), storage.Contig(l, l)},
-		{storage.Strided(2*l, l, 2*l, 2)},
-	}
-	for _, tc := range []struct {
-		reference     bool
-		flush, layout int
-	}{
-		{false, 2, 2}, // rank 0's runs merge; one pattern per member
-		{true, 3, 4},  // every declared segment; every run
-	} {
-		fab := netsim.New(topology.NewFlat(2), netsim.Config{Reference: tc.reference})
-		sys := storage.NewNullFS()
-		_, err := mpi.Run(mpi.Config{Ranks: 2, RanksPerNode: 1, Fabric: fab}, func(c *mpi.Comm) {
-			var f *storage.File
-			if c.Rank() == 0 {
-				f = sys.Create("ref", storage.FileOptions{})
-			}
-			f = c.Bcast(0, 8, f).(*storage.File)
-			w := New(c, sys, f, Config{Aggregators: 1, BufferSize: 1 << 20})
-			if err := w.InitData([][]storage.Seg{decl[c.Rank()]}, [][]byte{make([]byte, 2*l)}); err != nil {
-				t.Error(err)
-				return
-			}
-			if c.Rank() != 0 {
-				return
-			}
-			pp := &w.plan.parts[0]
-			if n, m := len(pp.flush[0].segs), len(pp.layout[0]); pp.rounds != 1 || n != tc.flush || m != tc.layout {
-				t.Errorf("reference=%v: %d rounds, %d flush segs, %d layout segs; want 1, %d and %d",
-					tc.reference, pp.rounds, n, m, tc.flush, tc.layout)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-}

@@ -165,17 +165,6 @@ type planBuilder struct {
 	fill    []int64
 	counts  []int32
 	lruns   []storage.Seg // per-member layout scratch (data-plane builds)
-
-	reference bool // leave segment lists uncompacted (netsim.Config.Reference)
-}
-
-// compact merges window-clipping fragments back into whole runs, unless the
-// plan is built for a reference fabric.
-func (b *planBuilder) compact(segs []storage.Seg) []storage.Seg {
-	if b.reference {
-		return segs
-	}
-	return storage.Compact(segs)
 }
 
 // bytesBefore returns how many of the region's data bytes lie in [rg.lo, x).
@@ -238,7 +227,7 @@ func (b *planBuilder) extract(rg *region, x0, x1 int64) []storage.Seg {
 	for _, ms := range b.msegs[rg.m0:rg.m1] {
 		out = append(out, ms.seg.Intersect(x0, x1)...)
 	}
-	return b.compact(out)
+	return storage.Compact(out)
 }
 
 // buildPlan partitions ranks, merges each partition's declared data into
@@ -249,9 +238,8 @@ func (b *planBuilder) extract(rg *region, x0, x1 int64) []storage.Seg {
 // aligned, the behaviour behind the paper's Table I 1:1 optimum.
 // When withData is set, each round's buffer-ordered file-run layout is
 // materialized alongside (the data plane's flush/prefetch map); phantom
-// plans skip that work entirely. reference leaves every segment list
-// uncompacted, as on a netsim.Config.Reference fabric.
-func buildPlan(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64, withData, reference bool) *plan {
+// plans skip that work entirely.
+func buildPlan(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64, withData bool) *plan {
 	nRanks := len(all)
 	if nAggr > nRanks {
 		nAggr = nRanks
@@ -265,7 +253,7 @@ func buildPlan(all [][]storage.Seg, nAggr int, bufSize, alignUnit int64, withDat
 	for r := 0; r < nRanks; r++ {
 		p.partOf[r] = r * nAggr / nRanks
 	}
-	b := &planBuilder{reference: reference}
+	b := &planBuilder{}
 	// Each partition starts at the first rank r with r*nAggr/nRanks == part,
 	// the rank→partition map the MPI-IO baseline's elections share.
 	for part := range p.parts {
@@ -473,7 +461,7 @@ func buildLayout(b *planBuilder, msegs []memberSeg, touched []int32, i0, iHi int
 			}
 		}
 		b.lruns = member
-		out = append(out, b.compact(member)...)
+		out = append(out, storage.Compact(member)...)
 	}
 	return out
 }

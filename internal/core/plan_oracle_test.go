@@ -297,7 +297,7 @@ func TestPlanMatchesReference(t *testing.T) {
 		bufSize := int64(rng.Intn(63)+1) * 1024
 		align := aligns[rng.Intn(len(aligns))]
 
-		got := buildPlan(all, nAggr, bufSize, align, false, false)
+		got := buildPlan(all, nAggr, bufSize, align, false)
 		want := buildPlanReference(all, nAggr, bufSize, align)
 		if err := comparePlans(got, want, bufSize); err != nil {
 			t.Fatalf("trial %d (ranks=%d aggr=%d buf=%d align=%d): %v", trial, ranks, nAggr, bufSize, align, err)
@@ -376,7 +376,7 @@ func FuzzBuildPlan(f *testing.F) {
 		nAggr := int(aggrs%8) + 1
 		bufSize := 512 + int64(buf)%(63<<10)
 		alignUnit := aligns[int(align)%len(aligns)]
-		got := buildPlan(all, nAggr, bufSize, alignUnit, false, false)
+		got := buildPlan(all, nAggr, bufSize, alignUnit, false)
 		want := buildPlanReference(all, nAggr, bufSize, alignUnit)
 		if err := comparePlans(got, want, bufSize); err != nil {
 			t.Fatalf("ranks=%d aggr=%d buf=%d align=%d: %v", len(all), nAggr, bufSize, alignUnit, err)
@@ -414,7 +414,7 @@ func TestPlanMatchesReferenceHACCLike(t *testing.T) {
 		for _, nAggr := range []int{1, 3, 8} {
 			for _, buf := range []int64{4096, 65536} {
 				for _, align := range []int64{0, 8192} {
-					got := buildPlan(tc.all, nAggr, buf, align, false, false)
+					got := buildPlan(tc.all, nAggr, buf, align, false)
 					want := buildPlanReference(tc.all, nAggr, buf, align)
 					if err := comparePlans(got, want, buf); err != nil {
 						t.Fatalf("%s aggr=%d buf=%d align=%d: %v", tc.name, nAggr, buf, align, err)

@@ -62,7 +62,7 @@ func TestPlanInvariantsProperty(t *testing.T) {
 		for _, segs := range all {
 			declared += storage.TotalBytes(segs)
 		}
-		p := buildPlan(all, nAggr, bufSize, align, false, false)
+		p := buildPlan(all, nAggr, bufSize, align, false)
 
 		var flushed, pieces int64
 		for _, pp := range p.parts {
@@ -96,7 +96,7 @@ func TestPlanFlushOrderProperty(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		ranks := rng.Intn(10) + 1
 		all := randomWorkload(rng, ranks)
-		p := buildPlan(all, rng.Intn(4)+1, int64(rng.Intn(8191)+1024), 0, false, false)
+		p := buildPlan(all, rng.Intn(4)+1, int64(rng.Intn(8191)+1024), 0, false)
 		for _, pp := range p.parts {
 			type iv struct{ lo, hi int64 }
 			var got []iv

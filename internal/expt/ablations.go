@@ -629,7 +629,7 @@ func AblationTree(env Env) Result {
 // contention model, on a private topology and without fault arming.
 func contentionRig(env Env, nodes, rpn, osts, contention int) *rig {
 	topo := topology.ThetaDragonfly(nodes, topology.RouteMinimal)
-	fab := netsim.New(topo, netsim.Config{Contention: contention, Reference: env.reference})
+	fab := netsim.New(topo, netsim.Config{Contention: contention})
 	sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: osts})
 	return &rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn}
 }

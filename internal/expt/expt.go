@@ -70,16 +70,13 @@ type Env struct {
 	// Tree is the aggregation-tree shape every cell that does not pin its
 	// own runs with (nil leaves every cell on its configured path).
 	Tree *tree.Shape
-	// CellBudget is the per-cell virtual-time watchdog in nanoseconds; <= 0
-	// means defaultCellBudget.
-	CellBudget int64
 	// Observer collects the run's flight recordings, metrics and phase
 	// totals, keyed by figure id; nil runs unobserved (and pays nothing).
 	Observer *Observer
 
-	reference bool   // build every fabric with netsim.Config.Reference (tests)
-	label     string // the observer label of the run's cells (the spec ID)
-	tally     *tally // the run's work counters; nil when nobody reads them
+	budget int64  // per-cell virtual-time watchdog (ns); <= 0 means defaultCellBudget
+	label  string // the observer label of the run's cells (the spec ID)
+	tally  *tally // the run's work counters; nil when nobody reads them
 }
 
 // Width returns the worker-pool width the run's grids use.
@@ -97,8 +94,8 @@ func (e Env) Width() int {
 const defaultCellBudget = 4 * 3600 * 1e9
 
 func (e Env) cellBudget() int64 {
-	if e.CellBudget > 0 {
-		return e.CellBudget
+	if e.budget > 0 {
+		return e.budget
 	}
 	return defaultCellBudget
 }
@@ -337,7 +334,7 @@ func sharedTheta(nodes, routing int) (*topology.Dragonfly, *topology.DistanceCac
 // miraRig builds a Mira platform. lockMode selects the GPFS token mode.
 func miraRig(env Env, nodes, rpn, lockMode int) *rig {
 	topo, dc := sharedMira(nodes)
-	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks, Reference: env.reference})
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
 	fab.ShareDistances(dc)
 	sys := storage.NewGPFS(topo, fab, storage.GPFSConfig{LockMode: lockMode})
 	return armFaults(&rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})
@@ -348,7 +345,7 @@ func miraRig(env Env, nodes, rpn, lockMode int) *rig {
 // aggregator-per-OST and domain-per-stripe ratios match the paper's).
 func thetaRig(env Env, nodes, rpn, routing, numOST int) *rig {
 	topo, dc := sharedTheta(nodes, routing)
-	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks, Reference: env.reference})
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
 	fab.ShareDistances(dc)
 	sys := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: numOST})
 	return armFaults(&rig{env: env, topo: topo, fab: fab, sys: sys, nodes: nodes, rpn: rpn})

@@ -6,20 +6,17 @@ import (
 	"time"
 
 	"tapioca/internal/fault"
-	"tapioca/internal/netsim"
-	"tapioca/internal/storage"
-	"tapioca/internal/topology"
 	"tapioca/internal/tree"
 )
 
-// TestFastPathsMatchReference is the equivalence contract of the transfer
-// fast paths: with the netsim path cache and segment compaction disabled
-// (the uncoalesced reference behaviour of a netsim.Config.Reference fabric),
-// every figure must produce a byte-identical Result to the optimized run.
-// The covered subset spans both platforms (torus/GPFS, dragonfly/Lustre),
-// both I/O stacks (TAPIOCA, MPI-IO), reads and writes, and both contention
-// models.
-func TestFastPathsMatchReference(t *testing.T) {
+// TestTracedAndFlatTreeRunsMatchPlain: a figure run with the flight
+// recorder live and a zero-rate fault profile armed, and one run with the
+// degenerate flat tree shape, must each produce a byte-identical Result to
+// the plain serial run. The covered subset spans both platforms
+// (torus/GPFS, dragonfly/Lustre), both I/O stacks (TAPIOCA, MPI-IO), reads
+// and writes, and both contention models. The transfer fast paths under
+// these runs are pinned by their own layers' oracles.
+func TestTracedAndFlatTreeRunsMatchPlain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment grid")
 	}
@@ -34,16 +31,14 @@ func TestFastPathsMatchReference(t *testing.T) {
 			t.Fatalf("unknown spec %q", id)
 		}
 		t.Run(id, func(t *testing.T) {
-			reference, _ := s.Run(Env{Workers: 1, reference: true})
+			plain, _ := s.Run(Env{Workers: 1})
 
-			// The optimized run executes with the flight recorder live and a
-			// zero-rate fault profile armed, so this equivalence also asserts
-			// that tracing and the fault-plane plumbing perturb nothing on
+			// Tracing and the fault-plane plumbing must perturb nothing on
 			// the zero-fault path.
 			zero := fault.Profile(7, 0)
-			optimized, _ := s.Run(Env{Workers: 1, Faults: &zero, Observer: NewObserver(true)})
-			if !reflect.DeepEqual(reference, optimized) {
-				t.Fatalf("optimized run diverged from uncached/uncompacted reference:\nref: %+v\nopt: %+v", reference, optimized)
+			traced, _ := s.Run(Env{Workers: 1, Faults: &zero, Observer: NewObserver(true)})
+			if !reflect.DeepEqual(plain, traced) {
+				t.Fatalf("traced zero-fault run diverged from the plain run:\nplain: %+v\ntraced: %+v", plain, traced)
 			}
 
 			// The degenerate-tree leg: arming the flat tree shape routes every
@@ -51,32 +46,10 @@ func TestFastPathsMatchReference(t *testing.T) {
 			// Tree hint), which must collapse to exactly the default pipeline
 			// — byte-identical figures.
 			treed, _ := s.Run(Env{Workers: 1, Tree: &tree.Shape{Kind: tree.Flat}})
-			if !reflect.DeepEqual(reference, treed) {
-				t.Fatalf("degenerate flat tree shape diverged from reference:\nref: %+v\ntree: %+v", reference, treed)
+			if !reflect.DeepEqual(plain, treed) {
+				t.Fatalf("degenerate flat tree shape diverged from the plain run:\nplain: %+v\ntree: %+v", plain, treed)
 			}
 		})
-	}
-}
-
-// TestRigsWireReference guards the expt half of the reference wiring: every
-// rig builder hands Env.reference to its fabric. A builder that dropped it
-// would make TestFastPathsMatchReference compare a figure's optimized run
-// with itself.
-func TestRigsWireReference(t *testing.T) {
-	t.Parallel()
-	for _, ref := range []bool{false, true} {
-		env := Env{reference: ref}
-		rigs := map[string]*rig{
-			"mira":           miraRig(env, 256, 1, storage.LockShared),
-			"theta":          thetaRig(env, 64, 2, topology.RouteMinimal, 8),
-			"chaos":          chaosRig(env, 64, 2, 8),
-			"abl-contention": contentionRig(env, 64, 2, 8, netsim.ContentionEndpoint),
-		}
-		for name, r := range rigs {
-			if got := r.fab.Config().Reference; got != ref {
-				t.Errorf("%s rig: fabric Reference = %v, want %v", name, got, ref)
-			}
-		}
 	}
 }
 

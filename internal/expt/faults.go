@@ -58,7 +58,7 @@ func Chaos() []Spec {
 // down ⇒ direct-to-PFS).
 func chaosRig(env Env, nodes, rpn, numOST int) *rig {
 	topo, dc := sharedTheta(nodes, topology.RouteMinimal)
-	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks, Reference: env.reference})
+	fab := netsim.New(topo, netsim.Config{Contention: netsim.ContentionLinks})
 	fab.ShareDistances(dc)
 	lustre := storage.NewLustre(topo, fab, storage.LustreConfig{NumOST: numOST})
 	sys := storage.NewBurstBuffer(lustre, storage.BurstBufferConfig{})

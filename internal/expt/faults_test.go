@@ -109,7 +109,7 @@ func TestCellBudgetWatchdog(t *testing.T) {
 			}
 		}()
 		// 1 ns: any real cell blows through it immediately.
-		chaosCell(Env{CellBudget: 1}, 2, 2, 2, 0, true)
+		chaosCell(Env{budget: 1}, 2, 2, 2, 0, true)
 	}()
 	if err == nil {
 		t.Fatal("cell completed under a 1 ns budget")

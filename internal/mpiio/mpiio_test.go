@@ -153,7 +153,7 @@ func TestChooseAggregatorsBridgeFirstOnTorus(t *testing.T) {
 		tor := topo
 		for _, a := range aggrs {
 			node := c.NodeOfRank(a)
-			br := tor.BridgeNodes(tor.PsetOf(node))
+			br := tor.BridgeNodes(tor.IONodeOf(node))
 			if node != br[0] && node != br[1] {
 				t.Errorf("aggregator rank %d on node %d is not a bridge node", a, node)
 			}

@@ -43,12 +43,6 @@ type Config struct {
 	// InjectRate is the per-node NIC injection (and ejection) bandwidth
 	// (bytes/sec). Default: the topology's injection-level bandwidth.
 	InjectRate float64
-	// Reference runs the machine on its unoptimized reference paths: the
-	// fabric re-derives every route per transfer instead of caching paths,
-	// and the storage models and the TAPIOCA planner on this fabric leave
-	// segment lists uncompacted. Results are identical either way; the
-	// equivalence tests compare the optimized paths against this one.
-	Reference bool
 }
 
 // pathEntry is one cached node pair: the route length, the minimum link rate
@@ -110,18 +104,15 @@ func New(topo topology.Topology, cfg Config) *Fabric {
 		cfg.InjectRate = topo.Bandwidth(topology.LevelInjection)
 	}
 	n := topo.Nodes()
-	f := &Fabric{
+	return &Fabric{
 		topo:   topo,
 		cfg:    cfg,
 		hopLat: topo.Latency(),
 		nicIn:  make([]*sim.GapResource, n),
 		nicOut: make([]*sim.GapResource, n),
 		links:  make([]*sim.GapResource, topo.NumLinks()),
+		paths:  make(map[int64]pathEntry),
 	}
-	if !cfg.Reference {
-		f.paths = make(map[int64]pathEntry)
-	}
-	return f
 }
 
 // Topology returns the underlying topology.
@@ -204,19 +195,15 @@ func (f *Fabric) nicInFor(i int) *sim.GapResource {
 }
 
 // path returns the cached path facts for a node pair, computing and interning
-// them on first use. With caching disabled it returns a zero entry and
-// ok = false; the caller re-derives the route per transfer.
-func (f *Fabric) path(src, dst int) (pathEntry, bool) {
-	if f.paths == nil {
-		return pathEntry{}, false
-	}
+// them on first use.
+func (f *Fabric) path(src, dst int) pathEntry {
 	key := int64(src)*int64(f.topo.Nodes()) + int64(dst)
 	if e, ok := f.paths[key]; ok {
-		return e, true
+		return e
 	}
 	e := f.buildPath(src, dst)
 	f.paths[key] = e
-	return e, true
+	return e
 }
 
 // buildPath computes one pair's path facts. Endpoint-model fabrics stay
@@ -276,31 +263,13 @@ func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arri
 	}
 	bottleneck := f.cfg.InjectRate
 	resources := append(f.scratch[:0], f.nicOutFor(src))
-	var hops int
-	if e, ok := f.path(src, dst); ok {
-		hops = int(e.hops)
-		if e.bottleneck < bottleneck {
-			bottleneck = e.bottleneck
-		}
-		resources = append(resources, f.resArena[e.off:e.off+e.n]...)
-		if tracing {
-			f.traceLinks = append(f.traceLinks, f.resIDs[e.off:e.off+e.n]...)
-		}
-	} else {
-		// Uncached reference path: walk the route per transfer.
-		route := f.topo.Route(src, dst)
-		hops = len(route)
-		for _, l := range route {
-			if rate := f.topo.LinkRate(l); rate < bottleneck {
-				bottleneck = rate
-			}
-			if f.cfg.Contention == ContentionLinks {
-				resources = append(resources, f.link(l))
-				if tracing {
-					f.traceLinks = append(f.traceLinks, int32(l))
-				}
-			}
-		}
+	e := f.path(src, dst)
+	if e.bottleneck < bottleneck {
+		bottleneck = e.bottleneck
+	}
+	resources = append(resources, f.resArena[e.off:e.off+e.n]...)
+	if tracing {
+		f.traceLinks = append(f.traceLinks, f.resIDs[e.off:e.off+e.n]...)
 	}
 	resources = append(resources, f.nicInFor(dst))
 
@@ -332,7 +301,7 @@ func (f *Fabric) Reserve(now int64, src, dst int, bytes int64) (senderFree, arri
 	}
 
 	senderFree = end
-	arrival = start + int64(hops)*f.hopLat + dur
+	arrival = start + int64(e.hops)*f.hopLat + dur
 	return senderFree, arrival
 }
 

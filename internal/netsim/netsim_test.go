@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"testing"
 
 	"tapioca/internal/sim"
@@ -188,5 +189,85 @@ func TestDefaultsFromTopology(t *testing.T) {
 	}
 	if got := f.LatencyTo(src, src); got != 1000 {
 		t.Errorf("same-node latency = %v, want the 1 µs software overhead", got)
+	}
+}
+
+// TestPathCacheMatchesRouteWalk is the path cache's oracle. On one fabric per
+// topology and contention mode, the cached entry of every ordered pair of
+// distinct nodes must equal a walk of topo.Route with LinkRate: the hop
+// count, the bottleneck rate and, in link-contention mode, the span of
+// interned link ids and resources. All pairs go through the same fabric, twice, so a cache key
+// that collides two pairs hands one of them the other's entry. In endpoint
+// mode the entry holds no links and, where the topology answers PathStats,
+// carries exactly that answer.
+func TestPathCacheMatchesRouteWalk(t *testing.T) {
+	dfly := func(routing int) topology.Topology {
+		return topology.NewDragonfly(topology.DragonflyConfig{
+			Groups: 4, Rows: 2, Cols: 3, NodesPerRouter: 2, ServiceNodes: 2, Routing: routing})
+	}
+	topos := []struct {
+		name string
+		topo topology.Topology
+	}{
+		{"mira-torus", topology.MiraTorus(128)},
+		{"dragonfly-minimal", dfly(topology.RouteMinimal)},
+		{"dragonfly-valiant", dfly(topology.RouteValiant)},
+		{"flat", topology.NewFlat(8)},
+	}
+	modes := []struct {
+		name       string
+		contention int
+	}{{"endpoint", ContentionEndpoint}, {"links", ContentionLinks}}
+	for _, tc := range topos {
+		for _, m := range modes {
+			t.Run(tc.name+"/"+m.name, func(t *testing.T) {
+				topo, n := tc.topo, tc.topo.Nodes()
+				f := New(topo, Config{Contention: m.contention})
+				for pass := 0; pass < 2; pass++ {
+					for src := 0; src < n; src++ {
+						for dst := 0; dst < n; dst++ {
+							if src != dst { // Reserve books a node to itself without a path
+								checkPath(t, f, src, dst)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// checkPath compares one cached path entry against a walk of the route.
+func checkPath(t *testing.T, f *Fabric, src, dst int) {
+	t.Helper()
+	topo := f.topo
+	e := f.path(src, dst)
+	route := topo.Route(src, dst)
+	bottleneck := math.Inf(1)
+	for _, l := range route {
+		bottleneck = min(bottleneck, topo.LinkRate(l))
+	}
+	if int(e.hops) != len(route) || e.bottleneck != bottleneck {
+		t.Fatalf("path(%d, %d) = %d hops at %g B/s, route walk gives %d hops at %g B/s",
+			src, dst, e.hops, e.bottleneck, len(route), bottleneck)
+	}
+	ids, res := f.resIDs[e.off:e.off+e.n], f.resArena[e.off:e.off+e.n]
+	if f.cfg.Contention != ContentionLinks {
+		if e.n != 0 {
+			t.Fatalf("path(%d, %d) interns %d links on an endpoint fabric", src, dst, e.n)
+		}
+		if hops, bn, ok := topo.PathStats(src, dst); ok && (int(e.hops) != hops || e.bottleneck != bn) {
+			t.Fatalf("path(%d, %d) = %d hops at %g B/s, PathStats gives %d hops at %g B/s",
+				src, dst, e.hops, e.bottleneck, hops, bn)
+		}
+		return
+	}
+	if len(ids) != len(route) {
+		t.Fatalf("path(%d, %d) interns %d links, route has %d", src, dst, len(ids), len(route))
+	}
+	for i, l := range route {
+		if int(ids[i]) != l || res[i] != f.links[l] {
+			t.Fatalf("path(%d, %d) link %d = id %d, route has %d (or its resource differs)", src, dst, i, ids[i], l)
+		}
 	}
 }

@@ -146,13 +146,11 @@ func (g *GPFS) reserve(now int64, node int, f *File, segs []Seg, read bool) int6
 	}
 	// Compaction keeps the block-token walk and per-run marshaling over whole
 	// patterns rather than window-clipping fragments; the run set (hence the
-	// price) is unchanged. A reference fabric keeps the fragments.
-	if !g.fab.Config().Reference {
-		g.segScratch = CompactInto(g.segScratch, segs)
-		segs = g.segScratch
-	}
+	// price) is unchanged.
+	g.segScratch = CompactInto(g.segScratch, segs)
+	segs = g.segScratch
 	runs := TotalRuns(segs)
-	pset := g.topo.PsetOf(node)
+	pset := g.topo.IONodeOf(node)
 
 	// Client-side marshaling of the runs.
 	t := now + runs*gpfsPerRunCost

@@ -139,12 +139,9 @@ func (l *Lustre) reserve(now int64, node int, f *File, segs []Seg, read bool) in
 	}
 	// Fold window-clipping fragments back into whole patterns before the
 	// stripe math: the per-stripe walk below is then linear in runs, not in
-	// fragments, and the run set (hence the pricing) is unchanged. A
-	// reference fabric keeps the fragments.
-	if !l.fab.Config().Reference {
-		l.segScratch = CompactInto(l.segScratch, segs)
-		segs = l.segScratch
-	}
+	// fragments, and the run set (hence the pricing) is unchanged.
+	l.segScratch = CompactInto(l.segScratch, segs)
+	segs = l.segScratch
 	runs := TotalRuns(segs)
 	t0 := now + runs*lustrePerRunCost
 

@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -178,4 +180,127 @@ func TestIntersectAllMultipleSegs(t *testing.T) {
 	if TotalBytes(out) != 100 {
 		t.Fatalf("bytes = %d (%+v)", TotalBytes(out), out)
 	}
+}
+
+// FuzzCompact checks Compact's documented invariants on the lists the
+// planner and the flushes compact: valid, non-overlapping strided patterns
+// in file order, clipped at window cuts with IntersectAll so they break into
+// head, middle and tail fragments. CompactInto must leave its input alone
+// and describe the same run set: TotalBytes, TotalRuns, SpanAll, BytesIn on
+// random windows and the Enumerate run list all match the fragments'.
+//
+// patterns holds uvarint quadruples (gap, len-1, stride-len, count-1): gap 0
+// starts a pattern where the previous one's next run would start, gap g > 0
+// starts it g-1 bytes after the previous one's end. cuts holds uvarint
+// offsets into the patterns' span; probe seeds the BytesIn windows.
+func FuzzCompact(f *testing.F) {
+	// One strided pattern clipped at a window boundary: two fragments that
+	// compact back into one segment.
+	f.Add(uvarints(0, 999, 7192, 63), uvarints(32*8192), uint64(1))
+	// Equal run lengths continuing at a different stride must not merge.
+	f.Add(uvarints(0, 9, 90, 2, 0, 9, 40, 2), uvarints(), uint64(2))
+	// Adjacent contiguous runs, a single run at a wide stride, cuts mid-run.
+	f.Add(uvarints(0, 9, 0, 0, 1, 9, 0, 0, 0, 9, 5, 0, 0, 9, 5, 4), uvarints(15, 33, 34, 70), uint64(3))
+	// Cuts inside the gaps and runs of a long sparse pattern.
+	f.Add(uvarints(7, 3, 12, 40, 0, 3, 12, 40), uvarints(5, 100, 101, 333, 640, 641), uint64(4))
+	f.Fuzz(func(t *testing.T, patterns, cuts []byte, probe uint64) {
+		pats := decodePatterns(patterns)
+		if len(pats) == 0 {
+			return
+		}
+		lo, hi := SpanAll(pats)
+		bounds := []int64{lo, hi}
+		for v, rest := readUvarint(cuts); len(bounds) < 18 && rest != nil; v, rest = readUvarint(rest) {
+			bounds = append(bounds, lo+int64(v%uint64(hi-lo+1)))
+		}
+		slices.Sort(bounds)
+		var frags []Seg
+		for i := 1; i < len(bounds); i++ {
+			frags = append(frags, IntersectAll(pats, bounds[i-1], bounds[i])...)
+		}
+		in := slices.Clone(frags)
+		out := CompactInto(nil, frags)
+		if !slices.Equal(frags, in) {
+			t.Fatalf("CompactInto changed its input: %+v, was %+v", frags, in)
+		}
+		if len(out) > len(in) {
+			t.Fatalf("compacted %d segments into %d", len(in), len(out))
+		}
+		if TotalBytes(out) != TotalBytes(in) || TotalRuns(out) != TotalRuns(in) {
+			t.Fatalf("compacted %+v: %d bytes in %d runs, fragments %+v have %d in %d",
+				out, TotalBytes(out), TotalRuns(out), in, TotalBytes(in), TotalRuns(in))
+		}
+		if olo, ohi := SpanAll(out); olo != lo || ohi != hi {
+			t.Fatalf("compacted span [%d, %d), fragments span [%d, %d)", olo, ohi, lo, hi)
+		}
+		if got, want := runList(out), runList(in); !slices.Equal(got, want) {
+			t.Fatalf("compacted %+v enumerates %v, fragments %+v enumerate %v", out, got, in, want)
+		}
+		rng := rand.New(rand.NewSource(int64(probe)))
+		for range 16 {
+			a, b := lo-1+rng.Int63n(hi-lo+2), lo-1+rng.Int63n(hi-lo+2)
+			a, b = min(a, b), max(a, b)
+			if got, want := bytesIn(out, a, b), bytesIn(in, a, b); got != want {
+				t.Fatalf("compacted %+v holds %d bytes in [%d, %d), fragments %+v hold %d", out, got, a, b, in, want)
+			}
+		}
+	})
+}
+
+// decodePatterns reads FuzzCompact's pattern encoding: at most eight
+// non-overlapping patterns of at most 64 runs, in file order.
+func decodePatterns(data []byte) []Seg {
+	var segs []Seg
+	var vals [4]uint64
+	for len(segs) < 8 {
+		for i := range vals {
+			if vals[i], data = readUvarint(data); data == nil {
+				return segs
+			}
+		}
+		length := int64(vals[1]%(1<<16)) + 1
+		s := Strided(0, length, length+int64(vals[2]%(1<<16)), int64(vals[3]%64)+1)
+		if n := len(segs); n > 0 {
+			prev := segs[n-1]
+			if gap := int64(vals[0] % (1 << 16)); gap == 0 {
+				s.Off = prev.Off + prev.Count*prev.Stride
+			} else {
+				s.Off = prev.End() + gap - 1
+			}
+		}
+		segs = append(segs, s)
+	}
+	return segs
+}
+
+// readUvarint reads one uvarint; rest is nil once data holds none.
+func readUvarint(data []byte) (v uint64, rest []byte) {
+	v, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, nil
+	}
+	return v, data[n:]
+}
+
+func uvarints(vals ...uint64) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendUvarint(b, v)
+	}
+	return b
+}
+
+// runList enumerates a segment list's runs as (offset, length) pairs.
+func runList(segs []Seg) [][2]int64 {
+	var runs [][2]int64
+	Enumerate(segs, 1<<16, func(off, length int64) { runs = append(runs, [2]int64{off, length}) })
+	return runs
+}
+
+func bytesIn(segs []Seg, lo, hi int64) int64 {
+	var n int64
+	for _, s := range segs {
+		n += s.BytesIn(lo, hi)
+	}
+	return n
 }

@@ -444,31 +444,6 @@ func TestLustreObjectSetupPenalty(t *testing.T) {
 	}
 }
 
-// TestReferenceFabricKeepsSegFragments guards the storage half of the
-// reference wiring: on a netsim.Config.Reference fabric, GPFS and Lustre
-// price a clipped, fragmented list as booked instead of compacting it into
-// their scratch. A model that ignored the flag would let the expt
-// equivalence test compare the optimized path with itself.
-func TestReferenceFabricKeepsSegFragments(t *testing.T) {
-	// One strided pattern clipped at a window boundary: compacts to one seg.
-	frags := []Seg{Strided(0, 1000, 8192, 32), Strided(32*8192, 1000, 8192, 32)}
-	torus := topology.MiraTorus(512)
-	dfly := topology.ThetaDragonfly(512, topology.RouteMinimal)
-	for _, ref := range []bool{false, true} {
-		g := NewGPFS(torus, netsim.New(torus, netsim.Config{Reference: ref}), GPFSConfig{})
-		g.reserve(0, 3, g.Create("f", FileOptions{}), frags, false)
-		l := NewLustre(dfly, netsim.New(dfly, netsim.Config{Reference: ref}), LustreConfig{})
-		l.reserve(0, 3, l.Create("f", FileOptions{StripeCount: 4}), frags, false)
-		want := 1 // compacted into the scratch
-		if ref {
-			want = 0 // priced from the caller's fragments
-		}
-		if len(g.segScratch) != want || len(l.segScratch) != want {
-			t.Errorf("reference=%v: compacted segs gpfs %d, lustre %d; want %d", ref, len(g.segScratch), len(l.segScratch), want)
-		}
-	}
-}
-
 // TestStorageBooksTopologyRates guards the one machine calibration: every
 // link the storage models book between the compute fabric and the storage
 // servers runs at the rate the topology answers for its level, the rate the

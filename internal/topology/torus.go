@@ -139,9 +139,6 @@ func (t *Torus5D) IONodes() int { return t.n / t.PsetSize }
 // IONodeOf returns the Pset (== ION) index of a node.
 func (t *Torus5D) IONodeOf(node int) int { return node / t.PsetSize }
 
-// PsetOf is an alias for IONodeOf with BG/Q terminology.
-func (t *Torus5D) PsetOf(node int) int { return node / t.PsetSize }
-
 // GroupOf exposes the Pset as the torus's locality group (tree.Grouper):
 // node ids are row-major over the 5-d coordinates, so a Pset is a compact
 // dimension-ordered sub-box — the natural clustering unit for staged
@@ -158,7 +155,7 @@ func (t *Torus5D) BridgeNodes(pset int) [2]int {
 // NearestBridge returns the bridge node of the node's Pset with the smallest
 // hop distance (ties: the first bridge).
 func (t *Torus5D) NearestBridge(node int) int {
-	br := t.BridgeNodes(t.PsetOf(node))
+	br := t.BridgeNodes(t.IONodeOf(node))
 	if t.Distance(node, br[1]) < t.Distance(node, br[0]) {
 		return br[1]
 	}

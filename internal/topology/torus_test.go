@@ -132,12 +132,8 @@ func TestTorusPsets(t *testing.T) {
 		t.Fatalf("IONs = %d, want 8", tor.IONodes())
 	}
 	for node := 0; node < tor.Nodes(); node++ {
-		pset := tor.PsetOf(node)
-		if pset != node/128 {
-			t.Fatalf("PsetOf(%d) = %d, want %d", node, pset, node/128)
-		}
-		if tor.IONodeOf(node) != pset {
-			t.Fatalf("IONodeOf != PsetOf for node %d", node)
+		if pset := tor.IONodeOf(node); pset != node/128 {
+			t.Fatalf("IONodeOf(%d) = %d, want %d", node, pset, node/128)
 		}
 	}
 }
@@ -147,8 +143,8 @@ func TestTorusBridgeNodesInsidePset(t *testing.T) {
 	for pset := 0; pset < tor.IONodes(); pset++ {
 		br := tor.BridgeNodes(pset)
 		for _, b := range br[:] {
-			if tor.PsetOf(b) != pset {
-				t.Fatalf("bridge node %d of pset %d is in pset %d", b, pset, tor.PsetOf(b))
+			if tor.IONodeOf(b) != pset {
+				t.Fatalf("bridge node %d of pset %d is in pset %d", b, pset, tor.IONodeOf(b))
 			}
 		}
 		if br[0] == br[1] {
@@ -161,7 +157,7 @@ func TestTorusNearestBridge(t *testing.T) {
 	tor := MiraTorus(512)
 	for node := 0; node < tor.Nodes(); node += 11 {
 		nb := tor.NearestBridge(node)
-		br := tor.BridgeNodes(tor.PsetOf(node))
+		br := tor.BridgeNodes(tor.IONodeOf(node))
 		dn := tor.Distance(node, nb)
 		for _, b := range br[:] {
 			if tor.Distance(node, b) < dn {
