@@ -308,8 +308,13 @@ func (w *Writer) InitData(declared [][]storage.Seg, data [][]byte) error {
 	w.rec = c.Proc().Recorder()
 	w.nops = len(declared)
 	// Flatten this rank's declared segments; the schedule orders by file
-	// offset, so per-call boundaries don't matter to it.
-	var mine []storage.Seg
+	// offset, so per-call boundaries don't matter to it. Sized up front, the
+	// list is one allocation instead of a doubling series per rank.
+	n := 0
+	for _, segs := range declared {
+		n += len(segs)
+	}
+	mine := make([]storage.Seg, 0, n)
 	for _, segs := range declared {
 		for _, s := range segs {
 			if !s.Empty() {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 )
 
 // busyGoroutines counts the goroutines that are not idle carriers.
@@ -131,12 +132,9 @@ func TestRunDrainsOnGoexit(t *testing.T) {
 	}
 }
 
-// TestCarriersAreReused checks that, with pooling on, a run starts no
-// coroutine when the pool already holds enough idle carriers for its procs.
+// TestCarriersAreReused checks that a run starts no coroutine when the pool
+// already holds enough idle carriers for its procs.
 func TestCarriersAreReused(t *testing.T) {
-	if !keepCarriers {
-		t.Skip("carriers are pooled only under the race detector")
-	}
 	run := func() {
 		e := NewEngine()
 		rv := &rendezvous{n: 8}
@@ -155,6 +153,191 @@ func TestCarriersAreReused(t *testing.T) {
 	run()
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines after a second run, %d before", after, before)
+	}
+}
+
+// TestCarriersKeepProcOrder checks that the pool hands proc i of a run the
+// carrier proc i ran on in the previous run, and that every carrier is idle
+// in the pool once Run returns.
+func TestCarriersKeepProcOrder(t *testing.T) {
+	const n = 6
+	run := func() []*carrier {
+		cars := make([]*carrier, n)
+		e := NewEngine()
+		rv := &rendezvous{n: n}
+		for i := 0; i < n; i++ {
+			e.Spawn(fmt.Sprint("p", i), func(p *Proc) {
+				cars[i] = p.car
+				p.Hold(int64(n - i))
+				rv.wait(p)
+			})
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return cars
+	}
+	first := run()
+	idle := map[*carrier]bool{}
+	idleCarriers.Lock()
+	for _, c := range idleCarriers.s {
+		idle[c] = true
+	}
+	idleCarriers.Unlock()
+	for i, c := range first {
+		if !idle[c] || c.p != nil {
+			t.Fatalf("proc %d's carrier is not idle in the pool after Run", i)
+		}
+	}
+	second := run()
+	for i := range second {
+		if second[i] != first[i] {
+			t.Fatalf("proc %d resumed on another carrier than in the first run", i)
+		}
+	}
+}
+
+// lastIdleCarrier returns the carrier at the top of the pool, the one the
+// next getCarrier hands out.
+func lastIdleCarrier(t *testing.T) *carrier {
+	t.Helper()
+	idleCarriers.Lock()
+	defer idleCarriers.Unlock()
+	if len(idleCarriers.s) == 0 {
+		t.Fatal("no idle carrier in the pool")
+	}
+	return idleCarriers.s[len(idleCarriers.s)-1]
+}
+
+// TestReusedCarrierRunsClean runs a proc that panics and a run that
+// deadlocks, and then on each carrier they left in the pool a proc that
+// parks, is woken and ends: it must run as on a new carrier, with nothing
+// left over from the proc before.
+func TestReusedCarrierRunsClean(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(e *Engine)
+		want  string
+	}{
+		{"after panic", func(e *Engine) {
+			e.Spawn("boom", func(p *Proc) {
+				p.Hold(3)
+				panic("kaboom")
+			})
+		}, "kaboom"},
+		{"after deadlock", func(e *Engine) {
+			e.Spawn("stuck", func(p *Proc) {
+				p.SetPhaseLabel("stuck phase")
+				p.Park("forever")
+			})
+		}, "deadlock"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine()
+			tc.build(e)
+			if err := e.Run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run = %v, want an error containing %q", err, tc.want)
+			}
+			c := lastIdleCarrier(t)
+			if c.p != nil {
+				t.Fatalf("idle carrier still holds proc %s", c.p.name)
+			}
+
+			e = NewEngine()
+			var waiter *Proc
+			var got *carrier
+			var steps []string
+			waiter = e.Spawn("waiter", func(p *Proc) {
+				got = p.car
+				if p.car.p != p || p.parkReason != "" || p.phase != "" || p.Now() != 0 {
+					t.Errorf("reused carrier started proc %s with state %+v", p.name, *p)
+				}
+				p.Park("wake")
+				steps = append(steps, fmt.Sprint("woken@", p.Now()))
+			})
+			e.Spawn("waker", func(p *Proc) {
+				p.Hold(10)
+				e.Unpark(waiter, p.Now())
+				steps = append(steps, "unparked")
+			})
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run on a reused carrier: %v", err)
+			}
+			if got != c {
+				t.Fatal("the first proc did not get the carrier at the top of the pool")
+			}
+			if want := "[unparked woken@10]"; fmt.Sprint(steps) != want {
+				t.Fatalf("steps %v, want %s", steps, want)
+			}
+			checkAllEnded(t, e)
+		})
+	}
+}
+
+// TestGoexitCarrierIsNotPooled checks that the carrier of a proc that
+// called runtime.Goexit has ended and never enters the pool, while the
+// carriers of the procs drained after it do.
+func TestGoexitCarrierIsNotPooled(t *testing.T) {
+	e := NewEngine()
+	var quitter, parked *carrier
+	e.Spawn("parked", func(p *Proc) {
+		parked = p.car
+		p.Park("quitter")
+	})
+	e.Spawn("quitter", func(p *Proc) {
+		quitter = p.car
+		p.Hold(5)
+		runtime.Goexit()
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+	}()
+	<-done
+	if quitter == nil || parked == nil {
+		t.Fatal("procs did not run")
+	}
+	idleCarriers.Lock()
+	defer idleCarriers.Unlock()
+	pooled := map[*carrier]bool{}
+	for _, c := range idleCarriers.s {
+		pooled[c] = true
+	}
+	if pooled[quitter] {
+		t.Fatal("the Goexit-ended carrier entered the pool")
+	}
+	if !pooled[parked] {
+		t.Fatal("the drained proc's carrier is not in the pool")
+	}
+}
+
+// TestIdleCarriersRetainNoEngine checks that a pooled carrier keeps nothing
+// of its last simulation alive: once Run has returned and the caller drops
+// the engine, the engine is collected, whether its procs finished or were
+// drained.
+func TestIdleCarriersRetainNoEngine(t *testing.T) {
+	for _, park := range []bool{false, true} {
+		var w weak.Pointer[Engine]
+		func() {
+			e := NewEngine()
+			w = weak.Make(e)
+			for i := 0; i < 4; i++ {
+				e.Spawn(fmt.Sprint("p", i), func(p *Proc) {
+					p.Hold(int64(i))
+					if park {
+						p.Park("forever")
+					}
+				})
+			}
+			e.Run()
+		}()
+		runtime.GC()
+		runtime.GC()
+		if w.Value() != nil {
+			t.Fatalf("park=%v: the engine is still reachable after Run", park)
+		}
 	}
 }
 

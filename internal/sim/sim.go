@@ -22,8 +22,9 @@
 // coroutine transfers on one thread: the parking proc picks its successor
 // and yields to Engine.Run, which resumes it.
 // A proc blocked on a real channel holds up the whole simulation meanwhile.
-// Each proc runs on its own carrier coroutine from its first run to its end;
-// under the race detector, carriers are pooled and reused (see keepCarriers).
+// Each proc runs on a carrier coroutine from its first run to its end; Run
+// returns the carriers to a process-wide pool, in proc-id order, so the next
+// simulation resumes pooled coroutines instead of creating new ones.
 //
 // Virtual time is int64 nanoseconds.
 package sim
@@ -114,7 +115,7 @@ type Proc struct {
 	phase      string
 
 	fn  func(*Proc)
-	car *carrier // runs fn; nil before the first run and after the end
+	car *carrier // runs fn; nil before the first run and after Run returns
 
 	heapIndex int // position in the engine run queue, -1 if absent
 
@@ -281,8 +282,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 }
 
 // carrier is the coroutine a proc runs on. It runs its proc's function to
-// the end; then it ends too, or, when keepCarriers is set, it yields and
-// waits idle in the pool for its next proc.
+// the end, then yields and waits idle in the pool for its next proc.
 type carrier struct {
 	p     *Proc // the proc being run; nil while idle
 	next  func() (struct{}, bool)
@@ -294,17 +294,16 @@ func (c *carrier) loop(yield func(struct{}) bool) {
 	for {
 		c.p.run()
 		c.p = nil
-		if !keepCarriers {
-			return
-		}
 		yield(struct{}{})
 	}
 }
 
-// idleCarriers is the process-wide pool of carriers between procs, empty
-// unless keepCarriers is set. Engines on different goroutines share it: a
-// carrier may be resumed from any goroutine, one at a time. It holds at most
-// the largest number of procs that were ever started and unfinished at once.
+// idleCarriers is the process-wide pool of carriers between procs. Engines
+// on different goroutines share it: a carrier may be resumed from any
+// goroutine, one at a time. It holds at most the largest number of procs
+// that ever ran in one Run, summed over concurrent Runs. Pooling in every
+// build also keeps the race detector's per-goroutine state from growing with
+// every proc ever run.
 var idleCarriers struct {
 	sync.Mutex
 	s []*carrier
@@ -323,10 +322,20 @@ func getCarrier() *carrier {
 	return c
 }
 
-func putCarrier(c *carrier) {
+// putCarriers returns the finished procs' carriers to the pool, highest proc
+// id first, so the pool's top is proc 0's carrier: proc i of the next Run
+// that starts its procs in id order gets the carrier proc i ran on. A
+// carrier so keeps about the stack depth its rank needs, instead of growing
+// toward the deepest stack of any proc it has served.
+func (e *Engine) putCarriers() {
 	idleCarriers.Lock()
-	idleCarriers.s = append(idleCarriers.s, c)
-	idleCarriers.Unlock()
+	defer idleCarriers.Unlock()
+	for i := len(e.procs) - 1; i >= 0; i-- {
+		if p := e.procs[i]; p.car != nil {
+			idleCarriers.s = append(idleCarriers.s, p.car)
+			p.car = nil
+		}
+	}
 }
 
 // run executes the proc's function on its carrier. A proc's panic becomes
@@ -361,8 +370,8 @@ func (p *Proc) run() {
 
 // Run executes the simulation until every proc finishes. It returns an error
 // if a proc panicked or if the simulation deadlocked (no runnable proc while
-// live procs remain parked). After Run returns, every proc and its carrier
-// have ended, or the carrier is idle in the pool.
+// live procs remain parked). After Run returns, every proc has ended and
+// every carrier it ran on is idle in the pool, or ended by runtime.Goexit.
 func (e *Engine) Run() error {
 	if e.running {
 		return fmt.Errorf("sim: Run called re-entrantly")
@@ -371,6 +380,7 @@ func (e *Engine) Run() error {
 	e.started = true
 	defer func() {
 		e.drain()
+		e.putCarriers()
 		e.running = false
 	}()
 
@@ -396,19 +406,13 @@ func (e *Engine) Run() error {
 }
 
 // resume runs p until it parks or ends. p gets its carrier on its first run
-// and drops it when it ends.
+// and keeps it until Run returns it to the pool.
 func (e *Engine) resume(p *Proc) {
 	if p.car == nil {
 		p.car = getCarrier()
 		p.car.p = p
 	}
 	p.car.next()
-	if p.state == stateFinished {
-		if keepCarriers {
-			putCarrier(p.car)
-		}
-		p.car = nil
-	}
 }
 
 // dispatch chooses the earliest pending run-queue entry to run next. Timer
@@ -558,7 +562,7 @@ func (e *Engine) deadlockError() error {
 
 // drain force-terminates all unfinished procs. It resumes each suspended
 // proc once more; seeing the terminal error, the proc unwinds with
-// abortError and drops its carrier. A proc that never ran has no carrier.
+// abortError and its carrier goes idle. A proc that never ran has no carrier.
 func (e *Engine) drain() {
 	e.batch = nil
 	e.batchPos = 0

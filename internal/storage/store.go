@@ -102,6 +102,38 @@ func (m *MemStore) readLocked(p []byte, off int64, cci *int64, cc *[]byte) {
 	}
 }
 
+// zeroChunk is what a hole lends to walkSegs: one chunk of zeros, shared
+// and never written.
+var zeroChunk [memChunk]byte
+
+// walkSegs calls fn on the stored bytes of every run of segs, in
+// enumeration order, with the read lock held: slices of the store's own
+// chunks, and of zeroChunk for holes. fn must neither keep nor modify them.
+func (m *MemStore) walkSegs(segs []Seg, fn func(p []byte)) error {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, s := range segs {
+		for i := int64(0); i < s.Count; i++ {
+			off := s.Off + i*s.Stride
+			end := off + s.Len
+			if off < 0 {
+				return fmt.Errorf("storage: MemStore checksum at negative offset %d", off)
+			}
+			for off < end {
+				co := off % memChunk
+				n := min(end-off, memChunk-co)
+				if c := m.chunks[off/memChunk]; c != nil {
+					fn(c[co : co+n])
+				} else {
+					fn(zeroChunk[:n])
+				}
+				off += n
+			}
+		}
+	}
+	return nil
+}
+
 // WriteAt stores p at offset off (io.WriterAt).
 func (m *MemStore) WriteAt(p []byte, off int64) (int, error) {
 	if off < 0 {
@@ -369,12 +401,18 @@ func (f *File) StoreChecksum(segs []Seg) (uint64, error) {
 	return crc, nil
 }
 
-// storeChecksumSerial is the single-stream checksum scan over segs.
+// storeChecksumSerial is the single-stream checksum scan over segs. A
+// MemStore is checksummed where its bytes lie; any other store is read
+// through a pooled buffer.
 func (f *File) storeChecksumSerial(segs []Seg) (uint64, error) {
+	var crc uint64
+	if m, ok := f.store.(*MemStore); ok {
+		err := m.walkSegs(segs, func(p []byte) { crc = CRC64(crc, p) })
+		return crc, err
+	}
 	bp := crcScratch.Get().(*[]byte)
 	defer crcScratch.Put(bp)
 	buf := *bp
-	var crc uint64
 	for _, s := range segs {
 		for i := int64(0); i < s.Count; i++ {
 			off, remaining := s.Off+i*s.Stride, s.Len

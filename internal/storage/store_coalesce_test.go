@@ -155,6 +155,55 @@ func TestStoreChecksumParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestInPlaceChecksumMatchesCopy checksums random sparse extent lists
+// twice over one MemStore: in place, through its chunk walk, and through the
+// copy path a store without the walk takes. The lists mix holes, runs that
+// straddle chunk boundaries, strided segments and chunks never written.
+func TestInPlaceChecksumMatchesCopy(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for trial := 0; trial < 40; trial++ {
+		m := NewMemStore()
+		span := int64(1+rng.Intn(12)) * memChunk
+		for w := rng.Intn(6); w > 0; w-- {
+			buf := make([]byte, 1+rng.Intn(3*memChunk/2))
+			rng.Read(buf)
+			if _, err := m.WriteAt(buf, rng.Int63n(span)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var segs []Seg
+		for k := 1 + rng.Intn(8); k > 0; k-- {
+			off := rng.Int63n(span)
+			if rng.Intn(2) == 0 {
+				// A run ending just past a chunk boundary.
+				off = (off/memChunk+1)*memChunk - int64(1+rng.Intn(100))
+			}
+			if rng.Intn(3) == 0 {
+				l := int64(1 + rng.Intn(memChunk/4))
+				segs = append(segs, Strided(off, l, l+int64(rng.Intn(memChunk)), int64(1+rng.Intn(6))))
+			} else {
+				segs = append(segs, Contig(off, int64(1+rng.Intn(2*memChunk))))
+			}
+		}
+
+		inPlace := &File{Name: "walk"}
+		inPlace.SetStore(m)
+		copied := &File{Name: "copy"}
+		copied.SetStore(struct{ Store }{m}) // not a *MemStore: the copy path
+		got, err := inPlace.storeChecksumSerial(segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := copied.storeChecksumSerial(segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("trial %d: in-place checksum %#x != copied %#x (segs %v)", trial, got, want, segs)
+		}
+	}
+}
+
 func TestSplitSegsPreservesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
